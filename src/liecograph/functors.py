@@ -31,7 +31,14 @@ from .errors import (
     NotDual,
     NotSimplyConnected,
 )
-from .linalg import BasedSpace, BigradedComplex, SparseMatrix, total_homology
+from .linalg import (
+    BasedSpace,
+    BigradedComplex,
+    Echelon,
+    SparseMatrix,
+    add_into,
+    total_homology,
+)
 from .shapes import SGraph, contract_edge, enumerate_graphs
 from .elements import (
     GeneratorTable,
@@ -68,14 +75,6 @@ def _mono_name(m):
     return "*".join(m)
 
 
-def _add_into(acc, key, val):
-    s = acc.get(key, Fraction(0)) + val
-    if s:
-        acc[key] = s
-    else:
-        acc.pop(key, None)
-
-
 class DgComplexBundle:
     """A truncated bigraded complex with named basis keys.
 
@@ -101,7 +100,7 @@ class DgComplexBundle:
     def differential_of_key(self, key):
         out = dict(self.dv_of_key.get(key, ()))
         for k, v in self.dh_of_key.get(key, {}).items():
-            _add_into(out, k, v)
+            add_into(out, k, v)
         return out
 
     def homology(self, window):
@@ -191,60 +190,8 @@ def _vec_of_element(g):
         t = iterated_cobracket(g.component(n), n - 1)
         for keys, c in t.terms.items():
             names = tuple(k[1][0] for k in keys)
-            _add_into(out, names, c)
+            add_into(out, names, c)
     return out
-
-
-class _ContentSolver:
-    """Per-content bar basis: designated-leading words whose iterated-cobracket
-    vectors are independent, with exact projection onto them."""
-
-    def __init__(self, table, content):
-        self.table = table
-        self.content = content
-        g0 = min(content, key=table.sort_key)
-        rest = list(content)
-        rest.remove(g0)
-        cands = [(g0,) + t for t in _distinct_arrangements(tuple(rest))]
-        self.basis = []
-        self._ech = []  # (pivot coord, vec, expression over basis words)
-        for w in cands:
-            vec = dict(_vec_of_element(graphify(w, table)))
-            expr = {w: Fraction(1)}
-            self._reduce(vec, expr)
-            if vec:
-                piv = min(vec)
-                c = vec[piv]
-                self._ech.append((piv,
-                                  {k: v / c for k, v in vec.items()},
-                                  {k: v / c for k, v in expr.items()}))
-                self.basis.append(w)
-
-    def _reduce(self, vec, expr):
-        for piv, evec, eexpr in self._ech:
-            f = vec.get(piv)
-            if f:
-                for k, v in evec.items():
-                    _add_into(vec, k, -f * v)
-                for k, v in eexpr.items():
-                    _add_into(expr, k, -f * v)
-
-    def project_vec(self, vec):
-        """Coordinates over basis words of a class given by its iterated-
-        cobracket vector; the class must lie in this content's span."""
-        vec = dict(vec)
-        coords = {}
-        for piv, evec, eexpr in self._ech:
-            f = vec.get(piv)
-            if f:
-                for k, v in evec.items():
-                    _add_into(vec, k, -f * v)
-                for k, v in eexpr.items():
-                    _add_into(coords, k, f * v)
-        if vec:
-            raise AssertionError(
-                f"class not in the bar-word span of content {self.content}")
-        return coords
 
 
 # ---------------------------------------------------------------------------
@@ -261,31 +208,47 @@ def build_E(A, cap_weight=None, cap_degree=None):
     solvers = {}
 
     def solver(content):
+        """(bar basis, tracked echelon) of a content: the designated-leading
+        words whose iterated-cobracket vectors are independent."""
         s = solvers.get(content)
         if s is None:
-            s = solvers[content] = _ContentSolver(table, content)
+            g0 = min(content, key=table.sort_key)
+            rest = list(content)
+            rest.remove(g0)
+            basis, ech = [], Echelon(track=True)
+            for tail in _distinct_arrangements(tuple(rest)):
+                w = (g0,) + tail
+                vec = _vec_of_element(graphify(w, table))
+                if ech.insert(vec, w) is not None:
+                    basis.append(w)
+            s = solvers[content] = (basis, ech)
         return s
+
+    def project_vec(content, vec, coeff, acc):
+        """Accumulate coeff * (the class with iterated-cobracket vector vec)
+        in basis coordinates; the class must lie in the content's span."""
+        residual, coords = solver(content)[1].reduce(vec)
+        if residual:
+            raise AssertionError(
+                f"class not in the bar-word span of content {content}")
+        for k, v in coords.items():
+            add_into(acc, k, coeff * v)
 
     pieces_keys = {}
     key_bidegree = {}
-    key_content = {}
     for content in _contents(table, cw, cd):
         w, d = _content_bidegree(table, content)
-        words = solver(content).basis
+        words = solver(content)[0]
         if words:
             pieces_keys.setdefault((w, d), []).extend(words)
         for word in words:
             key_bidegree[word] = (w, d)
-            key_content[word] = content
 
     def project_word(raw, coeff, acc):
         """Accumulate coeff * (class of the raw word) in basis coordinates."""
         content = tuple(sorted(raw, key=table.sort_key))
-        vec = _vec_of_element(graphify(raw, table))
-        if not vec:
-            return
-        for k, v in solver(content).project_vec(vec).items():
-            _add_into(acc, k, coeff * v)
+        project_vec(content, _vec_of_element(graphify(raw, table)), coeff,
+                    acc)
 
     dv_of_key, dh_of_key = {}, {}
     for word, (w, d) in key_bidegree.items():
@@ -326,11 +289,8 @@ def build_E(A, cap_weight=None, cap_degree=None):
             content = tuple(sorted(key[1], key=table.sort_key))
             by_content.setdefault(content, {})[key] = c
         for content, terms in by_content.items():
-            vec = _vec_of_element(GraphElement(table, terms))
-            if not vec:
-                continue
-            for k, v in solver(content).project_vec(vec).items():
-                _add_into(acc, k, v)
+            project_vec(content, _vec_of_element(GraphElement(table, terms)),
+                        1, acc)
         return acc
 
     def key_cobracket(word):
@@ -341,7 +301,7 @@ def build_E(A, cap_weight=None, cap_degree=None):
             p2 = project_element(GraphElement(table, {k2: Fraction(1)}))
             for w1, c1 in p1.items():
                 for w2, c2 in p2.items():
-                    _add_into(out, (w1, w2), c * c1 * c2)
+                    add_into(out, (w1, w2), c * c1 * c2)
         return out
 
     return DgComplexBundle(
@@ -396,7 +356,7 @@ def build_G(A, cap_weight=None, cap_degree=None):
                     table, SGraph(n, edges, _checked=True), newlabels,
                     sgn * c)
                 for k2, c2 in el.terms.items():
-                    _add_into(dv, k2, c2)
+                    add_into(dv, k2, c2)
         if dv:
             dv_of_key[key] = dv
         dh = {}
@@ -425,7 +385,7 @@ def build_G(A, cap_weight=None, cap_degree=None):
             el = GraphElement.from_term(table, H, tuple(newlabels),
                                         ksgn * local * ps)
             for k2, c2 in el.terms.items():
-                _add_into(dh, k2, c2)
+                add_into(dh, k2, c2)
         if dh:
             dh_of_key[key] = dh
 
@@ -437,7 +397,7 @@ def build_G(A, cap_weight=None, cap_degree=None):
         out = {}
         cb = cobracket(GraphElement(table, {key: Fraction(1)}))
         for (k1, k2), c in cb.terms.items():
-            _add_into(out, (k1, k2), c)
+            add_into(out, (k1, k2), c)
         return out
 
     return DgComplexBundle(
@@ -517,7 +477,7 @@ def build_A_hat(G, cap_letters=3, cap_degree=None):
                 assert bd[1] > complete[1], (
                     f"word {w2} missing inside the complete range")
                 return
-            _add_into(acc, w2, coeff * sgn)
+            add_into(acc, w2, coeff * sgn)
 
     dv_of_key, dh_of_key = {}, {}
     for word in words:
@@ -592,7 +552,7 @@ def build_L(C, cap_weight=None, cap_degree=None):
                 assert k > cw or nat > cd, (
                     f"comb word {w} missing inside caps")
                 continue
-            _add_into(acc, w, c)
+            add_into(acc, w, c)
 
     def nest_with(word, i, repl):
         leaves = list(word[:i]) + [repl] + list(word[i + 1:])
@@ -709,7 +669,7 @@ def build_C(L, cap_weight=None, cap_degree=None):
                 assert len(w2) > cw or nat > cap_degree, (
                     f"word {w2} missing inside caps")
                 return
-            _add_into(acc, w2, coeff * sgn)
+            add_into(acc, w2, coeff * sgn)
 
     dv_of_key, dh_of_key = {}, {}
     for word in words:
@@ -763,48 +723,23 @@ def harrison_shuffle_model(A, cap_weight=None, cap_degree=None):
             self.words = _distinct_arrangements(content)
             self.widx = {w: i for i, w in enumerate(self.words)}
             sd = {x: table.degree[x] for x in content}
-            ech = {}
+            self.ech = Echelon()
             for a in self.words:
                 degs = [sd[x] for x in a]
                 for k in range(1, len(a)):
                     row = {}
                     for src in _interleavings(k, len(a) - k):
                         w = tuple(a[i] for i in src)
-                        _add_into(row, self.widx[w],
-                                  Fraction(koszul_sign(degs, list(src))))
-                    self._echelon_insert(ech, row)
-            self.ech = ech
-            self.basis = [w for i, w in enumerate(self.words) if i not in ech]
-
-        @staticmethod
-        def _echelon_insert(ech, row):
-            row = dict(row)
-            while row:
-                c = min(row)
-                if c in ech:
-                    f = row[c]
-                    for cc, vv in ech[c].items():
-                        _add_into(row, cc, -f * vv)
-                else:
-                    inv = Fraction(1) / row[c]
-                    ech[c] = {cc: inv * vv for cc, vv in row.items()}
-                    break
+                        add_into(row, self.widx[w],
+                                 Fraction(koszul_sign(degs, list(src))))
+                    self.ech.insert(row)
+            self.basis = [w for i, w in enumerate(self.words)
+                          if i not in self.ech]
 
         def reduce(self, raw_word, coeff, acc):
-            # eliminate pivot coordinates against the relation echelon
-            vec = {self.widx[raw_word]: coeff}
-            again = True
-            while again:
-                again = False
-                for i in sorted(vec):
-                    if i in self.ech and vec.get(i):
-                        f = vec[i]
-                        for j, vv in self.ech[i].items():
-                            _add_into(vec, j, -f * vv)
-                        again = True
-                        break
+            vec, _ = self.ech.reduce({self.widx[raw_word]: coeff})
             for i, c in vec.items():
-                _add_into(acc, self.words[i], c)
+                add_into(acc, self.words[i], c)
 
     def comp(content):
         c = comps.get(content)
@@ -926,7 +861,7 @@ def _transpose_check(A, C, cap_degree):
         acc = {}
         for item in terms:
             c, rest = item[0], tuple(item[1:])
-            _add_into(acc, rest, Fraction(c))
+            add_into(acc, rest, Fraction(c))
         return acc
 
     for name in want.class_names:
@@ -1086,10 +1021,10 @@ def check_twisting(tau, G, A):
             continue  # differential data truncated at the cap boundary
         acc = {}
         for m, c in A.differential_of_poly(tau_of(key)).items():
-            _add_into(acc, m, c)
+            add_into(acc, m, c)
         for k2, c in G.differential_of_key(key).items():
             for m, c2 in tau_of(k2).items():
-                _add_into(acc, m, c * c2)
+                add_into(acc, m, c * c2)
         for (k1, k2), c in G.key_cobracket(key).items():
             p1, p2 = tau_of(k1), tau_of(k2)
             if not p1 or not p2:
@@ -1097,7 +1032,7 @@ def check_twisting(tau, G, A):
             # the sign operator reads the algebra degree of tau's output
             s1 = (-1) ** (G.key_bidegree[k1][1] + 1)
             for m, cm in A.poly_multiply(p1, p2).items():
-                _add_into(acc, m, -Fraction(1, 2) * s1 * c * cm)
+                add_into(acc, m, -Fraction(1, 2) * s1 * c * cm)
         if acc:
             return TwistingReport(False, (key, acc))
     return TwistingReport(True)

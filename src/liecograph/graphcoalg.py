@@ -23,6 +23,7 @@ from .elements import (
     TreeElement,
     koszul_sign,
 )
+from .linalg import Echelon
 from .pairing import element_pair
 
 __all__ = [
@@ -178,19 +179,23 @@ def to_bar_basis(g):
         words = [(designated,) + tail for tail in _distinct_arrangements(tuple(rest))]
         trees = [TreeElement.from_term(table, _nest(arr))
                  for arr in _distinct_arrangements(ms)]
-        rows = []
+        ech = Echelon(track=True)
         for w in words:
-            gw = graphify(w, table)
-            rows.append([element_pair(gw, t) for t in trees])
-        q = [element_pair(comp, t) for t in trees]
-        coeffs = _solve_rowspace(rows, q)
-        if coeffs is None:
+            ech.insert(_pairings(graphify(w, table), trees), w)
+        residual, coeffs = ech.reduce(_pairings(comp, trees))
+        if residual:
             raise AssertionError(
                 f"bar words failed to span component {ms} at weight {n}")
-        for w, c in zip(words, coeffs):
+        for w in words:
+            c = coeffs.get(w)
             if c:
                 out[w] = out.get(w, Fraction(0)) + c
     return {w: c for w, c in out.items() if c}
+
+
+def _pairings(g, trees):
+    """Sparse vector {tree index: <g, tree>}."""
+    return {j: v for j, t in enumerate(trees) if (v := element_pair(g, t))}
 
 
 def _nest(seq):
@@ -198,39 +203,6 @@ def _nest(seq):
     for x in seq[1:]:
         t = (t, x)
     return t
-
-
-def _solve_rowspace(rows, q):
-    """Solve c^T rows = q exactly (pivot solution, free coefficients zero);
-    None if inconsistent."""
-    m = len(rows)
-    k = len(q)
-    # augmented columns: transpose system A^T c = q
-    aug = [[rows[j][i] for j in range(m)] + [q[i]] for i in range(k)]
-    pivots = []
-    r = 0
-    for col in range(m):
-        piv = next((i for i in range(r, k) if aug[i][col]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = Fraction(1) / aug[r][col]
-        aug[r] = [inv * x for x in aug[r]]
-        for i in range(k):
-            if i != r and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-        if r == k:
-            break
-    for i in range(r, k):
-        if aug[i][m]:
-            return None
-    sol = [Fraction(0)] * m
-    for i, col in enumerate(pivots):
-        sol[col] = aug[i][m]
-    return sol
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from functools import lru_cache
 from .errors import CapExceeded
 from .elements import GeneratorTable, TreeElement, _Element, _term_leaves
 from .graphcoalg import _distinct_arrangements, graphify
+from .linalg import Echelon, SparseMatrix
 from .pairing import element_pair
 
 __all__ = ["product", "bracket", "lie_normal_form", "tensor_expand", "LieElement"]
@@ -132,7 +133,7 @@ _kernel_cache = {}
 
 def _content_reduction(table, content):
     """Echelon of the exact relation space among designated-leading comb words
-    of a content (pivot word -> full relation row), plus the word list.
+    of a content (pivot = a word index), plus the word list.
 
     Relations are detected through the configuration pairing against long
     graphs over all arrangements, which separates free-Lie classes."""
@@ -157,27 +158,10 @@ def _content_reduction(table, content):
             v = element_pair(graphify(arr, table), t)
             if v:
                 entries[(j, i)] = v
-    from .linalg import SparseMatrix
     M = SparseMatrix(len(arrangements), len(words), entries)
-    rels = M.kernel()  # vectors over word indices
-    # echelon of relations over word indices (pivot = smallest index)
-    rel_ech = {}
-    for rel in rels:
-        row = dict(rel)
-        while row:
-            c = min(row)
-            if c in rel_ech:
-                f = row[c]
-                for cc, vv in rel_ech[c].items():
-                    s = row.get(cc, Fraction(0)) - f * vv
-                    if s:
-                        row[cc] = s
-                    else:
-                        row.pop(cc, None)
-            else:
-                inv = Fraction(1) / row[c]
-                rel_ech[c] = {cc: inv * vv for cc, vv in row.items()}
-                break
+    rel_ech = Echelon()  # relations over word indices
+    for rel in M.kernel():
+        rel_ech.insert(rel)
     res = (words, rel_ech)
     _kernel_cache[sig] = res
     return res
@@ -207,22 +191,9 @@ def lie_normal_form(t):
     for content, coords in by_content.items():
         words, rel_ech = _content_reduction(table, content)
         widx = {w: i for i, w in enumerate(words)}
-        vec = {widx[w]: c for w, c in coords.items()}
-        while True:
-            piv = next((i for i in sorted(vec) if i in rel_ech and vec[i]),
-                       None)
-            if piv is None:
-                break
-            f = vec[piv]
-            for j, vv in rel_ech[piv].items():
-                s = vec.get(j, Fraction(0)) - f * vv
-                if s:
-                    vec[j] = s
-                else:
-                    vec.pop(j, None)
+        vec, _ = rel_ech.reduce({widx[w]: c for w, c in coords.items()})
         for i, c in vec.items():
-            if c:
-                out[words[i]] = c
+            out[words[i]] = c
     return LieElement(table, out)
 
 

@@ -1,7 +1,9 @@
 """Exact linear algebra over Q.
 
-Sparse matrices with Fraction entries, rank/kernel/image by exact Gaussian
-elimination, a certified fast-path rank for large integer matrices, and
+`Echelon` is the single exact elimination kernel: every rank, kernel, span,
+inverse and quotient normal form over Q in the package is a row reduction
+through it.  `integer_matrix_rank` is the certified numpy path for large
+integer matrices.  On top sit sparse matrices with Fraction entries and
 bigraded complexes (two anticommuting degree-+1 differentials) with total
 homology and spectral-sequence page dimensions for the weight filtration.
 
@@ -11,18 +13,115 @@ proven (by explicit magnitude bounds) to be exactly representable.
 """
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 from .errors import CapTooSmall
 
 __all__ = [
     "BasedSpace",
+    "Echelon",
     "SparseMatrix",
     "integer_matrix_rank",
     "BigradedComplex",
     "total_homology",
     "spectral_pages",
 ]
+
+
+_ZERO = Fraction(0)
+
+
+def add_into(acc, key, val):
+    """acc[key] += val in a sparse dict, dropping the key when it cancels."""
+    s = acc.get(key, _ZERO) + val
+    if s:
+        acc[key] = s
+    else:
+        acc.pop(key, None)
+
+
+class Echelon:
+    """Sparse rows {col: Fraction} in semi-echelon form: each row's pivot is
+    its smallest column and the pivot entry is 1.  Columns are any mutually
+    comparable keys.
+
+    With track=True each row also carries its expression {tag: coeff} over
+    the tags of the inserted rows, and `reduce` returns the coefficients of a
+    vector over those tags.  Since the min-first pivot set depends only on
+    the row space, the pivots, the fully reduced residual and the
+    coordinates over an independent set of inserted rows do not depend on
+    insertion order or on how far rows are reduced."""
+
+    def __init__(self, track=False):
+        self.rows = {}  # pivot col -> row
+        self.exprs = {} if track else None  # pivot col -> {tag: coeff}
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __contains__(self, col):
+        return col in self.rows
+
+    def _eliminate(self, vec, full):
+        """Subtract pivot rows from a copy of vec in ascending column order.
+        Returns (vec, coeffs, free): free is the smallest non-pivot column
+        left when not `full` (elimination stops there), else None."""
+        vec = dict(vec)
+        coeffs = {} if self.exprs is not None else None
+        heap = list(vec)
+        heapify(heap)
+        while heap:
+            c = heappop(heap)
+            f = vec.get(c)
+            if not f:
+                continue  # cancelled, or a repeated heap entry
+            row = self.rows.get(c)
+            if row is None:
+                if full:
+                    continue
+                return vec, coeffs, c
+            for k, v in row.items():
+                if k not in vec:
+                    heappush(heap, k)
+                add_into(vec, k, -f * v)
+            if coeffs is not None:
+                for t, e in self.exprs[c].items():
+                    add_into(coeffs, t, f * e)
+        return vec, coeffs, None
+
+    def insert(self, row, tag=None):
+        """Add a row; returns its new pivot column, or None if the row lies
+        in the span of the rows already present."""
+        vec, coeffs, c = self._eliminate(row, full=False)
+        if c is None:
+            return None
+        inv = Fraction(1) / vec[c]
+        self.rows[c] = {k: inv * v for k, v in vec.items()}
+        if coeffs is not None:
+            expr = {t: -e for t, e in coeffs.items()}
+            add_into(expr, tag, Fraction(1))
+            self.exprs[c] = {t: inv * e for t, e in expr.items()}
+        return c
+
+    def reduce(self, vec):
+        """(residual, coeffs): vec = sum of coeffs[t] * (row tagged t) +
+        residual, with the residual zero at every pivot column.  coeffs is
+        None unless tracking."""
+        vec, coeffs, _ = self._eliminate(vec, full=True)
+        return vec, coeffs
+
+    def rref(self):
+        """Fully reduced rows {pivot: row}: zero at every other pivot."""
+        out = {}
+        for c in sorted(self.rows, reverse=True):
+            row = dict(self.rows[c])
+            for k in [k for k in row if k != c and k in out]:
+                f = row[k]
+                for kk, v in out[k].items():
+                    add_into(row, kk, -f * v)
+            out[c] = row
+        return out
 
 
 class BasedSpace:
@@ -80,11 +179,7 @@ class SparseMatrix:
         assert (self.rows, self.cols) == (other.rows, other.cols)
         out = dict(self.entries)
         for k, v in other.entries.items():
-            w = out.get(k, Fraction(0)) + v
-            if w:
-                out[k] = w
-            else:
-                out.pop(k, None)
+            add_into(out, k, v)
         return SparseMatrix(self.rows, self.cols, out)
 
     def scale(self, c):
@@ -125,86 +220,29 @@ class SparseMatrix:
             if not x:
                 continue
             for i, v in by_col.get(j, ()):
-                s = out.get(i, Fraction(0)) + v * x
-                if s:
-                    out[i] = s
-                else:
-                    out.pop(i, None)
+                add_into(out, i, v * x)
         return out
 
-    def _row_dicts(self):
+    def _echelon(self):
+        ech = Echelon()
         rows = {}
         for (i, j), v in self.entries.items():
             rows.setdefault(i, {})[j] = v
-        return rows
+        for row in rows.values():
+            ech.insert(row)
+        return ech
 
-    def rank(self, order="forward"):
-        """Exact rank by incremental row elimination.  `order` picks the pivot
-        column preference (forward = smallest column index first, reverse =
-        largest first); both orders must agree."""
-        key = min if order == "forward" else max
-        echelon = {}  # pivot col -> row dict (pivot entry normalized to 1)
-        for rowdict in self._row_dicts().values():
-            row = dict(rowdict)
-            while row:
-                c = key(row)
-                if c in echelon:
-                    f = row[c]
-                    for cc, vv in echelon[c].items():
-                        s = row.get(cc, Fraction(0)) - f * vv
-                        if s:
-                            row[cc] = s
-                        else:
-                            row.pop(cc, None)
-                else:
-                    inv = Fraction(1) / row[c]
-                    echelon[c] = {cc: inv * vv for cc, vv in row.items()}
-                    break
-        return len(echelon)
-
-    def rref(self):
-        """Reduced row echelon form; returns (pivots, rows) where pivots is the
-        sorted list of pivot columns and rows maps pivot col -> full reduced
-        row dict (pivot entry 1, zero above/below pivots)."""
-        echelon = {}
-        for rowdict in self._row_dicts().values():
-            row = dict(rowdict)
-            while row:
-                c = min(row)
-                if c in echelon:
-                    f = row[c]
-                    for cc, vv in echelon[c].items():
-                        s = row.get(cc, Fraction(0)) - f * vv
-                        if s:
-                            row[cc] = s
-                        else:
-                            row.pop(cc, None)
-                else:
-                    inv = Fraction(1) / row[c]
-                    echelon[c] = {cc: inv * vv for cc, vv in row.items()}
-                    break
-        # back-substitute to clear entries above pivots
-        for c in sorted(echelon, reverse=True):
-            for c2, r2 in echelon.items():
-                if c2 == c:
-                    continue
-                f = r2.get(c)
-                if f:
-                    for cc, vv in echelon[c].items():
-                        s = r2.get(cc, Fraction(0)) - f * vv
-                        if s:
-                            r2[cc] = s
-                        else:
-                            r2.pop(cc, None)
-        return sorted(echelon), echelon
+    def rank(self):
+        """Exact rank by incremental row elimination."""
+        return len(self._echelon())
 
     def kernel(self):
         """Basis of the right kernel, as a list of sparse column vectors."""
-        pivots, rows = self.rref()
-        pivset = set(pivots)
+        rows = self._echelon().rref()
+        pivots = sorted(rows)
         basis = []
         for j in range(self.cols):
-            if j in pivset:
+            if j in rows:
                 continue
             vec = {j: Fraction(1)}
             for c in pivots:
@@ -214,35 +252,16 @@ class SparseMatrix:
             basis.append(vec)
         return basis
 
-    def column_space_pivots(self):
-        """Indices of a maximal independent set of columns."""
-        pivots, _ = self.rref()
-        return pivots
-
     def __repr__(self):
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
 
 
 def span_dimension(vectors):
     """Rank of a list of sparse vectors {index: Fraction}."""
-    echelon = {}
+    ech = Echelon()
     for v in vectors:
-        row = dict(v)
-        while row:
-            c = min(row)
-            if c in echelon:
-                f = row[c]
-                for cc, vv in echelon[c].items():
-                    s = row.get(cc, Fraction(0)) - f * vv
-                    if s:
-                        row[cc] = s
-                    else:
-                        row.pop(cc, None)
-            else:
-                inv = Fraction(1) / row[c]
-                echelon[c] = {cc: inv * vv for cc, vv in row.items()}
-                break
-    return len(echelon)
+        ech.insert(v)
+    return len(ech)
 
 
 # ---------------------------------------------------------------------------
@@ -287,53 +306,32 @@ def _modp_pivots(A, p, chunk=2048):
     return pivrows, pivcols
 
 
-def _exact_inverse_and_det(S):
-    """Exact inverse and determinant of a square matrix given as a list of
-    lists of ints/Fractions.  Raises ZeroDivisionError if singular."""
-    n = len(S)
-    M = [[Fraction(S[i][j]) for j in range(n)] + [
-        Fraction(1) if j == i else Fraction(0) for j in range(n)] for i in range(n)]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next(r for r in range(col, n) if M[r][col])
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            det = -det
-        det *= M[col][col]
-        inv = Fraction(1) / M[col][col]
-        M[col] = [inv * x for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col]:
-                f = M[r][col]
-                M[r] = [a - f * b for a, b in zip(M[r], M[col])]
-    return [row[n:] for row in M], det
+def _exact_inverse(S):
+    """Exact inverse of a square matrix given as a list of lists of
+    ints/Fractions.  Raises ZeroDivisionError if singular."""
+    ech = Echelon(track=True)
+    for i, row in enumerate(S):
+        if ech.insert({j: Fraction(x) for j, x in enumerate(row) if x},
+                      i) is None:
+            raise ZeroDivisionError("singular matrix")
+    # row j of the inverse holds the coordinates of e_j over the rows of S
+    inv = []
+    for j in range(len(S)):
+        _, coeffs = ech.reduce({j: Fraction(1)})
+        inv.append([coeffs.get(i, _ZERO) for i in range(len(S))])
+    return inv
 
 
 def _grow_pivots_exact(A, pivrows, extra_rows):
     """Extend an independent row set with exact elimination over Q."""
-    rows = []
+    ech = Echelon()
+    keep_rows, keep_cols = [], []
     for i in pivrows + extra_rows:
-        rows.append((i, {j: Fraction(int(v)) for j, v in enumerate(A[i]) if v}))
-    echelon = {}
-    keep = []
-    for i, rowdict in rows:
-        row = dict(rowdict)
-        while row:
-            c = min(row)
-            if c in echelon:
-                f = row[c]
-                for cc, vv in echelon[c].items():
-                    s = row.get(cc, Fraction(0)) - f * vv
-                    if s:
-                        row[cc] = s
-                    else:
-                        row.pop(cc, None)
-            else:
-                inv = Fraction(1) / row[c]
-                echelon[c] = {cc: inv * vv for cc, vv in row.items()}
-                keep.append((i, c))
-                break
-    return [i for i, _ in keep], [c for _, c in keep]
+        c = ech.insert({j: Fraction(int(v)) for j, v in enumerate(A[i]) if v})
+        if c is not None:
+            keep_rows.append(i)
+            keep_cols.append(c)
+    return keep_rows, keep_cols
 
 
 def _dedup_rows(A):
@@ -362,10 +360,11 @@ def integer_matrix_rank(A, chunk=2048):
     """Exact Q-rank of an integer numpy matrix, certified.
 
     Pivot candidates are found mod p (cheap); the lower bound is certified by
-    an exact nonzero determinant of the pivot submatrix, and the upper bound
-    by exactly verifying that every row is a Q-combination of the pivot rows
-    (integer identity det(S) * A == (A[:,C] @ adj(S)) @ A[R], evaluated either
-    in overflow-checked int64/float64 or multi-modularly with enough primes to
+    exactly inverting the pivot submatrix S, and the upper bound by exactly
+    verifying that every row is a Q-combination of the pivot rows (integer
+    identity delta * A == (A[:,C] @ adj) @ A[R] with adj = delta * S^-1 and
+    delta the common denominator of S^-1, evaluated either in
+    overflow-checked int64/float64 or multi-modularly with enough primes to
     exceed the explicit magnitude bound)."""
     import numpy as np
 
@@ -386,7 +385,7 @@ def integer_matrix_rank(A, chunk=2048):
     for _attempt in range(8):
         r = len(pivrows)
         S = [[int(A[i, j]) for j in pivcols] for i in pivrows]
-        Sinv, det = _exact_inverse_and_det(S)  # nonzero det certifies rank >= r
+        Sinv = _exact_inverse(S)  # S nonsingular certifies rank >= r
         den = 1
         for row in Sinv:
             for x in row:
@@ -434,10 +433,8 @@ def _verify_membership(A, pivcols, adj, delta, R, bound, chunk):
             break
     if prod < need:
         raise ArithmeticError("prime pool too small for certification bound")
-    adj_int = adj
-    suspects = None
     for p in primes:
-        adj_p = np.array([[x % p for x in row] for row in adj_int], dtype=np.int64)
+        adj_p = np.array([[x % p for x in row] for row in adj], dtype=np.int64)
         Rp = R % p
         dp = delta % p
         for lo in range(0, nrows, chunk):
@@ -538,12 +535,7 @@ class BigradedComplex:
                     continue
                 ot = offs_t[wt]
                 for (i, j), v in mat.entries.items():
-                    k = (ot + i, off + j)
-                    s = entries.get(k, Fraction(0)) + v
-                    if s:
-                        entries[k] = s
-                    else:
-                        entries.pop(k, None)
+                    add_into(entries, (ot + i, off + j), v)
         return SparseMatrix(nt, nd, entries)
 
 

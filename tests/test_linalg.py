@@ -9,8 +9,10 @@ from liecograph.errors import CapTooSmall
 from liecograph.linalg import (
     BasedSpace,
     BigradedComplex,
+    Echelon,
     SparseMatrix,
     _dedup_rows,
+    _exact_inverse,
     integer_matrix_rank,
     span_dimension,
     spectral_pages,
@@ -58,8 +60,44 @@ def test_sparse_rank_matches_oracle(rows):
     M = _to_sparse(rows)
     expect = _dense_rank_oracle(rows)
     assert M.rank() == expect
-    assert M.rank(order="reverse") == expect
     assert M.transpose().rank() == expect
+
+
+def _sparse_rows(rows):
+    return [{j: Fraction(v) for j, v in enumerate(r) if v} for r in rows]
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_matrix, st.data())
+def test_echelon_matches_oracle(rows, data):
+    ech = Echelon(track=True)
+    for t, row in enumerate(_sparse_rows(rows)):
+        ech.insert(row, t)
+    assert len(ech) == _dense_rank_oracle(rows)
+    rref = ech.rref()
+    for c, row in rref.items():
+        assert row[c] == 1
+        assert all(p == c or p not in row for p in rref)
+    for row in _sparse_rows(rows):
+        residual, _ = ech.reduce(row)
+        assert residual == {}
+    ncols = len(rows[0])
+    v = {j: Fraction(x) for j, x in enumerate(data.draw(
+        st.lists(st.integers(-4, 4), min_size=ncols, max_size=ncols))) if x}
+    residual, coeffs = ech.reduce(v)
+    assert all(c not in residual for c in rref)
+    total = dict(residual)
+    for t, f in coeffs.items():
+        for j, x in enumerate(rows[t]):
+            total[j] = total.get(j, 0) + f * x
+    assert {j: x for j, x in total.items() if x} == v
+
+
+def test_exact_inverse():
+    S = [[2, 1], [1, 1]]
+    assert _exact_inverse(S) == [[1, -1], [-1, 2]]
+    with pytest.raises(ZeroDivisionError):
+        _exact_inverse([[1, 2], [2, 4]])
 
 
 @settings(max_examples=120, deadline=None)
