@@ -26,17 +26,20 @@ from .graphcoalg import cobracket, graphify, is_zero_in_E, to_bar_basis
 from .liealg import lie_normal_form
 from .linalg import spectral_pages
 from .pairing import element_pair
-from .presentations import DgcaPresentation, DgccPresentation, parse_presentation
+from .presentations import (
+    DEFAULT_CAP_DEGREE,
+    DEFAULT_CAP_WEIGHT,
+    DgcaPresentation,
+    DgccPresentation,
+    parse_presentation,
+)
 from .functors import (
     build_E,
     check_duality,
     harrison_shuffle_model,
     rational_homotopy,
 )
-from .shapes import enumerate_graphs, enumerate_trees
-
-DEFAULT_CAP_WEIGHT = 5
-DEFAULT_CAP_DEGREE = 12
+from .shapes import SGraph, enumerate_graphs, enumerate_trees, tall_tree
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +175,6 @@ class _ExprParser:
         if len(labels) != n:
             raise ArityMismatch(
                 f"graph on {n} vertices given {len(labels)} labels")
-        from .shapes import SGraph
         return GraphElement.from_term(self.table, SGraph(n, edges), labels)
 
     def parse_bracket(self):
@@ -237,9 +239,7 @@ def _table_from_args(args):
     if getattr(args, "gens", None):
         return _parse_gens(args.gens)
     if getattr(args, "alg", None):
-        A = parse_presentation(open(args.alg).read())
-        if not isinstance(A, DgcaPresentation):
-            raise ParseError(f"{args.alg} is not an algebra presentation")
+        A = _load(args.alg, DgcaPresentation)
         return GeneratorTable([(n, A.gen_degree[n]) for n in A.gen_names])
     raise ParseError("a generator table is required (--gens or --alg)")
 
@@ -268,9 +268,10 @@ def _fmt_word(word):
     return "|".join(word)
 
 
-def _caps_from_args(args):
-    cw = getattr(args, "cap_weight", None)
-    cd = getattr(args, "cap_degree", None)
+def _caps_from_args(args, default):
+    """(weight, degree) caps: the flags, else LIECOGRAPH_CAP_OVERRIDE, else
+    the verb's default pair."""
+    cw, cd = args.cap_weight, args.cap_degree
     env = os.environ.get("LIECOGRAPH_CAP_OVERRIDE")
     if env:
         try:
@@ -280,7 +281,8 @@ def _caps_from_args(args):
                 f"LIECOGRAPH_CAP_OVERRIDE must be 'weight,degree', got {env!r}")
         cw = cw if cw is not None else ew
         cd = cd if cd is not None else ed
-    return cw, cd
+    return (cw if cw is not None else default[0],
+            cd if cd is not None else default[1])
 
 
 def _parse_window(text):
@@ -349,38 +351,43 @@ def _cmd_lie_normalize(args, out):
         raise ParseError("lie-normalize expects a tree-side expression")
     nf = lie_normal_form(t)
     for w in sorted(nf.terms):
-        key = w[0]
-        for x in w[1:]:
-            key = f"[{key},{x}]"
-        out.write(f"{key}\t{_fmt_q(nf.terms[w])}\n")
+        out.write(f"{_fmt_tree_key(tall_tree(w))}\t{_fmt_q(nf.terms[w])}\n")
     return 0
 
 
-def _load_algebra(path):
-    A = parse_presentation(open(path).read())
-    if not isinstance(A, DgcaPresentation):
-        raise ParseError(f"{path} is not an algebra presentation")
-    return A
+_KIND = {DgcaPresentation: "an algebra", DgccPresentation: "a coalgebra"}
+
+
+def _load(path, cls):
+    """Parse the presentation file at path; it must be of class cls."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path} is not UTF-8 text ({e.reason} at byte "
+                         f"{e.start})")
+    P = parse_presentation(text)
+    if not isinstance(P, cls):
+        raise ParseError(f"{path} is not {_KIND[cls]} presentation")
+    return P
 
 
 def _cmd_pi(args, out):
-    A = _load_algebra(args.file)
+    A = _load(args.file, DgcaPresentation)
     lo, hi = _parse_window(args.window)
-    cw, cd = _caps_from_args(args)
+    cw, cd = _caps_from_args(args, (hi + 1, hi))
     pi = rational_homotopy(A, (lo, hi), cap_weight=cw, cap_degree=cd,
                            oracle=args.oracle)
-    out.write(f"# caps: weight={cw if cw is not None else hi + 1} "
-              f"degree={cd if cd is not None else hi}\n")
+    out.write(f"# caps: weight={cw} degree={cd}\n")
     for d in range(lo, hi + 1):
         out.write(f"{d}\t{pi[d]}\n")
     return 0
 
 
 def _cmd_harrison(args, out):
-    A = _load_algebra(args.file)
+    A = _load(args.file, DgcaPresentation)
     lo, hi = _parse_window(args.window)
-    cw = args.cap_weight if args.cap_weight is not None else hi + 2
-    cd = args.cap_degree if args.cap_degree is not None else hi + 1
+    cw, cd = _caps_from_args(args, (hi + 2, hi + 1))
     H = harrison_shuffle_model(A, cw, cd)
     out.write(f"# caps: weight={cw} degree={cd}\n")
     hom = H.homology((lo, hi))
@@ -390,10 +397,9 @@ def _cmd_harrison(args, out):
 
 
 def _cmd_ss(args, out):
-    A = _load_algebra(args.file)
+    A = _load(args.file, DgcaPresentation)
     lo, hi = _parse_window(args.window)
-    cw = args.cap_weight if args.cap_weight is not None else hi + 2
-    cd = args.cap_degree if args.cap_degree is not None else hi + 1
+    cw, cd = _caps_from_args(args, (hi + 2, hi + 1))
     E = build_E(A, cw, cd)
     pages = spectral_pages(E.complex, args.pages, window=(lo, hi))
     out.write(f"# caps: weight={cw} degree={cd}\n")
@@ -404,13 +410,9 @@ def _cmd_ss(args, out):
 
 
 def _cmd_dual_check(args, out):
-    A = _load_algebra(args.algebra)
-    C = parse_presentation(open(args.coalgebra).read())
-    if not isinstance(C, DgccPresentation):
-        raise ParseError(f"{args.coalgebra} is not a coalgebra presentation")
-    cw, cd = _caps_from_args(args)
-    cw = cw if cw is not None else DEFAULT_CAP_WEIGHT
-    cd = cd if cd is not None else DEFAULT_CAP_DEGREE
+    A = _load(args.algebra, DgcaPresentation)
+    C = _load(args.coalgebra, DgccPresentation)
+    cw, cd = _caps_from_args(args, (DEFAULT_CAP_WEIGHT, DEFAULT_CAP_DEGREE))
     out.write(f"# caps: weight={cw} degree={cd}\n")
     rep = check_duality(A, C, cw, cd)
     if rep.passed:

@@ -11,11 +11,8 @@ stored as a nested tuple of generator names.
 """
 
 from fractions import Fraction
-from functools import lru_cache
-from itertools import permutations
 
-from .errors import CapExceeded
-from .shapes import SGraph, tree_leaves
+from .shapes import SGraph, _canonical_perms
 
 __all__ = [
     "GeneratorTable",
@@ -69,62 +66,6 @@ def koszul_sign(degrees, src):
             if src[j] < src[i] and degrees[src[j]] % 2 == 1:
                 sign = -sign
     return sign
-
-
-def _is_path(n, edges):
-    """If the underlying graph is a path, return its vertex order from one
-    endpoint (the one making the sequence lex-smaller); else None."""
-    adj = {v: [] for v in range(1, n + 1)}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    ends = [v for v in adj if len(adj[v]) == 1]
-    if n == 1:
-        return (1,)
-    if len(ends) != 2 or any(len(adj[v]) > 2 for v in adj):
-        return None
-    start = min(ends)
-    order = [start]
-    prev = None
-    while len(order) < n:
-        nxt = [u for u in adj[order[-1]] if u != prev]
-        prev = order[-1]
-        order.append(nxt[0])
-    return tuple(order)
-
-
-@lru_cache(maxsize=None)
-def _canonical_perms(n, edges):
-    """Canonical edge list of the shape and every permutation achieving it.
-    Permutations are tuples p with vertex i |-> p[i-1].  Brute force for
-    n <= 6; path shapes handled directly above that."""
-    if n <= 6:
-        best, perms = None, []
-        for p in permutations(range(1, n + 1)):
-            relab = tuple(sorted((p[a - 1], p[b - 1]) for a, b in edges))
-            if best is None or relab < best:
-                best, perms = relab, [p]
-            elif relab == best:
-                perms.append(p)
-        return best, tuple(perms)
-    order = _is_path(n, edges)
-    if order is None:
-        raise CapExceeded(
-            f"canonicalization of non-path shapes capped at 6 vertices (got {n})")
-    cands = []
-    for seq in (order, order[::-1]):
-        p = [0] * n
-        for pos, v in enumerate(seq):
-            p[v - 1] = pos + 1
-        cands.append(tuple(p))
-    best, perms = None, []
-    for p in cands:
-        relab = tuple(sorted((p[a - 1], p[b - 1]) for a, b in edges))
-        if best is None or relab < best:
-            best, perms = relab, [p]
-        elif relab == best:
-            perms.append(p)
-    return best, tuple(perms)
 
 
 def canonical_graph_term(n, edges, labels, degrees, order_key):
@@ -299,11 +240,6 @@ class TensorElement(_Element):
     @classmethod
     def from_factors(cls, table, factor_keys, coeff=1):
         return cls(table, {tuple(factor_keys): Fraction(coeff)})
-
-    def arity(self):
-        ks = {len(k) for k in self.terms}
-        assert len(ks) <= 1
-        return ks.pop() if ks else 0
 
     def __repr__(self):
         if not self.terms:

@@ -24,7 +24,6 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import (
-    CapTooSmall,
     DegreeMismatch,
     InvalidInput,
     InvalidPresentation,
@@ -39,18 +38,24 @@ from .linalg import (
     add_into,
     total_homology,
 )
-from .shapes import SGraph, contract_edge, enumerate_graphs
-from .elements import (
-    GeneratorTable,
-    GraphElement,
-    TreeElement,
-    koszul_sign,
+from .shapes import (
+    SGraph,
     _canonical_perms,
+    contract_edge,
+    enumerate_graphs,
+    tall_tree,
 )
-from .graphcoalg import _distinct_arrangements, cobracket, graphify, iterated_cobracket
+from .elements import GeneratorTable, GraphElement, TreeElement, koszul_sign
+from .graphcoalg import (
+    _distinct_arrangements,
+    _shuffles,
+    cobracket,
+    graphify,
+    iterated_cobracket,
+)
 from .liealg import _content_reduction, lie_normal_form
 from .pairing import element_pair
-from .presentations import DgcaPresentation, DgccPresentation
+from .presentations import DgccPresentation
 
 __all__ = [
     "DgComplexBundle",
@@ -141,7 +146,12 @@ def _assemble_complex(pieces_keys, key_bidegree, dv_of_key, dh_of_key,
 
 
 # ---------------------------------------------------------------------------
-# monomial slot alphabets and content enumeration
+# caps, monomial slot alphabets and content enumeration
+
+def _caps(P, cap_weight, cap_degree):
+    return (cap_weight if cap_weight is not None else P.cap_weight,
+            cap_degree if cap_degree is not None else P.cap_degree)
+
 
 def _slot_alphabet(A, cap_degree):
     """GeneratorTable of A's basis monomials with slot degree = degree - 1,
@@ -195,15 +205,65 @@ def _vec_of_element(g):
 
 
 # ---------------------------------------------------------------------------
-# build_E
+# the bar-word complex (shared with the Harrison oracle) and build_E
+
+def _bar_model(kind, A, table, mono_of, caps, basis_of, project_word,
+               **extras):
+    """Bundle of A's bar-word complex on a quotient of the words over the slot
+    alphabet.  basis_of(content) lists the basis words of one content and
+    project_word(raw, coeff, acc) accumulates coeff * (class of the raw word)
+    in basis coordinates; pieces (w, d) = (word length, total slot degree),
+    vertical = slot-wise internal differential, horizontal = the
+    adjacent-slot multiplication differential."""
+    cw, cd = caps
+    pieces_keys = {}
+    key_bidegree = {}
+    for content in _contents(table, cw, cd):
+        w, d = _content_bidegree(table, content)
+        basis = basis_of(content)
+        if basis:
+            pieces_keys.setdefault((w, d), []).extend(basis)
+        for word in basis:
+            key_bidegree[word] = (w, d)
+
+    dv_of_key, dh_of_key = {}, {}
+    for word, (w, d) in key_bidegree.items():
+        if d >= cd:
+            continue  # target pieces beyond caps
+        sdegs = [table.degree[x] for x in word]
+        dv, dh = {}, {}
+        for i, name in enumerate(word):
+            dm = A.differential_of_monomial(mono_of[name])
+            if not dm:
+                continue
+            sgn = -((-1) ** sum(sdegs[:i]))
+            for m2, c in dm.items():
+                raw = word[:i] + (_mono_name(m2),) + word[i + 1:]
+                project_word(raw, sgn * c, dv)
+        for i in range(w - 1):
+            prod, ps = A.multiply(mono_of[word[i]], mono_of[word[i + 1]])
+            if not ps:
+                continue
+            sgn = ((-1) ** sum(sdegs[:i])) * ((-1) ** (sdegs[i] + 1)) * ps
+            raw = word[:i] + (_mono_name(prod),) + word[i + 2:]
+            project_word(raw, sgn, dh)
+        if dv:
+            dv_of_key[word] = dv
+        if dh:
+            dh_of_key[word] = dh
+
+    cx = _assemble_complex(pieces_keys, key_bidegree, dv_of_key, dh_of_key,
+                           (0, min(cw, cd)))
+    return DgComplexBundle(kind, cx, A, caps, key_bidegree, dv_of_key,
+                           dh_of_key, slot_table=table, monomial_of=mono_of,
+                           **extras)
+
 
 def build_E(A, cap_weight=None, cap_degree=None):
     """Lie-coalgebra model of a commutative algebra presentation, realized on
-    designated-leading bar words; pieces (w, d) = (word length, total slot
-    degree), vertical = slot-wise internal differential, horizontal = the
-    adjacent-slot multiplication differential."""
-    cw = cap_weight if cap_weight is not None else A.cap_weight
-    cd = cap_degree if cap_degree is not None else A.cap_degree
+    designated-leading bar words (see _bar_model for the bigrading and the
+    differentials); the quotient is solved through the iterated cobracket."""
+    cw, cd = _caps(A, cap_weight, cap_degree)
     table, mono_of = _slot_alphabet(A, cd)
     solvers = {}
 
@@ -234,52 +294,10 @@ def build_E(A, cap_weight=None, cap_degree=None):
         for k, v in coords.items():
             add_into(acc, k, coeff * v)
 
-    pieces_keys = {}
-    key_bidegree = {}
-    for content in _contents(table, cw, cd):
-        w, d = _content_bidegree(table, content)
-        words = solver(content)[0]
-        if words:
-            pieces_keys.setdefault((w, d), []).extend(words)
-        for word in words:
-            key_bidegree[word] = (w, d)
-
     def project_word(raw, coeff, acc):
-        """Accumulate coeff * (class of the raw word) in basis coordinates."""
         content = tuple(sorted(raw, key=table.sort_key))
         project_vec(content, _vec_of_element(graphify(raw, table)), coeff,
                     acc)
-
-    dv_of_key, dh_of_key = {}, {}
-    for word, (w, d) in key_bidegree.items():
-        if d >= cd:
-            continue  # target pieces beyond caps
-        sdegs = [table.degree[x] for x in word]
-        dv = {}
-        for i, name in enumerate(word):
-            dm = A.differential_of_monomial(mono_of[name])
-            if not dm:
-                continue
-            sgn = -((-1) ** sum(sdegs[:i]))
-            for m2, c in dm.items():
-                raw = word[:i] + (_mono_name(m2),) + word[i + 1:]
-                project_word(raw, sgn * c, dv)
-        if dv:
-            dv_of_key[word] = dv
-        dh = {}
-        for i in range(w - 1):
-            prod, ps = A.multiply(mono_of[word[i]], mono_of[word[i + 1]])
-            if not ps:
-                continue
-            sgn = ((-1) ** sum(sdegs[:i])) * ((-1) ** (sdegs[i] + 1)) * ps
-            raw = word[:i] + (_mono_name(prod),) + word[i + 2:]
-            project_word(raw, sgn, dh)
-        if dh:
-            dh_of_key[word] = dh
-
-    complete = (0, min(cw, cd))
-    cx = _assemble_complex(pieces_keys, key_bidegree, dv_of_key, dh_of_key,
-                           complete)
 
     def project_element(g):
         """Bar-basis coordinates of a GraphElement over the slot alphabet."""
@@ -304,10 +322,10 @@ def build_E(A, cap_weight=None, cap_degree=None):
                     add_into(out, (w1, w2), c * c1 * c2)
         return out
 
-    return DgComplexBundle(
-        "E_of_A", cx, A, (cw, cd), key_bidegree, dv_of_key, dh_of_key,
-        slot_table=table, monomial_of=mono_of, project_element=project_element,
-        key_cobracket=key_cobracket)
+    return _bar_model(
+        "E_of_A", A, table, mono_of, (cw, cd),
+        lambda content: solver(content)[0], project_word,
+        project_element=project_element, key_cobracket=key_cobracket)
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +335,7 @@ def build_G(A, cap_weight=None, cap_degree=None):
     """Graph-coalgebra model: canonical graph terms labeled by desuspended
     monomials; horizontal differential contracts edges (multiplying labels),
     vertical applies the internal differential slot-wise."""
-    cw = cap_weight if cap_weight is not None else A.cap_weight
-    cd = cap_degree if cap_degree is not None else A.cap_degree
+    cw, cd = _caps(A, cap_weight, cap_degree)
     table, mono_of = _slot_alphabet(A, cd)
 
     pieces_keys = {}
@@ -515,8 +532,7 @@ def build_L(C, cap_weight=None, cap_degree=None):
     Degrees are re-indexed so both differentials raise the index by one:
     piece (K - word length, OFF - natural degree) with K = cap_weight + 1,
     OFF = cap_degree + 1 (recorded as weight_offset / degree_offset)."""
-    cw = cap_weight if cap_weight is not None else C.cap_weight
-    cd = cap_degree if cap_degree is not None else C.cap_degree
+    cw, cd = _caps(C, cap_weight, cap_degree)
     for name in C.class_names:
         if C.class_degree[name] < 2:
             raise NotSimplyConnected(
@@ -555,11 +571,7 @@ def build_L(C, cap_weight=None, cap_degree=None):
             add_into(acc, w, c)
 
     def nest_with(word, i, repl):
-        leaves = list(word[:i]) + [repl] + list(word[i + 1:])
-        t = leaves[0]
-        for x in leaves[1:]:
-            t = (t, x)
-        return t
+        return tall_tree(word[:i] + (repl,) + word[i + 1:])
 
     dv_of_key, dh_of_key = {}, {}
     for word, (k, nat) in key_natural.items():
@@ -709,102 +721,42 @@ def build_C(L, cap_weight=None, cap_degree=None):
 
 def harrison_shuffle_model(A, cap_weight=None, cap_degree=None):
     """Independent realization of the commutative bar quotient: all words on
-    the desuspended monomial alphabet modulo the shuffle subspace, with the
-    standard bar differentials reduced modulo the same subspace.  Shares no
-    machinery with the pairing/cobracket pipeline."""
-    cw = cap_weight if cap_weight is not None else A.cap_weight
-    cd = cap_degree if cap_degree is not None else A.cap_degree
+    the desuspended monomial alphabet modulo the shuffle subspace.  It shares
+    the bar differential with build_E (_bar_model: the slot-wise and
+    adjacent-product loops), reduced here modulo the shuffle subspace; the
+    quotient itself, an echelon of shuffle relations per content, shares no
+    machinery with build_E's pairing/cobracket solver."""
+    cw, cd = _caps(A, cap_weight, cap_degree)
     table, mono_of = _slot_alphabet(A, cd)
-
     comps = {}
 
-    class _Comp:
-        def __init__(self, content):
-            self.words = _distinct_arrangements(content)
-            self.widx = {w: i for i, w in enumerate(self.words)}
-            sd = {x: table.degree[x] for x in content}
-            self.ech = Echelon()
-            for a in self.words:
-                degs = [sd[x] for x in a]
-                for k in range(1, len(a)):
-                    row = {}
-                    for src in _interleavings(k, len(a) - k):
-                        w = tuple(a[i] for i in src)
-                        add_into(row, self.widx[w],
-                                 Fraction(koszul_sign(degs, list(src))))
-                    self.ech.insert(row)
-            self.basis = [w for i, w in enumerate(self.words)
-                          if i not in self.ech]
-
-        def reduce(self, raw_word, coeff, acc):
-            vec, _ = self.ech.reduce({self.widx[raw_word]: coeff})
-            for i, c in vec.items():
-                add_into(acc, self.words[i], c)
-
     def comp(content):
+        """(all words, word index, echelon of shuffle relations, basis)."""
         c = comps.get(content)
         if c is None:
-            c = comps[content] = _Comp(content)
+            words = _distinct_arrangements(content)
+            widx = {w: i for i, w in enumerate(words)}
+            ech = Echelon()
+            for a in words:
+                degs = [table.degree[x] for x in a]
+                for k in range(1, len(a)):
+                    row = {}
+                    for src in _shuffles(k, len(a) - k):
+                        add_into(row, widx[tuple(a[i] for i in src)],
+                                 Fraction(koszul_sign(degs, src)))
+                    ech.insert(row)
+            basis = [w for i, w in enumerate(words) if i not in ech]
+            c = comps[content] = (words, widx, ech, basis)
         return c
 
-    pieces_keys = {}
-    key_bidegree = {}
-    for content in _contents(table, cw, cd):
-        w, d = _content_bidegree(table, content)
-        basis = comp(content).basis
-        if basis:
-            pieces_keys.setdefault((w, d), []).extend(basis)
-        for word in basis:
-            key_bidegree[word] = (w, d)
+    def project_word(raw, coeff, acc):
+        words, widx, ech, _ = comp(tuple(sorted(raw, key=table.sort_key)))
+        vec, _ = ech.reduce({widx[raw]: coeff})
+        for i, c in vec.items():
+            add_into(acc, words[i], c)
 
-    dv_of_key, dh_of_key = {}, {}
-    for word, (w, d) in key_bidegree.items():
-        if d >= cd:
-            continue
-        sdegs = [table.degree[x] for x in word]
-        dv, dh = {}, {}
-        for i, name in enumerate(word):
-            dm = A.differential_of_monomial(mono_of[name])
-            if not dm:
-                continue
-            sgn = -((-1) ** sum(sdegs[:i]))
-            for m2, c in dm.items():
-                raw = word[:i] + (_mono_name(m2),) + word[i + 1:]
-                content = tuple(sorted(raw, key=table.sort_key))
-                comp(content).reduce(raw, sgn * c, dv)
-        for i in range(w - 1):
-            prod, ps = A.multiply(mono_of[word[i]], mono_of[word[i + 1]])
-            if not ps:
-                continue
-            sgn = ((-1) ** sum(sdegs[:i])) * ((-1) ** (sdegs[i] + 1)) * ps
-            raw = word[:i] + (_mono_name(prod),) + word[i + 2:]
-            content = tuple(sorted(raw, key=table.sort_key))
-            comp(content).reduce(raw, sgn, dh)
-        if dv:
-            dv_of_key[word] = dv
-        if dh:
-            dh_of_key[word] = dh
-
-    complete = (0, min(cw, cd))
-    cx = _assemble_complex(pieces_keys, key_bidegree, dv_of_key, dh_of_key,
-                           complete)
-    return DgComplexBundle(
-        "harrison", cx, A, (cw, cd), key_bidegree, dv_of_key, dh_of_key,
-        slot_table=table, monomial_of=mono_of)
-
-
-def _interleavings(k, m):
-    """Index sequences interleaving (0..k-1) with (k..k+m-1), preserving both
-    relative orders."""
-    n = k + m
-    for pos in combinations(range(n), k):
-        src = [None] * n
-        it1 = iter(range(k))
-        it2 = iter(range(k, n))
-        posset = set(pos)
-        for p in range(n):
-            src[p] = next(it1) if p in posset else next(it2)
-        yield tuple(src)
+    return _bar_model("harrison", A, table, mono_of, (cw, cd),
+                      lambda content: comp(content)[3], project_word)
 
 
 # ---------------------------------------------------------------------------
@@ -888,15 +840,9 @@ def check_duality(A, C, cap_weight=None, cap_degree=None):
     table_L = L.letter_table
     K, OFF = L.weight_offset, L.degree_offset
 
-    def nest(word):
-        t = word[0]
-        for x in word[1:]:
-            t = (t, x)
-        return t
-
-    def pair(bar_word, comb_word):
-        return element_pair(graphify(bar_word, table_E),
-                            TreeElement.from_term(table_L, nest(comb_word)))
+    def pair(bar, comb):
+        return element_pair(graphify(bar, table_E),
+                            TreeElement.from_term(table_L, tall_tree(comb)))
 
     # collect L basis per natural bidegree
     L_basis = {}

@@ -17,7 +17,6 @@ from .shapes import (
     tall_tree,
 )
 from .elements import (
-    GeneratorTable,
     GraphElement,
     TensorElement,
     TreeElement,
@@ -32,7 +31,6 @@ __all__ = [
     "is_zero_in_E",
     "to_bar_basis",
     "graphify",
-    "bar_word",
     "relation_generators",
 ]
 
@@ -136,10 +134,6 @@ def graphify(word, table, coeff=1):
                                   word, coeff)
 
 
-def bar_word(*names):
-    return tuple(names)
-
-
 # ---------------------------------------------------------------------------
 # bar-basis normal form
 
@@ -177,7 +171,7 @@ def to_bar_basis(g):
         rest = list(ms)
         rest.remove(designated)
         words = [(designated,) + tail for tail in _distinct_arrangements(tuple(rest))]
-        trees = [TreeElement.from_term(table, _nest(arr))
+        trees = [TreeElement.from_term(table, tall_tree(arr))
                  for arr in _distinct_arrangements(ms)]
         ech = Echelon(track=True)
         for w in words:
@@ -196,13 +190,6 @@ def to_bar_basis(g):
 def _pairings(g, trees):
     """Sparse vector {tree index: <g, tree>}."""
     return {j: v for j, t in enumerate(trees) if (v := element_pair(g, t))}
-
-
-def _nest(seq):
-    t = seq[0]
-    for x in seq[1:]:
-        t = (t, x)
-    return t
 
 
 # ---------------------------------------------------------------------------

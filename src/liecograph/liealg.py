@@ -7,13 +7,13 @@ nested tuples of generator names.
 """
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import CapExceeded
-from .elements import GeneratorTable, TreeElement, _Element, _term_leaves
+from .elements import TreeElement, _Element, _term_leaves
 from .graphcoalg import _distinct_arrangements, graphify
 from .linalg import Echelon, SparseMatrix
 from .pairing import element_pair
+from .shapes import tall_tree
 
 __all__ = ["product", "bracket", "lie_normal_form", "tensor_expand", "LieElement"]
 
@@ -52,7 +52,8 @@ class LieElement(_Element):
         return sum(self.table.degree[x] for x in key)
 
     def as_tree_element(self):
-        return TreeElement(self.table, {_nest(w): c for w, c in self.terms.items()})
+        return TreeElement(self.table,
+                           {tall_tree(w): c for w, c in self.terms.items()})
 
     def __repr__(self):
         if not self.terms:
@@ -64,13 +65,6 @@ class LieElement(_Element):
                 expr = f"[{expr},{x}]"
             bits.append(f"{c} * {expr}")
         return " + ".join(bits)
-
-
-def _nest(seq):
-    t = seq[0]
-    for x in seq[1:]:
-        t = (t, x)
-    return t
 
 
 def _word_degree(table, word):
@@ -153,7 +147,7 @@ def _content_reduction(table, content):
     arrangements = _distinct_arrangements(content)
     entries = {}
     for i, w in enumerate(words):
-        t = TreeElement.from_term(table, _nest(w))
+        t = TreeElement.from_term(table, tall_tree(w))
         for j, arr in enumerate(arrangements):
             v = element_pair(graphify(arr, table), t)
             if v:

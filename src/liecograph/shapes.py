@@ -1,14 +1,15 @@
 """Combinatorial shapes: S-graphs (connected acyclic edge-oriented graphs on
-{1..n}) and planar binary trees with labeled leaves, plus edge surgery,
-quotient enumeration, the anti-commutative coaction, and canonical forms.
+{1..n}) and planar binary trees with labeled leaves, plus edge surgery and
+canonical forms.
 
 Graphs are stored with their edge list sorted, so shape keys are stable under
 surgery.  Trees are nested tuples over leaf labels: 3 is a leaf, ((2,1),3) is
 the tree whose left subtree is (2,1).
 """
 
+import heapq
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
 
 from .errors import (
     BadEdgeIndex,
@@ -16,11 +17,11 @@ from .errors import (
     CapExceeded,
     DuplicateEdge,
     HasCycle,
+    InvalidInput,
     NotConnected,
 )
 
 ENUMERATION_CAP = 6
-CANONICAL_CAP = 8
 
 
 class SGraph:
@@ -103,16 +104,13 @@ def validate_graph(n, edges):
 def enumerate_graphs(n):
     """All S-graphs on {1..n}: spanning trees of K_n in every orientation.
     Count is n^(n-2) * 2^(n-1).  Deterministic order (sorted by edge list)."""
-    if n > ENUMERATION_CAP:
-        raise CapExceeded(f"graph enumeration capped at n <= {ENUMERATION_CAP}")
+    _check_weight(n, "graph")
     if n == 1:
         return [SGraph(1, [], _checked=True)]
     # enumerate labeled trees via Pruefer sequences, then orient each edge
-    trees = []
-    for seq in _product_range(n, n - 2):
-        trees.append(_pruefer_to_tree(n, seq))
     out = []
-    for und in trees:
+    for seq in product(range(1, n + 1), repeat=n - 2):
+        und = _pruefer_to_tree(n, seq)
         m = len(und)
         for mask in range(1 << m):
             es = [(b, a) if (mask >> i) & 1 else (a, b)
@@ -122,14 +120,11 @@ def enumerate_graphs(n):
     return out
 
 
-def _product_range(n, k):
-    """All k-tuples over {1..n}."""
-    if k == 0:
-        yield ()
-        return
-    for rest in _product_range(n, k - 1):
-        for x in range(1, n + 1):
-            yield rest + (x,)
+def _check_weight(n, what):
+    if n < 1:
+        raise InvalidInput(f"{what} enumeration needs n >= 1, got {n}")
+    if n > ENUMERATION_CAP:
+        raise CapExceeded(f"{what} enumeration capped at n <= {ENUMERATION_CAP}")
 
 
 def _pruefer_to_tree(n, seq):
@@ -138,8 +133,6 @@ def _pruefer_to_tree(n, seq):
     for x in seq:
         degree[x] += 1
     edges = []
-    avail = sorted(v for v in range(1, n + 1))
-    import heapq
     leaves = [v for v in range(1, n + 1) if degree[v] == 1]
     heapq.heapify(leaves)
     for x in seq:
@@ -161,10 +154,6 @@ def tree_leaves(t):
     if isinstance(t, int):
         return (t,)
     return tree_leaves(t[0]) + tree_leaves(t[1])
-
-
-def tree_weight(t):
-    return len(tree_leaves(t))
 
 
 def validate_tree(t, n=None):
@@ -200,8 +189,7 @@ def _tree_shapes(n):
 def enumerate_trees(n):
     """All planar binary trees with leaves labeled by {1..n}; count is
     n! * Catalan(n-1).  Deterministic order."""
-    if n > ENUMERATION_CAP:
-        raise CapExceeded(f"tree enumeration capped at n <= {ENUMERATION_CAP}")
+    _check_weight(n, "tree")
     out = []
     for shape in _tree_shapes(n):
         for labels in permutations(range(1, n + 1)):
@@ -287,161 +275,62 @@ def contract_edge(G, e):
 
 
 # ---------------------------------------------------------------------------
-# quotients and the coaction
-
-class GraphQuotient:
-    """A quotient map G ->> K with connected non-empty fibers."""
-
-    __slots__ = ("source", "target", "vertex_map", "fibers", "fiber_slots")
-
-    def __init__(self, source, target, vertex_map, fibers):
-        self.source = source
-        self.target = target
-        self.vertex_map = vertex_map  # dict {1..n} -> {1..k}
-        self.fibers = fibers          # tuple of SGraph, fibers[i] over vertex i+1
-        # fiber slot data: original vertices of fiber i, ascending
-        self.fiber_slots = tuple(
-            tuple(sorted(v for v, im in vertex_map.items() if im == i + 1))
-            for i in range(target.n))
-
-    def __repr__(self):
-        return f"GraphQuotient({self.source!r} ->> {self.target!r})"
-
-
-def _connected(vertices, edges):
-    vs = set(vertices)
-    if not vs:
-        return False
-    comp = {v: v for v in vs}
-
-    def find(v):
-        while comp[v] != v:
-            comp[v] = comp[comp[v]]
-            v = comp[v]
-        return v
-
-    for a, b in edges:
-        if a in vs and b in vs:
-            comp[find(a)] = find(b)
-    return len({find(v) for v in vs}) == 1
-
-
-def enumerate_quotients(G, k):
-    """All quotients of G onto graphs with k vertices.  Blocks are ordered by
-    their minimal original vertex, which fixes the target labeling."""
-    if G.n > ENUMERATION_CAP:
-        raise CapExceeded(f"quotient enumeration capped at n <= {ENUMERATION_CAP}")
-    if not 1 <= k <= G.n:
-        return []
-    out = []
-    for blocks in _set_partitions(list(range(1, G.n + 1)), k):
-        if not all(_connected(b, G.edges) for b in blocks):
-            continue
-        blocks = sorted(blocks, key=min)
-        vmap = {}
-        for i, b in enumerate(blocks):
-            for v in b:
-                vmap[v] = i + 1
-        tgt_edges = []
-        ok = True
-        seen = set()
-        for a, b in G.edges:
-            ia, ib = vmap[a], vmap[b]
-            if ia == ib:
-                continue
-            if frozenset((ia, ib)) in seen:
-                ok = False  # two source edges over one target edge: not a tree
-                break
-            seen.add(frozenset((ia, ib)))
-            tgt_edges.append((ia, ib))
-        if not ok:
-            continue
-        if len(tgt_edges) != k - 1 or not _connected(range(1, k + 1), tgt_edges):
-            continue
-        target = SGraph(k, tgt_edges, _checked=True)
-        fibers = []
-        for b in blocks:
-            bs = sorted(b)
-            m = {v: i + 1 for i, v in enumerate(bs)}
-            fe = [(m[a], m[c]) for a, c in G.edges if a in m and c in m]
-            fibers.append(SGraph(len(bs), fe, _checked=True))
-        out.append(GraphQuotient(G, target, vmap, tuple(fibers)))
-    out.sort(key=lambda q: (q.target.edges, q.fiber_slots))
-    return out
-
-
-def _set_partitions(items, k):
-    """All partitions of items into exactly k non-empty blocks."""
-    n = len(items)
-    if k < 1 or k > n:
-        return
-    if n == 0:
-        yield []
-        return
-
-    def rec(i, blocks):
-        if n - i < k - len(blocks):
-            return
-        if i == n:
-            if len(blocks) == k:
-                yield [list(b) for b in blocks]
-            return
-        x = items[i]
-        for b in blocks:
-            b.append(x)
-            yield from rec(i + 1, blocks)
-            b.pop()
-        if len(blocks) < k:
-            blocks.append([x])
-            yield from rec(i + 1, blocks)
-            blocks.pop()
-
-    yield from rec(0, [])
-
-
-def acc_coaction(G, k):
-    """Anti-commutative coaction: formal sum of (K, fibers) with coefficient
-    (-1)^|E| for every quotient G ->> K0 and every subset E of K0's edges,
-    where K = K0 with the edges in E reversed.  Returns a list of
-    (coefficient, target SGraph, fiber tuple, fiber_slots) entries, merged."""
-    acc = {}
-    for q in enumerate_quotients(G, k):
-        m = len(q.target.edges)
-        for mask in range(1 << m):
-            bits = bin(mask).count("1")
-            K = SGraph(k, [(b, a) if (mask >> i) & 1 else (a, b)
-                           for i, (a, b) in enumerate(q.target.edges)],
-                       _checked=True)
-            key = (K, q.fibers, q.fiber_slots)
-            acc[key] = acc.get(key, 0) + (-1) ** bits
-    return [(c, K, fibers, slots) for (K, fibers, slots), c in acc.items() if c]
-
-
-def asc_coaction(G, k):
-    """Associative coaction: the E = empty-set restriction of acc_coaction."""
-    return [(1, q.target, q.fibers, q.fiber_slots) for q in enumerate_quotients(G, k)]
-
-
-# ---------------------------------------------------------------------------
 # canonical forms
 
+def _is_path(n, edges):
+    """If the underlying graph is a path, return its vertex order from one
+    endpoint (the one making the sequence lex-smaller); else None."""
+    adj = {v: [] for v in range(1, n + 1)}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    ends = [v for v in adj if len(adj[v]) == 1]
+    if len(ends) != 2 or any(len(adj[v]) > 2 for v in adj):
+        return None
+    start = min(ends)
+    order = [start]
+    prev = None
+    while len(order) < n:
+        nxt = [u for u in adj[order[-1]] if u != prev]
+        prev = order[-1]
+        order.append(nxt[0])
+    return tuple(order)
+
+
 @lru_cache(maxsize=None)
-def _canonical_cached(n, edges):
-    best = None
-    best_perm = None
-    for perm in permutations(range(1, n + 1)):
-        m = {i + 1: perm[i] for i in range(n)}
-        relab = tuple(sorted((m[a], m[b]) for a, b in edges))
+def _canonical_perms(n, edges):
+    """Canonical edge list of the shape and every permutation achieving it.
+    Permutations are tuples p with vertex i |-> p[i-1].  Brute force for
+    n <= 6; path shapes handled directly above that."""
+    if n <= 6:
+        cands = permutations(range(1, n + 1))
+    else:
+        order = _is_path(n, edges)
+        if order is None:
+            raise CapExceeded(
+                "canonicalization of non-path shapes capped at 6 vertices "
+                f"(got {n})")
+        cands = []
+        for seq in (order, order[::-1]):
+            p = [0] * n
+            for pos, v in enumerate(seq):
+                p[v - 1] = pos + 1
+            cands.append(tuple(p))
+    best, perms = None, []
+    for p in cands:
+        relab = tuple(sorted((p[a - 1], p[b - 1]) for a, b in edges))
         if best is None or relab < best:
-            best = relab
-            best_perm = tuple(perm)
-    return SGraph(n, best, _checked=True), best_perm
+            best, perms = relab, [p]
+        elif relab == best:
+            perms.append(p)
+    return best, tuple(perms)
 
 
 def canonical_form(G):
-    """Lexicographically minimal vertex relabeling of G, with the permutation
-    achieving it (as a tuple p where vertex i maps to p[i-1]).  Two graphs lie
-    in the same relabeling orbit iff their canonical forms coincide."""
-    if G.n > CANONICAL_CAP:
-        raise CapExceeded(f"canonicalization capped at n <= {CANONICAL_CAP}")
-    return _canonical_cached(G.n, G.edges)
+    """Canonical vertex relabeling of G, with the first permutation achieving
+    it (as a tuple p where vertex i maps to p[i-1]).  Two graphs lie in the
+    same relabeling orbit iff their canonical forms coincide.  Up to 6
+    vertices it is the lexicographically minimal relabeling; above that only
+    paths are accepted, numbered along the path."""
+    best, perms = _canonical_perms(G.n, G.edges)
+    return SGraph(G.n, best, _checked=True), perms[0]

@@ -172,14 +172,29 @@ class TestErrorsAndCaps:
         code, _, err = run(capsys, "pi", "/nonexistent.alg")
         assert code == 1
 
+    def test_non_utf8_file_exits_1(self, capsys, tmp_path):
+        bad = tmp_path / "bad.alg"
+        bad.write_bytes(b"gen x deg 2\n\xff\n")
+        code, _, err = run(capsys, "pi", str(bad))
+        assert code == 1 and "ParseError" in err and "UTF-8" in err
+        assert len(err.strip().split("\n")) == 1
+
+    @pytest.mark.parametrize("kind", ["graphs", "trees"])
+    @pytest.mark.parametrize("weight", ["0", "-1"])
+    def test_enumerate_nonpositive_weight_exits_1(self, capsys, kind, weight):
+        code, out, err = run(capsys, "enumerate", kind, weight)
+        assert code == 1 and out == "" and "InvalidInput" in err
+        assert len(err.strip().split("\n")) == 1
+
     def test_cap_too_small_exits_2(self, capsys):
         code, _, err = run(capsys, "pi", S2, "--window", "2..8",
                            "--cap-weight", "3", "--cap-degree", "4")
         assert code == 2 and "cap-too-small" in err
 
-    def test_env_cap_override(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("verb", ["pi", "harrison", "ss"])
+    def test_env_cap_override(self, capsys, monkeypatch, verb):
         monkeypatch.setenv("LIECOGRAPH_CAP_OVERRIDE", "3,4")
-        code, _, err = run(capsys, "pi", S2, "--window", "2..8")
+        code, _, err = run(capsys, verb, S2, "--window", "2..8")
         assert code == 2  # the small override bites exactly like the flags
 
     def test_env_cap_override_malformed(self, capsys, monkeypatch):

@@ -1,0 +1,44 @@
+"""Static hygiene of the library: no module under src/liecograph imports a
+name it never uses.  Standard-library ast only, so it needs no linter."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "liecograph"
+
+
+def unused_imports(source):
+    """(line, name) of every imported binding the module never reads.  Names
+    listed in __all__ count as read (they are re-exported)."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                imported[a.asname or a.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                if a.name != "*":
+                    imported[a.asname or a.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+def test_checker_flags_unused_and_keeps_used():
+    src = ("import os\nimport a.b\nfrom x import y, z as w\n"
+           "from q import r\n__all__ = ['r']\nw(a.b)\n")
+    assert unused_imports(src) == [(1, "os"), (3, "y")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -10,10 +10,12 @@ from liecograph.errors import (
     CapExceeded,
     DuplicateEdge,
     HasCycle,
+    InvalidInput,
     NotConnected,
 )
 from liecograph.shapes import (
     SGraph,
+    _canonical_perms,
     canonical_form,
     contract_edge,
     cut_edge,
@@ -80,6 +82,13 @@ class TestEnumeration:
         with pytest.raises(CapExceeded):
             enumerate_graphs(99)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_enumeration_rejects_nonpositive_weight(self, n):
+        with pytest.raises(InvalidInput):
+            enumerate_graphs(n)
+        with pytest.raises(InvalidInput):
+            enumerate_trees(n)
+
 
 class TestCanonicalForm:
     def test_relabeling_orbit_constant(self):
@@ -94,6 +103,27 @@ class TestCanonicalForm:
         for G in enumerate_graphs(3):
             C, _ = canonical_form(G)
             assert canonical_form(C)[0].edges == C.edges
+
+    def test_view_on_the_one_canonicaliser(self):
+        for n in range(1, 5):
+            for G in enumerate_graphs(n):
+                best, perms = _canonical_perms(n, G.edges)
+                C, p = canonical_form(G)
+                assert C.edges == best and p == perms[0]
+                for q in perms:
+                    assert G.relabel(lambda v: q[v - 1]).edges == best
+
+    def test_paths_above_six_vertices(self):
+        G = SGraph(7, [(1, 2), (3, 2), (3, 4), (5, 4), (5, 6), (7, 6)])
+        base, p = canonical_form(G)
+        assert G.relabel(lambda v: p[v - 1]).edges == base.edges
+        for perm in itertools.islice(itertools.permutations(range(1, 8)),
+                                     0, 5040, 97):
+            H = G.relabel(lambda v: perm[v - 1])
+            assert canonical_form(H)[0].edges == base.edges
+        star = SGraph(7, [(1, v) for v in range(2, 8)])
+        with pytest.raises(CapExceeded):
+            canonical_form(star)
 
 
 class TestSurgery:
