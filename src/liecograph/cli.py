@@ -45,6 +45,11 @@ from .shapes import SGraph, enumerate_graphs, enumerate_trees, tall_tree
 # ---------------------------------------------------------------------------
 # expression parsing
 
+# deepest bracket, parenthesis or product nesting an expression may have;
+# far above any weight the library computes with, and far below Python's
+# recursion limit
+MAX_NESTING = 64
+
 _TOKEN_RE = re.compile(
     r"\s*(->|\d+/\d+|\d+|[A-Za-z_]\w*|[|\[\](),;*+-])")
 
@@ -73,6 +78,7 @@ class _ExprParser:
         self.kind = kind
         self.toks = _tokenize(text)
         self.pos = 0
+        self.depth = 0  # brackets and parentheses open around self.pos
 
     def peek(self, ahead=0):
         i = self.pos + ahead
@@ -123,10 +129,10 @@ class _ExprParser:
         if tok == "G":
             return self.parse_graph_literal()
         if tok in ("[", "("):
-            return self._tree(self.parse_tree_node())
+            return self.parse_tree()
         if tok is not None and re.fullmatch(r"[A-Za-z_]\w*", tok):
             if self.peek(1) == "*":
-                return self._tree(self.parse_tree_node())
+                return self.parse_tree()
             return self.parse_bar_word()
         t, col = self.toks[self.pos] if self.pos < len(self.toks) else ("", 1)
         raise ParseError(f"cannot parse atom at {t!r}", line=1, col=col)
@@ -177,20 +183,41 @@ class _ExprParser:
                 f"graph on {n} vertices given {len(labels)} labels")
         return GraphElement.from_term(self.table, SGraph(n, edges), labels)
 
+    def _open(self, tok):
+        col = self.take(tok)[1]
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(
+                f"expression nested deeper than {MAX_NESTING} levels",
+                line=1, col=col)
+
+    def _join(self, left, right, col):
+        """Node (left, right) from two (node, height) pairs.  Trees taller
+        than MAX_NESTING are refused here, so the recursive term helpers
+        never meet them."""
+        height = max(left[1], right[1]) + 1
+        if height > MAX_NESTING:
+            raise ParseError(
+                f"expression nested deeper than {MAX_NESTING} levels",
+                line=1, col=col)
+        return (left[0], right[0]), height
+
     def parse_bracket(self):
-        self.take("[")
+        self._open("[")
         left = self.parse_tree_node()
-        self.take(",")
+        col = self.take(",")[1]
         right = self.parse_tree_node()
         self.take("]")
-        return (left, right)
+        self.depth -= 1
+        return self._join(left, right, col)
 
     def parse_tree_node(self):
-        """Products associate to the left: a*b*c parses as (a*b)*c."""
+        """(node, height).  Products associate to the left: a*b*c parses as
+        (a*b)*c."""
         node = self.parse_tree_unit()
         while self.peek() == "*":
-            self.take()
-            node = (node, self.parse_tree_unit())
+            col = self.take()[1]
+            node = self._join(node, self.parse_tree_unit(), col)
         return node
 
     def parse_tree_unit(self):
@@ -198,19 +225,20 @@ class _ExprParser:
         if tok == "[":
             return self.parse_bracket()
         if tok == "(":
-            self.take("(")
+            self._open("(")
             node = self.parse_tree_node()
             self.take(")")
+            self.depth -= 1
             return node
         name, col = self.take()
         if not re.fullmatch(r"[A-Za-z_]\w*", name):
             raise ParseError(f"expected a generator, found {name!r}",
                              line=1, col=col)
         self._check_name(name, col)
-        return name
+        return name, 0
 
-    def _tree(self, key):
-        return TreeElement.from_term(self.table, key)
+    def parse_tree(self):
+        return TreeElement.from_term(self.table, self.parse_tree_node()[0])
 
 
 def parse_expression(text, table, kind="auto"):

@@ -5,6 +5,13 @@ internal vertex) of the path between leaves a and b of the tree; the pairing
 is 0 unless that map is surjective onto the internal vertices, and otherwise
 the product of edge signs (+1 when leaf a sits to the left of leaf b).
 
+Two sign rules hold: reversing an edge of the graph negates the pairing, and
+so does swapping the two children at an internal node of the tree.  The
+weight-n pairing matrix is therefore built and ranked on the quotient by
+both, one oriented tree per undirected tree (n^(n-2) rows) against one child
+order per antisymmetry class (n!*Cat(n-1)/2^(n-1) columns): 1296 x 945 at
+n = 6 instead of 41472 x 30240; see PairingMatrix.
+
 At element level the pairing extends by a sum over the symmetric group with
 Koszul signs from reordering the graded labels.
 """
@@ -17,11 +24,11 @@ from .errors import CapExceeded, MalformedDual, WeightMismatch
 from .linalg import SparseMatrix, integer_matrix_rank
 from .shapes import (
     ENUMERATION_CAP,
+    SGraph,
     enumerate_graphs,
     enumerate_trees,
     long_graph,
     tall_tree,
-    tree_leaves,
 )
 from .elements import koszul_sign, tree_term_labels, tree_term_shape
 
@@ -61,12 +68,10 @@ def _pair_info(tree):
 
 def shape_pair(G, T):
     """Configuration pairing of an S-graph with a planar tree; in {-1, 0, 1}."""
-    leaves = tree_leaves(T)
-    if G.n != len(leaves):
-        raise WeightMismatch(
-            f"graph weight {G.n} vs tree with {len(leaves)} leaves")
     info, n_internal = _pair_info(T)
-    assert n_internal == G.n - 1 or G.n == 1
+    if G.n != n_internal + 1:
+        raise WeightMismatch(
+            f"graph weight {G.n} vs tree with {n_internal + 1} leaves")
     seen = 0
     sign = 1
     for a, b in G.edges:
@@ -179,45 +184,84 @@ def _sigma_sum(edges, degs, M, info, n):
 
 
 class PairingMatrix:
-    """Full Gr(n) x Tr(n) integer pairing matrix.  Held sparse for small n and
-    as a dense int8 array above the sparse threshold (the weight-6 matrix has
-    over a billion slots)."""
+    """The Gr(n) x Tr(n) integer pairing matrix, held as its quotient by the
+    two sign rules of the pairing.
 
-    def __init__(self, n, graphs, trees, sparse=None, dense=None):
+    Arrow-reversing: reversing an edge of G negates <G, T>, so every graph
+    is (-1)^(reversed edges) times its orientation with a < b on each edge
+    a -> b; there are n^(n-2) such rows.  Antisymmetry: swapping the two
+    children at an internal node of T negates <G, T>, so every tree is
+    (-1)^(swaps) times its child order with the smaller least leaf on the
+    left; there are n!*Cat(n-1)/2^(n-1) such columns.  The quotient matrix
+    Q pairs these representatives, and
+    entry(i, j) = row_sign[i] * col_sign[j] * Q[row_class[i], col_class[j]]
+    for i, j indexing row_basis and col_basis.  Rows and columns equal up
+    to sign span the same space, so rank() is the certified rank of Q."""
+
+    def __init__(self, n, graphs, trees, row_class, row_sign, col_class,
+                 col_sign, quotient):
         self.n = n
         self.row_basis = graphs
         self.col_basis = trees
-        self._sparse = sparse
-        self._dense = dense
+        self.row_class = row_class
+        self.row_sign = row_sign
+        self.col_class = col_class
+        self.col_sign = col_sign
+        self.quotient = quotient
         self._rank = None
 
     def entry(self, i, j):
-        if self._sparse is not None:
-            return int(self._sparse[(i, j)])
-        return int(self._dense[i, j])
-
-    @property
-    def entries(self):
-        """SparseMatrix view (only for matrices built sparse)."""
-        if self._sparse is None:
-            raise CapExceeded(
-                f"weight-{self.n} pairing matrix is held dense; use entry()/rank()")
-        return self._sparse
+        return (self.row_sign[i] * self.col_sign[j]
+                * int(self.quotient[self.row_class[i], self.col_class[j]]))
 
     def rank(self):
         if self._rank is None:
-            if self._sparse is not None:
-                self._rank = self._sparse.rank()
-            else:
-                self._rank = integer_matrix_rank(self._dense)
+            self._rank = integer_matrix_rank(self.quotient)
         return self._rank
 
     def __repr__(self):
         return (f"PairingMatrix(n={self.n}, "
-                f"{len(self.row_basis)}x{len(self.col_basis)})")
+                f"{len(self.row_basis)}x{len(self.col_basis)}, quotient "
+                f"{self.quotient.shape[0]}x{self.quotient.shape[1]})")
 
 
-_DENSE_THRESHOLD = 400_000
+def _classes(basis, reduce):
+    """Map each basis element to (class index, sign) under reduce(x) ->
+    (representative, sign); representatives are numbered in order of first
+    appearance."""
+    index, reps, cls, sign = {}, [], [], []
+    for x in basis:
+        rep, s = reduce(x)
+        k = index.get(rep)
+        if k is None:
+            k = index[rep] = len(reps)
+            reps.append(rep)
+        cls.append(k)
+        sign.append(s)
+    return reps, cls, sign
+
+
+def _graph_class(G):
+    """Orientation with a < b on every edge, and (-1)^(reversed edges)."""
+    return (tuple(sorted((min(a, b), max(a, b)) for a, b in G.edges)),
+            (-1) ** sum(a > b for a, b in G.edges))
+
+
+def _tree_class(T):
+    """Child order with the smaller least leaf on the left at every internal
+    node, and (-1)^(swaps)."""
+    def walk(t):
+        # (canonical subtree, least leaf, swap parity)
+        if isinstance(t, int):
+            return t, t, 0
+        left, lmin, lpar = walk(t[0])
+        right, rmin, rpar = walk(t[1])
+        if lmin < rmin:
+            return (left, right), lmin, lpar ^ rpar
+        return (right, left), rmin, lpar ^ rpar ^ 1
+
+    rep, _, parity = walk(T)
+    return rep, (-1) ** parity
 
 
 @lru_cache(maxsize=None)
@@ -226,16 +270,12 @@ def pairing_matrix(n):
         raise CapExceeded(f"pairing matrix capped at n <= {ENUMERATION_CAP}")
     graphs = enumerate_graphs(n)
     trees = enumerate_trees(n)
-    if len(graphs) * len(trees) <= _DENSE_THRESHOLD:
-        entries = {}
-        for i, G in enumerate(graphs):
-            for j, T in enumerate(trees):
-                v = shape_pair(G, T)
-                if v:
-                    entries[(i, j)] = Fraction(v)
-        return PairingMatrix(n, graphs, trees,
-                             sparse=SparseMatrix(len(graphs), len(trees), entries))
-    return PairingMatrix(n, graphs, trees, dense=_dense_pairing(n, graphs, trees))
+    row_reps, row_class, row_sign = _classes(graphs, _graph_class)
+    col_reps, col_class, col_sign = _classes(trees, _tree_class)
+    reps = [SGraph(n, edges, _checked=True) for edges in row_reps]
+    Q = _dense_pairing(n, reps, col_reps)
+    return PairingMatrix(n, graphs, trees, row_class, row_sign, col_class,
+                         col_sign, Q)
 
 
 def _dense_pairing(n, graphs, trees):

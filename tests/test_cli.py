@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from liecograph.cli import main, parse_expression
+from liecograph.cli import MAX_NESTING, main, parse_expression
 from liecograph.elements import GeneratorTable, GraphElement, TreeElement
 from liecograph.errors import ArityMismatch, ParseError, UnknownGenerator
 
@@ -185,6 +185,25 @@ class TestErrorsAndCaps:
         code, out, err = run(capsys, "enumerate", kind, weight)
         assert code == 1 and out == "" and "InvalidInput" in err
         assert len(err.strip().split("\n")) == 1
+
+    @pytest.mark.parametrize("expr", [
+        "[" * 400 + "a" + ",b]" * 400,
+        "(" * 400 + "a" + ")" * 400,
+        "*".join(["a"] * 1500),
+    ], ids=["brackets", "parentheses", "products"])
+    def test_deep_nesting_exits_1(self, capsys, expr):
+        code, out, err = run(capsys, "lie-normalize", expr, "--gens", "a:2,b:2")
+        assert code == 1 and out == "" and "ParseError" in err
+        assert re.search(r"col \d+", err) and "Traceback" not in err
+        assert len(err.strip().split("\n")) == 1
+
+    def test_nesting_at_the_limit_parses(self):
+        table = GeneratorTable([("a", 2), ("b", 2)])
+        t = parse_expression("[" * MAX_NESTING + "a" + ",b]" * MAX_NESTING,
+                             table, kind="tree")
+        assert isinstance(t, TreeElement)
+        with pytest.raises(ParseError):
+            parse_expression("a" + "*b" * (MAX_NESTING + 1), table)
 
     def test_cap_too_small_exits_2(self, capsys):
         code, _, err = run(capsys, "pi", S2, "--window", "2..8",

@@ -1,6 +1,8 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -19,6 +21,8 @@ from liecograph.shapes import (
     SGraph,
     enumerate_graphs,
     enumerate_trees,
+    long_graph,
+    tall_tree,
     tree_relabel,
 )
 
@@ -133,6 +137,66 @@ class TestMatrices:
         flat = sorted(v for row in vals for v in row)
         assert flat == [-1, -1, 1, 1]
         assert vals[0][0] == -vals[0][1] == -vals[1][0] == vals[1][1]
+
+
+class TestQuotient:
+    """The pairing matrix is held as its quotient by arrow-reversing and
+    antisymmetry; entry(i, j) must still be the full matrix's entry."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_entry_matches_shape_pair(self, n):
+        P = pairing_matrix(n)
+        cols = range(len(P.col_basis))
+        for i, G in enumerate(P.row_basis):
+            assert [P.entry(i, j) for j in cols] \
+                == [shape_pair(G, T) for T in P.col_basis], (n, G)
+
+    def test_sampled_entries_weight_6(self):
+        P = pairing_matrix(6)
+        rng = random.Random(6)
+        for _ in range(2000):
+            i = rng.randrange(len(P.row_basis))
+            j = rng.randrange(len(P.col_basis))
+            assert P.entry(i, j) \
+                == shape_pair(P.row_basis[i], P.col_basis[j]), (i, j)
+
+    def test_weight_1(self):
+        P = pairing_matrix(1)
+        assert (len(P.row_basis), len(P.col_basis)) == (1, 1)
+        assert P.entry(0, 0) == 1 and P.rank() == 1
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_quotient_shape(self, n):
+        catalan = comb(2 * n - 2, n - 1) // n
+        assert pairing_matrix(n).quotient.shape \
+            == (n ** (n - 2), _factorial(n) * catalan // 2 ** (n - 1))
+
+    def test_long_tall_block_weight_6_is_signed_identity(self):
+        """Long graphs and tall trees are dual bases: their block of the full
+        matrix is diagonal with entries +-1."""
+        P = pairing_matrix(6)
+        row_of = {G: i for i, G in enumerate(P.row_basis)}
+        col_of = {T: j for j, T in enumerate(P.col_basis)}
+        tails = list(itertools.permutations(range(2, 7)))
+        rows = [row_of[long_graph((1,) + t)] for t in tails]
+        cols = [col_of[tall_tree((1,) + t)] for t in tails]
+        for a, i in enumerate(rows):
+            for b, j in enumerate(cols):
+                e = P.entry(i, j)
+                assert abs(e) == 1 if a == b else e == 0, (a, b)
+
+    def test_weight_6_peak_memory(self):
+        """Building and ranking the weight-6 matrix stays under 200 MB of
+        traced allocations (the full int8 matrix alone is 1.25 GB)."""
+        for cached in (pairing_matrix, enumerate_graphs, enumerate_trees):
+            cached.cache_clear()
+        tracemalloc.start()
+        try:
+            assert pairing_matrix(6).rank() == 120
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200 * 2 ** 20, f"peak {peak / 2 ** 20:.0f} MB"
 
 
 class TestElementPair:
