@@ -12,13 +12,19 @@ both, one oriented tree per undirected tree (n^(n-2) rows) against one child
 order per antisymmetry class (n!*Cat(n-1)/2^(n-1) columns): 1296 x 945 at
 n = 6 instead of 41472 x 30240; see PairingMatrix.
 
-At element level the pairing extends by a sum over the symmetric group with
-Koszul signs from reordering the graded labels.
+At element level generators pair by name, so a graph term meets a tree term
+of its weight only through the label-preserving bijections from vertices to
+leaves (vertex j to a leaf carrying the j-th label), each weighted by the
+shape pairing of the relabeled graph and the Koszul sign of the reordering.
+_term_pair sums them in machine ints, at most BIJECTION_CAP per term pair,
+memoised on (canonical graph term, odd-degree generators, tree term): the
+signs depend on the degrees only through their parities.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
+from math import factorial, prod
 
 from .errors import CapExceeded, MalformedDual, WeightMismatch
 from .linalg import SparseMatrix, integer_matrix_rank
@@ -35,7 +41,6 @@ from .elements import koszul_sign, tree_term_labels, tree_term_shape
 __all__ = [
     "shape_pair",
     "element_pair",
-    "kronecker_dual",
     "pairing_matrix",
     "long_tall_submatrix",
     "PairingMatrix",
@@ -99,88 +104,76 @@ def _shape_pair_relabeled(edges, perm, info):
     return sign
 
 
-def kronecker_dual(table_w, table_v=None):
-    """Generator pairing <w*, v> = 1 when names match (and degrees agree)."""
-    table_v = table_v or table_w
-
-    def dual(wname, vname):
-        if wname == vname:
-            if table_w.degree[wname] != table_v.degree[vname]:
-                raise MalformedDual(
-                    f"paired generators {wname!r} have different degrees")
-            return Fraction(1)
-        return Fraction(0)
-
-    return dual
+# 9!, the most bijections a term pair of weight liealg.LIE_CAP = 9 can need
+BIJECTION_CAP = factorial(9)
 
 
-def element_pair(g, t, dual=None):
-    """Bilinear configuration pairing of a GraphElement against a TreeElement.
-
-    dual(wname, vname) -> Fraction pairs the two generator tables (defaults to
-    the Kronecker pairing of g's table with t's).  Terms of different weight
-    contribute zero."""
-    if dual is None:
-        dual = kronecker_dual(g.table, t.table)
-    total = Fraction(0)
-    wdeg = g.table.degree
-    for gkey, gc in g.terms.items():
-        (n, edges), wlabels = gkey
-        degs = [wdeg[x] for x in wlabels]
-        for tkey, tc in t.terms.items():
-            vlabels = tree_term_labels(tkey)
-            if len(vlabels) != n:
-                continue
-            shape = tree_term_shape(tkey)
-            info, _ = _pair_info(shape)
-            # dual matrix: M[i][j] = <w_j, v_i>  (0-based positions)
-            M = [[dual(wlabels[j], vlabels[i]) for j in range(n)]
-                 for i in range(n)]
-            s = _sigma_sum(edges, degs, M, info, n)
+def element_pair(g, t):
+    """Bilinear configuration pairing of a GraphElement against a TreeElement,
+    with generators paired by name (the Kronecker pairing of g's table with
+    t's).  Terms of different weight contribute zero."""
+    if g.table is not t.table:
+        _check_degrees(g, t)
+    odd = tuple(x for x in g.table.names if g.table.degree[x] % 2)
+    total = 0
+    for tkey, tc in t.terms.items():
+        acc = 0
+        for ((n, edges), wlabels), gc in g.terms.items():
+            s = _term_pair(n, edges, wlabels, odd, tkey)
             if s:
-                total += gc * tc * s
-    return total
-
-
-def _sigma_sum(edges, degs, M, info, n):
-    """sum over sigma of <sigma G, T> * koszul(sigma) * prod_i M[i][sigma^-1(i)].
-
-    sigma is built position by position with zero-product pruning: inv[i] = j
-    assigns input slot j to output position i."""
-    # stay in machine ints when every entry is integral (the common Kronecker
-    # case); fall back to Fraction otherwise
-    if all(x.denominator == 1 for row in M for x in row):
-        M = [[x.numerator for x in row] for row in M]
-        one = 1
-    else:
-        one = Fraction(1)
-    total = one * 0
-    inv = [0] * n
-    used = [False] * n
-
-    def rec(i, prod):
-        nonlocal total
-        if i == n:
-            perm = [0] * n
-            for pos in range(n):
-                perm[inv[pos]] = pos + 1  # vertex inv[pos]+1 -> pos+1
-            sp = _shape_pair_relabeled(edges, perm, info)
-            if sp:
-                total += prod * sp * koszul_sign(degs, inv)
-            return
-        for j in range(n):
-            if used[j]:
-                continue
-            m = M[i][j]
-            if not m:
-                continue
-            used[j] = True
-            inv[i] = j
-            rec(i + 1, prod * m)
-            used[j] = False
-
-    rec(0, one)
+                acc += gc * s
+        if acc:
+            total += tc * acc
     return Fraction(total)
+
+
+def _check_degrees(g, t):
+    """MalformedDual if a name labels equal-weight terms of g and t with
+    different degrees in their two tables."""
+    wdeg, vdeg = g.table.degree, t.table.degree
+    trees = [tree_term_labels(tkey) for tkey in t.terms]
+    for (n, _), wlabels in g.terms:
+        for vlabels in trees:
+            if len(vlabels) == n:
+                for x in set(wlabels) & set(vlabels):
+                    if wdeg[x] != vdeg[x]:
+                        raise MalformedDual(
+                            f"paired generators {x!r} have different degrees")
+
+
+@lru_cache(maxsize=1 << 16)
+def _term_pair(n, edges, wlabels, odd, tkey):
+    """<G(wlabels), tkey> in integers for a canonical graph term on n
+    vertices and a tree term; odd holds the generators of odd degree.
+
+    Sums <sigma G, T> * koszul(sigma) over the label-preserving bijections
+    sigma only: vertex j goes to a leaf position carrying wlabels[j]."""
+    vlabels = tree_term_labels(tkey)
+    if len(vlabels) != n:
+        return 0
+    verts, slots = {}, {}
+    for j, x in enumerate(wlabels):
+        verts.setdefault(x, []).append(j)
+    for i, x in enumerate(vlabels):
+        slots.setdefault(x, []).append(i)
+    if any(len(slots.get(x, ())) != len(js) for x, js in verts.items()):
+        return 0
+    if prod(factorial(len(js)) for js in verts.values()) > BIJECTION_CAP:
+        raise CapExceeded(
+            f"element pairing capped at {BIJECTION_CAP} bijections per term")
+    info, _ = _pair_info(tree_term_shape(tkey))
+    parity = [x in odd for x in wlabels]
+    perm, inv = [0] * n, [0] * n  # vertex j -> leaf perm[j]; leaf i <- inv[i]
+    total = 0
+    for choice in product(*(permutations(slots[x]) for x in verts)):
+        for js, ps in zip(verts.values(), choice):
+            for j, i in zip(js, ps):
+                perm[j] = i + 1
+                inv[i] = j
+        sp = _shape_pair_relabeled(edges, perm, info)
+        if sp:
+            total += sp * koszul_sign(parity, inv)
+    return total
 
 
 class PairingMatrix:

@@ -1,4 +1,5 @@
 import re
+import time
 
 import pytest
 
@@ -204,6 +205,16 @@ class TestErrorsAndCaps:
         assert isinstance(t, TreeElement)
         with pytest.raises(ParseError):
             parse_expression("a" + "*b" * (MAX_NESTING + 1), table)
+
+    def test_pair_bijection_cap_exits_1(self, capsys):
+        """A 12-letter single-label word would walk 12! bijections; it is
+        refused before enumerating."""
+        start = time.perf_counter()
+        code, out, err = run(capsys, "pair", "|".join("a" * 12),
+                             "(" + "*".join("a" * 12) + ")", "--gens", "a:2")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == "" and "CapExceeded" in err
+        assert "Traceback" not in err and len(err.strip().split("\n")) == 1
 
     def test_cap_too_small_exits_2(self, capsys):
         code, _, err = run(capsys, "pi", S2, "--window", "2..8",

@@ -5,14 +5,16 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from liecograph.elements import GeneratorTable, TreeElement
+from liecograph.elements import GeneratorTable, GraphElement, TreeElement
 from liecograph.errors import MalformedDual
 from liecograph.graphcoalg import cobracket, graphify
 from liecograph.liealg import product
 from liecograph.pairing import (
+    _term_pair,
     element_pair,
-    kronecker_dual,
     long_tall_submatrix,
     pairing_matrix,
     shape_pair,
@@ -227,11 +229,14 @@ class TestElementPair:
                         assert lhs == rhs, (G, labels)
 
     def test_dual_degree_mismatch_raises(self):
-        t1 = GeneratorTable([("a", 2)])
-        t2 = GeneratorTable([("a", 3)])
-        dual = kronecker_dual(t1, t2)
+        """A name shared by two tables with different degrees cannot be
+        paired; terms of different weight never meet, so they do not raise."""
+        t1 = GeneratorTable([("a", 2), ("b", 2)])
+        t2 = GeneratorTable([("a", 3), ("b", 2)])
+        g = graphify(("a", "b"), t1)
         with pytest.raises(MalformedDual):
-            dual("a", "a")
+            element_pair(g, TreeElement.from_term(t2, ("b", "a")))
+        assert element_pair(g, TreeElement.from_term(t2, "a")) == 0
 
     def test_linear_in_both_slots(self):
         table = GeneratorTable([("a", 2), ("b", 2)])
@@ -240,3 +245,166 @@ class TestElementPair:
         t = TreeElement.from_term(table, ("a", "b"))
         assert element_pair(g1.add(g2.scale(3)), t) \
             == element_pair(g1, t) + 3 * element_pair(g2, t)
+
+
+# ---------------------------------------------------------------------------
+# element_pair against an independent textbook oracle
+
+def _oracle_internal_nodes(tkey):
+    """(left leaf positions, right leaf positions) of every internal node of
+    a tree term, leaves numbered 0.. from the left, and the leaf names."""
+    nodes, names = [], []
+
+    def walk(k):
+        if isinstance(k, str):
+            names.append(k)
+            return {len(names) - 1}
+        left, right = walk(k[0]), walk(k[1])
+        nodes.append((left, right))
+        return left | right
+
+    walk(tkey)
+    return nodes, names
+
+
+def _oracle_shape_pair(edges, pos, nodes):
+    """<sigma G, T> with vertex v sent to leaf pos[v - 1]: each edge goes to
+    the internal node separating its two leaves, +1 when the source is on the
+    left; zero unless every internal node is hit exactly once."""
+    hit, sign = [], 1
+    for a, b in edges:
+        p, q = pos[a - 1], pos[b - 1]
+        for k, (left, right) in enumerate(nodes):
+            if p in left and q in right:
+                hit.append(k)
+            elif q in left and p in right:
+                hit.append(k)
+                sign = -sign
+    return sign if sorted(hit) == list(range(len(nodes))) else 0
+
+
+def _oracle_koszul(odd, order):
+    """(-1)^(inversions between odd symbols) of the sequence `order`."""
+    k = sum(1 for i in range(len(order)) for j in range(i + 1, len(order))
+            if odd[order[i]] and odd[order[j]] and order[j] < order[i])
+    return (-1) ** k
+
+
+def oracle_pair(g, t):
+    """Textbook <g, t>: every pair of terms of equal weight n contributes the
+    sum over all of S_n of <sigma G, T> * koszul(sigma) * prod_i M[i][j_i],
+    with M[i][j] = <w_j, v_i> the Kronecker matrix held as Fractions."""
+    total = Fraction(0)
+    for ((n, edges), wlabels), gc in g.terms.items():
+        odd = [g.table.degree[x] % 2 == 1 for x in wlabels]
+        for tkey, tc in t.terms.items():
+            nodes, vlabels = _oracle_internal_nodes(tkey)
+            if len(vlabels) != n:
+                continue
+            M = [[Fraction(int(wlabels[j] == vlabels[i])) for j in range(n)]
+                 for i in range(n)]
+            for pos in itertools.permutations(range(n)):
+                order = [0] * n  # leaf i carries vertex order[i]
+                for v, i in enumerate(pos):
+                    order[i] = v
+                weight = Fraction(1)
+                for i in range(n):
+                    weight *= M[i][order[i]]
+                total += (gc * tc * weight * _oracle_koszul(odd, order)
+                          * _oracle_shape_pair(edges, pos, nodes))
+    return total
+
+
+def _tree_key(shape, labels):
+    if isinstance(shape, int):
+        return labels[shape - 1]
+    return (_tree_key(shape[0], labels), _tree_key(shape[1], labels))
+
+
+TABLES = {
+    "even": GeneratorTable([("a", 2), ("b", 4), ("c", 2)]),
+    "odd": GeneratorTable([("a", 3), ("b", 1), ("c", 5)]),
+    "mixed": GeneratorTable([("a", 2), ("b", 3), ("c", 1)]),
+}
+
+coefficients = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def element_pairs(draw, table, tree_table=None):
+    """A multi-term graph element and a multi-term tree element of one
+    weight; tree terms reuse a graph term's labels in a drawn order, so most
+    pairs are nonzero."""
+    n = draw(st.integers(1, 5))
+    names = table.names[:draw(st.integers(1, len(table.names)))]
+    graphs, trees = enumerate_graphs(n), enumerate_trees(n)
+    g = GraphElement(table)
+    words = []
+    for _ in range(draw(st.integers(1, 3))):
+        word = draw(st.lists(st.sampled_from(names), min_size=n, max_size=n))
+        words.append(word)
+        g = g.add(GraphElement.from_term(
+            table, draw(st.sampled_from(graphs)), word, draw(coefficients)))
+    t = TreeElement(tree_table or table)
+    for _ in range(draw(st.integers(1, 3))):
+        word = draw(st.permutations(draw(st.sampled_from(words))))
+        t = t.add(TreeElement.from_term(
+            t.table, _tree_key(draw(st.sampled_from(trees)), word),
+            draw(coefficients)))
+    return g, t
+
+
+class TestElementPairOracle:
+    @pytest.mark.parametrize("kind", sorted(TABLES))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_oracle(self, kind, data):
+        g, t = data.draw(element_pairs(TABLES[kind]))
+        assert element_pair(g, t) == oracle_pair(g, t)
+
+    @settings(max_examples=40, deadline=None)
+    @given(element_pairs(GeneratorTable([("a", 2), ("b", 3)]),
+                         GeneratorTable([("b", 3), ("a", 2), ("c", 1)])))
+    def test_two_tables_match_oracle(self, pair):
+        g, t = pair
+        assert element_pair(g, t) == oracle_pair(g, t)
+
+    def test_memo_keeps_tables_of_other_parity_apart(self):
+        """Warm the term memo on an even table, then pair the same term keys
+        under an odd one: values follow the oracle, signs flip with it."""
+        even = GeneratorTable([("a", 2), ("b", 2)])
+        odd = GeneratorTable([("a", 3), ("b", 3)])
+        cases = []
+        for G in enumerate_graphs(3):
+            for word in (("a", "a", "b"), ("a", "b", "b")):
+                g = GraphElement.from_term(even, G, word)
+                if g.is_zero():
+                    continue
+                for T in enumerate_trees(3):
+                    for order in set(itertools.permutations(word)):
+                        cases.append((g.terms, _tree_key(T, order)))
+        for terms, tkey in cases:
+            g, t = GraphElement(even, terms), TreeElement.from_term(even, tkey)
+            assert element_pair(g, t) == oracle_pair(g, t)
+        flipped = 0
+        for terms, tkey in cases:
+            g_even = GraphElement(even, terms)
+            g_odd = GraphElement(odd, terms)
+            t_even = TreeElement.from_term(even, tkey)
+            t_odd = TreeElement.from_term(odd, tkey)
+            want = oracle_pair(g_odd, t_odd)
+            assert element_pair(g_odd, t_odd) == want
+            flipped += want == -oracle_pair(g_even, t_even) != 0
+        assert flipped > 0
+
+    def test_values_survive_cache_clear(self):
+        table = TABLES["mixed"]
+        pairs = [(graphify(w, table), TreeElement.from_term(table, k))
+                 for w in (("a", "b", "c"), ("b", "c", "a"), ("c", "b", "b"))
+                 for k in ((("a", "b"), "c"), ("c", ("b", "a")),
+                           (("b", "c"), "b"))]
+        warm = [element_pair(g, t) for g, t in pairs]
+        _term_pair.cache_clear()
+        assert [element_pair(g, t) for g, t in pairs] == warm
+        assert warm == [oracle_pair(g, t) for g, t in pairs]
+        assert any(warm)
