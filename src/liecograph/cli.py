@@ -32,6 +32,7 @@ from .presentations import (
     DgcaPresentation,
     DgccPresentation,
     parse_presentation,
+    parse_rational,
 )
 from .functors import (
     build_E,
@@ -118,7 +119,8 @@ class _ExprParser:
     def parse_term(self, sign):
         coeff = sign
         while re.fullmatch(r"\d+/\d+|\d+", self.peek() or ""):
-            coeff *= Fraction(self.take()[0])
+            tok, col = self.take()
+            coeff *= parse_rational(tok, 1, col)
             if self.peek() == "*":
                 self.take()
         el = self.parse_atom()
@@ -155,16 +157,23 @@ class _ExprParser:
             return TreeElement.leaf(self.table, names[0])
         return graphify(tuple(names), self.table)
 
+    def take_int(self):
+        tok, col = self.take()
+        if not re.fullmatch(r"\d+", tok):
+            raise ParseError(f"expected an integer, found {tok!r}", line=1,
+                             col=col)
+        return int(tok)
+
     def parse_graph_literal(self):
         self.take("G")
         self.take("[")
-        n = int(self.take()[0])
+        n = self.take_int()
         self.take(";")
         edges = []
         while self.peek() != "]":
-            a = int(self.take()[0])
+            a = self.take_int()
             self.take("->")
-            b = int(self.take()[0])
+            b = self.take_int()
             edges.append((a, b))
             if self.peek() == ",":
                 self.take()
@@ -249,18 +258,25 @@ def parse_expression(text, table, kind="auto"):
 
 def _parse_gens(spec):
     """'a:2,b:3' -> GeneratorTable."""
-    gens = []
-    for part in spec.split(","):
-        part = part.strip()
+    gens = {}
+    for item in re.finditer(r"[^,]+", spec):
+        part, col = item.group().strip(), item.start() + 1
         if not part:
             continue
         m = re.fullmatch(r"([A-Za-z_]\w*):(\d+)", part)
         if not m:
-            raise ParseError(f"cannot parse generator spec {part!r}")
-        gens.append((m.group(1), int(m.group(2))))
+            raise ParseError(f"cannot parse generator spec {part!r}",
+                             line=1, col=col)
+        name, deg = m.group(1), int(m.group(2))
+        if name in gens:
+            raise ParseError(f"duplicate generator {name!r}", line=1, col=col)
+        if deg < 1:
+            raise ParseError(f"generator {name!r} has degree {deg} < 1",
+                             line=1, col=col)
+        gens[name] = deg
     if not gens:
         raise ParseError("no generators given")
-    return GeneratorTable(gens)
+    return GeneratorTable(gens.items())
 
 
 def _table_from_args(args):

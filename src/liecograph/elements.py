@@ -12,6 +12,7 @@ stored as a nested tuple of generator names.
 
 from fractions import Fraction
 
+from .linalg import add_into
 from .shapes import SGraph, _canonical_perms
 
 __all__ = [
@@ -112,11 +113,7 @@ class _Element:
         assert self.table is other.table
         out = dict(self.terms)
         for k, v in other.terms.items():
-            s = out.get(k, Fraction(0)) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+            add_into(out, k, v)
         return type(self)(self.table, out)
 
     def scale(self, c):
@@ -124,9 +121,6 @@ class _Element:
         if not c:
             return type(self)(self.table)
         return type(self)(self.table, {k: c * v for k, v in self.terms.items()})
-
-    def sub(self, other):
-        return self.add(other.scale(-1))
 
     def __eq__(self, other):
         return (type(self) is type(other) and self.table is other.table
@@ -157,12 +151,6 @@ class GraphElement(_Element):
     @classmethod
     def zero(cls, table):
         return cls(table)
-
-    def term_weight(self, key):
-        return key[0][0]
-
-    def term_degree(self, key):
-        return sum(self.table.degree[x] for x in key[1])
 
     def weights(self):
         return sorted({k[0][0] for k in self.terms})
@@ -195,12 +183,6 @@ class TreeElement(_Element):
     @classmethod
     def from_term(cls, table, term, coeff=1):
         return cls(table, {term: Fraction(coeff)})
-
-    def term_weight(self, key):
-        return len(_term_leaves(key))
-
-    def term_degree(self, key):
-        return sum(self.table.degree[x] for x in _term_leaves(key))
 
     def __repr__(self):
         if not self.terms:
@@ -236,10 +218,6 @@ def tree_term_shape(key):
 class TensorElement(_Element):
     """Element of a tensor power of the graph coalgebra.  Term keys: tuples of
     GraphElement term keys."""
-
-    @classmethod
-    def from_factors(cls, table, factor_keys, coeff=1):
-        return cls(table, {tuple(factor_keys): Fraction(coeff)})
 
     def __repr__(self):
         if not self.terms:

@@ -16,11 +16,23 @@ desuspended basis with the coproduct-splitting differential; from finite Lie
 algebra data, build_C gives the cofree word model with the bracket-merging
 differential.
 
+All six builders share one skeleton.  A builder lists its basis keys in
+order with their (w, d) pieces and says how to differentiate one key;
+`_bundle` groups the keys into pieces, checks that every differential term
+lands in its target piece and assembles the sparse matrices and the bundle.
+Every internal differential, and the letter-splitting differentials of
+build_A_hat and build_L, is a map on letters extended slot by slot with the
+Koszul sign (`_slotwise`); the structure terms (edge contraction, adjacent
+product, bracket merge) are each builder's own.  build_A_hat and build_C
+sort raw words into graded-commutative basis words through one emitter
+(`_sorted_emitter`).
+
 check_duality, check_twisting, rational_homotopy and spectral-sequence
 reporting sit on top.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 from .errors import (
@@ -55,7 +67,7 @@ from .graphcoalg import (
 )
 from .liealg import _content_reduction, lie_normal_form
 from .pairing import element_pair
-from .presentations import DgccPresentation
+from .presentations import DgccPresentation, multisets
 
 __all__ = [
     "DgComplexBundle",
@@ -85,10 +97,23 @@ class DgComplexBundle:
 
     kind: E_of_A | G_of_A | A_of_E | L_of_C | C_of_L | harrison.
     key_bidegree maps each basis key to its (w, d) piece; dv_of_key /
-    dh_of_key give the two differentials as key-indexed sparse columns."""
+    dh_of_key give the two differentials as key-indexed sparse columns.
+
+    The remaining fields are None unless the builder named sets them:
+      table           GeneratorTable the keys are written in: the
+                      desuspended monomials (build_G, build_E,
+                      harrison_shuffle_model) or the desuspended coalgebra
+                      classes (build_L);
+      monomial_of     slot name -> monomial of A (build_G, build_E,
+                      harrison_shuffle_model);
+      key_cobracket   key -> {(key1, key2): coeff}, the cobracket of one basis
+                      key (build_G, build_E); build_A_hat needs it;
+      project_element GraphElement over the table -> bar-basis coordinates
+                      of its class (build_E)."""
 
     def __init__(self, kind, complex, presentation, caps, key_bidegree,
-                 dv_of_key, dh_of_key, **extras):
+                 dv_of_key, dh_of_key, table=None, monomial_of=None,
+                 key_cobracket=None, project_element=None):
         self.kind = kind
         self.complex = complex
         self.presentation = presentation
@@ -96,7 +121,10 @@ class DgComplexBundle:
         self.key_bidegree = key_bidegree
         self.dv_of_key = dv_of_key
         self.dh_of_key = dh_of_key
-        self.__dict__.update(extras)
+        self.table = table
+        self.monomial_of = monomial_of
+        self.key_cobracket = key_cobracket
+        self.project_element = project_element
 
     def dims(self):
         return {bd: sp.dimension for bd, sp in self.complex.pieces.items()
@@ -116,37 +144,92 @@ class DgComplexBundle:
                 f"pieces={len(self.complex.pieces)})")
 
 
-def _assemble_complex(pieces_keys, key_bidegree, dv_of_key, dh_of_key,
-                      complete):
-    pieces = {}
-    index = {}
-    for bd, keys in pieces_keys.items():
-        if keys:
-            pieces[bd] = BasedSpace(keys)
-            for j, k in enumerate(keys):
-                index[k] = j
-    dvm, dhm = {}, {}
-    for table, store, shift in ((dv_of_key, dvm, (0, 1)),
-                               (dh_of_key, dhm, (-1, 1))):
+# ---------------------------------------------------------------------------
+# the shared skeleton: assembler, slot-wise derivation, sorted-word emitter
+
+def _bundle(kind, source, caps, key_bidegree, differential, complete,
+            table=None, monomial_of=None, key_cobracket=None,
+            project_element=None):
+    """Bundle of the complex on the ordered basis key_bidegree (key ->
+    (w, d)); differential(key, (w, d)) returns (dv, dh), two {key: coeff}
+    dicts landing in (w, d + 1) and (w - 1, d + 1).  Each piece lists its
+    keys in key_bidegree order."""
+    pieces_keys = {}
+    for key, bd in key_bidegree.items():
+        pieces_keys.setdefault(bd, []).append(key)
+    index = {k: j for keys in pieces_keys.values() for j, k in enumerate(keys)}
+    dv_of_key, dh_of_key = {}, {}
+    for key, bd in key_bidegree.items():
+        dv, dh = differential(key, bd)
+        if dv:
+            dv_of_key[key] = dv
+        if dh:
+            dh_of_key[key] = dh
+    matrices = []
+    for of_key, dw in ((dv_of_key, 0), (dh_of_key, -1)):
         cols = {}
-        for key, terms in table.items():
+        for key, terms in of_key.items():
             w, d = key_bidegree[key]
-            tb = (w + shift[0], d + shift[1])
             for k2, c in terms.items():
-                assert key_bidegree[k2] == tb, (
+                assert key_bidegree[k2] == (w + dw, d + 1), (
                     f"differential term leaves its target piece: "
                     f"{key} ({w},{d}) -> {k2} {key_bidegree[k2]}")
                 cols.setdefault((w, d), {})[(index[k2], index[key])] = c
-        for bd, entries in cols.items():
-            w, d = bd
-            tb = (w + shift[0], d + shift[1])
-            store[bd] = SparseMatrix(len(pieces_keys.get(tb, ())),
-                                     len(pieces_keys[bd]), entries)
-    return BigradedComplex(pieces, dvm, dhm, complete)
+        matrices.append({
+            (w, d): SparseMatrix(len(pieces_keys.get((w + dw, d + 1), ())),
+                                 len(pieces_keys[(w, d)]), entries)
+            for (w, d), entries in cols.items()})
+    cx = BigradedComplex(
+        {bd: BasedSpace(keys) for bd, keys in pieces_keys.items()},
+        *matrices, complete)
+    return DgComplexBundle(kind, cx, source, caps, key_bidegree, dv_of_key,
+                           dh_of_key, table=table, monomial_of=monomial_of,
+                           key_cobracket=key_cobracket,
+                           project_element=project_element)
+
+
+def _slotwise(word, degree, letter_map):
+    """The derivation extending letter_map slot by slot: for each slot i and
+    each (replacement tuple, c) in letter_map(word[i]), yield the raw word
+    with slot i replaced and c times (-1)^(degrees of the slots before i)."""
+    sign = 1
+    for i, x in enumerate(word):
+        for repl, c in letter_map(x):
+            yield word[:i] + repl + word[i + 1:], sign * c
+        if degree[x] % 2:
+            sign = -sign
+
+
+def _sorted_word(letters, sdeg):
+    """Sort letter indices ascending; returns (word, sign) with the Koszul
+    sign of the sort, 0 when an odd letter repeats."""
+    seq = list(letters)
+    order = sorted(range(len(seq)), key=lambda i: seq[i])
+    sign = koszul_sign([sdeg[i] for i in seq], order)
+    word = tuple(seq[i] for i in order)
+    for a in range(len(word) - 1):
+        if word[a] == word[a + 1] and sdeg[word[a]] % 2:
+            return word, 0
+    return word, sign
+
+
+def _sorted_emitter(sdeg, keys, degree_hi):
+    """emit(acc, raw letters, coeff) accumulates coeff times the sorted
+    graded-commutative word of raw into acc.  A word missing from keys must
+    lie beyond total degree degree_hi (it was cut by the caps)."""
+    def emit(acc, raw, coeff):
+        w2, sgn = _sorted_word(raw, sdeg)
+        if sgn and coeff:
+            if w2 not in keys:
+                assert sum(sdeg[i] for i in w2) > degree_hi, (
+                    f"word {w2} missing inside the complete range")
+                return
+            add_into(acc, w2, coeff * sgn)
+    return emit
 
 
 # ---------------------------------------------------------------------------
-# caps, monomial slot alphabets and content enumeration
+# caps, monomial slot alphabets and contents
 
 def _caps(P, cap_weight, cap_degree):
     return (cap_weight if cap_weight is not None else P.cap_weight,
@@ -155,38 +238,29 @@ def _caps(P, cap_weight, cap_degree):
 
 def _slot_alphabet(A, cap_degree):
     """GeneratorTable of A's basis monomials with slot degree = degree - 1,
-    plus the name -> monomial map."""
+    the name -> monomial map, and A's differential as a letter map for
+    _slotwise (with the internal differential's extra minus sign)."""
     if not A.is_simply_connected():
         raise NotSimplyConnected(
             "input algebra must be generated in degrees >= 2")
     monos = A.monomials(cap_degree + 1)
     table = GeneratorTable(
         [(_mono_name(m), A.monomial_degree(m) - 1) for m in monos])
-    return table, {_mono_name(m): m for m in monos}
+    mono_of = {_mono_name(m): m for m in monos}
+
+    @cache
+    def d_letter(name):
+        return [((_mono_name(m2),), -c) for m2, c in
+                A.differential_of_monomial(mono_of[name]).items()]
+    return table, mono_of, d_letter
 
 
 def _contents(table, cap_weight, cap_degree):
-    """Multisets of slot names (tuples in table order) with bounded size and
-    total slot degree, in deterministic order."""
-    names = table.names
-    out = []
-
-    def rec(i, cur, d):
-        if cur:
-            out.append(tuple(cur))
-        if len(cur) == cap_weight:
-            return
-        for j in range(i, len(names)):
-            nd = d + table.degree[names[j]]
-            if nd <= cap_degree:
-                rec(j, cur + [names[j]], nd)
-
-    rec(0, [], 0)
-    return out
-
-
-def _content_bidegree(table, content):
-    return len(content), sum(table.degree[x] for x in content)
+    """(content, (size, total slot degree)) for the multisets of slot names
+    within the caps."""
+    return [(c, (len(c), sum(table.degree[x] for x in c)))
+            for c in multisets(table.names, table.degree, cap_degree,
+                               cap_weight)]
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +281,8 @@ def _vec_of_element(g):
 # ---------------------------------------------------------------------------
 # the bar-word complex (shared with the Harrison oracle) and build_E
 
-def _bar_model(kind, A, table, mono_of, caps, basis_of, project_word,
-               **extras):
+def _bar_model(kind, A, caps, alphabet, basis_of, project_word,
+               key_cobracket=None, project_element=None):
     """Bundle of A's bar-word complex on a quotient of the words over the slot
     alphabet.  basis_of(content) lists the basis words of one content and
     project_word(raw, coeff, acc) accumulates coeff * (class of the raw word)
@@ -216,47 +290,28 @@ def _bar_model(kind, A, table, mono_of, caps, basis_of, project_word,
     vertical = slot-wise internal differential, horizontal = the
     adjacent-slot multiplication differential."""
     cw, cd = caps
-    pieces_keys = {}
-    key_bidegree = {}
-    for content in _contents(table, cw, cd):
-        w, d = _content_bidegree(table, content)
-        basis = basis_of(content)
-        if basis:
-            pieces_keys.setdefault((w, d), []).extend(basis)
-        for word in basis:
-            key_bidegree[word] = (w, d)
+    table, mono_of, d_letter = alphabet
+    key_bidegree = {word: bd for content, bd in _contents(table, cw, cd)
+                    for word in basis_of(content)}
 
-    dv_of_key, dh_of_key = {}, {}
-    for word, (w, d) in key_bidegree.items():
-        if d >= cd:
-            continue  # target pieces beyond caps
-        sdegs = [table.degree[x] for x in word]
+    def differential(word, bd):
         dv, dh = {}, {}
-        for i, name in enumerate(word):
-            dm = A.differential_of_monomial(mono_of[name])
-            if not dm:
-                continue
-            sgn = -((-1) ** sum(sdegs[:i]))
-            for m2, c in dm.items():
-                raw = word[:i] + (_mono_name(m2),) + word[i + 1:]
-                project_word(raw, sgn * c, dv)
-        for i in range(w - 1):
+        if bd[1] >= cd:
+            return dv, dh  # target pieces beyond caps
+        for raw, c in _slotwise(word, table.degree, d_letter):
+            project_word(raw, c, dv)
+        for i in range(len(word) - 1):
             prod, ps = A.multiply(mono_of[word[i]], mono_of[word[i + 1]])
-            if not ps:
-                continue
-            sgn = ((-1) ** sum(sdegs[:i])) * ((-1) ** (sdegs[i] + 1)) * ps
-            raw = word[:i] + (_mono_name(prod),) + word[i + 2:]
-            project_word(raw, sgn, dh)
-        if dv:
-            dv_of_key[word] = dv
-        if dh:
-            dh_of_key[word] = dh
+            if ps:
+                sgn = -ps * (-1) ** sum(table.degree[x] for x in word[:i + 1])
+                raw = word[:i] + (_mono_name(prod),) + word[i + 2:]
+                project_word(raw, sgn, dh)
+        return dv, dh
 
-    cx = _assemble_complex(pieces_keys, key_bidegree, dv_of_key, dh_of_key,
-                           (0, min(cw, cd)))
-    return DgComplexBundle(kind, cx, A, caps, key_bidegree, dv_of_key,
-                           dh_of_key, slot_table=table, monomial_of=mono_of,
-                           **extras)
+    return _bundle(kind, A, caps, key_bidegree, differential,
+                   (0, min(cw, cd)), table=table, monomial_of=mono_of,
+                   key_cobracket=key_cobracket,
+                   project_element=project_element)
 
 
 def build_E(A, cap_weight=None, cap_degree=None):
@@ -264,7 +319,8 @@ def build_E(A, cap_weight=None, cap_degree=None):
     designated-leading bar words (see _bar_model for the bigrading and the
     differentials); the quotient is solved through the iterated cobracket."""
     cw, cd = _caps(A, cap_weight, cap_degree)
-    table, mono_of = _slot_alphabet(A, cd)
+    alphabet = _slot_alphabet(A, cd)
+    table = alphabet[0]
     solvers = {}
 
     def solver(content):
@@ -323,9 +379,9 @@ def build_E(A, cap_weight=None, cap_degree=None):
         return out
 
     return _bar_model(
-        "E_of_A", A, table, mono_of, (cw, cd),
-        lambda content: solver(content)[0], project_word,
-        project_element=project_element, key_cobracket=key_cobracket)
+        "E_of_A", A, (cw, cd), alphabet, lambda content: solver(content)[0],
+        project_word, key_cobracket=key_cobracket,
+        project_element=project_element)
 
 
 # ---------------------------------------------------------------------------
@@ -336,12 +392,10 @@ def build_G(A, cap_weight=None, cap_degree=None):
     monomials; horizontal differential contracts edges (multiplying labels),
     vertical applies the internal differential slot-wise."""
     cw, cd = _caps(A, cap_weight, cap_degree)
-    table, mono_of = _slot_alphabet(A, cd)
+    table, mono_of, d_letter = _slot_alphabet(A, cd)
 
-    pieces_keys = {}
     key_bidegree = {}
-    for content in _contents(table, cw, cd):
-        w, d = _content_bidegree(table, content)
+    for content, (w, d) in _contents(table, cw, cd):
         keys = set()
         for G in enumerate_graphs(w):
             if _canonical_perms(w, G.edges)[0] != G.edges:
@@ -349,176 +403,94 @@ def build_G(A, cap_weight=None, cap_degree=None):
             for labels in _distinct_arrangements(content):
                 el = GraphElement.from_term(table, G, labels)
                 keys.update(el.terms)
-        keys = sorted(keys)
-        if keys:
-            pieces_keys.setdefault((w, d), []).extend(keys)
-        for k in keys:
+        for k in sorted(keys):
             key_bidegree[k] = (w, d)
 
-    dv_of_key, dh_of_key = {}, {}
-    for key, (w, d) in key_bidegree.items():
-        if d >= cd:
-            continue
+    def differential(key, bd):
+        dv, dh = {}, {}
+        if bd[1] >= cd:
+            return dv, dh
         (n, edges), labels = key
-        sdegs = [table.degree[x] for x in labels]
-        dv = {}
-        for i, name in enumerate(labels):
-            dm = A.differential_of_monomial(mono_of[name])
-            if not dm:
-                continue
-            sgn = -((-1) ** sum(sdegs[:i]))
-            for m2, c in dm.items():
-                newlabels = labels[:i] + (_mono_name(m2),) + labels[i + 1:]
-                el = GraphElement.from_term(
-                    table, SGraph(n, edges, _checked=True), newlabels,
-                    sgn * c)
-                for k2, c2 in el.terms.items():
-                    add_into(dv, k2, c2)
-        if dv:
-            dv_of_key[key] = dv
-        dh = {}
         G = SGraph(n, edges, _checked=True)
+        for raw, c in _slotwise(labels, table.degree, d_letter):
+            for k2, c2 in GraphElement.from_term(table, G, raw, c).terms.items():
+                add_into(dv, k2, c2)
+        sdegs = [table.degree[x] for x in labels]
         for e, (s, t) in enumerate(edges):
-            ms, mt = mono_of[labels[s - 1]], mono_of[labels[t - 1]]
-            prod, ps = A.multiply(ms, mt)
+            prod, ps = A.multiply(mono_of[labels[s - 1]],
+                                  mono_of[labels[t - 1]])
             if not ps:
                 continue
             # reorder labels so slot t sits right after slot s, then merge
             order = [v for v in range(1, n + 1) if v != t]
-            order.insert(order.index(s) + 1, t)
-            ksgn = koszul_sign(sdegs, [v - 1 for v in order])
             pos = order.index(s)
-            local = ((-1) ** sum(sdegs[order[j] - 1] for j in range(pos))
-                     ) * ((-1) ** (sdegs[s - 1] + 1))
-            H, _ = contract_edge(G, e)
-            remap = {v: v - (1 if v > t else 0)
-                     for v in range(1, n + 1) if v != t}
-            newlabels = [None] * (n - 1)
-            for v in range(1, n + 1):
-                if v == t:
-                    continue
-                newlabels[remap[v] - 1] = labels[v - 1]
-            newlabels[remap[s] - 1] = _mono_name(prod)
-            el = GraphElement.from_term(table, H, tuple(newlabels),
-                                        ksgn * local * ps)
+            order.insert(pos + 1, t)
+            sgn = -ps * koszul_sign(sdegs, [v - 1 for v in order]) * (
+                (-1) ** sum(sdegs[v - 1] for v in order[:pos + 1]))
+            merged = list(labels)
+            merged[s - 1] = _mono_name(prod)
+            del merged[t - 1]  # contract_edge renumbers the vertices after t
+            el = GraphElement.from_term(table, contract_edge(G, e)[0],
+                                        merged, sgn)
             for k2, c2 in el.terms.items():
                 add_into(dh, k2, c2)
-        if dh:
-            dh_of_key[key] = dh
-
-    complete = (0, min(cw, cd))
-    cx = _assemble_complex(pieces_keys, key_bidegree, dv_of_key, dh_of_key,
-                           complete)
+        return dv, dh
 
     def key_cobracket(key):
-        out = {}
-        cb = cobracket(GraphElement(table, {key: Fraction(1)}))
-        for (k1, k2), c in cb.terms.items():
-            add_into(out, (k1, k2), c)
-        return out
+        return dict(cobracket(GraphElement(table, {key: Fraction(1)})).terms)
 
-    return DgComplexBundle(
-        "G_of_A", cx, A, (cw, cd), key_bidegree, dv_of_key, dh_of_key,
-        slot_table=table, monomial_of=mono_of, key_cobracket=key_cobracket)
+    return _bundle("G_of_A", A, (cw, cd), key_bidegree, differential,
+                   (0, min(cw, cd)), table=table, monomial_of=mono_of,
+                   key_cobracket=key_cobracket)
 
 
 # ---------------------------------------------------------------------------
-# word machinery shared by the 'A-hat' and 'C' builders
-
-def _sorted_word(letters, sdeg):
-    """Sort letter indices ascending; returns (word, sign) with the Koszul
-    sign of the sort, 0 when an odd letter repeats."""
-    seq = list(letters)
-    order = sorted(range(len(seq)), key=lambda i: seq[i])
-    sign = koszul_sign([sdeg[i] for i in seq], order)
-    word = tuple(seq[i] for i in order)
-    for a in range(len(word) - 1):
-        if word[a] == word[a + 1] and sdeg[word[a]] % 2:
-            return word, 0
-    return word, sign
-
-
-def _enumerate_words(letter_ids, sdeg, cap_letters, cap_degree):
-    out = []
-
-    def rec(i, cur, d):
-        if cur:
-            out.append(tuple(cur))
-        if len(cur) == cap_letters:
-            return
-        for j in range(i, len(letter_ids)):
-            lid = letter_ids[j]
-            nd = d + sdeg[lid]
-            if nd > cap_degree:
-                continue
-            if sdeg[lid] % 2 and cur and cur[-1] == lid:
-                continue
-            rec(j, cur + [lid], nd)
-
-    rec(0, [], 0)
-    return out
-
+# build_A_hat
 
 def build_A_hat(G, cap_letters=3, cap_degree=None):
     """Free graded-commutative algebra on the suspended basis of a graph or
     bar-word bundle; horizontal differential splits a letter along the
     cobracket, vertical extends the bundle's total differential."""
-    if not isinstance(G, DgComplexBundle) or not hasattr(G, "key_cobracket"):
+    if not isinstance(G, DgComplexBundle) or G.key_cobracket is None:
         raise InvalidInput(
             "build_A_hat needs a bundle with cobracket support "
             "(output of build_G or build_E)")
-    inner_lo, inner_hi = G.complex.complete_degrees
+    inner_hi = G.complex.complete_degrees[1]
     if cap_degree is None:
         cap_degree = inner_hi + 1
     letters = sorted(G.key_bidegree, key=lambda k: (G.key_bidegree[k], str(k)))
     index = {k: i for i, k in enumerate(letters)}
     sdeg = [G.key_bidegree[k][1] + 1 for k in letters]
     K = cap_letters + 1
-
-    words = _enumerate_words(range(len(letters)), sdeg, cap_letters,
-                             cap_degree)
-    pieces_keys = {}
-    key_bidegree = {}
-    for word in words:
-        bd = (K - len(word), sum(sdeg[i] for i in word))
-        pieces_keys.setdefault(bd, []).append(word)
-        key_bidegree[word] = bd
-
+    odd = {i: 1 for i, s in enumerate(sdeg) if s % 2}
+    key_bidegree = {
+        word: (K - len(word), sum(sdeg[i] for i in word))
+        for word in multisets(range(len(letters)), sdeg, cap_degree,
+                              cap_letters, odd)}
     complete = (0, min(cap_degree, inner_hi, 2 * cap_letters + 1))
+    emit = _sorted_emitter(sdeg, key_bidegree, complete[1])
 
-    def emit(acc, raw_letters, coeff):
-        w2, sgn = _sorted_word(raw_letters, sdeg)
-        if sgn and coeff:
-            if w2 not in key_bidegree:
-                bd = (K - len(w2), sum(sdeg[i] for i in w2))
-                assert bd[1] > complete[1], (
-                    f"word {w2} missing inside the complete range")
-                return
-            add_into(acc, w2, coeff * sgn)
+    @cache
+    def d_letter(i):
+        return [((index[k2],), -c)
+                for k2, c in G.differential_of_key(letters[i]).items()]
 
-    dv_of_key, dh_of_key = {}, {}
-    for word in words:
+    @cache
+    def split(i):
+        return [((index[k1], index[k2]),
+                 Fraction(1, 2) * (-1) ** G.key_bidegree[k1][1] * c)
+                for (k1, k2), c in G.key_cobracket(letters[i]).items()]
+
+    def differential(word, bd):
         dv, dh = {}, {}
-        for j, lid in enumerate(word):
-            pref = (-1) ** sum(sdeg[i] for i in word[:j])
-            for k2, c in G.differential_of_key(letters[lid]).items():
-                raw = word[:j] + (index[k2],) + word[j + 1:]
-                emit(dv, raw, -pref * c)
-            for (k1, k2), c in G.key_cobracket(letters[lid]).items():
-                raw = word[:j] + (index[k1], index[k2]) + word[j + 1:]
-                s1 = (-1) ** G.key_bidegree[k1][1]
-                emit(dh, raw, Fraction(1, 2) * pref * s1 * c)
-        if dv:
-            dv_of_key[word] = dv
-        if dh:
-            dh_of_key[word] = dh
+        for raw, c in _slotwise(word, sdeg, d_letter):
+            emit(dv, raw, c)
+        for raw, c in _slotwise(word, sdeg, split):
+            emit(dh, raw, c)
+        return dv, dh
 
-    cx = _assemble_complex(pieces_keys, key_bidegree, dv_of_key, dh_of_key,
-                           complete)
-    return DgComplexBundle(
-        "A_of_E", cx, G, (cap_letters, cap_degree), key_bidegree,
-        dv_of_key, dh_of_key, letters=letters, letter_sdeg=sdeg,
-        weight_offset=K)
+    return _bundle("A_of_E", G, (cap_letters, cap_degree), key_bidegree,
+                   differential, complete)
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +503,7 @@ def build_L(C, cap_weight=None, cap_degree=None):
 
     Degrees are re-indexed so both differentials raise the index by one:
     piece (K - word length, OFF - natural degree) with K = cap_weight + 1,
-    OFF = cap_degree + 1 (recorded as weight_offset / degree_offset)."""
+    OFF = cap_degree + 1."""
     cw, cd = _caps(C, cap_weight, cap_degree)
     for name in C.class_names:
         if C.class_degree[name] < 2:
@@ -545,23 +517,16 @@ def build_L(C, cap_weight=None, cap_degree=None):
     K = cw + 1
     OFF = cd + 1
 
-    pieces_keys = {}
     key_bidegree = {}
-    key_natural = {}
-    for content in _contents(table, cw, cd):
-        k, nat = _content_bidegree(table, content)
+    for content, (k, nat) in _contents(table, cw, cd):
         words, rel_ech = _content_reduction(table, content)
-        basis = [w for i, w in enumerate(words) if i not in rel_ech]
-        bd = (K - k, OFF - nat)
-        if basis:
-            pieces_keys.setdefault(bd, []).extend(basis)
-        for w in basis:
-            key_bidegree[w] = bd
-            key_natural[w] = (k, nat)
+        for i, w in enumerate(words):
+            if i not in rel_ech:
+                key_bidegree[w] = (K - k, OFF - nat)
 
-    def normalize(tree_terms, acc):
-        """tree_terms: {nested tree: coeff}; accumulate normal form."""
-        el = lie_normal_form(TreeElement(table, tree_terms))
+    def normalize(raw, coeff, acc):
+        """Accumulate the normal form of coeff * (the left comb on raw)."""
+        el = lie_normal_form(TreeElement(table, {tall_tree(raw): coeff}))
         for w, c in el.terms.items():
             if w not in key_bidegree:
                 k, nat = len(w), sum(table.degree[x] for x in w)
@@ -570,34 +535,24 @@ def build_L(C, cap_weight=None, cap_degree=None):
                 continue
             add_into(acc, w, c)
 
-    def nest_with(word, i, repl):
-        return tall_tree(word[:i] + (repl,) + word[i + 1:])
+    def d_letter(name):
+        return [((a,), -c) for c, a in C.codiff.get(name, ())]
 
-    dv_of_key, dh_of_key = {}, {}
-    for word, (k, nat) in key_natural.items():
-        sdegs = [table.degree[x] for x in word]
+    def split(name):
+        return [(((a, b),), Fraction(1, 2) * (-1) ** C.class_degree[a] * c)
+                for c, a, b in C.coprod.get(name, ())]
+
+    def differential(word, bd):
         dv, dh = {}, {}
-        for i, name in enumerate(word):
-            pref = (-1) ** sum(sdegs[:i])
-            for c, a in C.codiff.get(name, ()):
-                normalize({nest_with(word, i, a): -pref * c}, dv)
-            for c, a, b in C.coprod.get(name, ()):
-                s1 = (-1) ** C.class_degree[a]
-                normalize({nest_with(word, i, (a, b)):
-                           Fraction(1, 2) * pref * s1 * c}, dh)
-        if dv:
-            dv_of_key[word] = dv
-        if dh:
-            dh_of_key[word] = dh
+        for raw, c in _slotwise(word, table.degree, d_letter):
+            normalize(raw, c, dv)
+        for raw, c in _slotwise(word, table.degree, split):
+            normalize(raw, c, dh)
+        return dv, dh
 
     complete_nat_hi = min(cw, cd)  # natural degrees fully enumerated
-    complete = (OFF - complete_nat_hi, OFF - 1)
-    cx = _assemble_complex(pieces_keys, key_bidegree, dv_of_key, dh_of_key,
-                           complete)
-    return DgComplexBundle(
-        "L_of_C", cx, C, (cw, cd), key_bidegree, dv_of_key, dh_of_key,
-        letter_table=table, weight_offset=K, degree_offset=OFF,
-        key_natural=key_natural)
+    return _bundle("L_of_C", C, (cw, cd), key_bidegree, differential,
+                   (OFF - complete_nat_hi, OFF - 1), table=table)
 
 
 # ---------------------------------------------------------------------------
@@ -661,36 +616,20 @@ def build_C(L, cap_weight=None, cap_degree=None):
         cap_degree = cw * max(sdeg, default=1)
     OFF = cap_degree + 1
 
-    words = _enumerate_words(range(len(names)), sdeg, cw, cap_degree)
-    pieces_keys = {}
-    key_bidegree = {}
-    for word in words:
-        nat = sum(sdeg[i] for i in word)
-        bd = (len(word), OFF - nat)
-        pieces_keys.setdefault(bd, []).append(word)
-        key_bidegree[word] = bd
+    odd = {i: 1 for i, s in enumerate(sdeg) if s % 2}
+    key_bidegree = {
+        word: (len(word), OFF - sum(sdeg[i] for i in word))
+        for word in multisets(range(len(names)), sdeg, cap_degree, cw, odd)}
+    emit = _sorted_emitter(sdeg, key_bidegree, cap_degree)
 
-    complete_nat_hi = cap_degree
-    complete = (OFF - complete_nat_hi, OFF - 1)
+    def d_letter(i):
+        return [((names.index(m),), -c)
+                for c, m in L.differentials.get(names[i], ())]
 
-    def emit(acc, raw_letters, coeff):
-        w2, sgn = _sorted_word(raw_letters, sdeg)
-        if sgn and coeff:
-            if w2 not in key_bidegree:
-                nat = sum(sdeg[i] for i in w2)
-                assert len(w2) > cw or nat > cap_degree, (
-                    f"word {w2} missing inside caps")
-                return
-            add_into(acc, w2, coeff * sgn)
-
-    dv_of_key, dh_of_key = {}, {}
-    for word in words:
+    def differential(word, bd):
         dv, dh = {}, {}
-        for j, lid in enumerate(word):
-            pref = (-1) ** sum(sdeg[i] for i in word[:j])
-            for c, m in L.differentials.get(names[lid], ()):
-                raw = word[:j] + (names.index(m),) + word[j + 1:]
-                emit(dv, raw, -pref * c)
+        for raw, c in _slotwise(word, sdeg, d_letter):
+            emit(dv, raw, c)
         for p, q in combinations(range(len(word)), 2):
             vp, vq = names[word[p]], names[word[q]]
             terms = L.bracket(vp, vq)
@@ -704,16 +643,10 @@ def build_C(L, cap_weight=None, cap_degree=None):
                 raw = (word[:p] + (names.index(m),) + word[p + 1:q]
                        + word[q + 1:])
                 emit(dh, raw, sign * c)
-        if dv:
-            dv_of_key[word] = dv
-        if dh:
-            dh_of_key[word] = dh
+        return dv, dh
 
-    cx = _assemble_complex(pieces_keys, key_bidegree, dv_of_key, dh_of_key,
-                           complete)
-    return DgComplexBundle(
-        "C_of_L", cx, L, (cw, cap_degree), key_bidegree, dv_of_key,
-        dh_of_key, letter_names=names, letter_sdeg=sdeg, degree_offset=OFF)
+    return _bundle("C_of_L", L, (cw, cap_degree), key_bidegree, differential,
+                   (OFF - cap_degree, OFF - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -727,7 +660,8 @@ def harrison_shuffle_model(A, cap_weight=None, cap_degree=None):
     quotient itself, an echelon of shuffle relations per content, shares no
     machinery with build_E's pairing/cobracket solver."""
     cw, cd = _caps(A, cap_weight, cap_degree)
-    table, mono_of = _slot_alphabet(A, cd)
+    alphabet = _slot_alphabet(A, cd)
+    table = alphabet[0]
     comps = {}
 
     def comp(content):
@@ -755,7 +689,7 @@ def harrison_shuffle_model(A, cap_weight=None, cap_degree=None):
         for i, c in vec.items():
             add_into(acc, words[i], c)
 
-    return _bar_model("harrison", A, table, mono_of, (cw, cd),
+    return _bar_model("harrison", A, (cw, cd), alphabet,
                       lambda content: comp(content)[3], project_word)
 
 
@@ -836,18 +770,16 @@ def check_duality(A, C, cap_weight=None, cap_degree=None):
     _transpose_check(A, C, cd)
     E = build_E(A, cw, cd)
     L = build_L(C, cw, cd)
-    table_E = E.slot_table
-    table_L = L.letter_table
-    K, OFF = L.weight_offset, L.degree_offset
 
     def pair(bar, comb):
-        return element_pair(graphify(bar, table_E),
-                            TreeElement.from_term(table_L, tall_tree(comb)))
+        return element_pair(graphify(bar, E.table),
+                            TreeElement.from_term(L.table, tall_tree(comb)))
 
-    # collect L basis per natural bidegree
+    # collect L basis per natural bidegree (word length, degree sum)
     L_basis = {}
-    for wkey, (k, nat) in L.key_natural.items():
-        L_basis.setdefault((k, nat), []).append(wkey)
+    for w in L.key_bidegree:
+        nat = sum(L.table.degree[x] for x in w)
+        L_basis.setdefault((len(w), nat), []).append(w)
     E_basis = {}
     for word, bd in E.key_bidegree.items():
         E_basis.setdefault(bd, []).append(word)

@@ -22,7 +22,7 @@ from .elements import (
     TreeElement,
     koszul_sign,
 )
-from .linalg import Echelon
+from .linalg import Echelon, add_into
 from .pairing import element_pair
 
 __all__ = [
@@ -61,11 +61,7 @@ def cobracket(g):
             for key1, c1 in f1.terms.items():
                 for key2, c2 in f2.terms.items():
                     for pair, sgn in (((key1, key2), k12), ((key2, key1), -k21)):
-                        s = out.get(pair, Fraction(0)) + coeff * c1 * c2 * sgn
-                        if s:
-                            out[pair] = s
-                        else:
-                            out.pop(pair, None)
+                        add_into(out, pair, coeff * c1 * c2 * sgn)
     return TensorElement(table, out)
 
 
@@ -90,12 +86,7 @@ def _iterated_term(table, key, k):
         c2 = cobracket(_term_element(table, key))
         for (k1, k2), c in c2.terms.items():
             for keys, cc in _iterated_term(table, k1, k - 1).items():
-                full = keys + (k2,)
-                s = res.get(full, Fraction(0)) + c * cc
-                if s:
-                    res[full] = s
-                else:
-                    res.pop(full, None)
+                add_into(res, keys + (k2,), c * cc)
     _iter_cache[sig] = res
     return res
 
@@ -106,11 +97,7 @@ def iterated_cobracket(g, k):
     out = {}
     for key, c in g.terms.items():
         for keys, cc in _iterated_term(g.table, key, k).items():
-            s = out.get(keys, Fraction(0)) + c * cc
-            if s:
-                out[keys] = s
-            else:
-                out.pop(keys, None)
+            add_into(out, keys, c * cc)
     return TensorElement(g.table, out)
 
 

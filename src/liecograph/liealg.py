@@ -11,7 +11,7 @@ from fractions import Fraction
 from .errors import CapExceeded
 from .elements import TreeElement, _Element, _term_leaves
 from .graphcoalg import _distinct_arrangements, graphify
-from .linalg import Echelon, SparseMatrix
+from .linalg import Echelon, SparseMatrix, add_into
 from .pairing import element_pair
 from .shapes import tall_tree
 
@@ -28,12 +28,7 @@ def product(t1, t2):
     out = {}
     for k1, c1 in t1.terms.items():
         for k2, c2 in t2.terms.items():
-            key = (k1, k2)
-            s = out.get(key, Fraction(0)) + c1 * c2
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            add_into(out, (k1, k2), c1 * c2)
     return TreeElement(t1.table, out)
 
 
@@ -44,12 +39,6 @@ class LieElement(_Element):
     """Class in the free Lie algebra: coordinates over left-comb words whose
     leading slot carries the designated (minimal) generator of the content,
     reduced modulo the exact relation space of those words."""
-
-    def term_weight(self, key):
-        return len(key)
-
-    def term_degree(self, key):
-        return sum(self.table.degree[x] for x in key)
 
     def as_tree_element(self):
         return TreeElement(self.table,
@@ -98,11 +87,7 @@ def _combs_of_term(table, key):
     for u, cu in L.items():
         for v, cv in R.items():
             for w, c in _br_words(table, u, v).items():
-                s = out.get(w, Fraction(0)) + cu * cv * c
-                if s:
-                    out[w] = s
-                else:
-                    out.pop(w, None)
+                add_into(out, w, cu * cv * c)
     return out
 
 

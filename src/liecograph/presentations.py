@@ -20,9 +20,37 @@ import re
 from fractions import Fraction
 
 from .errors import InvalidPresentation, ParseError
+from .linalg import add_into
 
 DEFAULT_CAP_WEIGHT = 5
 DEFAULT_CAP_DEGREE = 12
+
+
+def multisets(items, degree, max_degree, max_size=None, max_mult=None):
+    """Nonempty multisets over items, as tuples in the order of items, of
+    total degree (degree[x] summed) at most max_degree, with at most max_size
+    elements and each x at most max_mult[x] times (unbounded where None or
+    absent).  Depth-first order: each multiset comes right before its
+    extensions."""
+    items = list(items)
+    max_mult = max_mult or {}
+    out = []
+
+    def rec(start, cur, deg, run):
+        # run: multiplicity of cur[-1], which is items[start]
+        if cur:
+            out.append(tuple(cur))
+        if len(cur) == max_size:
+            return
+        for j in range(start, len(items)):
+            x = items[j]
+            d = deg + degree[x]
+            m = run + 1 if cur and j == start else 1
+            if d <= max_degree and m <= max_mult.get(x, m):
+                rec(j, cur + [x], d, m)
+
+    rec(0, [], 0, 0)
+    return out
 
 
 class DgcaPresentation:
@@ -93,34 +121,17 @@ class DgcaPresentation:
             for m2, c2 in p2.items():
                 m, s = self.multiply(m1, m2)
                 if s:
-                    v = out.get(m, Fraction(0)) + s * c1 * c2
-                    if v:
-                        out[m] = v
-                    else:
-                        out.pop(m, None)
+                    add_into(out, m, s * c1 * c2)
         return out
 
     def monomials(self, max_degree):
         """All basis monomials of the augmentation ideal with degree bound,
         deterministically ordered (by degree, then lexicographically)."""
-        out = []
-
-        def rec(i, current, deg):
-            if current:
-                out.append(tuple(current))
-            for j in range(i, len(self.gen_names)):
-                g = self.gen_names[j]
-                dg = self.gen_degree[g]
-                if deg + dg > max_degree:
-                    continue
-                count = current.count(g)
-                if dg % 2 and count >= 1:
-                    continue
-                if g in self.relations and count + 1 >= self.relations[g]:
-                    continue
-                rec(j, current + [g], deg + dg)
-
-        rec(0, [], 0)
+        cap = {g: 1 if self.gen_degree[g] % 2 else self.relations[g] - 1
+               for g in self.gen_names
+               if self.gen_degree[g] % 2 or g in self.relations}
+        out = multisets(self.gen_names, self.gen_degree, max_degree,
+                        max_mult=cap)
         out.sort(key=lambda m: (self.monomial_degree(m),
                                 tuple(self.order[x] for x in m)))
         return out
@@ -137,22 +148,14 @@ class DgcaPresentation:
             for mu, c in dg.items():
                 m2, s2 = self.normalize_monomial(prefix + mu + suffix)
                 if s2:
-                    v = out.get(m2, Fraction(0)) + sgn * s2 * c
-                    if v:
-                        out[m2] = v
-                    else:
-                        out.pop(m2, None)
+                    add_into(out, m2, sgn * s2 * c)
         return out
 
     def differential_of_poly(self, p):
         out = {}
         for m, c in p.items():
             for m2, c2 in self.differential_of_monomial(m).items():
-                v = out.get(m2, Fraction(0)) + c * c2
-                if v:
-                    out[m2] = v
-                else:
-                    out.pop(m2, None)
+                add_into(out, m2, c * c2)
         return out
 
     def _validate(self):
@@ -250,6 +253,16 @@ _COPROD_RE = re.compile(r"^coprod\s+(\w[\w*]*)\s*=\s*(.*)$")
 _CAP_RE = re.compile(r"^cap\s+weight\s+(\d+)\s+degree\s+(\d+)$")
 
 
+def parse_rational(text, line=None, col=None):
+    """The Fraction of a literal `n` or `n/m`; a zero denominator is a
+    ParseError at the given line and column."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"invalid number {text!r}", line=line,
+                         col=col) from None
+
+
 def _tokenize_poly(text, lineno):
     toks = re.findall(r"\d+/\d+|\d+|\w+|\^|\*|\+|-|\(|\)", text)
     if "".join(toks).replace(" ", "") != text.replace(" ", ""):
@@ -285,11 +298,14 @@ def parse_polynomial(text, lineno=None):
                 continue
             t = take()
             if re.fullmatch(r"\d+/\d+|\d+", t):
-                coeff *= Fraction(t)
+                coeff *= parse_rational(t, lineno)
             elif re.fullmatch(r"\w+", t):
                 power = 1
                 if peek() == "^":
                     take()
+                    if not re.fullmatch(r"\d+", peek() or ""):
+                        raise ParseError(f"'^' needs an integer exponent in "
+                                         f"{text!r}", line=lineno)
                     power = int(take())
                 factors.extend([t] * power)
             else:
@@ -367,7 +383,7 @@ def _parse_coprod_rhs(text, lineno):
             r"(?:(\d+(?:/\d+)?)\s*\*?\s*)?(\w[\w*]*)\s*\(x\)\s*(\w[\w*]*)", part)
         if not m:
             raise ParseError(f"cannot parse coproduct term {part!r}", line=lineno)
-        coeff = Fraction(m.group(1)) if m.group(1) else Fraction(1)
+        coeff = parse_rational(m.group(1) or "1", lineno)
         out.append((sgn * coeff, m.group(2), m.group(3)))
     return out
 
@@ -384,6 +400,6 @@ def _parse_codiff_rhs(text, lineno):
         m = re.fullmatch(r"(?:(\d+(?:/\d+)?)\s*\*?\s*)?(\w[\w*]*)", part)
         if not m:
             raise ParseError(f"cannot parse term {part!r}", line=lineno)
-        coeff = Fraction(m.group(1)) if m.group(1) else Fraction(1)
+        coeff = parse_rational(m.group(1) or "1", lineno)
         out.append((sgn * coeff, m.group(2)))
     return out

@@ -216,6 +216,37 @@ class TestErrorsAndCaps:
         assert code == 1 and out == "" and "CapExceeded" in err
         assert "Traceback" not in err and len(err.strip().split("\n")) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("pair", "1/0*a|b", "[a,b]", "--gens", "a:2,b:2"),
+        ("cobracket", "G[x;](a)", "--gens", "a:2"),
+        ("pair", "G[2;1->x](a,b)", "[a,b]", "--gens", "a:2,b:2"),
+        ("iszero", "a|a", "--gens", "a:0"),
+        ("iszero", "a|a", "--gens", "a:2,a:3"),
+    ], ids=["zero-denominator", "graph-size", "graph-edge", "gens-degree",
+            "gens-duplicate"])
+    def test_malformed_expression_exits_1(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and "ParseError" in err
+        assert re.search(r"col \d+", err) and "Traceback" not in err
+        assert len(err.strip().split("\n")) == 1
+
+    @pytest.mark.parametrize("text", [
+        "gen x deg 2\ngen y deg 3\ndiff y = 1/0 * x^2\n",
+        "gen x deg 2\ngen y deg 3\ndiff y = x^\n",
+        "gen x deg 2\ngen y deg 3\ndiff y = x^x\n",
+        "cogen u deg 2\ncogen v deg 4\ncoprod v = 1/0 u (x) u\n",
+        "cogen u deg 2\ncogen v deg 3\ncodiff v = 1/0 u\n",
+    ], ids=["diff-zero-denominator", "diff-missing-exponent",
+            "diff-name-exponent", "coprod-zero-denominator",
+            "codiff-zero-denominator"])
+    def test_malformed_presentation_exits_1(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.alg"
+        path.write_text(text)
+        code, out, err = run(capsys, "pi", str(path))
+        assert code == 1 and out == "" and "ParseError" in err
+        assert "line 3" in err and "Traceback" not in err
+        assert len(err.strip().split("\n")) == 1
+
     def test_cap_too_small_exits_2(self, capsys):
         code, _, err = run(capsys, "pi", S2, "--window", "2..8",
                            "--cap-weight", "3", "--cap-degree", "4")

@@ -48,7 +48,7 @@ def GE(sullivan):
 class TestGraphToWordProjection:
     def test_projection_is_a_chain_map(self, GE):
         G, E = GE
-        table = E.slot_table
+        table = E.table
 
         def project(terms):
             return E.project_element(GraphElement(table, terms))
@@ -73,11 +73,21 @@ class TestGraphToWordProjection:
 
     def test_relation_classes_project_to_zero(self, GE, sullivan):
         G, E = GE
-        table = E.slot_table
+        table = E.table
         for kind in ("arrow_reversing", "arnold"):
             for el in relation_generators(kind, table,
                                           ("x", "x", "y")):
                 assert E.project_element(el) == {}
+
+
+class TestAHatInput:
+    @pytest.mark.parametrize("make", [
+        lambda A: harrison_shuffle_model(A, 3, 6),
+        lambda A: build_L(dualize(A, 6), 3, 6),
+    ], ids=["harrison", "L"])
+    def test_bundle_without_cobracket_refused(self, sullivan, make):
+        with pytest.raises(InvalidInput):
+            build_A_hat(make(sullivan), 3)
 
 
 class TestWordModel:

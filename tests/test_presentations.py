@@ -1,11 +1,15 @@
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from liecograph.errors import InvalidPresentation, ParseError
+from liecograph.errors import InvalidPresentation, LiecographError, ParseError
 from liecograph.presentations import (
     DgcaPresentation,
     DgccPresentation,
+    multisets,
     parse_polynomial,
     parse_presentation,
 )
@@ -107,3 +111,53 @@ class TestPolynomials:
         q = {("u",): Fraction(1)}
         assert A.poly_multiply(p, q) == {("t", "u"): Fraction(1)}
         assert A.poly_multiply(q, p) == {("t", "u"): Fraction(-1)}
+
+
+class TestMultisets:
+    ITEMS = ["a", "b", "c"]
+    DEGREE = {"a": 1, "b": 2, "c": 3}
+
+    @pytest.mark.parametrize("max_mult", [None, {"a": 1}, {"a": 2, "c": 1}])
+    @pytest.mark.parametrize("max_size", [None, 1, 2, 4])
+    def test_matches_brute_force(self, max_size, max_mult):
+        """Every bounded multiset exactly once, in lexicographic order of
+        item positions (the depth-first order)."""
+        for max_degree in range(10):
+            got = multisets(self.ITEMS, self.DEGREE, max_degree, max_size,
+                            max_mult)
+            sizes = range(1, (max_size or max_degree) + 1)
+            want = [c for n in sizes
+                    for c in combinations_with_replacement(self.ITEMS, n)
+                    if sum(self.DEGREE[x] for x in c) <= max_degree
+                    and all(c.count(x) <= (max_mult or {}).get(x, n)
+                            for x in self.ITEMS)]
+            want.sort(key=lambda c: [self.ITEMS.index(x) for x in c])
+            assert got == want, (max_degree, max_size, max_mult)
+
+
+# presentation lines built from the file format's own tokens
+_NAMES = st.sampled_from(["x", "y", "u", "v", "x*x"])
+_NUMBERS = st.one_of(st.integers(0, 30).map(str),
+                     st.sampled_from(["1/0", "3/2", "0/4", "2/0"]))
+_ATOMS = st.one_of(_NAMES, _NUMBERS, st.sampled_from(
+    ["^", "*", "+", "-", "(x)", "\u2297", "=", "deg", "0"]))
+_RHS = st.lists(_ATOMS, max_size=7).map(" ".join)
+_LINES = st.one_of(
+    st.builds("{} {} deg {}".format, st.sampled_from(["gen", "cogen"]),
+              _NAMES, _NUMBERS),
+    st.builds("rel {}^{} = 0".format, _NAMES, _NUMBERS),
+    st.builds("{} {} = {}".format,
+              st.sampled_from(["diff", "codiff", "coprod"]), _NAMES, _RHS),
+    st.builds("cap weight {} degree {}".format, _NUMBERS, _NUMBERS),
+    _RHS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_LINES, max_size=6).map("\n".join))
+def test_parse_presentation_fuzz(text):
+    """Any text either parses or is refused with a LiecographError."""
+    try:
+        P = parse_presentation(text)
+    except LiecographError:
+        return
+    assert isinstance(P, (DgcaPresentation, DgccPresentation))
