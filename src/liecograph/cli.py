@@ -31,6 +31,7 @@ from .presentations import (
     DEFAULT_CAP_WEIGHT,
     DgcaPresentation,
     DgccPresentation,
+    parse_int,
     parse_presentation,
     parse_rational,
 )
@@ -162,7 +163,7 @@ class _ExprParser:
         if not re.fullmatch(r"\d+", tok):
             raise ParseError(f"expected an integer, found {tok!r}", line=1,
                              col=col)
-        return int(tok)
+        return parse_int(tok, 1, col)
 
     def parse_graph_literal(self):
         self.take("G")
@@ -267,7 +268,7 @@ def _parse_gens(spec):
         if not m:
             raise ParseError(f"cannot parse generator spec {part!r}",
                              line=1, col=col)
-        name, deg = m.group(1), int(m.group(2))
+        name, deg = m.group(1), parse_int(m.group(2), 1, col + m.start(2))
         if name in gens:
             raise ParseError(f"duplicate generator {name!r}", line=1, col=col)
         if deg < 1:
@@ -319,8 +320,8 @@ def _caps_from_args(args, default):
     env = os.environ.get("LIECOGRAPH_CAP_OVERRIDE")
     if env:
         try:
-            ew, ed = (int(x) for x in env.split(","))
-        except ValueError:
+            ew, ed = (parse_int(x) for x in env.split(","))
+        except (ValueError, ParseError):
             raise ParseError(
                 f"LIECOGRAPH_CAP_OVERRIDE must be 'weight,degree', got {env!r}")
         cw = cw if cw is not None else ew
@@ -333,7 +334,7 @@ def _parse_window(text):
     m = re.fullmatch(r"(\d+)\.\.(\d+)", text)
     if not m:
         raise ParseError(f"window must look like 2..8, got {text!r}")
-    lo, hi = int(m.group(1)), int(m.group(2))
+    lo, hi = (parse_int(m.group(i), 1, m.start(i) + 1) for i in (1, 2))
     if lo > hi:
         raise ParseError(f"empty window {text!r}")
     return lo, hi

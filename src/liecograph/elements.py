@@ -191,17 +191,6 @@ class TreeElement(_Element):
             self.terms.items(), key=lambda kv: str(kv[0])))
 
 
-def _term_leaves(key):
-    if isinstance(key, str):
-        return (key,)
-    return _term_leaves(key[0]) + _term_leaves(key[1])
-
-
-def tree_term_labels(key):
-    """Leaf names of a tree term key, left to right."""
-    return _term_leaves(key)
-
-
 def tree_term_shape(key):
     """The underlying planar tree with leaves labeled by position 1..n."""
     counter = [0]

@@ -18,8 +18,9 @@ differential.
 
 All six builders share one skeleton.  A builder lists its basis keys in
 order with their (w, d) pieces and says how to differentiate one key;
-`_bundle` groups the keys into pieces, checks that every differential term
-lands in its target piece and assembles the sparse matrices and the bundle.
+`_bundle` collects the two differentials as key-indexed columns into a
+BigradedComplex, which groups the keys into pieces and checks that every
+differential term lands in its target piece.
 Every internal differential, and the letter-splitting differentials of
 build_A_hat and build_L, is a map on letters extended slot by slot with the
 Koszul sign (`_slotwise`); the structure terms (edge contraction, adjacent
@@ -43,7 +44,6 @@ from .errors import (
     NotSimplyConnected,
 )
 from .linalg import (
-    BasedSpace,
     BigradedComplex,
     Echelon,
     SparseMatrix,
@@ -97,7 +97,8 @@ class DgComplexBundle:
 
     kind: E_of_A | G_of_A | A_of_E | L_of_C | C_of_L | harrison.
     key_bidegree maps each basis key to its (w, d) piece; dv_of_key /
-    dh_of_key give the two differentials as key-indexed sparse columns.
+    dh_of_key give the two differentials as key-indexed sparse columns.  All
+    three are the complex's own dicts (BigradedComplex holds the only copy).
 
     The remaining fields are None unless the builder named sets them:
       table           GeneratorTable the keys are written in: the
@@ -111,24 +112,22 @@ class DgComplexBundle:
       project_element GraphElement over the table -> bar-basis coordinates
                       of its class (build_E)."""
 
-    def __init__(self, kind, complex, presentation, caps, key_bidegree,
-                 dv_of_key, dh_of_key, table=None, monomial_of=None,
-                 key_cobracket=None, project_element=None):
+    def __init__(self, kind, complex, presentation, caps, table=None,
+                 monomial_of=None, key_cobracket=None, project_element=None):
         self.kind = kind
         self.complex = complex
         self.presentation = presentation
         self.caps = caps
-        self.key_bidegree = key_bidegree
-        self.dv_of_key = dv_of_key
-        self.dh_of_key = dh_of_key
+        self.key_bidegree = complex.key_bidegree
+        self.dv_of_key = complex.dv
+        self.dh_of_key = complex.dh
         self.table = table
         self.monomial_of = monomial_of
         self.key_cobracket = key_cobracket
         self.project_element = project_element
 
     def dims(self):
-        return {bd: sp.dimension for bd, sp in self.complex.pieces.items()
-                if sp.dimension}
+        return {bd: len(keys) for bd, keys in self.complex.pieces.items()}
 
     def differential_of_key(self, key):
         out = dict(self.dv_of_key.get(key, ()))
@@ -152,12 +151,7 @@ def _bundle(kind, source, caps, key_bidegree, differential, complete,
             project_element=None):
     """Bundle of the complex on the ordered basis key_bidegree (key ->
     (w, d)); differential(key, (w, d)) returns (dv, dh), two {key: coeff}
-    dicts landing in (w, d + 1) and (w - 1, d + 1).  Each piece lists its
-    keys in key_bidegree order."""
-    pieces_keys = {}
-    for key, bd in key_bidegree.items():
-        pieces_keys.setdefault(bd, []).append(key)
-    index = {k: j for keys in pieces_keys.values() for j, k in enumerate(keys)}
+    dicts landing in (w, d + 1) and (w - 1, d + 1)."""
     dv_of_key, dh_of_key = {}, {}
     for key, bd in key_bidegree.items():
         dv, dh = differential(key, bd)
@@ -165,25 +159,9 @@ def _bundle(kind, source, caps, key_bidegree, differential, complete,
             dv_of_key[key] = dv
         if dh:
             dh_of_key[key] = dh
-    matrices = []
-    for of_key, dw in ((dv_of_key, 0), (dh_of_key, -1)):
-        cols = {}
-        for key, terms in of_key.items():
-            w, d = key_bidegree[key]
-            for k2, c in terms.items():
-                assert key_bidegree[k2] == (w + dw, d + 1), (
-                    f"differential term leaves its target piece: "
-                    f"{key} ({w},{d}) -> {k2} {key_bidegree[k2]}")
-                cols.setdefault((w, d), {})[(index[k2], index[key])] = c
-        matrices.append({
-            (w, d): SparseMatrix(len(pieces_keys.get((w + dw, d + 1), ())),
-                                 len(pieces_keys[(w, d)]), entries)
-            for (w, d), entries in cols.items()})
-    cx = BigradedComplex(
-        {bd: BasedSpace(keys) for bd, keys in pieces_keys.items()},
-        *matrices, complete)
-    return DgComplexBundle(kind, cx, source, caps, key_bidegree, dv_of_key,
-                           dh_of_key, table=table, monomial_of=monomial_of,
+    cx = BigradedComplex(key_bidegree, dv_of_key, dh_of_key, complete)
+    return DgComplexBundle(kind, cx, source, caps, table=table,
+                           monomial_of=monomial_of,
                            key_cobracket=key_cobracket,
                            project_element=project_element)
 

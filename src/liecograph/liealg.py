@@ -9,11 +9,11 @@ nested tuples of generator names.
 from fractions import Fraction
 
 from .errors import CapExceeded
-from .elements import TreeElement, _Element, _term_leaves
-from .graphcoalg import _distinct_arrangements, graphify
+from .elements import TreeElement, _Element
+from .graphcoalg import _distinct_arrangements, _table_sig, graphify
 from .linalg import Echelon, SparseMatrix, add_into
 from .pairing import element_pair
-from .shapes import tall_tree
+from .shapes import tall_tree, tree_leaves
 
 __all__ = ["product", "bracket", "lie_normal_form", "tensor_expand", "LieElement"]
 
@@ -116,8 +116,7 @@ def _content_reduction(table, content):
 
     Relations are detected through the configuration pairing against long
     graphs over all arrangements, which separates free-Lie classes."""
-    sig = (tuple(zip(table.names, (table.degree[x] for x in table.names))),
-           content)
+    sig = (_table_sig(table), content)
     hit = _kernel_cache.get(sig)
     if hit is not None:
         return hit
@@ -154,7 +153,7 @@ def lie_normal_form(t):
     table = t.table
     acc = {}
     for key, coeff in t.terms.items():
-        n = len(_term_leaves(key))
+        n = len(tree_leaves(key))
         if n > LIE_CAP:
             raise CapExceeded(f"Lie normal form capped at weight <= {LIE_CAP}")
         for w, c in _combs_of_term(table, key).items():
@@ -199,8 +198,8 @@ def _expand_term(table, key):
         return {(key,): Fraction(1)}
     L = _expand_term(table, key[0])
     R = _expand_term(table, key[1])
-    dl = sum(table.degree[x] for x in _term_leaves(key[0]))
-    dr = sum(table.degree[x] for x in _term_leaves(key[1]))
+    dl = sum(table.degree[x] for x in tree_leaves(key[0]))
+    dr = sum(table.degree[x] for x in tree_leaves(key[1]))
     sgn = (-1) ** (dl * dr)
     out = {}
     for u, cu in L.items():

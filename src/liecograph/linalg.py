@@ -3,9 +3,12 @@
 `Echelon` is the single exact elimination kernel: every rank, kernel, span,
 inverse and quotient normal form over Q in the package is a row reduction
 through it.  `integer_matrix_rank` is the certified numpy path for large
-integer matrices.  On top sit sparse matrices with Fraction entries and
-bigraded complexes (two anticommuting degree-+1 differentials) with total
-homology and spectral-sequence page dimensions for the weight filtration.
+integer matrices.  On top sit sparse matrices with Fraction entries (rank,
+kernel, apply) and bigraded complexes: basis keys in (weight, degree) pieces
+with two anticommuting degree-+1 differentials held once, as key-indexed
+sparse columns.  Total homology and the spectral-sequence page dimensions
+for the weight filtration read the total differential, which lays the
+pieces of each degree out by ascending weight.
 
 No floating point ever enters a result: the numpy fast path is used only for
 modular candidate discovery and for integer matrix products whose entries are
@@ -19,7 +22,6 @@ from math import gcd
 from .errors import CapTooSmall
 
 __all__ = [
-    "BasedSpace",
     "Echelon",
     "SparseMatrix",
     "integer_matrix_rank",
@@ -124,26 +126,6 @@ class Echelon:
         return out
 
 
-class BasedSpace:
-    """An ordered basis of opaque, hashable keys."""
-
-    def __init__(self, basis):
-        self.basis = list(basis)
-        self.index = {k: i for i, k in enumerate(self.basis)}
-        if len(self.index) != len(self.basis):
-            raise ValueError("basis keys not pairwise distinct")
-
-    @property
-    def dimension(self):
-        return len(self.basis)
-
-    def __len__(self):
-        return len(self.basis)
-
-    def __repr__(self):
-        return f"BasedSpace(dim={len(self.basis)})"
-
-
 class SparseMatrix:
     """rows x cols matrix over Q; entries stored as {(i, j): Fraction},
     zeros never stored."""
@@ -159,56 +141,6 @@ class SparseMatrix:
                 v = Fraction(v)
                 if v:
                     self.entries[(i, j)] = v
-
-    @classmethod
-    def identity(cls, n):
-        return cls(n, n, {(i, i): Fraction(1) for i in range(n)})
-
-    def __getitem__(self, ij):
-        return self.entries.get(ij, Fraction(0))
-
-    def is_zero(self):
-        return not self.entries
-
-    def transpose(self):
-        return SparseMatrix(
-            self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()}
-        )
-
-    def add(self, other):
-        assert (self.rows, self.cols) == (other.rows, other.cols)
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            add_into(out, k, v)
-        return SparseMatrix(self.rows, self.cols, out)
-
-    def scale(self, c):
-        c = Fraction(c)
-        if not c:
-            return SparseMatrix(self.rows, self.cols)
-        return SparseMatrix(
-            self.rows, self.cols, {k: c * v for k, v in self.entries.items()}
-        )
-
-    def mul(self, other):
-        """self @ other (self: m x n, other: n x p)."""
-        assert self.cols == other.rows
-        by_row = {}
-        for (i, j), v in self.entries.items():
-            by_row.setdefault(i, []).append((j, v))
-        by_row2 = {}
-        for (j, k), w in other.entries.items():
-            by_row2.setdefault(j, []).append((k, w))
-        out = {}
-        for i, row in by_row.items():
-            acc = {}
-            for j, v in row:
-                for k, w in by_row2.get(j, ()):
-                    acc[k] = acc.get(k, Fraction(0)) + v * w
-            for k, s in acc.items():
-                if s:
-                    out[(i, k)] = s
-        return SparseMatrix(self.rows, other.cols, out)
 
     def apply(self, vec):
         """Matrix times a sparse column vector {index: Fraction}."""
@@ -451,42 +383,47 @@ def _verify_membership(A, pivcols, adj, delta, R, bound, chunk):
 # ---------------------------------------------------------------------------
 # bigraded complexes
 
+def _apply(of_key, vec, out):
+    """Accumulate the key map of_key applied to the key vector vec into out."""
+    for k, c in vec.items():
+        for k2, c2 in of_key.get(k, {}).items():
+            add_into(out, k2, c * c2)
+    return out
+
+
 class BigradedComplex:
-    """Pieces indexed by (weight w >= 1, degree d >= 0), with
-    d_vertical: (w, d) -> (w, d+1) and d_horizontal: (w, d) -> (w-1, d+1).
+    """Basis keys in pieces (weight w >= 1, degree d >= 0) with two
+    differentials held once, as key-indexed sparse columns: dv[key] =
+    {key2: coeff} lands in (w, d+1) and dh[key] in (w-1, d+1).  Each piece
+    lists its keys in the order of key_bidegree (key -> (w, d)).
 
     `complete_degrees` is the inclusive degree range within which every
     contributing piece is present (cap metadata recorded by the builder);
     reporting operations refuse windows outside it rather than silently
     truncating."""
 
-    def __init__(self, pieces, d_vertical, d_horizontal, complete_degrees):
-        self.pieces = dict(pieces)          # (w,d) -> BasedSpace
-        self.d_vertical = dict(d_vertical)  # (w,d) -> SparseMatrix
-        self.d_horizontal = dict(d_horizontal)
+    def __init__(self, key_bidegree, dv, dh, complete_degrees):
+        self.key_bidegree = key_bidegree
+        self.dv = dv
+        self.dh = dh
         self.complete_degrees = tuple(complete_degrees)
+        self.pieces = {}  # (w, d) -> [keys]
+        for key, bd in key_bidegree.items():
+            self.pieces.setdefault(bd, []).append(key)
+        for of_key, dw in ((dv, 0), (dh, -1)):
+            for key, terms in of_key.items():
+                w, d = key_bidegree[key]
+                for k2 in terms:
+                    if key_bidegree.get(k2) != (w + dw, d + 1):
+                        raise AssertionError(
+                            f"differential term leaves its target piece: "
+                            f"{key} ({w},{d}) -> {k2} {key_bidegree.get(k2)}")
 
     def dim(self, w, d):
-        sp = self.pieces.get((w, d))
-        return sp.dimension if sp is not None else 0
-
-    def dv(self, w, d):
-        m = self.d_vertical.get((w, d))
-        if m is None:
-            return SparseMatrix(self.dim(w, d + 1), self.dim(w, d))
-        return m
-
-    def dh(self, w, d):
-        m = self.d_horizontal.get((w, d))
-        if m is None:
-            return SparseMatrix(self.dim(w - 1, d + 1), self.dim(w, d))
-        return m
+        return len(self.pieces.get((w, d), ()))
 
     def weights(self):
         return sorted({w for (w, _) in self.pieces})
-
-    def degrees(self):
-        return sorted({d for (_, d) in self.pieces})
 
     def check_window(self, d_lo, d_hi):
         lo, hi = self.complete_degrees
@@ -499,14 +436,14 @@ class BigradedComplex:
     def validate(self):
         """Entry-exact check of dv^2 = 0, dh^2 = 0, dv dh + dh dv = 0 on every
         piece present.  Raises AssertionError with the offending bidegree."""
-        for (w, d) in self.pieces:
-            a = self.dv(w, d + 1).mul(self.dv(w, d))
-            assert a.is_zero(), f"dv^2 != 0 at (w={w}, d={d})"
-            b = self.dh(w - 1, d + 1).mul(self.dh(w, d))
-            assert b.is_zero(), f"dh^2 != 0 at (w={w}, d={d})"
-            c = self.dh(w, d + 1).mul(self.dv(w, d)).add(
-                self.dv(w - 1, d + 1).mul(self.dh(w, d)))
-            assert c.is_zero(), f"anticommutator != 0 at (w={w}, d={d})"
+        dv, dh = self.dv, self.dh
+        for (w, d), keys in self.pieces.items():
+            for name, f in (("dv^2", dv), ("dh^2", dh)):
+                assert not any(_apply(f, f.get(k, {}), {}) for k in keys), (
+                    f"{name} != 0 at (w={w}, d={d})")
+            assert not any(
+                _apply(dh, dv.get(k, {}), _apply(dv, dh.get(k, {}), {}))
+                for k in keys), f"anticommutator != 0 at (w={w}, d={d})"
 
     # -- total complex -----------------------------------------------------
 
@@ -522,20 +459,18 @@ class BigradedComplex:
         return offs, t
 
     def total_differential(self, d):
-        """SparseMatrix T^d -> T^{d+1} for D = dv + dh."""
+        """SparseMatrix T^d -> T^{d+1} for D = dv + dh; a key's coordinate is
+        its piece's weight offset plus its position in the piece."""
         offs_d, nd = self.total_offsets(d)
         offs_t, nt = self.total_offsets(d + 1)
+        row = {k: off + i for w, off in offs_t.items()
+               for i, k in enumerate(self.pieces[(w, d + 1)])}
         entries = {}
         for w, off in offs_d.items():
-            for mat, wt in ((self.dv(w, d), w), (self.dh(w, d), w - 1)):
-                if wt not in offs_t:
-                    if not mat.is_zero():
-                        raise AssertionError(
-                            f"differential leaves declared pieces at (w={w}, d={d})")
-                    continue
-                ot = offs_t[wt]
-                for (i, j), v in mat.entries.items():
-                    add_into(entries, (ot + i, off + j), v)
+            for j, key in enumerate(self.pieces[(w, d)]):
+                for of_key in (self.dv, self.dh):
+                    for k2, c in of_key.get(key, {}).items():
+                        entries[(row[k2], off + j)] = c
         return SparseMatrix(nt, nd, entries)
 
 
@@ -554,51 +489,15 @@ def total_homology(C, window):
     return out
 
 
-def _filtered_cycle_space(C, w, d, r):
-    """Basis (sparse vectors in T^d coordinates) of
+def _filtered_cycle_space(D, col_end, row_start):
+    """Kernel basis (sparse vectors in T^d coordinates) of D : T^d -> T^{d+1}
+    restricted to the columns < col_end and the rows >= row_start.  With the
+    pieces laid out by ascending weight, F_w T^d is a column prefix and the
+    weights > w - r are a row suffix, so this is
     Z_r^{w,d} = {x supported in weights <= w : Dx supported in weights <= w-r}."""
-    offs_d, _ = C.total_offsets(d)
-    offs_t, _ = C.total_offsets(d + 1)
-    dom_cols = []  # (w', local j) -> col order
-    for wp in sorted(offs_d):
-        if wp <= w:
-            for j in range(C.dim(wp, d)):
-                dom_cols.append((wp, j))
-    colidx = {key: i for i, key in enumerate(dom_cols)}
-    D = C.total_differential(d)
-    inv_t = {}
-    for wp, off in offs_t.items():
-        for i in range(C.dim(wp, d + 1)):
-            inv_t[off + i] = (wp, i)
-    inv_d = {}
-    for wp, off in offs_d.items():
-        for jj in range(C.dim(wp, d)):
-            inv_d[off + jj] = (wp, jj)
-    row_remap = {}
-    nrow = 0
-    M = {}
-    for (i, j), v in D.entries.items():
-        wp_t, _ = inv_t[i]
-        if wp_t <= w - r:
-            continue
-        key_col = inv_d[j]
-        if key_col not in colidx:
-            continue
-        if i not in row_remap:
-            row_remap[i] = nrow
-            nrow += 1
-        M[(row_remap[i], colidx[key_col])] = v
-    mat = SparseMatrix(max(nrow, 1), len(dom_cols), M)
-    kern = mat.kernel()
-    # express kernel vectors in full T^d coordinates
-    out = []
-    for vec in kern:
-        full = {}
-        for cj, val in vec.items():
-            wp, jj = dom_cols[cj]
-            full[offs_d[wp] + jj] = val
-        out.append(full)
-    return out
+    entries = {(i - row_start, j): v for (i, j), v in D.entries.items()
+               if j < col_end and i >= row_start}
+    return SparseMatrix(D.rows - row_start, col_end, entries).kernel()
 
 
 def spectral_pages(C, max_page, window=None):
@@ -613,24 +512,29 @@ def spectral_pages(C, max_page, window=None):
         window = (lo + 1, hi - 1)
     d_lo, d_hi = window
     C.check_window(d_lo - 1, d_hi + 1)
-    pages = []
-    page0 = {}
-    for (w, d), sp in C.pieces.items():
-        if d_lo <= d <= d_hi and sp.dimension:
-            page0[(w, d)] = sp.dimension
-    pages.append(page0)
+    pages = [{(w, d): len(keys) for (w, d), keys in C.pieces.items()
+              if d_lo <= d <= d_hi}]
     weights = C.weights()
+    Ds = {d: C.total_differential(d) for d in range(d_lo - 1, d_hi + 1)}
+    layout = {d: C.total_offsets(d) for d in range(d_lo - 1, d_hi + 2)}
+
+    def end(d, w):
+        """Length of F_w T^d: the coordinates of weights <= w."""
+        offs, total = layout[d]
+        return next((o for wp, o in offs.items() if wp > w), total)
+
     for r in range(1, max_page + 1):
         page = {}
         for d in range(d_lo, d_hi + 1):
             for w in weights:
-                if not any(C.dim(wp, d) for wp in weights if wp <= w):
+                if not end(d, w):
                     continue
-                Zr = _filtered_cycle_space(C, w, d, r)
-                lower = _filtered_cycle_space(C, w - 1, d, r - 1)
-                Dsrc = _filtered_cycle_space(C, w + r - 1, d - 1, r - 1)
-                D = C.total_differential(d - 1)
-                images = [D.apply(v) for v in Dsrc]
+                Zr = _filtered_cycle_space(Ds[d], end(d, w), end(d + 1, w - r))
+                lower = _filtered_cycle_space(Ds[d], end(d, w - 1),
+                                              end(d + 1, w - r))
+                Dsrc = _filtered_cycle_space(Ds[d - 1], end(d - 1, w + r - 1),
+                                             end(d, w))
+                images = [Ds[d - 1].apply(v) for v in Dsrc]
                 denom = span_dimension(lower + [v for v in images if v])
                 dim = span_dimension(Zr) - denom
                 assert dim >= 0

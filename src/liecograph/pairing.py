@@ -35,8 +35,9 @@ from .shapes import (
     enumerate_trees,
     long_graph,
     tall_tree,
+    tree_leaves,
 )
-from .elements import koszul_sign, tree_term_labels, tree_term_shape
+from .elements import koszul_sign, tree_term_shape
 
 __all__ = [
     "shape_pair",
@@ -131,7 +132,7 @@ def _check_degrees(g, t):
     """MalformedDual if a name labels equal-weight terms of g and t with
     different degrees in their two tables."""
     wdeg, vdeg = g.table.degree, t.table.degree
-    trees = [tree_term_labels(tkey) for tkey in t.terms]
+    trees = [tree_leaves(tkey) for tkey in t.terms]
     for (n, _), wlabels in g.terms:
         for vlabels in trees:
             if len(vlabels) == n:
@@ -148,7 +149,7 @@ def _term_pair(n, edges, wlabels, odd, tkey):
 
     Sums <sigma G, T> * koszul(sigma) over the label-preserving bijections
     sigma only: vertex j goes to a leaf position carrying wlabels[j]."""
-    vlabels = tree_term_labels(tkey)
+    vlabels = tree_leaves(tkey)
     if len(vlabels) != n:
         return 0
     verts, slots = {}, {}

@@ -263,6 +263,17 @@ def parse_rational(text, line=None, col=None):
                          col=col) from None
 
 
+def parse_int(text, line=None, col=None):
+    """The int of a literal; a malformed one, or one longer than Python's
+    integer-string limit, is a ParseError at the given line and column."""
+    try:
+        return int(text)
+    except ValueError:
+        shown = repr(text) if len(text) <= 20 else f"of {len(text)} characters"
+        raise ParseError(f"invalid integer {shown}", line=line,
+                         col=col) from None
+
+
 def _tokenize_poly(text, lineno):
     toks = re.findall(r"\d+/\d+|\d+|\w+|\^|\*|\+|-|\(|\)", text)
     if "".join(toks).replace(" ", "") != text.replace(" ", ""):
@@ -270,9 +281,11 @@ def _tokenize_poly(text, lineno):
     return toks
 
 
-def parse_polynomial(text, lineno=None):
+def parse_polynomial(text, lineno=None, max_factors=None):
     """rational coefficients, generator powers, * + -.  Returns
-    {tuple-of-names (unsorted): Fraction}."""
+    {tuple-of-names (unsorted): Fraction}.  A term with more than
+    max_factors factors is a ParseError, raised before its factors are
+    expanded."""
     toks = _tokenize_poly(text.strip(), lineno)
     pos = 0
 
@@ -306,7 +319,11 @@ def parse_polynomial(text, lineno=None):
                     if not re.fullmatch(r"\d+", peek() or ""):
                         raise ParseError(f"'^' needs an integer exponent in "
                                          f"{text!r}", line=lineno)
-                    power = int(take())
+                    power = parse_int(take(), lineno)
+                if max_factors is not None and (
+                        len(factors) + power > max_factors):
+                    raise ParseError(f"a term of {text!r} has more than "
+                                     f"{max_factors} factors", line=lineno)
                 factors.extend([t] * power)
             else:
                 raise ParseError(f"unexpected token {t!r} in polynomial",
@@ -331,7 +348,7 @@ def parse_polynomial(text, lineno=None):
 def parse_presentation(text):
     """Parse a presentation file; returns a DgcaPresentation or a
     DgccPresentation depending on which keywords appear."""
-    gens, rels, diffs = [], {}, {}
+    gens, rels, diff_lines = [], {}, []
     cogens, coprods, codiffs = [], {}, {}
     cap_w, cap_d = DEFAULT_CAP_WEIGHT, DEFAULT_CAP_DEGREE
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -340,55 +357,51 @@ def parse_presentation(text):
             continue
         m = _GEN_RE.match(line)
         if m:
-            (cogens if m.group(1) else gens).append((m.group(2), int(m.group(3))))
+            (cogens if m.group(1) else gens).append(
+                (m.group(2), parse_int(m.group(3), lineno)))
             continue
         m = _REL_RE.match(line)
         if m:
-            rels[m.group(1)] = int(m.group(2))
+            rels[m.group(1)] = parse_int(m.group(2), lineno)
             continue
         m = _COPROD_RE.match(line)
         if m:
-            coprods[m.group(1)] = _parse_coprod_rhs(m.group(2), lineno)
+            coprods[m.group(1)] = _parse_terms(
+                m.group(2).replace("⊗", "(x)"),
+                r"(\w[\w*]*)\s*\(x\)\s*(\w[\w*]*)", "coproduct", lineno)
             continue
         m = _DIFF_RE.match(line)
         if m:
             if m.group(1):  # codiff
-                codiffs[m.group(2)] = _parse_codiff_rhs(m.group(3), lineno)
-            else:
-                diffs[m.group(2)] = parse_polynomial(m.group(3), lineno)
+                codiffs[m.group(2)] = _parse_terms(
+                    m.group(3), r"(\w[\w*]*)", "codifferential", lineno)
+            else:  # parsed below, once the generator degrees are known
+                diff_lines.append((m.group(2), m.group(3), lineno))
             continue
         m = _CAP_RE.match(line)
         if m:
-            cap_w, cap_d = int(m.group(1)), int(m.group(2))
+            cap_w, cap_d = (parse_int(m.group(1), lineno),
+                            parse_int(m.group(2), lineno))
             continue
         raise ParseError(f"unrecognized line {raw!r}", line=lineno)
     if cogens and gens:
         raise ParseError("file mixes gen and cogen declarations")
+    # a term of diff y has degree deg y + 1, so at most deg y + 1 factors
+    degree = dict(gens)
+    diffs = {}
+    for name, rhs, lineno in diff_lines:
+        if name not in degree:
+            raise InvalidPresentation(f"differential on unknown {name!r}")
+        diffs[name] = parse_polynomial(rhs, lineno, degree[name] + 1)
     if cogens:
         return DgccPresentation(cogens, coprods, codiffs,
                                 cap_weight=cap_w, cap_degree=cap_d)
     return DgcaPresentation(gens, rels, diffs, cap_weight=cap_w, cap_degree=cap_d)
 
 
-def _parse_coprod_rhs(text, lineno):
-    """`2 * a (x) b + c (x) c` -> [(Fraction(2), 'a', 'b'), (1, 'c', 'c')]."""
-    text = text.replace("⊗", "(x)")
-    out = []
-    for signed in re.finditer(r"([+-]?)\s*([^+-]+)", text):
-        sgn = -1 if signed.group(1) == "-" else 1
-        part = signed.group(2).strip()
-        if not part:
-            continue
-        m = re.fullmatch(
-            r"(?:(\d+(?:/\d+)?)\s*\*?\s*)?(\w[\w*]*)\s*\(x\)\s*(\w[\w*]*)", part)
-        if not m:
-            raise ParseError(f"cannot parse coproduct term {part!r}", line=lineno)
-        coeff = parse_rational(m.group(1) or "1", lineno)
-        out.append((sgn * coeff, m.group(2), m.group(3)))
-    return out
-
-
-def _parse_codiff_rhs(text, lineno):
+def _parse_terms(text, term_re, what, lineno):
+    """`2 * t1 - 1/2 t2 + ...` with each term matching term_re ->
+    [(Fraction, *groups of term_re)]; `0` is the empty sum."""
     out = []
     if text.strip() == "0":
         return out
@@ -397,9 +410,9 @@ def _parse_codiff_rhs(text, lineno):
         part = signed.group(2).strip()
         if not part:
             continue
-        m = re.fullmatch(r"(?:(\d+(?:/\d+)?)\s*\*?\s*)?(\w[\w*]*)", part)
+        m = re.fullmatch(r"(?:(\d+(?:/\d+)?)\s*\*?\s*)?" + term_re, part)
         if not m:
-            raise ParseError(f"cannot parse term {part!r}", line=lineno)
+            raise ParseError(f"cannot parse {what} term {part!r}", line=lineno)
         coeff = parse_rational(m.group(1) or "1", lineno)
-        out.append((sgn * coeff, m.group(2)))
+        out.append((sgn * coeff, *m.groups()[1:]))
     return out

@@ -150,8 +150,9 @@ def _pruefer_to_tree(n, seq):
 # planar binary trees
 
 def tree_leaves(t):
-    """Leaf labels in left-to-right planar order."""
-    if isinstance(t, int):
+    """Leaf labels in left-to-right planar order; a leaf is anything that is
+    not a tuple (an int in a shape, a generator name in a tree term)."""
+    if not isinstance(t, tuple):
         return (t,)
     return tree_leaves(t[0]) + tree_leaves(t[1])
 
@@ -193,19 +194,14 @@ def enumerate_trees(n):
     out = []
     for shape in _tree_shapes(n):
         for labels in permutations(range(1, n + 1)):
-            out.append(_relabel_shape(shape, labels))
+            out.append(tree_relabel(shape, labels))
     return out
 
 
-def _relabel_shape(shape, labels):
-    if isinstance(shape, int):
-        return labels[shape]
-    return (_relabel_shape(shape[0], labels), _relabel_shape(shape[1], labels))
-
-
 def tree_relabel(t, perm):
-    """Apply a vertex relabeling (dict old->new) to leaf labels."""
-    if isinstance(t, int):
+    """Apply a leaf relabeling to leaf labels: perm maps old -> new (a dict,
+    or a sequence indexed by the leaf positions of a shape)."""
+    if not isinstance(t, tuple):
         return perm[t]
     return (tree_relabel(t[0], perm), tree_relabel(t[1], perm))
 

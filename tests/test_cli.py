@@ -20,6 +20,7 @@ S2 = str(FIXTURES / "s2.alg")
 CP2 = str(FIXTURES / "cp2.alg")
 S2_CO = str(FIXTURES / "s2.coalg")
 CP2_CO = str(FIXTURES / "cp2.coalg")
+BIG = "9" * 4301  # one digit past Python's integer-string limit
 
 
 class TestPair:
@@ -246,6 +247,28 @@ class TestErrorsAndCaps:
         assert code == 1 and out == "" and "ParseError" in err
         assert "line 3" in err and "Traceback" not in err
         assert len(err.strip().split("\n")) == 1
+
+    @pytest.mark.parametrize("text, argv, env", [
+        (f"gen x deg {BIG}\n", ["pi"], None),
+        (f"gen x deg 2\nrel x^{BIG} = 0\n", ["pi"], None),
+        (f"gen x deg 2\ncap weight {BIG} degree 4\n", ["pi"], None),
+        (None, ["iszero", "a|a", "--gens", f"a:{BIG}"], None),
+        (None, ["pi", S2, "--window", f"2..{BIG}"], None),
+        (None, ["cobracket", f"G[{BIG};](a)", "--gens", "a:2"], None),
+        (None, ["pi", S2, "--window", "2..3"], f"{BIG},4"),
+    ], ids=["gen-degree", "rel-power", "cap", "gens-degree", "window",
+            "graph-size", "cap-override"])
+    def test_huge_integer_literal_exits_1(self, capsys, tmp_path,
+                                          monkeypatch, text, argv, env):
+        if text is not None:
+            path = tmp_path / "big.alg"
+            path.write_text(text)
+            argv = argv + [str(path)]
+        if env is not None:
+            monkeypatch.setenv("LIECOGRAPH_CAP_OVERRIDE", env)
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and "ParseError" in err
+        assert "Traceback" not in err and len(err.strip().split("\n")) == 1
 
     def test_cap_too_small_exits_2(self, capsys):
         code, _, err = run(capsys, "pi", S2, "--window", "2..8",

@@ -1,12 +1,15 @@
 """Static hygiene of the library: no module under src/liecograph imports a
-name it never uses.  Standard-library ast only, so it needs no linter."""
+name it never uses, and every name the benchmark tracer rebinds still
+exists.  Standard-library ast only, so it needs no linter."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "liecograph"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "liecograph"
 
 
 def unused_imports(source):
@@ -42,3 +45,22 @@ def test_checker_flags_unused_and_keeps_used():
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_traced_names_resolve():
+    """perfbench/tracing.py rebinds the (module, attribute) pairs of its SPANS
+    table by name; read it as data, without importing it, and check that
+    each still resolves (a method must be in its class's own __dict__)."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(
+        encoding="utf-8"))
+    spans, = (ast.literal_eval(node.value) for node in tree.body
+              if isinstance(node, ast.Assign)
+              and [getattr(t, "id", None) for t in node.targets] == ["SPANS"])
+    missing = []
+    for module, attr, _ in spans:
+        mod = importlib.import_module(f"liecograph.{module}")
+        cls_name, _, name = attr.rpartition(".")
+        owner = getattr(mod, cls_name, None) if cls_name else mod
+        if name not in getattr(owner, "__dict__", {}):
+            missing.append(f"{module}.{attr}")
+    assert missing == []

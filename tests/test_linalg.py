@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from liecograph.errors import CapTooSmall
 from liecograph.linalg import (
-    BasedSpace,
     BigradedComplex,
     Echelon,
     SparseMatrix,
@@ -60,7 +59,7 @@ def test_sparse_rank_matches_oracle(rows):
     M = _to_sparse(rows)
     expect = _dense_rank_oracle(rows)
     assert M.rank() == expect
-    assert M.transpose().rank() == expect
+    assert _to_sparse([list(col) for col in zip(*rows)]).rank() == expect
 
 
 def _sparse_rows(rows):
@@ -129,69 +128,80 @@ def test_dedup_rows_preserves_rank():
 
 def test_matrix_algebra():
     A = _to_sparse([[1, 2], [3, 4]])
-    B = _to_sparse([[0, 1], [1, 0]])
-    assert A.mul(B).entries == _to_sparse([[2, 1], [4, 3]]).entries
-    assert A.add(A.scale(-1)).is_zero()
-    assert SparseMatrix.identity(2).mul(A).entries == A.entries
     assert A.apply({0: Fraction(1), 1: Fraction(1)}) == {0: Fraction(3),
                                                          1: Fraction(7)}
 
 
-def test_based_space_rejects_duplicates():
-    with pytest.raises(ValueError):
-        BasedSpace(["a", "a"])
-
-
 def _koszul_square_complex():
-    """Two-variable model: pieces (1,0), (1,1), (2,1) with dv the identity on
-    weight 1 and dh mapping (2,1) into (1,2) (absent), kept zero; checks run
-    on declared pieces only."""
-    pieces = {
-        (1, 0): BasedSpace(["u"]),
-        (1, 1): BasedSpace(["v"]),
-        (2, 0): BasedSpace(["w"]),
-    }
-    dv = {(1, 0): SparseMatrix(1, 1, {(0, 0): Fraction(1)})}
-    dh = {(2, 0): SparseMatrix(1, 1, {(0, 0): Fraction(1)})}
-    return pieces, dv, dh
+    """Keys u (1,0), v (1,1), w (2,0): dv u = v and dh w = v."""
+    key_bidegree = {"u": (1, 0), "v": (1, 1), "w": (2, 0)}
+    dv = {"u": {"v": Fraction(1)}}
+    dh = {"w": {"v": Fraction(1)}}
+    return key_bidegree, dv, dh
+
+
+def test_bigraded_pieces_keep_key_order():
+    kb = {"b": (2, 1), "a": (1, 0), "c": (2, 1)}
+    C = BigradedComplex(kb, {}, {}, (0, 1))
+    assert C.pieces == {(2, 1): ["b", "c"], (1, 0): ["a"]}
+    assert (C.dim(2, 1), C.dim(5, 5)) == (2, 0)
+
+
+@pytest.mark.parametrize("dv, dh", [
+    ({"u": {"w": Fraction(1)}}, {}),  # dv into the wrong weight
+    ({}, {"w": {"u": Fraction(1)}}),  # dh into the wrong degree
+    ({"u": {"zz": Fraction(1)}}, {}),  # an undeclared key
+], ids=["dv-weight", "dh-degree", "undeclared"])
+def test_bigraded_refuses_term_outside_target_piece(dv, dh):
+    kb, _, _ = _koszul_square_complex()
+    with pytest.raises(AssertionError, match="leaves its target piece"):
+        BigradedComplex(kb, dv, dh, (0, 1))
 
 
 def test_bigraded_validate_accepts_good_and_rejects_bad():
-    pieces, dv, dh = _koszul_square_complex()
-    C = BigradedComplex(pieces, dv, dh, (0, 1))
+    kb, dv, dh = _koszul_square_complex()
+    C = BigradedComplex(kb, dv, dh, (0, 1))
     C.validate()
 
-    # corrupt: make dv out of (1,0) land where a second dv is also nonzero
-    pieces2 = dict(pieces)
-    pieces2[(1, 2)] = BasedSpace(["x"])
-    dv2 = dict(dv)
-    dv2[(1, 1)] = SparseMatrix(1, 1, {(0, 0): Fraction(1)})
-    C2 = BigradedComplex(pieces2, dv2, dh, (0, 1))
+    # corrupt: a second dv out of (1,1) makes dv^2 nonzero on u
+    kb2 = dict(kb, x=(1, 2))
+    dv2 = dict(dv, v={"x": Fraction(1)})
+    C2 = BigradedComplex(kb2, dv2, dh, (0, 1))
     with pytest.raises(AssertionError, match="dv"):
         C2.validate()
 
 
+def test_bigraded_validate_rejects_non_anticommuting():
+    # dh dv u = dv dh u = y, so dv dh + dh dv = 2y on u
+    kb = {"u": (2, 0), "v": (2, 1), "x": (1, 1), "y": (1, 2)}
+    dv = {"u": {"v": Fraction(1)}, "x": {"y": Fraction(1)}}
+    dh = {"u": {"x": Fraction(1)}, "v": {"y": Fraction(1)}}
+    with pytest.raises(AssertionError, match="anticommutator"):
+        BigradedComplex(kb, dv, dh, (0, 2)).validate()
+    dh["v"] = {"y": Fraction(-1)}
+    BigradedComplex(kb, dv, dh, (0, 2)).validate()
+
+
 def test_total_homology_two_term():
     # 0 -> Q --id--> Q -> 0 is exact; a lone Q contributes 1
-    pieces, dv, dh = _koszul_square_complex()
-    C = BigradedComplex(pieces, dv, dh, (-1, 2))
+    kb, dv, dh = _koszul_square_complex()
+    C = BigradedComplex(kb, dv, dh, (-1, 2))
+    # T^0 = u (weight 1) then w (weight 2); T^1 = v
+    assert C.total_differential(0).entries == {(0, 0): 1, (0, 1): 1}
     hom = total_homology(C, (0, 1))
     assert hom == {0: 1, 1: 0}  # (2,0)+(1,0) in degree 0; one dv + dh kills
 
 
 def test_window_guard():
-    pieces, dv, dh = _koszul_square_complex()
-    C = BigradedComplex(pieces, dv, dh, (0, 1))
+    kb, dv, dh = _koszul_square_complex()
+    C = BigradedComplex(kb, dv, dh, (0, 1))
     with pytest.raises(CapTooSmall):
         total_homology(C, (0, 5))
 
 
 def test_spectral_pages_collapse_on_zero_differential():
-    pieces = {
-        (1, 0): BasedSpace(["a"]),
-        (2, 1): BasedSpace(["b", "c"]),
-    }
-    C = BigradedComplex(pieces, {}, {}, (0, 3))
+    kb = {"a": (1, 0), "b": (2, 1), "c": (2, 1)}
+    C = BigradedComplex(kb, {}, {}, (0, 3))
     pages = spectral_pages(C, 3, window=(1, 2))
     for r in range(1, 4):
         assert pages[r] == {(2, 1): 2}

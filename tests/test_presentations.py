@@ -63,6 +63,24 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_presentation("gen x deg 2\ncogen y deg 3\n")
 
+    @pytest.mark.parametrize("exponent", ["1000000000000", "1" + "0" * 29],
+                             ids=["13-digits", "30-digits"])
+    def test_huge_exponent_refused_before_expansion(self, exponent):
+        """A term of diff y has at most deg y + 1 factors; a larger power
+        is refused without building its factor tuple."""
+        with pytest.raises(ParseError, match="more than 4 factors") as e:
+            parse_presentation(
+                f"gen x deg 2\ngen y deg 3\ndiff y = x^{exponent}\n")
+        assert e.value.line == 3
+
+    def test_factor_bound_is_the_degree(self):
+        A = parse_presentation("gen x deg 2\ngen y deg 3\ndiff y = x*x\n")
+        assert A.differentials["y"] == {("x", "x"): Fraction(1)}
+        with pytest.raises(ParseError):
+            parse_presentation("gen x deg 2\ngen y deg 3\ndiff y = x*x^4\n")
+        with pytest.raises(InvalidPresentation, match="unknown"):
+            parse_presentation("gen x deg 2\ndiff q = x^2\n")
+
 
 class TestAlgebraStructure:
     def test_odd_squares_vanish(self):
