@@ -31,6 +31,7 @@ from .presentations import (
     DEFAULT_CAP_WEIGHT,
     DgcaPresentation,
     DgccPresentation,
+    clipped_repr,
     parse_int,
     parse_presentation,
     parse_rational,
@@ -313,17 +314,29 @@ def _fmt_word(word):
     return "|".join(word)
 
 
+def _int_arg(text, flag):
+    """The int of a command-line value (None stays None); a malformed one is
+    a ParseError naming the flag."""
+    if text is None:
+        return None
+    try:
+        return parse_int(text)
+    except ParseError as e:
+        raise ParseError(f"{flag}: {e}") from None
+
+
 def _caps_from_args(args, default):
     """(weight, degree) caps: the flags, else LIECOGRAPH_CAP_OVERRIDE, else
     the verb's default pair."""
-    cw, cd = args.cap_weight, args.cap_degree
+    cw = _int_arg(args.cap_weight, "--cap-weight")
+    cd = _int_arg(args.cap_degree, "--cap-degree")
     env = os.environ.get("LIECOGRAPH_CAP_OVERRIDE")
     if env:
         try:
             ew, ed = (parse_int(x) for x in env.split(","))
         except (ValueError, ParseError):
-            raise ParseError(
-                f"LIECOGRAPH_CAP_OVERRIDE must be 'weight,degree', got {env!r}")
+            raise ParseError(f"LIECOGRAPH_CAP_OVERRIDE value "
+                             f"{clipped_repr(env)} is not 'weight,degree'")
         cw = cw if cw is not None else ew
         cd = cd if cd is not None else ed
     return (cw if cw is not None else default[0],
@@ -445,8 +458,12 @@ def _cmd_ss(args, out):
     A = _load(args.file, DgcaPresentation)
     lo, hi = _parse_window(args.window)
     cw, cd = _caps_from_args(args, (hi + 2, hi + 1))
+    max_page = _int_arg(args.pages, "--pages")
+    if max_page < 0:
+        raise ParseError(
+            f"--pages must be >= 0, got {clipped_repr(args.pages)}")
     E = build_E(A, cw, cd)
-    pages = spectral_pages(E.complex, args.pages, window=(lo, hi))
+    pages = spectral_pages(E.complex, max_page, window=(lo, hi))
     out.write(f"# caps: weight={cw} degree={cd}\n")
     for r, page in enumerate(pages):
         for (w, d) in sorted(page):
@@ -470,7 +487,7 @@ def _cmd_dual_check(args, out):
 
 
 def _cmd_enumerate(args, out):
-    n = args.weight
+    n = _int_arg(args.weight, "weight")
     if args.kind == "graphs":
         for G in enumerate_graphs(n):
             out.write(",".join(f"{a}->{b}" for a, b in G.edges) + "\n")
@@ -493,8 +510,8 @@ def _build_parser():
         sp.add_argument("--alg", help="algebra presentation file for the table")
 
     def add_cap_opts(sp):
-        sp.add_argument("--cap-weight", type=int, default=None)
-        sp.add_argument("--cap-degree", type=int, default=None)
+        sp.add_argument("--cap-weight")
+        sp.add_argument("--cap-degree")
 
     sp = sub.add_parser("pair", help="configuration pairing of two expressions")
     sp.add_argument("graph")
@@ -528,7 +545,7 @@ def _build_parser():
     sp = sub.add_parser("ss", help="weight-filtration spectral sequence pages")
     sp.add_argument("file")
     sp.add_argument("--window", default="1..6")
-    sp.add_argument("--pages", type=int, default=2)
+    sp.add_argument("--pages", default="2")
     add_cap_opts(sp)
     sp.set_defaults(func=_cmd_ss)
 
@@ -540,7 +557,7 @@ def _build_parser():
 
     sp = sub.add_parser("enumerate", help="list basis shapes of a weight")
     sp.add_argument("kind", choices=["graphs", "trees"])
-    sp.add_argument("weight", type=int)
+    sp.add_argument("weight")
     sp.set_defaults(func=_cmd_enumerate)
     return p
 

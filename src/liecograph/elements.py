@@ -146,7 +146,7 @@ class GraphElement(_Element):
             n, edges, labels, degs, table.sort_key)
         if sign == 0:
             return cls(table)
-        return cls(table, {((n, ce), cl): Fraction(coeff) * sign})
+        return cls(table, {((n, ce), cl): coeff * sign})
 
     @classmethod
     def zero(cls, table):
@@ -178,11 +178,11 @@ class TreeElement(_Element):
     def leaf(cls, table, name, coeff=1):
         if name not in table:
             raise ValueError(f"unknown generator {name!r}")
-        return cls(table, {name: Fraction(coeff)})
+        return cls(table, {name: coeff})
 
     @classmethod
     def from_term(cls, table, term, coeff=1):
-        return cls(table, {term: Fraction(coeff)})
+        return cls(table, {term: coeff})
 
     def __repr__(self):
         if not self.terms:

@@ -62,6 +62,7 @@ from .graphcoalg import (
     _distinct_arrangements,
     _shuffles,
     cobracket,
+    designated_words,
     graphify,
     iterated_cobracket,
 )
@@ -306,12 +307,8 @@ def build_E(A, cap_weight=None, cap_degree=None):
         words whose iterated-cobracket vectors are independent."""
         s = solvers.get(content)
         if s is None:
-            g0 = min(content, key=table.sort_key)
-            rest = list(content)
-            rest.remove(g0)
             basis, ech = [], Echelon(track=True)
-            for tail in _distinct_arrangements(tuple(rest)):
-                w = (g0,) + tail
+            for w in designated_words(table, content):
                 vec = _vec_of_element(graphify(w, table))
                 if ech.insert(vec, w) is not None:
                     basis.append(w)

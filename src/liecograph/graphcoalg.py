@@ -30,13 +30,10 @@ __all__ = [
     "iterated_cobracket",
     "is_zero_in_E",
     "to_bar_basis",
+    "designated_words",
     "graphify",
     "relation_generators",
 ]
-
-
-def _term_element(table, key, coeff=1):
-    return GraphElement(table, {key: Fraction(coeff)})
 
 
 def cobracket(g):
@@ -83,7 +80,7 @@ def _iterated_term(table, key, k):
         res = {(key,): Fraction(1)}
     else:
         res = {}
-        c2 = cobracket(_term_element(table, key))
+        c2 = cobracket(GraphElement(table, {key: 1}))
         for (k1, k2), c in c2.terms.items():
             for keys, cc in _iterated_term(table, k1, k - 1).items():
                 add_into(res, keys + (k2,), c * cc)
@@ -131,6 +128,15 @@ def _distinct_arrangements(ms):
     return sorted(set(permutations(ms)))
 
 
+def designated_words(table, content):
+    """The words of a content whose leading slot carries its designated
+    (minimal) generator: one per distinct order of the other letters."""
+    g0 = min(content, key=table.sort_key)
+    rest = list(content)
+    rest.remove(g0)
+    return [(g0,) + tail for tail in _distinct_arrangements(tuple(rest))]
+
+
 def _component_split(g):
     """Split into (weight, sorted-label-multiset) components."""
     comps = {}
@@ -154,10 +160,7 @@ def to_bar_basis(g):
         if n > BAR_CAP:
             raise CapExceeded(f"bar basis capped at weight <= {BAR_CAP}")
         comp = GraphElement(table, terms)
-        designated = min(ms, key=table.sort_key)
-        rest = list(ms)
-        rest.remove(designated)
-        words = [(designated,) + tail for tail in _distinct_arrangements(tuple(rest))]
+        words = designated_words(table, ms)
         trees = [TreeElement.from_term(table, tall_tree(arr))
                  for arr in _distinct_arrangements(ms)]
         ech = Echelon(track=True)

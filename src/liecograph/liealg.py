@@ -10,8 +10,9 @@ from fractions import Fraction
 
 from .errors import CapExceeded
 from .elements import TreeElement, _Element
-from .graphcoalg import _distinct_arrangements, _table_sig, graphify
-from .linalg import Echelon, SparseMatrix, add_into
+from .graphcoalg import (_distinct_arrangements, _table_sig,
+                         designated_words, graphify)
+from .linalg import Echelon, add_into
 from .pairing import element_pair
 from .shapes import tall_tree, tree_leaves
 
@@ -115,31 +116,29 @@ def _content_reduction(table, content):
     of a content (pivot = a word index), plus the word list.
 
     Relations are detected through the configuration pairing against long
-    graphs over all arrangements, which separates free-Lie classes."""
+    graphs over all arrangements, which separates free-Lie classes: the
+    pairing vectors go into a tracked echelon from the last word to the
+    first, and a word whose vector is already spanned gives the relation
+    e_i - (its coordinates over the later words)."""
     sig = (_table_sig(table), content)
     hit = _kernel_cache.get(sig)
     if hit is not None:
         return hit
-    g0 = min(content, key=table.sort_key)
-    rest = list(content)
-    rest.remove(g0)
-    words = [(g0,) + t for t in _distinct_arrangements(tuple(rest))]
+    words = designated_words(table, content)
     if len(words) > ARRANGEMENT_CAP:
         raise CapExceeded(
             f"content {content} has {len(words)} candidate words "
             f"(cap {ARRANGEMENT_CAP})")
-    arrangements = _distinct_arrangements(content)
-    entries = {}
-    for i, w in enumerate(words):
-        t = TreeElement.from_term(table, tall_tree(w))
-        for j, arr in enumerate(arrangements):
-            v = element_pair(graphify(arr, table), t)
-            if v:
-                entries[(j, i)] = v
-    M = SparseMatrix(len(arrangements), len(words), entries)
+    graphs = [graphify(arr, table) for arr in _distinct_arrangements(content)]
+    ech = Echelon(track=True)  # pairing vectors of independent words
     rel_ech = Echelon()  # relations over word indices
-    for rel in M.kernel():
-        rel_ech.insert(rel)
+    for i in reversed(range(len(words))):
+        t = TreeElement.from_term(table, tall_tree(words[i]))
+        vec = {j: v for j, g in enumerate(graphs) if (v := element_pair(g, t))}
+        if ech.insert(vec, i) is None:
+            rel = {k: -c for k, c in ech.reduce(vec)[1].items()}
+            rel[i] = Fraction(1)
+            rel_ech.insert(rel)
     res = (words, rel_ech)
     _kernel_cache[sig] = res
     return res

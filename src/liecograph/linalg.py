@@ -1,14 +1,14 @@
 """Exact linear algebra over Q.
 
-`Echelon` is the single exact elimination kernel: every rank, kernel, span,
-inverse and quotient normal form over Q in the package is a row reduction
-through it.  `integer_matrix_rank` is the certified numpy path for large
-integer matrices.  On top sit sparse matrices with Fraction entries (rank,
-kernel, apply) and bigraded complexes: basis keys in (weight, degree) pieces
-with two anticommuting degree-+1 differentials held once, as key-indexed
-sparse columns.  Total homology and the spectral-sequence page dimensions
-for the weight filtration read the total differential, which lays the
-pieces of each degree out by ascending weight.
+`Echelon` is the single exact elimination kernel: every rank, inverse,
+coordinate extraction and quotient normal form over Q in the package is a
+row reduction through it.  `integer_matrix_rank` is the certified numpy path
+for large integer matrices.  On top sit sparse matrices with Fraction
+entries (rank only) and bigraded complexes: basis keys in (weight, degree)
+pieces with two anticommuting degree-+1 differentials held once, as
+key-indexed sparse columns.  Total homology and the spectral-sequence page
+dimensions for the weight filtration are ranks of blocks of the total
+differential, which lays the pieces of each degree out by ascending weight.
 
 No floating point ever enters a result: the numpy fast path is used only for
 modular candidate discovery and for integer matrix products whose entries are
@@ -113,18 +113,6 @@ class Echelon:
         vec, coeffs, _ = self._eliminate(vec, full=True)
         return vec, coeffs
 
-    def rref(self):
-        """Fully reduced rows {pivot: row}: zero at every other pivot."""
-        out = {}
-        for c in sorted(self.rows, reverse=True):
-            row = dict(self.rows[c])
-            for k in [k for k in row if k != c and k in out]:
-                f = row[k]
-                for kk, v in out[k].items():
-                    add_into(row, kk, -f * v)
-            out[c] = row
-        return out
-
 
 class SparseMatrix:
     """rows x cols matrix over Q; entries stored as {(i, j): Fraction},
@@ -142,58 +130,18 @@ class SparseMatrix:
                 if v:
                     self.entries[(i, j)] = v
 
-    def apply(self, vec):
-        """Matrix times a sparse column vector {index: Fraction}."""
-        out = {}
-        by_col = {}
-        for (i, j), v in self.entries.items():
-            by_col.setdefault(j, []).append((i, v))
-        for j, x in vec.items():
-            if not x:
-                continue
-            for i, v in by_col.get(j, ()):
-                add_into(out, i, v * x)
-        return out
-
-    def _echelon(self):
-        ech = Echelon()
+    def rank(self):
+        """Exact rank by incremental row elimination."""
         rows = {}
         for (i, j), v in self.entries.items():
             rows.setdefault(i, {})[j] = v
+        ech = Echelon()
         for row in rows.values():
             ech.insert(row)
-        return ech
-
-    def rank(self):
-        """Exact rank by incremental row elimination."""
-        return len(self._echelon())
-
-    def kernel(self):
-        """Basis of the right kernel, as a list of sparse column vectors."""
-        rows = self._echelon().rref()
-        pivots = sorted(rows)
-        basis = []
-        for j in range(self.cols):
-            if j in rows:
-                continue
-            vec = {j: Fraction(1)}
-            for c in pivots:
-                v = rows[c].get(j)
-                if v:
-                    vec[c] = -v
-            basis.append(vec)
-        return basis
+        return len(ech)
 
     def __repr__(self):
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
-
-
-def span_dimension(vectors):
-    """Rank of a list of sparse vectors {index: Fraction}."""
-    ech = Echelon()
-    for v in vectors:
-        ech.insert(v)
-    return len(ech)
 
 
 # ---------------------------------------------------------------------------
@@ -489,24 +437,20 @@ def total_homology(C, window):
     return out
 
 
-def _filtered_cycle_space(D, col_end, row_start):
-    """Kernel basis (sparse vectors in T^d coordinates) of D : T^d -> T^{d+1}
-    restricted to the columns < col_end and the rows >= row_start.  With the
-    pieces laid out by ascending weight, F_w T^d is a column prefix and the
-    weights > w - r are a row suffix, so this is
-    Z_r^{w,d} = {x supported in weights <= w : Dx supported in weights <= w-r}."""
-    entries = {(i - row_start, j): v for (i, j), v in D.entries.items()
-               if j < col_end and i >= row_start}
-    return SparseMatrix(D.rows - row_start, col_end, entries).kernel()
-
-
 def spectral_pages(C, max_page, window=None):
     """Page dimensions E^0..E^max_page of the weight-filtration spectral
     sequence; each page maps (w, d) -> dim (zero dims omitted).
 
     window restricts reported degrees; defaults to the guaranteed range
     shrunk by one on each side (each page at degree d looks at chains in
-    degrees d-1 and d+1)."""
+    degrees d-1 and d+1).
+
+    Each dimension is a rank of a corner block of D_d: F_a T^d is a column
+    prefix and the weights > b a row suffix of T^{d+1} (pieces ascend in
+    weight), and rho(d, a, b) is the rank of that block.  dim Z_r^{w,d} =
+    |F_w T^d| - rho(d, w, w-r); modulo Z_{r-1}^{w-1,d}, D Z_{r-1}^{w+r-1,d-1}
+    adds the rank of D mod F_{w-1} on the kernel of D mod F_w, which is
+    rho(d-1, w+r-1, w-1) - rho(d-1, w+r-1, w)."""
     if window is None:
         lo, hi = C.complete_degrees
         window = (lo + 1, hi - 1)
@@ -517,11 +461,24 @@ def spectral_pages(C, max_page, window=None):
     weights = C.weights()
     Ds = {d: C.total_differential(d) for d in range(d_lo - 1, d_hi + 1)}
     layout = {d: C.total_offsets(d) for d in range(d_lo - 1, d_hi + 2)}
+    ranks = {}
 
     def end(d, w):
         """Length of F_w T^d: the coordinates of weights <= w."""
         offs, total = layout[d]
         return next((o for wp, o in offs.items() if wp > w), total)
+
+    def rho(d, a, b):
+        """Rank of D_d from the columns of weight <= a to the rows of
+        weight > b."""
+        key = (d, end(d, a), end(d + 1, b))
+        if key not in ranks:
+            D, col_end, row_start = Ds[d], key[1], key[2]
+            ranks[key] = SparseMatrix(
+                D.rows - row_start, col_end,
+                {(i - row_start, j): v for (i, j), v in D.entries.items()
+                 if j < col_end and i >= row_start}).rank()
+        return ranks[key]
 
     for r in range(1, max_page + 1):
         page = {}
@@ -529,14 +486,10 @@ def spectral_pages(C, max_page, window=None):
             for w in weights:
                 if not end(d, w):
                     continue
-                Zr = _filtered_cycle_space(Ds[d], end(d, w), end(d + 1, w - r))
-                lower = _filtered_cycle_space(Ds[d], end(d, w - 1),
-                                              end(d + 1, w - r))
-                Dsrc = _filtered_cycle_space(Ds[d - 1], end(d - 1, w + r - 1),
-                                             end(d, w))
-                images = [Ds[d - 1].apply(v) for v in Dsrc]
-                denom = span_dimension(lower + [v for v in images if v])
-                dim = span_dimension(Zr) - denom
+                dim = (end(d, w) - rho(d, w, w - r)
+                       - end(d, w - 1) + rho(d, w - 1, w - r)
+                       - rho(d - 1, w + r - 1, w - 1)
+                       + rho(d - 1, w + r - 1, w))
                 assert dim >= 0
                 if dim:
                     page[(w, d)] = dim

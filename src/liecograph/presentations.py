@@ -263,14 +263,19 @@ def parse_rational(text, line=None, col=None):
                          col=col) from None
 
 
+def clipped_repr(text):
+    """repr(text), or its length once it is longer than 20 characters, so
+    that an error message stays one short line."""
+    return repr(text) if len(text) <= 20 else f"of {len(text)} characters"
+
+
 def parse_int(text, line=None, col=None):
     """The int of a literal; a malformed one, or one longer than Python's
     integer-string limit, is a ParseError at the given line and column."""
     try:
         return int(text)
     except ValueError:
-        shown = repr(text) if len(text) <= 20 else f"of {len(text)} characters"
-        raise ParseError(f"invalid integer {shown}", line=line,
+        raise ParseError(f"invalid integer {clipped_repr(text)}", line=line,
                          col=col) from None
 
 

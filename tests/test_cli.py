@@ -270,6 +270,29 @@ class TestErrorsAndCaps:
         assert code == 1 and out == "" and "ParseError" in err
         assert "Traceback" not in err and len(err.strip().split("\n")) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("pi", S2, "--cap-weight", "x"),
+        ("pi", S2, "--cap-degree", "1.5"),
+        ("ss", S2, "--pages", "x"),
+        ("ss", S2, "--pages", "-1"),
+        ("enumerate", "graphs", "q"),
+        ("enumerate", "trees", BIG),
+    ], ids=["cap-weight", "cap-degree", "pages", "negative-pages",
+            "enumerate-weight", "enumerate-huge-weight"])
+    def test_malformed_integer_argument_exits_1(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and "ParseError" in err
+        assert "Traceback" not in err and len(err.strip().split("\n")) == 1
+
+    @pytest.mark.parametrize("value", ["9" * 300, "9" * 4301 + ",4"],
+                             ids=["300-digits", "4301-digits"])
+    def test_env_cap_override_error_is_clipped(self, capsys, monkeypatch,
+                                               value):
+        monkeypatch.setenv("LIECOGRAPH_CAP_OVERRIDE", value)
+        code, out, err = run(capsys, "pi", S2, "--window", "2..4")
+        assert code == 1 and out == "" and "ParseError" in err
+        assert len(err.strip().split("\n")) == 1 and len(err) < 120
+
     def test_cap_too_small_exits_2(self, capsys):
         code, _, err = run(capsys, "pi", S2, "--window", "2..8",
                            "--cap-weight", "3", "--cap-degree", "4")

@@ -9,6 +9,7 @@ from liecograph.elements import GeneratorTable, GraphElement, TreeElement
 from liecograph.errors import CapExceeded
 from liecograph.graphcoalg import (
     cobracket,
+    designated_words,
     graphify,
     is_zero_in_E,
     iterated_cobracket,
@@ -100,6 +101,14 @@ class TestWordProblem:
         assert not flag
         keys, c = witness
         assert c != 0 and len(keys) == 2
+
+    def test_designated_words(self):
+        table = GeneratorTable([("b", 2), ("a", 3)])
+        # the designated generator is the table's first, whatever its name
+        assert designated_words(table, ("a", "b", "a")) == [
+            ("b", "a", "a")]
+        assert designated_words(table, ("b", "a", "b", "a")) == [
+            ("b", "a", "a", "b"), ("b", "a", "b", "a"), ("b", "b", "a", "a")]
 
     def test_bar_cap(self, table):
         with pytest.raises(CapExceeded):

@@ -1,9 +1,11 @@
 """Static hygiene of the library: no module under src/liecograph imports a
-name it never uses, and every name the benchmark tracer rebinds still
-exists.  Standard-library ast only, so it needs no linter."""
+name it never uses, no private module-level helper is left without a caller,
+and every name the benchmark tracer rebinds still exists.  Standard-library
+ast only, so it needs no linter."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -45,6 +47,44 @@ def test_checker_flags_unused_and_keeps_used():
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_definitions(source):
+    """(name, first line, last line) of every module-level private function
+    or class (one leading underscore, not a dunder)."""
+    return [(node.name, node.lineno, node.end_lineno)
+            for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")]
+
+
+def unreferenced_helpers(sources):
+    """module:name of every private helper whose name appears nowhere in the
+    given {module: source} texts outside its own definition."""
+    dead = []
+    for module, source in sources.items():
+        lines = source.splitlines()
+        for name, first, last in private_definitions(source):
+            rest = "\n".join(lines[:first - 1] + lines[last:])
+            others = [text for m, text in sources.items() if m != module]
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            if not any(word.search(text) for text in [rest] + others):
+                dead.append(f"{module}:{name}")
+    return sorted(dead)
+
+
+def test_dead_helper_checker():
+    sources = {"a": "def _used():\n    return _used()\n\n"
+                    "def _dead():\n    return _dead()\n\nx = _used\n",
+               "b": "class _Shared:\n    pass\n",
+               "c": "from a import _Shared\n"}
+    assert unreferenced_helpers(sources) == ["a:_dead"]
+
+
+def test_no_dead_private_helpers():
+    sources = {p.name: p.read_text(encoding="utf-8")
+               for p in sorted(SRC.glob("*.py"))}
+    assert unreferenced_helpers(sources) == []
 
 
 def test_traced_names_resolve():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liecograph.errors import CapTooSmall
+from liecograph.functors import build_E, build_G, harrison_shuffle_model
 from liecograph.linalg import (
     BigradedComplex,
     Echelon,
@@ -13,32 +15,51 @@ from liecograph.linalg import (
     _dedup_rows,
     _exact_inverse,
     integer_matrix_rank,
-    span_dimension,
     spectral_pages,
     total_homology,
 )
 
+from conftest import load_presentation, random_presentation
 
-def _dense_rank_oracle(rows):
-    """Textbook fraction-free Gaussian elimination, independent of the
-    SparseMatrix code path."""
+
+def _dense_rref(rows, ncols):
+    """Textbook Gauss-Jordan elimination of dense rows, independent of
+    Echelon: (the nonzero rows of the reduced echelon form, their pivot
+    columns)."""
     rows = [list(map(Fraction, r)) for r in rows]
-    rank = 0
-    col = 0
-    ncols = len(rows[0]) if rows else 0
-    while rank < len(rows) and col < ncols:
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
         piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if piv is None:
-            col += 1
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
+        rows[rank] = [x / rows[rank][col] for x in rows[rank]]
         for i in range(len(rows)):
             if i != rank and rows[i][col]:
-                f = rows[i][col] / rows[rank][col]
+                f = rows[i][col]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+        pivots.append(col)
+    return rows[:len(pivots)], pivots
+
+
+def _dense_rank_oracle(rows):
+    return len(_dense_rref(rows, len(rows[0]) if rows else 0)[1])
+
+
+def _dense_nullspace(rows, ncols):
+    """Basis of {x : rows . x = 0}, one vector per free column."""
+    reduced, pivots = _dense_rref(rows, ncols)
+    basis = []
+    for j in range(ncols):
+        if j in pivots:
+            continue
+        x = [Fraction(0)] * ncols
+        x[j] = Fraction(1)
+        for row, p in zip(reduced, pivots):
+            x[p] = -row[j]
+        basis.append(x)
+    return basis
 
 
 def _to_sparse(rows):
@@ -73,10 +94,8 @@ def test_echelon_matches_oracle(rows, data):
     for t, row in enumerate(_sparse_rows(rows)):
         ech.insert(row, t)
     assert len(ech) == _dense_rank_oracle(rows)
-    rref = ech.rref()
-    for c, row in rref.items():
-        assert row[c] == 1
-        assert all(p == c or p not in row for p in rref)
+    for c, row in ech.rows.items():
+        assert row[c] == 1 and min(row) == c
     for row in _sparse_rows(rows):
         residual, _ = ech.reduce(row)
         assert residual == {}
@@ -84,7 +103,7 @@ def test_echelon_matches_oracle(rows, data):
     v = {j: Fraction(x) for j, x in enumerate(data.draw(
         st.lists(st.integers(-4, 4), min_size=ncols, max_size=ncols))) if x}
     residual, coeffs = ech.reduce(v)
-    assert all(c not in residual for c in rref)
+    assert all(c not in residual for c in ech.rows)
     total = dict(residual)
     for t, f in coeffs.items():
         for j, x in enumerate(rows[t]):
@@ -97,17 +116,6 @@ def test_exact_inverse():
     assert _exact_inverse(S) == [[1, -1], [-1, 2]]
     with pytest.raises(ZeroDivisionError):
         _exact_inverse([[1, 2], [2, 4]])
-
-
-@settings(max_examples=120, deadline=None)
-@given(small_matrix)
-def test_kernel_vectors_annihilated(rows):
-    M = _to_sparse(rows)
-    ker = M.kernel()
-    assert len(ker) == M.cols - M.rank()
-    for v in ker:
-        assert M.apply(v) == {}
-    assert span_dimension(ker) == len(ker)
 
 
 @settings(max_examples=100, deadline=None)
@@ -124,12 +132,6 @@ def test_dedup_rows_preserves_rank():
     D = _dedup_rows(stacked)
     assert D.shape[0] <= A.shape[0] + 1  # dedup may keep an all-zero-free set
     assert integer_matrix_rank(D) == _dense_rank_oracle(A.tolist())
-
-
-def test_matrix_algebra():
-    A = _to_sparse([[1, 2], [3, 4]])
-    assert A.apply({0: Fraction(1), 1: Fraction(1)}) == {0: Fraction(3),
-                                                         1: Fraction(7)}
 
 
 def _koszul_square_complex():
@@ -205,3 +207,100 @@ def test_spectral_pages_collapse_on_zero_differential():
     pages = spectral_pages(C, 3, window=(1, 2))
     for r in range(1, 4):
         assert pages[r] == {(2, 1): 2}
+
+
+def _pages_from_definition(C, max_page, window):
+    """E_r^{w,d} = Z_r^{w,d} / (Z_{r-1}^{w-1,d} + D Z_{r-1}^{w+r-1,d-1}) with
+    Z_r^{w,d} = {x in F_w T^d : Dx in F_{w-r} T^{d+1}}, by dense kernels and
+    spans of the key-indexed differentials; nothing shared with
+    spectral_pages but the complex itself."""
+    d_lo, d_hi = window
+    weight = {k: w for k, (w, _) in C.key_bidegree.items()}
+    basis = {d: [k for k, (_, dd) in C.key_bidegree.items() if dd == d]
+             for d in range(d_lo - 1, d_hi + 2)}
+
+    def D(d, x):
+        """D of a dense vector over basis[d], dense over basis[d + 1]."""
+        at = {k: i for i, k in enumerate(basis[d + 1])}
+        y = [Fraction(0)] * len(basis[d + 1])
+        for k, c in zip(basis[d], x):
+            for of_key in (C.dv, C.dh):
+                for k2, c2 in of_key.get(k, {}).items():
+                    y[at[k2]] += c * c2
+        return y
+
+    def Z(r, w, d):
+        cols = [i for i, k in enumerate(basis[d]) if weight[k] <= w]
+        columns = [D(d, [Fraction(i == j) for i in range(len(basis[d]))])
+                   for j in cols]
+        rows = [[col[i] for col in columns]
+                for i, k in enumerate(basis[d + 1]) if weight[k] > w - r]
+        out = []
+        for v in _dense_nullspace(rows, len(cols)):
+            x = [Fraction(0)] * len(basis[d])
+            for j, c in zip(cols, v):
+                x[j] = c
+            out.append(x)
+        return out
+
+    pages = []
+    for r in range(max_page + 1):
+        page = {}
+        for d in range(d_lo, d_hi + 1):
+            for w in C.weights():
+                top = Z(r, w, d)
+                if r == 0:
+                    bottom = Z(0, w - 1, d)
+                else:
+                    bottom = Z(r - 1, w - 1, d) + [
+                        D(d - 1, y) for y in Z(r - 1, w + r - 1, d - 1)]
+                rank = _dense_rank_oracle(top)
+                assert _dense_rank_oracle(top + bottom) == rank  # bottom <= top
+                dim = rank - _dense_rank_oracle(bottom)
+                if dim:
+                    page[(w, d)] = dim
+        pages.append(page)
+    return pages
+
+
+def _zigzag_complex():
+    """x (3,0), u (2,0), y (2,1), t (1,1) with dh x = -y, dv u = y,
+    dh u = t: E_1 = E_2 is x and t, and d_2 [x] = [D(x + u)] = [t] kills
+    both, so E_3 = 0."""
+    kb = {"x": (3, 0), "u": (2, 0), "y": (2, 1), "t": (1, 1)}
+    dv = {"u": {"y": Fraction(1)}}
+    dh = {"x": {"y": Fraction(-1)}, "u": {"t": Fraction(1)}}
+    return BigradedComplex(kb, dv, dh, (-1, 2))
+
+
+def test_spectral_pages_zigzag_has_d2():
+    C = _zigzag_complex()
+    C.validate()
+    e1 = {(3, 0): 1, (1, 1): 1}
+    pages = spectral_pages(C, 4, window=(0, 1))
+    assert pages == [
+        {(3, 0): 1, (2, 0): 1, (2, 1): 1, (1, 1): 1}, e1, e1, {}, {}]
+    assert _pages_from_definition(C, 4, (0, 1)) == pages
+
+
+_rng = random.Random(9)
+_RANDOM = [random_presentation(_rng) for _ in range(4)]
+_BUILDERS = {"E": (build_E, (8, 14)), "G": (build_G, (4, 10)),
+             "harrison": (harrison_shuffle_model, (8, 14))}
+
+
+@pytest.mark.parametrize("case", ["cp2", "sullivan_s2"] + [
+    f"{b}-{i}" for i in range(len(_RANDOM)) for b in _BUILDERS])
+def test_spectral_pages_match_definition(case):
+    """The corner-rank pages equal the pages computed from the definition
+    on the builders' complexes: the cp2 and Sullivan S^2 word models and
+    three builders over four random presentations."""
+    if case in ("cp2", "sullivan_s2"):
+        C = build_E(load_presentation(f"{case}.alg"), 6, 6).complex
+    else:
+        b, i = case.split("-")
+        builder, caps = _BUILDERS[b]
+        C = builder(_RANDOM[int(i)], *caps).complex
+    lo, hi = C.complete_degrees
+    window = (lo + 1, hi - 1)
+    assert spectral_pages(C, 4, window) == _pages_from_definition(C, 4, window)
