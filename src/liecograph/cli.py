@@ -53,6 +53,10 @@ from .shapes import SGraph, enumerate_graphs, enumerate_trees, tall_tree
 # recursion limit
 MAX_NESTING = 64
 
+# most pages `ss --pages` lists; every page past the weight span repeats the
+# last one, so larger values only print the same lines again
+MAX_PAGES = 10**6
+
 _TOKEN_RE = re.compile(
     r"\s*(->|\d+/\d+|\d+|[A-Za-z_]\w*|[|\[\](),;*+-])")
 
@@ -459,15 +463,17 @@ def _cmd_ss(args, out):
     lo, hi = _parse_window(args.window)
     cw, cd = _caps_from_args(args, (hi + 2, hi + 1))
     max_page = _int_arg(args.pages, "--pages")
-    if max_page < 0:
-        raise ParseError(
-            f"--pages must be >= 0, got {clipped_repr(args.pages)}")
+    if not 0 <= max_page <= MAX_PAGES:
+        raise ParseError(f"--pages must be in 0..{MAX_PAGES}, "
+                         f"got {clipped_repr(args.pages)}")
     E = build_E(A, cw, cd)
     pages = spectral_pages(E.complex, max_page, window=(lo, hi))
     out.write(f"# caps: weight={cw} degree={cd}\n")
     for r, page in enumerate(pages):
-        for (w, d) in sorted(page):
-            out.write(f"{r}\t{w}\t{d}\t{page[(w, d)]}\n")
+        if r == 0 or page is not pages[r - 1]:  # else a repeat of the last
+            rows = [f"\t{w}\t{d}\t{page[(w, d)]}\n" for (w, d) in sorted(page)]
+        for row in rows:
+            out.write(f"{r}{row}")
     return 0
 
 

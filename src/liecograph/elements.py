@@ -25,7 +25,9 @@ __all__ = [
 
 
 class GeneratorTable:
-    """Ordered graded generators (name, degree >= 1)."""
+    """Ordered graded generators (name, degree >= 1).  Caches derived from
+    one table (iterated cobrackets, word quotients) live in its `memo`s and
+    die with it."""
 
     def __init__(self, gens):
         self.names = []
@@ -39,6 +41,11 @@ class GeneratorTable:
             self.names.append(name)
             self.degree[name] = deg
         self.order = {n: i for i, n in enumerate(self.names)}
+        self._memos = {}
+
+    def memo(self, name):
+        """The table's cache dict called name, created empty on first use."""
+        return self._memos.setdefault(name, {})
 
     def degrees_of(self, labels):
         return tuple(self.degree[x] for x in labels)

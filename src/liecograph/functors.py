@@ -59,12 +59,12 @@ from .shapes import (
 )
 from .elements import GeneratorTable, GraphElement, TreeElement, koszul_sign
 from .graphcoalg import (
+    _bar_coordinates,
     _distinct_arrangements,
     _shuffles,
+    bar_quotient,
     cobracket,
-    designated_words,
     graphify,
-    iterated_cobracket,
 )
 from .liealg import _content_reduction, lie_normal_form
 from .pairing import element_pair
@@ -109,12 +109,12 @@ class DgComplexBundle:
       monomial_of     slot name -> monomial of A (build_G, build_E,
                       harrison_shuffle_model);
       key_cobracket   key -> {(key1, key2): coeff}, the cobracket of one basis
-                      key (build_G, build_E); build_A_hat needs it;
-      project_element GraphElement over the table -> bar-basis coordinates
-                      of its class (build_E)."""
+                      key (build_G, build_E); build_A_hat needs it.
+    build_E's classes of GraphElements over its table are read with
+    graphcoalg.to_bar_basis, which shares the table's bar_quotient memo."""
 
     def __init__(self, kind, complex, presentation, caps, table=None,
-                 monomial_of=None, key_cobracket=None, project_element=None):
+                 monomial_of=None, key_cobracket=None):
         self.kind = kind
         self.complex = complex
         self.presentation = presentation
@@ -125,7 +125,6 @@ class DgComplexBundle:
         self.table = table
         self.monomial_of = monomial_of
         self.key_cobracket = key_cobracket
-        self.project_element = project_element
 
     def dims(self):
         return {bd: len(keys) for bd, keys in self.complex.pieces.items()}
@@ -148,8 +147,7 @@ class DgComplexBundle:
 # the shared skeleton: assembler, slot-wise derivation, sorted-word emitter
 
 def _bundle(kind, source, caps, key_bidegree, differential, complete,
-            table=None, monomial_of=None, key_cobracket=None,
-            project_element=None):
+            table=None, monomial_of=None, key_cobracket=None):
     """Bundle of the complex on the ordered basis key_bidegree (key ->
     (w, d)); differential(key, (w, d)) returns (dv, dh), two {key: coeff}
     dicts landing in (w, d + 1) and (w - 1, d + 1)."""
@@ -163,8 +161,7 @@ def _bundle(kind, source, caps, key_bidegree, differential, complete,
     cx = BigradedComplex(key_bidegree, dv_of_key, dh_of_key, complete)
     return DgComplexBundle(kind, cx, source, caps, table=table,
                            monomial_of=monomial_of,
-                           key_cobracket=key_cobracket,
-                           project_element=project_element)
+                           key_cobracket=key_cobracket)
 
 
 def _slotwise(word, degree, letter_map):
@@ -243,25 +240,10 @@ def _contents(table, cap_weight, cap_degree):
 
 
 # ---------------------------------------------------------------------------
-# bar-word coordinates via the iterated cobracket
-
-def _vec_of_element(g):
-    """Injective linear coordinates of g's Lie-coalgebra class: the fully
-    iterated cobracket as a map into tensors of single slots."""
-    out = {}
-    for n in g.weights():
-        t = iterated_cobracket(g.component(n), n - 1)
-        for keys, c in t.terms.items():
-            names = tuple(k[1][0] for k in keys)
-            add_into(out, names, c)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # the bar-word complex (shared with the Harrison oracle) and build_E
 
 def _bar_model(kind, A, caps, alphabet, basis_of, project_word,
-               key_cobracket=None, project_element=None):
+               key_cobracket=None):
     """Bundle of A's bar-word complex on a quotient of the words over the slot
     alphabet.  basis_of(content) lists the basis words of one content and
     project_word(raw, coeff, acc) accumulates coeff * (class of the raw word)
@@ -289,74 +271,37 @@ def _bar_model(kind, A, caps, alphabet, basis_of, project_word,
 
     return _bundle(kind, A, caps, key_bidegree, differential,
                    (0, min(cw, cd)), table=table, monomial_of=mono_of,
-                   key_cobracket=key_cobracket,
-                   project_element=project_element)
+                   key_cobracket=key_cobracket)
 
 
 def build_E(A, cap_weight=None, cap_degree=None):
     """Lie-coalgebra model of a commutative algebra presentation, realized on
     designated-leading bar words (see _bar_model for the bigrading and the
-    differentials); the quotient is solved through the iterated cobracket."""
+    differentials).  The basis of each content and the coordinates of every
+    raw word and cobracket factor come from graphcoalg.bar_quotient, the
+    quotient solved through the iterated cobracket."""
     cw, cd = _caps(A, cap_weight, cap_degree)
     alphabet = _slot_alphabet(A, cd)
     table = alphabet[0]
-    solvers = {}
-
-    def solver(content):
-        """(bar basis, tracked echelon) of a content: the designated-leading
-        words whose iterated-cobracket vectors are independent."""
-        s = solvers.get(content)
-        if s is None:
-            basis, ech = [], Echelon(track=True)
-            for w in designated_words(table, content):
-                vec = _vec_of_element(graphify(w, table))
-                if ech.insert(vec, w) is not None:
-                    basis.append(w)
-            s = solvers[content] = (basis, ech)
-        return s
-
-    def project_vec(content, vec, coeff, acc):
-        """Accumulate coeff * (the class with iterated-cobracket vector vec)
-        in basis coordinates; the class must lie in the content's span."""
-        residual, coords = solver(content)[1].reduce(vec)
-        if residual:
-            raise AssertionError(
-                f"class not in the bar-word span of content {content}")
-        for k, v in coords.items():
-            add_into(acc, k, coeff * v)
 
     def project_word(raw, coeff, acc):
-        content = tuple(sorted(raw, key=table.sort_key))
-        project_vec(content, _vec_of_element(graphify(raw, table)), coeff,
-                    acc)
-
-    def project_element(g):
-        """Bar-basis coordinates of a GraphElement over the slot alphabet."""
-        acc = {}
-        by_content = {}
-        for key, c in g.terms.items():
-            content = tuple(sorted(key[1], key=table.sort_key))
-            by_content.setdefault(content, {})[key] = c
-        for content, terms in by_content.items():
-            project_vec(content, _vec_of_element(GraphElement(table, terms)),
-                        1, acc)
-        return acc
+        for w, c in _bar_coordinates(graphify(raw, table)).items():
+            add_into(acc, w, coeff * c)
 
     def key_cobracket(word):
         out = {}
-        cb = cobracket(graphify(word, table))
-        for (k1, k2), c in cb.terms.items():
-            p1 = project_element(GraphElement(table, {k1: Fraction(1)}))
-            p2 = project_element(GraphElement(table, {k2: Fraction(1)}))
+        for (k1, k2), c in cobracket(graphify(word, table)).terms.items():
+            p1 = _bar_coordinates(GraphElement(table, {k1: Fraction(1)}))
+            p2 = _bar_coordinates(GraphElement(table, {k2: Fraction(1)}))
             for w1, c1 in p1.items():
                 for w2, c2 in p2.items():
                     add_into(out, (w1, w2), c * c1 * c2)
         return out
 
     return _bar_model(
-        "E_of_A", A, (cw, cd), alphabet, lambda content: solver(content)[0],
-        project_word, key_cobracket=key_cobracket,
-        project_element=project_element)
+        "E_of_A", A, (cw, cd), alphabet,
+        lambda content: bar_quotient(table, content)[0], project_word,
+        key_cobracket=key_cobracket)
 
 
 # ---------------------------------------------------------------------------

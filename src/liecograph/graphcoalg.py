@@ -1,35 +1,31 @@
 """Cofree graph coalgebra elements and the Lie-coalgebra quotient: graded
 cobracket (cut each edge, tensor both sides both ways with Koszul signs),
-iterated cobracket, the word-problem decision procedure, bar-basis normal
-forms, graphification of bar words, and generators for the relation suites
-(arrow-reversing, Arnold, shuffles, reverse-all, cyclic).
+iterated cobracket, the word-problem decision procedure, graphification of
+bar words, and generators for the relation suites (arrow-reversing, Arnold,
+shuffles, reverse-all, cyclic).
+
+The fully iterated cobracket is injective on the quotient, so it is also the
+one solver for bar-basis coordinates: `bar_quotient` keeps, per content, the
+designated-leading words whose iterated-cobracket vectors are independent
+and their tracked echelon.  `to_bar_basis` and build_E both read classes
+through it.  Every cache here is a memo of the generator table it was
+computed over.
 """
 
 from fractions import Fraction
 from itertools import permutations
 
 from .errors import CapExceeded
-from .shapes import (
-    SGraph,
-    cut_edge,
-    enumerate_graphs,
-    long_graph,
-    tall_tree,
-)
-from .elements import (
-    GraphElement,
-    TensorElement,
-    TreeElement,
-    koszul_sign,
-)
+from .shapes import SGraph, cut_edge, enumerate_graphs, long_graph
+from .elements import GraphElement, TensorElement, koszul_sign
 from .linalg import Echelon, add_into
-from .pairing import element_pair
 
 __all__ = [
     "cobracket",
     "iterated_cobracket",
     "is_zero_in_E",
     "to_bar_basis",
+    "bar_quotient",
     "designated_words",
     "graphify",
     "relation_generators",
@@ -62,18 +58,11 @@ def cobracket(g):
     return TensorElement(table, out)
 
 
-_iter_cache = {}
-
-
-def _table_sig(table):
-    return tuple(zip(table.names, (table.degree[n] for n in table.names)))
-
-
 def _iterated_term(table, key, k):
-    """Iterated cobracket of a single canonical term, memoized per table
-    signature; returns a plain terms dict."""
-    sig = (_table_sig(table), key, k)
-    hit = _iter_cache.get(sig)
+    """Iterated cobracket of a single canonical term, memoized on the table;
+    returns a plain terms dict."""
+    memo = table.memo("iterated_cobracket")
+    hit = memo.get((key, k))
     if hit is not None:
         return hit
     if k == 0:
@@ -84,7 +73,7 @@ def _iterated_term(table, key, k):
         for (k1, k2), c in c2.terms.items():
             for keys, cc in _iterated_term(table, k1, k - 1).items():
                 add_into(res, keys + (k2,), c * cc)
-    _iter_cache[sig] = res
+    memo[(key, k)] = res
     return res
 
 
@@ -147,39 +136,55 @@ def _component_split(g):
     return comps
 
 
-def to_bar_basis(g):
-    """Coordinates of g's Lie-coalgebra class over bar words whose leading
-    slot carries the designated (minimal) generator of their component.
-
-    Coordinates are extracted by pairing against tall trees over the dual
-    label arrangements and solving the resulting exact linear system; the
-    class is zero iff all coordinates vanish."""
-    table = g.table
+def _iterated_vector(g):
+    """Injective linear coordinates of g's Lie-coalgebra class: the fully
+    iterated cobracket as a map into tensors of single slots."""
     out = {}
-    for (n, ms), terms in _component_split(g).items():
-        if n > BAR_CAP:
-            raise CapExceeded(f"bar basis capped at weight <= {BAR_CAP}")
-        comp = GraphElement(table, terms)
-        words = designated_words(table, ms)
-        trees = [TreeElement.from_term(table, tall_tree(arr))
-                 for arr in _distinct_arrangements(ms)]
-        ech = Echelon(track=True)
-        for w in words:
-            ech.insert(_pairings(graphify(w, table), trees), w)
-        residual, coeffs = ech.reduce(_pairings(comp, trees))
+    for n in g.weights():
+        t = iterated_cobracket(g.component(n), n - 1)
+        for keys, c in t.terms.items():
+            add_into(out, tuple(k[1][0] for k in keys), c)
+    return out
+
+
+def bar_quotient(table, content):
+    """(basis, tracked Echelon) of a content's Lie-coalgebra quotient: the
+    designated words whose iterated-cobracket vectors are independent of the
+    earlier ones, and the echelon of those vectors tagged by word.  Memoized
+    on the table."""
+    memo = table.memo("bar_quotient")
+    hit = memo.get(content)
+    if hit is None:
+        basis, ech = [], Echelon(track=True)
+        for w in designated_words(table, content):
+            if ech.insert(_iterated_vector(graphify(w, table)), w) is not None:
+                basis.append(w)
+        hit = memo[content] = (basis, ech)
+    return hit
+
+
+def _bar_coordinates(g):
+    """Coordinates of g's class over the bar_quotient bases of its
+    components (disjoint word sets, one per content)."""
+    out = {}
+    for (n, content), terms in _component_split(g).items():
+        residual, coords = bar_quotient(g.table, content)[1].reduce(
+            _iterated_vector(GraphElement(g.table, terms)))
         if residual:
             raise AssertionError(
-                f"bar words failed to span component {ms} at weight {n}")
-        for w in words:
-            c = coeffs.get(w)
-            if c:
-                out[w] = out.get(w, Fraction(0)) + c
-    return {w: c for w, c in out.items() if c}
+                f"bar words failed to span component {content} at weight {n}")
+        out.update(coords)
+    return out
 
 
-def _pairings(g, trees):
-    """Sparse vector {tree index: <g, tree>}."""
-    return {j: v for j, t in enumerate(trees) if (v := element_pair(g, t))}
+def to_bar_basis(g):
+    """Coordinates of g's Lie-coalgebra class over bar words whose leading
+    slot carries the designated (minimal) generator of their component; the
+    class is zero iff all coordinates vanish.  Classes are read through the
+    iterated cobracket (bar_quotient), weights up to BAR_CAP."""
+    if any(n > BAR_CAP for n in g.weights()):
+        raise CapExceeded(f"bar basis capped at weight <= {BAR_CAP}")
+    return _bar_coordinates(g)
 
 
 # ---------------------------------------------------------------------------

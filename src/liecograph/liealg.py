@@ -10,8 +10,7 @@ from fractions import Fraction
 
 from .errors import CapExceeded
 from .elements import TreeElement, _Element
-from .graphcoalg import (_distinct_arrangements, _table_sig,
-                         designated_words, graphify)
+from .graphcoalg import _distinct_arrangements, designated_words, graphify
 from .linalg import Echelon, add_into
 from .pairing import element_pair
 from .shapes import tall_tree, tree_leaves
@@ -67,15 +66,12 @@ def _br_words(table, u, v):
         return {u + v: Fraction(1)}
     vp, z = v[:-1], v[-1:]
     out = {}
-    s1 = _br_words(table, u, vp)
-    for w, c in s1.items():
-        key = w + z
-        out[key] = out.get(key, Fraction(0)) + c
+    for w, c in _br_words(table, u, vp).items():
+        add_into(out, w + z, c)
     sgn = -((-1) ** (_word_degree(table, vp) * _word_degree(table, z)))
-    s2 = _br_words(table, u + z, vp)
-    for w, c in s2.items():
-        out[w] = out.get(w, Fraction(0)) + sgn * c
-    return {w: c for w, c in out.items() if c}
+    for w, c in _br_words(table, u + z, vp).items():
+        add_into(out, w, sgn * c)
+    return out
 
 
 def _combs_of_term(table, key):
@@ -96,7 +92,7 @@ def _lead_designated(table, word, coeff, acc):
     """Rewrite a comb word so the designated (minimal) generator leads."""
     g0 = min(word, key=table.sort_key)
     if word[0] == g0:
-        acc[word] = acc.get(word, Fraction(0)) + coeff
+        add_into(acc, word, coeff)
         return
     k = next(i for i, x in enumerate(word) if x == g0)
     prefix, tail = word[:k], word[k + 1:]
@@ -104,11 +100,7 @@ def _lead_designated(table, word, coeff, acc):
     for w, c in _br_words(table, (g0,), prefix).items():
         full = w + tail
         assert full[0] == g0
-        acc[full] = acc.get(full, Fraction(0)) + coeff * sgn * c
-    return
-
-
-_kernel_cache = {}
+        add_into(acc, full, coeff * sgn * c)
 
 
 def _content_reduction(table, content):
@@ -119,9 +111,9 @@ def _content_reduction(table, content):
     graphs over all arrangements, which separates free-Lie classes: the
     pairing vectors go into a tracked echelon from the last word to the
     first, and a word whose vector is already spanned gives the relation
-    e_i - (its coordinates over the later words)."""
-    sig = (_table_sig(table), content)
-    hit = _kernel_cache.get(sig)
+    e_i - (its coordinates over the later words).  Memoized on the table."""
+    memo = table.memo("content_reduction")
+    hit = memo.get(content)
     if hit is not None:
         return hit
     words = designated_words(table, content)
@@ -139,8 +131,7 @@ def _content_reduction(table, content):
             rel = {k: -c for k, c in ech.reduce(vec)[1].items()}
             rel[i] = Fraction(1)
             rel_ech.insert(rel)
-    res = (words, rel_ech)
-    _kernel_cache[sig] = res
+    res = memo[content] = (words, rel_ech)
     return res
 
 
@@ -161,8 +152,6 @@ def lie_normal_form(t):
     out = {}
     by_content = {}
     for w, c in acc.items():
-        if not c:
-            continue
         content = tuple(sorted(w, key=table.sort_key))
         by_content.setdefault(content, {})[w] = c
     for content, coords in by_content.items():
@@ -184,11 +173,7 @@ def tensor_expand(x):
     out = {}
     for key, coeff in x.terms.items():
         for w, c in _expand_term(table, key).items():
-            s = out.get(w, Fraction(0)) + coeff * c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
+            add_into(out, w, coeff * c)
     return out
 
 
@@ -203,6 +188,6 @@ def _expand_term(table, key):
     out = {}
     for u, cu in L.items():
         for v, cv in R.items():
-            out[u + v] = out.get(u + v, Fraction(0)) + cu * cv
-            out[v + u] = out.get(v + u, Fraction(0)) - sgn * cu * cv
-    return {w: c for w, c in out.items() if c}
+            add_into(out, u + v, cu * cv)
+            add_into(out, v + u, -sgn * cu * cv)
+    return out

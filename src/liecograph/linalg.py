@@ -450,7 +450,10 @@ def spectral_pages(C, max_page, window=None):
     weight), and rho(d, a, b) is the rank of that block.  dim Z_r^{w,d} =
     |F_w T^d| - rho(d, w, w-r); modulo Z_{r-1}^{w-1,d}, D Z_{r-1}^{w+r-1,d-1}
     adds the rank of D mod F_{w-1} on the kernel of D mod F_w, which is
-    rho(d-1, w+r-1, w-1) - rho(d-1, w+r-1, w)."""
+    rho(d-1, w+r-1, w-1) - rho(d-1, w+r-1, w).
+
+    d_r lowers the weight by r, so it vanishes once r exceeds the weight
+    span: the pages after E^(span+1) are that same page dict."""
     if window is None:
         lo, hi = C.complete_degrees
         window = (lo + 1, hi - 1)
@@ -480,7 +483,8 @@ def spectral_pages(C, max_page, window=None):
                  if j < col_end and i >= row_start}).rank()
         return ranks[key]
 
-    for r in range(1, max_page + 1):
+    span = weights[-1] - weights[0] if weights else 0
+    for r in range(1, min(max_page, span + 1) + 1):
         page = {}
         for d in range(d_lo, d_hi + 1):
             for w in weights:
@@ -494,4 +498,4 @@ def spectral_pages(C, max_page, window=None):
                 if dim:
                     page[(w, d)] = dim
         pages.append(page)
-    return pages
+    return pages + [pages[-1]] * (max_page + 1 - len(pages))

@@ -19,6 +19,7 @@ File format (line oriented, # comments):
 import re
 from fractions import Fraction
 
+from .elements import koszul_sign
 from .errors import InvalidPresentation, ParseError
 from .linalg import add_into
 
@@ -91,25 +92,18 @@ class DgcaPresentation:
     def normalize_monomial(self, seq):
         """Sort a factor sequence, returning (monomial, sign); sign 0 if it
         vanishes (odd square or relation power)."""
-        seq = list(seq)
-        sign = 1
-        # insertion sort counting odd-odd transpositions
-        for i in range(1, len(seq)):
-            j = i
-            while j > 0 and self.order[seq[j - 1]] > self.order[seq[j]]:
-                if self.gen_degree[seq[j - 1]] % 2 and self.gen_degree[seq[j]] % 2:
-                    sign = -sign
-                seq[j - 1], seq[j] = seq[j], seq[j - 1]
-                j -= 1
+        perm = sorted(range(len(seq)), key=lambda i: self.order[seq[i]])
+        m = tuple(seq[i] for i in perm)
         counts = {}
-        for x in seq:
+        for x in m:
             counts[x] = counts.get(x, 0) + 1
         for x, k in counts.items():
             if k >= 2 and self.gen_degree[x] % 2:
-                return tuple(seq), 0
+                return m, 0
             if x in self.relations and k >= self.relations[x]:
-                return tuple(seq), 0
-        return tuple(seq), sign
+                return m, 0
+        # each odd generator occurs once, so the sign is cheap
+        return m, koszul_sign([self.gen_degree[x] for x in seq], perm)
 
     def multiply(self, m1, m2):
         """Product of two monomials: (monomial, sign) with sign possibly 0."""
@@ -341,13 +335,13 @@ def parse_polynomial(text, lineno=None, max_factors=None):
         sign = -1 if take() == "-" else 1
     while pos < len(toks):
         coeff, mono = parse_term()
-        out[mono] = out.get(mono, Fraction(0)) + sign * coeff
+        add_into(out, mono, sign * coeff)
         if peek() in ("+", "-"):
             sign = -1 if take() == "-" else 1
         elif pos < len(toks):
             raise ParseError(f"trailing tokens in polynomial {text!r}",
                              line=lineno)
-    return {m: c for m, c in out.items() if c}
+    return out
 
 
 def parse_presentation(text):

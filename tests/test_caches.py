@@ -1,0 +1,49 @@
+"""Every cache derived from a generator table lives and dies with that table
+(GeneratorTable.memo): running the builders and normal forms on fresh tables
+leaves every module-level container of the library at its old size."""
+
+import gc
+import importlib
+import pkgutil
+
+import liecograph
+from liecograph.elements import GeneratorTable, TreeElement
+from liecograph.functors import (
+    build_E,
+    check_duality,
+    dualize,
+    rational_homotopy,
+)
+from liecograph.graphcoalg import graphify, to_bar_basis
+from liecograph.liealg import lie_normal_form
+from liecograph.presentations import parse_presentation
+
+
+def module_container_sizes():
+    """{module.name: len} of every module-level dict, list and set of the
+    library (dunders aside)."""
+    sizes = {}
+    for info in pkgutil.iter_modules(liecograph.__path__):
+        module = importlib.import_module(f"liecograph.{info.name}")
+        for name, value in vars(module).items():
+            if not name.startswith("__") and isinstance(
+                    value, (dict, list, set)):
+                sizes[f"{info.name}.{name}"] = len(value)
+    return sizes
+
+
+def test_module_level_containers_do_not_grow():
+    before = module_container_sizes()
+    # the Sullivan S^2 model and a table under names no other test uses, so
+    # a cache keyed on names or degrees would have to grow here
+    A = parse_presentation("gen u7 deg 2\ngen v7 deg 3\ndiff v7 = u7^2\n")
+    build_E(A, 4, 6)
+    rational_homotopy(A, (2, 4))
+    check_duality(A, dualize(A, 6), 3, 6)
+    table = GeneratorTable([("p7", 2), ("q7", 3)])
+    assert to_bar_basis(graphify(("q7", "p7", "p7"), table))
+    assert lie_normal_form(TreeElement.from_term(
+        table, (("q7", "p7"), "p7"))).terms
+    del A, table
+    gc.collect()
+    assert module_container_sizes() == before

@@ -275,10 +275,11 @@ class TestErrorsAndCaps:
         ("pi", S2, "--cap-degree", "1.5"),
         ("ss", S2, "--pages", "x"),
         ("ss", S2, "--pages", "-1"),
+        ("ss", S2, "--pages", "1000000000"),
         ("enumerate", "graphs", "q"),
         ("enumerate", "trees", BIG),
     ], ids=["cap-weight", "cap-degree", "pages", "negative-pages",
-            "enumerate-weight", "enumerate-huge-weight"])
+            "pages-above-max", "enumerate-weight", "enumerate-huge-weight"])
     def test_malformed_integer_argument_exits_1(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == "" and "ParseError" in err
