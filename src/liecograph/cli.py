@@ -329,18 +329,28 @@ def _int_arg(text, flag):
         raise ParseError(f"{flag}: {e}") from None
 
 
+def _cap_arg(text, source):
+    """A cap from a flag or the environment (None stays None).  It must be
+    >= 0: no size is negative, so a negative cap would lift it altogether."""
+    v = _int_arg(text, source)
+    if v is not None and v < 0:
+        raise ParseError(
+            f"{source}: a cap must be >= 0, got {clipped_repr(text)}")
+    return v
+
+
 def _caps_from_args(args, default):
     """(weight, degree) caps: the flags, else LIECOGRAPH_CAP_OVERRIDE, else
     the verb's default pair."""
-    cw = _int_arg(args.cap_weight, "--cap-weight")
-    cd = _int_arg(args.cap_degree, "--cap-degree")
+    cw = _cap_arg(args.cap_weight, "--cap-weight")
+    cd = _cap_arg(args.cap_degree, "--cap-degree")
     env = os.environ.get("LIECOGRAPH_CAP_OVERRIDE")
     if env:
-        try:
-            ew, ed = (parse_int(x) for x in env.split(","))
-        except (ValueError, ParseError):
+        parts = env.split(",")
+        if len(parts) != 2:
             raise ParseError(f"LIECOGRAPH_CAP_OVERRIDE value "
                              f"{clipped_repr(env)} is not 'weight,degree'")
+        ew, ed = (_cap_arg(x, "LIECOGRAPH_CAP_OVERRIDE") for x in parts)
         cw = cw if cw is not None else ew
         cd = cd if cd is not None else ed
     return (cw if cw is not None else default[0],
@@ -450,9 +460,8 @@ def _cmd_harrison(args, out):
     A = _load(args.file, DgcaPresentation)
     lo, hi = _parse_window(args.window)
     cw, cd = _caps_from_args(args, (hi + 2, hi + 1))
-    H = harrison_shuffle_model(A, cw, cd)
+    hom = harrison_shuffle_model(A, cw, cd).homology((lo, hi))
     out.write(f"# caps: weight={cw} degree={cd}\n")
-    hom = H.homology((lo, hi))
     for d in range(lo, hi + 1):
         out.write(f"{d}\t{hom[d]}\n")
     return 0
@@ -481,8 +490,8 @@ def _cmd_dual_check(args, out):
     A = _load(args.algebra, DgcaPresentation)
     C = _load(args.coalgebra, DgccPresentation)
     cw, cd = _caps_from_args(args, (DEFAULT_CAP_WEIGHT, DEFAULT_CAP_DEGREE))
-    out.write(f"# caps: weight={cw} degree={cd}\n")
     rep = check_duality(A, C, cw, cd)
+    out.write(f"# caps: weight={cw} degree={cd}\n")
     if rep.passed:
         out.write("pass\n")
         return 0

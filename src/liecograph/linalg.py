@@ -2,22 +2,23 @@
 
 `Echelon` is the single exact elimination kernel: every rank, inverse,
 coordinate extraction and quotient normal form over Q in the package is a
-row reduction through it.  `integer_matrix_rank` is the certified numpy path
-for large integer matrices.  On top sit sparse matrices with Fraction
-entries (rank only) and bigraded complexes: basis keys in (weight, degree)
-pieces with two anticommuting degree-+1 differentials held once, as
-key-indexed sparse columns.  Total homology and the spectral-sequence page
-dimensions for the weight filtration are ranks of blocks of the total
-differential, which lays the pieces of each degree out by ascending weight.
+row reduction through it.  `integer_matrix_rank` certifies the rank of a
+large integer matrix on a nonsingular minor its caller names.  On top sit
+sparse matrices with Fraction entries (rank only) and bigraded complexes:
+basis keys in (weight, degree) pieces with two anticommuting degree-+1
+differentials held once, as key-indexed sparse columns.  Total homology and
+the spectral-sequence page dimensions for the weight filtration are ranks of
+blocks of the total differential, which lays the pieces of each degree out
+by ascending weight.
 
-No floating point ever enters a result: the numpy fast path is used only for
-modular candidate discovery and for integer matrix products whose entries are
-proven (by explicit magnitude bounds) to be exactly representable.
+No floating point ever enters a result: numpy is used only for integer
+matrix products whose entries are proven (by explicit magnitude bounds) to be
+exactly representable in int64.
 """
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import lcm
 
 from .errors import CapTooSmall
 
@@ -145,46 +146,7 @@ class SparseMatrix:
 
 
 # ---------------------------------------------------------------------------
-# certified rank for large integer matrices (numpy-backed)
-
-_PRIMES_23 = [8388593, 8388587, 8388581, 8388571, 8388547, 8388539, 8388473,
-              8388461, 8388451, 8388403, 8388379, 8388373, 8388319, 8388301,
-              8388287, 8388239, 8388203, 8388143, 8388137, 8388101]
-
-
-def _modp_pivots(A, p, chunk=2048):
-    """Row/column indices of a pivot set of A mod p (incremental RREF).
-    Returns (pivot_rows, pivot_cols) in insertion order."""
-    import numpy as np
-
-    nrows, ncols = A.shape
-    E = np.zeros((0, ncols), dtype=np.int64)  # RREF rows mod p
-    pivrows, pivcols = [], []
-    for lo in range(0, nrows, chunk):
-        B = A[lo:lo + chunk].astype(np.int64) % p
-        if pivcols:
-            coeff = B[:, pivcols]
-            B = (B - (coeff @ E) % p) % p
-        nz = np.flatnonzero(B.any(axis=1))
-        for k in nz:
-            row = B[k].copy()
-            # re-reduce (earlier rows in this chunk may have added pivots)
-            for idx in range(len(pivcols)):
-                c = pivcols[idx]
-                if row[c]:
-                    row = (row - row[c] * E[idx]) % p
-            if not row.any():
-                continue
-            c = int(np.flatnonzero(row)[0])
-            row = (row * pow(int(row[c]), p - 2, p)) % p
-            if len(pivcols):
-                f = E[:, c].copy()
-                E = (E - np.outer(f, row)) % p
-            E = np.vstack([E, row[None, :]])
-            pivrows.append(lo + int(k))
-            pivcols.append(c)
-    return pivrows, pivcols
-
+# certified rank of an integer matrix on a named minor (numpy-backed)
 
 def _exact_inverse(S):
     """Exact inverse of a square matrix given as a list of lists of
@@ -202,130 +164,43 @@ def _exact_inverse(S):
     return inv
 
 
-def _grow_pivots_exact(A, pivrows, extra_rows):
-    """Extend an independent row set with exact elimination over Q."""
-    ech = Echelon()
-    keep_rows, keep_cols = [], []
-    for i in pivrows + extra_rows:
-        c = ech.insert({j: Fraction(int(v)) for j, v in enumerate(A[i]) if v})
-        if c is not None:
-            keep_rows.append(i)
-            keep_cols.append(c)
-    return keep_rows, keep_cols
+def integer_matrix_rank(A, rows, cols):
+    """Exact Q-rank of an integer numpy matrix A, certified on the minor
+    S = A[rows, cols] that the caller names.
 
-
-def _dedup_rows(A):
-    """Drop zero rows and rows that repeat an earlier row up to sign; this
-    never changes the row space."""
+    Lower bound: S has an exact inverse, so rank >= len(rows).  Upper bound:
+    every row of A is a Q-combination of the rows `rows`, checked as the
+    integer identity delta * A == (A[:, cols] @ adj) @ A[rows] with
+    adj = delta * S^-1 and delta the common denominator of S^-1.  The
+    identity is evaluated in int64, which is exact while the explicit bound
+    on every partial sum stays below 2^62.  Raises ArithmeticError if S is
+    singular, if the identity fails (S is not a maximal nonsingular minor) or
+    if the bound is exceeded; it never returns an uncertified number."""
     import numpy as np
 
-    seen = set()
-    keep = []
-    for i in range(A.shape[0]):
-        row = A[i]
-        key = row.tobytes()
-        if key in seen:
-            continue
-        if not row.any():
-            continue
-        seen.add(key)
-        seen.add((-row).tobytes())
-        keep.append(i)
-    if len(keep) == A.shape[0]:
-        return A
-    return np.ascontiguousarray(A[keep])
-
-
-def integer_matrix_rank(A, chunk=2048):
-    """Exact Q-rank of an integer numpy matrix, certified.
-
-    Pivot candidates are found mod p (cheap); the lower bound is certified by
-    exactly inverting the pivot submatrix S, and the upper bound by exactly
-    verifying that every row is a Q-combination of the pivot rows (integer
-    identity delta * A == (A[:,C] @ adj) @ A[R] with adj = delta * S^-1 and
-    delta the common denominator of S^-1, evaluated either in
-    overflow-checked int64/float64 or multi-modularly with enough primes to
-    exceed the explicit magnitude bound)."""
-    import numpy as np
-
-    A = np.ascontiguousarray(A)
     assert np.issubdtype(A.dtype, np.integer)
-    nrows, ncols = A.shape
-    if nrows == 0 or ncols == 0:
-        return 0
-    maxA = int(np.abs(A).max())
-    if maxA == 0:
-        return 0
-    A = _dedup_rows(A)
-    nrows = A.shape[0]
-
-    p0 = _PRIMES_23[0]
-    pivrows, pivcols = _modp_pivots(A, p0, chunk=chunk)
-
-    for _attempt in range(8):
-        r = len(pivrows)
-        S = [[int(A[i, j]) for j in pivcols] for i in pivrows]
-        Sinv = _exact_inverse(S)  # S nonsingular certifies rank >= r
-        den = 1
-        for row in Sinv:
-            for x in row:
-                den = den * x.denominator // gcd(den, x.denominator)
-        delta = den
-        adj = [[int(x * delta) for x in row] for row in Sinv]
-        maxadj = max((abs(x) for row in adj for x in row), default=0)
-
-        bound_w = r * maxA * maxadj
-        bound = r * bound_w * maxA + abs(delta) * maxA
-
-        R = A[pivrows].astype(np.int64)
-        bad = _verify_membership(A, pivcols, adj, delta, R, bound, chunk)
-        if bad is None:
-            return r
-        # mod-p discovery missed something (vanishing minor); grow exactly
-        pivrows, pivcols = _grow_pivots_exact(A, pivrows, [bad])
-    raise ArithmeticError("rank certification failed to converge")
-
-
-def _verify_membership(A, pivcols, adj, delta, R, bound, chunk):
-    """Check delta*A == (A[:,C] @ adj) @ R exactly.  Returns an offending row
-    index, or None if the identity holds."""
-    import numpy as np
-
-    nrows = A.shape[0]
-    r = len(pivcols)
-    if bound < 2 ** 62:
-        adj_np = np.array(adj, dtype=np.int64)
-        for lo in range(0, nrows, chunk):
-            Ach = A[lo:lo + chunk].astype(np.int64)
-            W = Ach[:, pivcols] @ adj_np
-            T = W @ R
-            diff = T - delta * Ach
-            if diff.any():
-                return lo + int(np.flatnonzero(diff.any(axis=1))[0])
-        return None
-    # multi-modular
-    need = 2 * bound + 1
-    primes, prod = [], 1
-    for p in _PRIMES_23:
-        primes.append(p)
-        prod *= p
-        if prod >= need:
-            break
-    if prod < need:
-        raise ArithmeticError("prime pool too small for certification bound")
-    for p in primes:
-        adj_p = np.array([[x % p for x in row] for row in adj], dtype=np.int64)
-        Rp = R % p
-        dp = delta % p
-        for lo in range(0, nrows, chunk):
-            Ach = A[lo:lo + chunk].astype(np.int64) % p
-            W = (Ach[:, pivcols] @ adj_p) % p
-            T = (W @ Rp) % p
-            diff = (T - dp * Ach) % p
-            if diff.any():
-                bad = lo + int(np.flatnonzero(diff.any(axis=1))[0])
-                return bad
-    return None
+    A = A.astype(np.int64)
+    rows, cols = list(rows), list(cols)
+    r = len(rows)
+    if len(cols) != r:
+        raise ArithmeticError(f"minor of {r} rows and {len(cols)} columns")
+    try:
+        Sinv = _exact_inverse([[int(A[i, j]) for j in cols] for i in rows])
+    except ZeroDivisionError:
+        raise ArithmeticError("the named minor is singular") from None
+    delta = lcm(*(x.denominator for row in Sinv for x in row))
+    adj = [[int(x * delta) for x in row] for row in Sinv]
+    maxA = int(np.abs(A).max(initial=0))
+    maxadj = max((abs(x) for row in adj for x in row), default=0)
+    bound = r * r * maxA * maxadj * maxA + delta * maxA
+    if bound >= 2 ** 62:
+        raise ArithmeticError(
+            f"certification bound {bound} exceeds the int64 range")
+    W = A[:, cols] @ np.array(adj, dtype=np.int64).reshape(r, r)
+    if (W @ A[rows] != delta * A).any():
+        raise ArithmeticError(
+            "a row lies outside the span of the named minor's rows")
+    return r
 
 
 # ---------------------------------------------------------------------------

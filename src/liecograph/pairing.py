@@ -10,7 +10,9 @@ so does swapping the two children at an internal node of the tree.  The
 weight-n pairing matrix is therefore built and ranked on the quotient by
 both, one oriented tree per undirected tree (n^(n-2) rows) against one child
 order per antisymmetry class (n!*Cat(n-1)/2^(n-1) columns): 1296 x 945 at
-n = 6 instead of 41472 x 30240; see PairingMatrix.
+n = 6 instead of 41472 x 30240.  Its rank is certified on the block of
+long graphs against tall trees, a signed identity since the two are dual
+bases; see PairingMatrix.
 
 At element level generators pair by name, so a graph term meets a tree term
 of its weight only through the label-preserving bijections from vertices to
@@ -27,7 +29,7 @@ from itertools import permutations, product
 from math import factorial, prod
 
 from .errors import CapExceeded, MalformedDual, WeightMismatch
-from .linalg import SparseMatrix, integer_matrix_rank
+from .linalg import integer_matrix_rank
 from .shapes import (
     ENUMERATION_CAP,
     SGraph,
@@ -43,7 +45,6 @@ __all__ = [
     "shape_pair",
     "element_pair",
     "pairing_matrix",
-    "long_tall_submatrix",
     "PairingMatrix",
 ]
 
@@ -190,10 +191,15 @@ class PairingMatrix:
     Q pairs these representatives, and
     entry(i, j) = row_sign[i] * col_sign[j] * Q[row_class[i], col_class[j]]
     for i, j indexing row_basis and col_basis.  Rows and columns equal up
-    to sign span the same space, so rank() is the certified rank of Q."""
+    to sign span the same space, so rank() is the rank of Q.
+
+    Long graphs 1 -> j2 -> ... -> jn and tall trees ((1, i2), ..., in) are
+    dual bases: their (n-1)! square block of Q is diagonal with entries +-1.
+    `minor` holds its (row classes, column classes), in the same order of
+    tails, and rank() is certified on it by integer_matrix_rank."""
 
     def __init__(self, n, graphs, trees, row_class, row_sign, col_class,
-                 col_sign, quotient):
+                 col_sign, quotient, minor):
         self.n = n
         self.row_basis = graphs
         self.col_basis = trees
@@ -202,6 +208,7 @@ class PairingMatrix:
         self.col_class = col_class
         self.col_sign = col_sign
         self.quotient = quotient
+        self.minor = minor
         self._rank = None
 
     def entry(self, i, j):
@@ -210,7 +217,7 @@ class PairingMatrix:
 
     def rank(self):
         if self._rank is None:
-            self._rank = integer_matrix_rank(self.quotient)
+            self._rank = integer_matrix_rank(self.quotient, *self.minor)
         return self._rank
 
     def __repr__(self):
@@ -221,18 +228,15 @@ class PairingMatrix:
 
 def _classes(basis, reduce):
     """Map each basis element to (class index, sign) under reduce(x) ->
-    (representative, sign); representatives are numbered in order of first
+    (representative, sign).  Returns ({representative: class index}, class
+    indices, signs); representatives are numbered in order of first
     appearance."""
-    index, reps, cls, sign = {}, [], [], []
+    index, cls, sign = {}, [], []
     for x in basis:
         rep, s = reduce(x)
-        k = index.get(rep)
-        if k is None:
-            k = index[rep] = len(reps)
-            reps.append(rep)
-        cls.append(k)
+        cls.append(index.setdefault(rep, len(index)))
         sign.append(s)
-    return reps, cls, sign
+    return index, cls, sign
 
 
 def _graph_class(G):
@@ -264,12 +268,15 @@ def pairing_matrix(n):
         raise CapExceeded(f"pairing matrix capped at n <= {ENUMERATION_CAP}")
     graphs = enumerate_graphs(n)
     trees = enumerate_trees(n)
-    row_reps, row_class, row_sign = _classes(graphs, _graph_class)
-    col_reps, col_class, col_sign = _classes(trees, _tree_class)
-    reps = [SGraph(n, edges, _checked=True) for edges in row_reps]
-    Q = _dense_pairing(n, reps, col_reps)
+    row_index, row_class, row_sign = _classes(graphs, _graph_class)
+    col_index, col_class, col_sign = _classes(trees, _tree_class)
+    reps = [SGraph(n, edges, _checked=True) for edges in row_index]
+    Q = _dense_pairing(n, reps, list(col_index))
+    tails = list(permutations(range(2, n + 1)))
+    minor = ([row_index[_graph_class(long_graph((1,) + t))[0]] for t in tails],
+             [col_index[_tree_class(tall_tree((1,) + t))[0]] for t in tails])
     return PairingMatrix(n, graphs, trees, row_class, row_sign, col_class,
-                         col_sign, Q)
+                         col_sign, Q, minor)
 
 
 def _dense_pairing(n, graphs, trees):
@@ -306,21 +313,3 @@ def _dense_pairing(n, graphs, trees):
         surj = masks == full
         out[:, j0:j0 + c] = np.where(surj, signs.prod(axis=2, dtype=np.int8), 0).T
     return out
-
-
-@lru_cache(maxsize=None)
-def long_tall_submatrix(n):
-    """(n-1)! square matrix pairing long graphs 1,j2..jn against tall trees
-    ((...(1,i2),...),in), both ordered lexicographically by their tails."""
-    if n > ENUMERATION_CAP:
-        raise CapExceeded(f"long/tall submatrix capped at n <= {ENUMERATION_CAP}")
-    tails = sorted(permutations(range(2, n + 1)))
-    entries = {}
-    for i, jt in enumerate(tails):
-        G = long_graph((1,) + jt)
-        for j, it in enumerate(tails):
-            T = tall_tree((1,) + it)
-            v = shape_pair(G, T)
-            if v:
-                entries[(i, j)] = Fraction(v)
-    return SparseMatrix(len(tails), len(tails), entries)

@@ -192,7 +192,9 @@ class DgcaPresentation:
 
 class DgccPresentation:
     """Coalgebra data: named basis classes with degrees, reduced coproduct
-    coprod[c] = [(coeff, a, b), ...] and differential codiff[c] = [(coeff, a)]."""
+    coprod[c] = [(coeff, a, b), ...] and differential codiff[c] = [(coeff, a)].
+    Construction checks degrees, codiff^2 = 0 and coassociativity of the
+    reduced coproduct; co-Leibniz is not checked."""
 
     def __init__(self, classes, coprod=None, codiff=None,
                  cap_weight=DEFAULT_CAP_WEIGHT, cap_degree=DEFAULT_CAP_DEGREE):
@@ -228,9 +230,28 @@ class DgccPresentation:
             if c not in self.class_degree:
                 raise InvalidPresentation(f"codiff on unknown {c!r}")
             for k, a in terms:
+                if a not in self.class_degree:
+                    raise InvalidPresentation(f"codiff {c} uses unknown {a!r}")
                 if self.class_degree[a] != self.class_degree[c] - 1:
                     raise InvalidPresentation(
                         f"codiff {c} -> {a} is not degree -1")
+            dd = {}
+            for k, a in terms:
+                for k2, b in self.codiff.get(a, ()):
+                    add_into(dd, b, k * k2)
+            if dd:
+                raise InvalidPresentation(f"codiff^2 != 0 on class {c!r}")
+        # coassociativity of the reduced coproduct: no Koszul sign enters
+        for c, terms in self.coprod.items():
+            left, right = {}, {}
+            for k, a, b in terms:
+                for k2, a1, a2 in self.coprod.get(a, ()):
+                    add_into(left, (a1, a2, b), k * k2)
+                for k2, b1, b2 in self.coprod.get(b, ()):
+                    add_into(right, (a, b1, b2), k * k2)
+            if left != right:
+                raise InvalidPresentation(
+                    f"coprod is not coassociative on class {c!r}")
 
     def __repr__(self):
         return ("DgccPresentation(%s)" %

@@ -51,3 +51,31 @@ def random_presentation(rng):
             if poly:
                 diffs[n] = poly
     return DgcaPresentation(gens, rels, diffs)
+
+
+# ---------------------------------------------------------------------------
+# textbook rank oracle, independent of liecograph.linalg
+
+def dense_rref(rows, ncols):
+    """Textbook Gauss-Jordan elimination of dense rows, independent of
+    Echelon: (the nonzero rows of the reduced echelon form, their pivot
+    columns)."""
+    rows = [list(map(Fraction, r)) for r in rows]
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        rows[rank] = [x / rows[rank][col] for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        pivots.append(col)
+    return rows[:len(pivots)], pivots
+
+
+def dense_rank_oracle(rows):
+    return len(dense_rref(rows, len(rows[0]) if rows else 0)[1])

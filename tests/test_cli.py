@@ -153,10 +153,17 @@ class TestVerbs:
                            "--cap-weight", "4", "--cap-degree", "8")
         assert code == 0 and out.endswith("pass\n")
 
+    @pytest.mark.parametrize("name", ["bad_codiff_squared.coalg",
+                                      "bad_not_coassociative.coalg"])
+    def test_dual_check_refuses_bad_coalgebra(self, capsys, name):
+        code, out, err = run(capsys, "dual-check", S2, str(FIXTURES / name))
+        assert code == 1 and out == "" and "InvalidPresentation" in err
+        assert "Traceback" not in err and len(err.strip().split("\n")) == 1
+
     def test_dual_check_mismatch_is_an_input_error(self, capsys):
-        code, _, err = run(capsys, "dual-check", CP2, S2_CO,
-                           "--cap-weight", "3", "--cap-degree", "6")
-        assert code == 1 and "NotDual" in err
+        code, out, err = run(capsys, "dual-check", CP2, S2_CO,
+                             "--cap-weight", "3", "--cap-degree", "6")
+        assert code == 1 and out == "" and "NotDual" in err
 
     def test_enumerate_counts(self, capsys):
         _, out, _ = run(capsys, "enumerate", "graphs", "3")
@@ -270,20 +277,34 @@ class TestErrorsAndCaps:
         assert code == 1 and out == "" and "ParseError" in err
         assert "Traceback" not in err and len(err.strip().split("\n")) == 1
 
-    @pytest.mark.parametrize("argv", [
-        ("pi", S2, "--cap-weight", "x"),
-        ("pi", S2, "--cap-degree", "1.5"),
-        ("ss", S2, "--pages", "x"),
-        ("ss", S2, "--pages", "-1"),
-        ("ss", S2, "--pages", "1000000000"),
-        ("enumerate", "graphs", "q"),
-        ("enumerate", "trees", BIG),
+    @pytest.mark.parametrize("argv, env", [
+        (("pi", S2, "--cap-weight", "x"), None),
+        (("pi", S2, "--cap-degree", "1.5"), None),
+        (("ss", S2, "--pages", "x"), None),
+        (("ss", S2, "--pages", "-1"), None),
+        (("ss", S2, "--pages", "1000000000"), None),
+        (("enumerate", "graphs", "q"), None),
+        (("enumerate", "trees", BIG), None),
+        (("dual-check", CP2, CP2_CO, "--cap-weight", "-1"), None),
+        (("harrison", S2, "--window", "1..7", "--cap-degree", "-1"), None),
+        (("harrison", S2, "--window", "1..7"), "-1,5"),
     ], ids=["cap-weight", "cap-degree", "pages", "negative-pages",
-            "pages-above-max", "enumerate-weight", "enumerate-huge-weight"])
-    def test_malformed_integer_argument_exits_1(self, capsys, argv):
+            "pages-above-max", "enumerate-weight", "enumerate-huge-weight",
+            "negative-cap-weight", "negative-cap-degree",
+            "negative-cap-override"])
+    def test_malformed_integer_argument_exits_1(self, capsys, monkeypatch,
+                                                argv, env):
+        """Each refused before any computation: a negative cap would lift
+        the cap and run at unbounded weight."""
+        if env is not None:
+            monkeypatch.setenv("LIECOGRAPH_CAP_OVERRIDE", env)
+        start = time.perf_counter()
         code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
         assert code == 1 and out == "" and "ParseError" in err
         assert "Traceback" not in err and len(err.strip().split("\n")) == 1
+        if env is not None:
+            assert "LIECOGRAPH_CAP_OVERRIDE" in err
 
     @pytest.mark.parametrize("value", ["9" * 300, "9" * 4301 + ",4"],
                              ids=["300-digits", "4301-digits"])
@@ -295,9 +316,12 @@ class TestErrorsAndCaps:
         assert len(err.strip().split("\n")) == 1 and len(err) < 120
 
     def test_cap_too_small_exits_2(self, capsys):
-        code, _, err = run(capsys, "pi", S2, "--window", "2..8",
-                           "--cap-weight", "3", "--cap-degree", "4")
-        assert code == 2 and "cap-too-small" in err
+        code, out, err = run(capsys, "pi", S2, "--window", "2..8",
+                             "--cap-weight", "3", "--cap-degree", "4")
+        assert code == 2 and out == "" and "cap-too-small" in err
+        # degree 0 lies below the complete range of the shuffle model
+        code, out, err = run(capsys, "harrison", S2, "--window", "0..3")
+        assert code == 2 and out == "" and "cap-too-small" in err
 
     @pytest.mark.parametrize("verb", ["pi", "harrison", "ss"])
     def test_env_cap_override(self, capsys, monkeypatch, verb):

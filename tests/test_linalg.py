@@ -12,44 +12,23 @@ from liecograph.linalg import (
     BigradedComplex,
     Echelon,
     SparseMatrix,
-    _dedup_rows,
     _exact_inverse,
     integer_matrix_rank,
     spectral_pages,
     total_homology,
 )
 
-from conftest import load_presentation, random_presentation
-
-
-def _dense_rref(rows, ncols):
-    """Textbook Gauss-Jordan elimination of dense rows, independent of
-    Echelon: (the nonzero rows of the reduced echelon form, their pivot
-    columns)."""
-    rows = [list(map(Fraction, r)) for r in rows]
-    pivots = []
-    for col in range(ncols):
-        rank = len(pivots)
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        rows[rank] = [x / rows[rank][col] for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        pivots.append(col)
-    return rows[:len(pivots)], pivots
-
-
-def _dense_rank_oracle(rows):
-    return len(_dense_rref(rows, len(rows[0]) if rows else 0)[1])
+from conftest import (
+    dense_rank_oracle,
+    dense_rref,
+    load_presentation,
+    random_presentation,
+)
 
 
 def _dense_nullspace(rows, ncols):
     """Basis of {x : rows . x = 0}, one vector per free column."""
-    reduced, pivots = _dense_rref(rows, ncols)
+    reduced, pivots = dense_rref(rows, ncols)
     basis = []
     for j in range(ncols):
         if j in pivots:
@@ -78,7 +57,7 @@ small_matrix = st.lists(
 @given(small_matrix)
 def test_sparse_rank_matches_oracle(rows):
     M = _to_sparse(rows)
-    expect = _dense_rank_oracle(rows)
+    expect = dense_rank_oracle(rows)
     assert M.rank() == expect
     assert _to_sparse([list(col) for col in zip(*rows)]).rank() == expect
 
@@ -93,7 +72,7 @@ def test_echelon_matches_oracle(rows, data):
     ech = Echelon(track=True)
     for t, row in enumerate(_sparse_rows(rows)):
         ech.insert(row, t)
-    assert len(ech) == _dense_rank_oracle(rows)
+    assert len(ech) == dense_rank_oracle(rows)
     for c, row in ech.rows.items():
         assert row[c] == 1 and min(row) == c
     for row in _sparse_rows(rows):
@@ -118,20 +97,35 @@ def test_exact_inverse():
         _exact_inverse([[1, 2], [2, 4]])
 
 
+def _named_minor(rows):
+    """(row indices, column indices) of a nonsingular minor of maximal size,
+    picked by the textbook elimination: the pivot rows of the transpose and
+    the pivot columns of the matrix."""
+    return (dense_rref([list(c) for c in zip(*rows)], len(rows))[1],
+            dense_rref(rows, len(rows[0]))[1])
+
+
 @settings(max_examples=100, deadline=None)
 @given(small_matrix)
 def test_integer_rank_certified(rows):
     A = np.array(rows, dtype=np.int64)
-    assert integer_matrix_rank(A) == _dense_rank_oracle(rows)
+    R, C = _named_minor(rows)
+    assert integer_matrix_rank(A, R, C) == dense_rank_oracle(rows)
+    if R:  # a smaller minor is not maximal
+        with pytest.raises(ArithmeticError):
+            integer_matrix_rank(A, R[:-1], C[:-1])
+    extra_rows = [i for i in range(len(rows)) if i not in R]
+    extra_cols = [j for j in range(len(rows[0])) if j not in C]
+    if extra_rows and extra_cols:  # a larger minor is singular
+        with pytest.raises(ArithmeticError):
+            integer_matrix_rank(A, R + extra_rows[:1], C + extra_cols[:1])
 
 
-def test_dedup_rows_preserves_rank():
-    rng = np.random.default_rng(5)
-    A = rng.integers(-3, 4, size=(6, 7))
-    stacked = np.vstack([A, A, -A, np.zeros((3, 7), dtype=A.dtype)])
-    D = _dedup_rows(stacked)
-    assert D.shape[0] <= A.shape[0] + 1  # dedup may keep an all-zero-free set
-    assert integer_matrix_rank(D) == _dense_rank_oracle(A.tolist())
+def test_integer_rank_refuses_bound_past_int64():
+    A = np.array([[2 ** 40]], dtype=np.int64)
+    with pytest.raises(ArithmeticError, match="bound"):
+        integer_matrix_rank(A, [0], [0])
+    assert integer_matrix_rank(A // 2 ** 20, [0], [0]) == 1
 
 
 def _koszul_square_complex():
@@ -254,9 +248,9 @@ def _pages_from_definition(C, max_page, window):
                 else:
                     bottom = Z(r - 1, w - 1, d) + [
                         D(d - 1, y) for y in Z(r - 1, w + r - 1, d - 1)]
-                rank = _dense_rank_oracle(top)
-                assert _dense_rank_oracle(top + bottom) == rank  # bottom <= top
-                dim = rank - _dense_rank_oracle(bottom)
+                rank = dense_rank_oracle(top)
+                assert dense_rank_oracle(top + bottom) == rank  # bottom <= top
+                dim = rank - dense_rank_oracle(bottom)
                 if dim:
                     page[(w, d)] = dim
         pages.append(page)

@@ -15,7 +15,6 @@ from liecograph.liealg import product
 from liecograph.pairing import (
     _term_pair,
     element_pair,
-    long_tall_submatrix,
     pairing_matrix,
     shape_pair,
 )
@@ -27,6 +26,8 @@ from liecograph.shapes import (
     tall_tree,
     tree_relabel,
 )
+
+from conftest import dense_rank_oracle
 
 
 def _factorial(k):
@@ -124,13 +125,6 @@ class TestShapePair:
 
 
 class TestMatrices:
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_long_tall_submatrix_invertible(self, n):
-        M = long_tall_submatrix(n)
-        k = _factorial(n - 1)
-        assert (M.rows, M.cols) == (k, k)
-        assert M.rank() == k
-
     def test_pairing_matrix_small_values(self):
         P = pairing_matrix(2)
         # two graphs (1->2, 2->1) vs two trees ((1,2), (2,1)); orientation and
@@ -173,19 +167,28 @@ class TestQuotient:
         assert pairing_matrix(n).quotient.shape \
             == (n ** (n - 2), _factorial(n) * catalan // 2 ** (n - 1))
 
-    def test_long_tall_block_weight_6_is_signed_identity(self):
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_long_tall_block_is_signed_identity(self, n):
         """Long graphs and tall trees are dual bases: their block of the full
-        matrix is diagonal with entries +-1."""
-        P = pairing_matrix(6)
+        matrix is diagonal with entries +-1, and it is the minor the rank is
+        certified on."""
+        P = pairing_matrix(n)
         row_of = {G: i for i, G in enumerate(P.row_basis)}
         col_of = {T: j for j, T in enumerate(P.col_basis)}
-        tails = list(itertools.permutations(range(2, 7)))
+        tails = list(itertools.permutations(range(2, n + 1)))
         rows = [row_of[long_graph((1,) + t)] for t in tails]
         cols = [col_of[tall_tree((1,) + t)] for t in tails]
         for a, i in enumerate(rows):
             for b, j in enumerate(cols):
                 e = P.entry(i, j)
                 assert abs(e) == 1 if a == b else e == 0, (a, b)
+        assert P.minor == ([P.row_class[i] for i in rows],
+                           [P.col_class[j] for j in cols])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_rank_matches_textbook_oracle(self, n):
+        P = pairing_matrix(n)
+        assert P.rank() == dense_rank_oracle(P.quotient.tolist())
 
     def test_weight_6_peak_memory(self):
         """Building and ranking the weight-6 matrix stays under 200 MB of

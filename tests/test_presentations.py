@@ -14,6 +14,8 @@ from liecograph.presentations import (
     parse_presentation,
 )
 
+from conftest import load_presentation
+
 
 class TestParsing:
     def test_basic_algebra(self):
@@ -115,6 +117,28 @@ class TestAlgebraStructure:
             == {("x", "x", "x"): Fraction(1)}
         # odd squares are already zero, so their differential is too
         assert A.differential_of_monomial(("y", "y")) == {}
+
+
+class TestCoalgebraStructure:
+    @pytest.mark.parametrize("name, match", [
+        ("bad_codiff_squared.coalg", r"codiff\^2 != 0 on class 'c'"),
+        ("bad_not_coassociative.coalg", "not coassociative on class 'z'"),
+    ], ids=["codiff-squared", "not-coassociative"])
+    def test_axioms_enforced(self, name, match):
+        with pytest.raises(InvalidPresentation, match=match):
+            load_presentation(name)
+
+    def test_codiff_to_unknown_class_refused(self):
+        with pytest.raises(InvalidPresentation, match="unknown 'q'"):
+            parse_presentation(
+                "cogen a deg 2\ncogen b deg 3\ncodiff b = q\n")
+
+    def test_coassociative_coproduct_accepted(self):
+        C = parse_presentation(
+            "cogen x deg 2\ncogen y deg 4\ncogen z deg 6\n"
+            "coprod y = x (x) x\ncoprod z = x (x) y + y (x) x\n"
+            "codiff z = 0\n")
+        assert set(C.coprod) == {"y", "z"}
 
 
 class TestPolynomials:
