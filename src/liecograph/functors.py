@@ -578,27 +578,33 @@ def harrison_shuffle_model(A, cap_weight=None, cap_degree=None):
     the bar differential with build_E (_bar_model: the slot-wise and
     adjacent-product loops), reduced here modulo the shuffle subspace; the
     quotient itself, an echelon of shuffle relations per content, shares no
-    machinery with build_E's pairing/cobracket solver."""
+    machinery with build_E's pairing/cobracket solver.  Since u ⧢ v is
+    ±(v ⧢ u), the relation from the word a split at k is inserted once, from
+    the smaller of (k, a) and its mirror (n-k, a[k:] + a[:k])."""
     cw, cd = _caps(A, cap_weight, cap_degree)
     alphabet = _slot_alphabet(A, cd)
     table = alphabet[0]
-    comps = {}
+    comps = table.memo("harrison_shuffle")
 
     def comp(content):
-        """(all words, word index, echelon of shuffle relations, basis)."""
+        """(all words, word index, echelon of shuffle relations, basis),
+        memoized on the table."""
         c = comps.get(content)
         if c is None:
             words = _distinct_arrangements(content)
             widx = {w: i for i, w in enumerate(words)}
             ech = Echelon()
             for a in words:
+                n = len(a)
                 degs = [table.degree[x] for x in a]
-                for k in range(1, len(a)):
+                for k in range(1, n):
+                    if (n - k, a[k:] + a[:k]) < (k, a):
+                        continue  # its mirror inserts the same relation
                     row = {}
-                    for src in _shuffles(k, len(a) - k):
-                        add_into(row, widx[tuple(a[i] for i in src)],
-                                 Fraction(koszul_sign(degs, src)))
-                    ech.insert(row)
+                    for src in _shuffles(k, n - k):
+                        j = widx[tuple(a[i] for i in src)]
+                        row[j] = row.get(j, 0) + koszul_sign(degs, src)
+                    ech.insert({j: v for j, v in row.items() if v})
             basis = [w for i, w in enumerate(words) if i not in ech]
             c = comps[content] = (words, widx, ech, basis)
         return c

@@ -129,7 +129,7 @@ def _content_reduction(table, content):
         vec = {j: v for j, g in enumerate(graphs) if (v := element_pair(g, t))}
         if ech.insert(vec, i) is None:
             rel = {k: -c for k, c in ech.reduce(vec)[1].items()}
-            rel[i] = Fraction(1)
+            rel[i] = 1
             rel_ech.insert(rel)
     res = memo[content] = (words, rel_ech)
     return res

@@ -2,12 +2,14 @@
 
 `Echelon` is the single exact elimination kernel: every rank, inverse,
 coordinate extraction and quotient normal form over Q in the package is a
-row reduction through it.  `integer_matrix_rank` certifies the rank of a
-large integer matrix on a nonsingular minor its caller names.  On top sit
-sparse matrices with Fraction entries (rank only) and bigraded complexes:
-basis keys in (weight, degree) pieces with two anticommuting degree-+1
-differentials held once, as key-indexed sparse columns.  Total homology and
-the spectral-sequence page dimensions for the weight filtration are ranks of
+row reduction through it.  It stores primitive integer rows and eliminates
+fraction-free, Bareiss-style; what it returns are exact Fractions.
+`integer_matrix_rank` certifies the rank of a large integer matrix on a
+nonsingular minor its caller names.  On top sit sparse matrices with
+Fraction entries (rank only) and bigraded complexes: basis keys in
+(weight, degree) pieces with two anticommuting degree-+1 differentials held
+once, as key-indexed sparse columns.  Total homology and the
+spectral-sequence page dimensions for the weight filtration are ranks of
 blocks of the total differential, which lays the pieces of each degree out
 by ascending weight.
 
@@ -18,7 +20,7 @@ exactly representable in int64.
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import lcm
+from math import gcd, lcm
 
 from .errors import CapTooSmall
 
@@ -45,16 +47,22 @@ def add_into(acc, key, val):
 
 
 class Echelon:
-    """Sparse rows {col: Fraction} in semi-echelon form: each row's pivot is
-    its smallest column and the pivot entry is 1.  Columns are any mutually
-    comparable keys.
+    """Sparse rows {col: int} in semi-echelon form: each row is primitive
+    (the gcd of its entries is 1), its pivot is its smallest column and the
+    pivot entry is positive.  Columns are any mutually comparable keys.
 
-    With track=True each row also carries its expression {tag: coeff} over
-    the tags of the inserted rows, and `reduce` returns the coefficients of a
-    vector over those tags.  Since the min-first pivot set depends only on
-    the row space, the pivots, the fully reduced residual and the
+    Elimination is fraction-free (Bareiss 1968): a vector, scaled by the lcm
+    of its denominators, clears column c against the row with pivot entry p
+    as vec <- a*vec - b*row, where a = p/g, b = f/g, g = gcd(p, f) and f is
+    the vector's entry at c; one integer denominator for the vector records
+    the scaling.  `reduce` returns exact Fractions.
+
+    With track=True each row also carries its expression {tag: Fraction}
+    over the tags of the inserted rows, and `reduce` returns the coefficients
+    of a vector over those tags.  Since the min-first pivot set depends only
+    on the row space, the pivots, the fully reduced residual and the
     coordinates over an independent set of inserted rows do not depend on
-    insertion order or on how far rows are reduced."""
+    insertion order, on how far rows are reduced or on their scaling."""
 
     def __init__(self, track=False):
         self.rows = {}  # pivot col -> row
@@ -67,10 +75,12 @@ class Echelon:
         return col in self.rows
 
     def _eliminate(self, vec, full):
-        """Subtract pivot rows from a copy of vec in ascending column order.
-        Returns (vec, coeffs, free): free is the smallest non-pivot column
-        left when not `full` (elimination stops there), else None."""
-        vec = dict(vec)
+        """Clear pivot columns of vec in ascending column order.  Returns
+        (ivec, den, coeffs, free): ivec/den is the reduced vector with ivec
+        integral, and free is the smallest non-pivot column left when not
+        `full` (elimination stops there), else None."""
+        den = lcm(*(v.denominator for v in vec.values()))
+        vec = {k: v.numerator * (den // v.denominator) for k, v in vec.items()}
         coeffs = {} if self.exprs is not None else None
         heap = list(vec)
         heapify(heap)
@@ -83,36 +93,53 @@ class Echelon:
             if row is None:
                 if full:
                     continue
-                return vec, coeffs, c
-            for k, v in row.items():
-                if k not in vec:
-                    heappush(heap, k)
-                add_into(vec, k, -f * v)
+                return vec, den, coeffs, c
+            p = row[c]
+            g = gcd(p, f)
+            a, b = p // g, f // g
             if coeffs is not None:
+                x = Fraction(b, a * den)
                 for t, e in self.exprs[c].items():
-                    add_into(coeffs, t, f * e)
-        return vec, coeffs, None
+                    add_into(coeffs, t, x * e)
+            if a != 1:
+                den *= a
+                for k in vec:
+                    vec[k] *= a
+            for k, v in row.items():
+                s = vec.get(k)
+                if s is None:
+                    heappush(heap, k)
+                    s = 0
+                s -= b * v
+                if s:
+                    vec[k] = s
+                else:
+                    del vec[k]
+        return vec, den, coeffs, None
 
     def insert(self, row, tag=None):
         """Add a row; returns its new pivot column, or None if the row lies
         in the span of the rows already present."""
-        vec, coeffs, c = self._eliminate(row, full=False)
+        vec, den, coeffs, c = self._eliminate(row, full=False)
         if c is None:
             return None
-        inv = Fraction(1) / vec[c]
-        self.rows[c] = {k: inv * v for k, v in vec.items()}
+        g = gcd(*vec.values())
+        if vec[c] < 0:
+            g = -g
+        self.rows[c] = {k: v // g for k, v in vec.items()}
         if coeffs is not None:
-            expr = {t: -e for t, e in coeffs.items()}
-            add_into(expr, tag, Fraction(1))
-            self.exprs[c] = {t: inv * e for t, e in expr.items()}
+            x = Fraction(den, g)
+            expr = {t: -x * e for t, e in coeffs.items()}
+            add_into(expr, tag, x)
+            self.exprs[c] = expr
         return c
 
     def reduce(self, vec):
         """(residual, coeffs): vec = sum of coeffs[t] * (row tagged t) +
         residual, with the residual zero at every pivot column.  coeffs is
         None unless tracking."""
-        vec, coeffs, _ = self._eliminate(vec, full=True)
-        return vec, coeffs
+        vec, den, coeffs, _ = self._eliminate(vec, full=True)
+        return {k: Fraction(v, den) for k, v in vec.items()}, coeffs
 
 
 class SparseMatrix:
@@ -153,13 +180,12 @@ def _exact_inverse(S):
     ints/Fractions.  Raises ZeroDivisionError if singular."""
     ech = Echelon(track=True)
     for i, row in enumerate(S):
-        if ech.insert({j: Fraction(x) for j, x in enumerate(row) if x},
-                      i) is None:
+        if ech.insert({j: x for j, x in enumerate(row) if x}, i) is None:
             raise ZeroDivisionError("singular matrix")
     # row j of the inverse holds the coordinates of e_j over the rows of S
     inv = []
     for j in range(len(S)):
-        _, coeffs = ech.reduce({j: Fraction(1)})
+        _, coeffs = ech.reduce({j: 1})
         inv.append([coeffs.get(i, _ZERO) for i in range(len(S))])
     return inv
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from liecograph.elements import GraphElement
+from liecograph.elements import GraphElement, koszul_sign
 from liecograph.errors import (
     CapTooSmall,
     DegreeMismatch,
@@ -26,7 +26,12 @@ from liecograph.functors import (
     harrison_shuffle_model,
     rational_homotopy,
 )
-from liecograph.graphcoalg import relation_generators, to_bar_basis
+from liecograph.graphcoalg import (
+    _shuffles,
+    relation_generators,
+    to_bar_basis,
+)
+from liecograph.linalg import Echelon
 from liecograph.presentations import parse_presentation
 
 from conftest import load_presentation, random_presentation
@@ -88,6 +93,39 @@ class TestAHatInput:
     def test_bundle_without_cobracket_refused(self, sullivan, make):
         with pytest.raises(InvalidInput):
             build_A_hat(make(sullivan), 3)
+
+
+# slot letters of both parities (xyz: x, y odd, z and x*z even), and of odd
+# degree only over two generators (s2xs2) and one (cp2)
+_SHUFFLE_CASES = {
+    "xyz": "gen x deg 2\ngen y deg 2\ngen z deg 3\ndiff z = x*y\n",
+    "s2xs2": "gen x deg 2\ngen y deg 2\nrel x^2 = 0\nrel y^2 = 0\n",
+    "cp2": "gen x deg 2\nrel x^3 = 0\n",
+}
+
+
+@pytest.mark.parametrize("name", list(_SHUFFLE_CASES))
+def test_harrison_mirrored_pairs_span_every_split(name):
+    """harrison_shuffle_model inserts one relation per mirrored pair of
+    splits; an echelon fed with every split of every word has the same
+    pivots and reduces every word to the same residual."""
+    H = harrison_shuffle_model(parse_presentation(_SHUFFLE_CASES[name]), 6, 6)
+    comps = H.table.memo("harrison_shuffle")
+    assert comps
+    for content, (words, widx, ech, basis) in comps.items():
+        full = Echelon()
+        for a in words:
+            degs = [H.table.degree[x] for x in a]
+            for k in range(1, len(a)):
+                row = {}
+                for src in _shuffles(k, len(a) - k):
+                    j = widx[tuple(a[i] for i in src)]
+                    row[j] = row.get(j, 0) + koszul_sign(degs, src)
+                full.insert({j: v for j, v in row.items() if v})
+        assert set(full.rows) == set(ech.rows), content
+        assert basis == [w for i, w in enumerate(words) if i not in full]
+        for i in range(len(words)):
+            assert full.reduce({i: 1}) == ech.reduce({i: 1}), (content, i)
 
 
 class TestWordModel:

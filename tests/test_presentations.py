@@ -184,18 +184,33 @@ _NUMBERS = st.one_of(st.integers(0, 30).map(str),
 _ATOMS = st.one_of(_NAMES, _NUMBERS, st.sampled_from(
     ["^", "*", "+", "-", "(x)", "\u2297", "=", "deg", "0"]))
 _RHS = st.lists(_ATOMS, max_size=7).map(" ".join)
+# codiff right-hand sides over class names: "q" is never declared, the
+# others are declared or not depending on the drawn cogen lines
+_CLASS_RHS = st.lists(
+    st.tuples(st.sampled_from(["", "-", "2", "1/2"]),
+              st.sampled_from(["x", "y", "u", "q"])).map(" ".join),
+    min_size=1, max_size=3).map(" + ".join)
 _LINES = st.one_of(
     st.builds("{} {} deg {}".format, st.sampled_from(["gen", "cogen"]),
               _NAMES, _NUMBERS),
     st.builds("rel {}^{} = 0".format, _NAMES, _NUMBERS),
     st.builds("{} {} = {}".format,
               st.sampled_from(["diff", "codiff", "coprod"]), _NAMES, _RHS),
+    st.builds("codiff {} = {}".format, _NAMES, _CLASS_RHS),
     st.builds("cap weight {} degree {}".format, _NUMBERS, _NUMBERS),
     _RHS)
+_COGENS = st.lists(
+    st.tuples(st.sampled_from(["x", "y", "u"]), st.integers(1, 4)),
+    min_size=1, max_size=3, unique_by=lambda t: t[0]).map(
+        lambda gens: [f"cogen {n} deg {d}" for n, d in gens])
+# a coalgebra file: declared classes, then lines whose codiffs may name a
+# declared class next to an undeclared one
+_COALGEBRA = st.builds(lambda gens, lines: "\n".join(gens + lines),
+                       _COGENS, st.lists(_LINES, max_size=3))
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(_LINES, max_size=6).map("\n".join))
+@given(st.one_of(st.lists(_LINES, max_size=6).map("\n".join), _COALGEBRA))
 def test_parse_presentation_fuzz(text):
     """Any text either parses or is refused with a LiecographError."""
     try:
