@@ -59,9 +59,9 @@ from .shapes import (
 )
 from .elements import GeneratorTable, GraphElement, TreeElement, koszul_sign
 from .graphcoalg import (
-    _bar_coordinates,
     _distinct_arrangements,
     _shuffles,
+    _word_coordinates,
     bar_quotient,
     cobracket,
     graphify,
@@ -279,23 +279,33 @@ def build_E(A, cap_weight=None, cap_degree=None):
     designated-leading bar words (see _bar_model for the bigrading and the
     differentials).  The basis of each content and the coordinates of every
     raw word and cobracket factor come from graphcoalg.bar_quotient, the
-    quotient solved through the iterated cobracket."""
+    quotient solved through the iterated cobracket read on words (the word
+    recursion); no word is turned into a graph.  The key cobracket is the
+    signed deconcatenation of the word, checked in the tests against the
+    graph cobracket of its long graph."""
     cw, cd = _caps(A, cap_weight, cap_degree)
     alphabet = _slot_alphabet(A, cd)
     table = alphabet[0]
 
     def project_word(raw, coeff, acc):
-        for w, c in _bar_coordinates(graphify(raw, table)).items():
+        for w, c in _word_coordinates(table, raw).items():
             add_into(acc, w, coeff * c)
 
     def key_cobracket(word):
+        """Cutting edge i of the long graph on word leaves prefix (x) suffix
+        and, with the Koszul sign of the swap, suffix (x) prefix."""
         out = {}
-        for (k1, k2), c in cobracket(graphify(word, table)).terms.items():
-            p1 = _bar_coordinates(GraphElement(table, {k1: Fraction(1)}))
-            p2 = _bar_coordinates(GraphElement(table, {k2: Fraction(1)}))
+        n = len(word)
+        degs = table.degrees_of(word)
+        for i in range(1, n):
+            kappa = koszul_sign(degs, [*range(i, n), *range(i)])
+            p1 = _word_coordinates(table, word[:i])
+            p2 = _word_coordinates(table, word[i:])
             for w1, c1 in p1.items():
                 for w2, c2 in p2.items():
-                    add_into(out, (w1, w2), c * c1 * c2)
+                    c = c1 * c2
+                    add_into(out, (w1, w2), c)
+                    add_into(out, (w2, w1), -kappa * c)
         return out
 
     return _bar_model(
@@ -585,6 +595,17 @@ def harrison_shuffle_model(A, cap_weight=None, cap_degree=None):
     alphabet = _slot_alphabet(A, cd)
     table = alphabet[0]
     comps = table.memo("harrison_shuffle")
+    signed = table.memo("signed_shuffles")
+
+    def signed_shuffles(k, parities):
+        """[(src, Koszul sign)] of the (k, n-k) shuffles of a word with these
+        degree parities, memoized on the table."""
+        hit = signed.get((k, parities))
+        if hit is None:
+            hit = signed[(k, parities)] = [
+                (src, koszul_sign(parities, src))
+                for src in _shuffles(k, len(parities) - k)]
+        return hit
 
     def comp(content):
         """(all words, word index, echelon of shuffle relations, basis),
@@ -596,14 +617,14 @@ def harrison_shuffle_model(A, cap_weight=None, cap_degree=None):
             ech = Echelon()
             for a in words:
                 n = len(a)
-                degs = [table.degree[x] for x in a]
+                parities = tuple(table.degree[x] % 2 for x in a)
                 for k in range(1, n):
                     if (n - k, a[k:] + a[:k]) < (k, a):
                         continue  # its mirror inserts the same relation
                     row = {}
-                    for src in _shuffles(k, n - k):
+                    for src, sgn in signed_shuffles(k, parities):
                         j = widx[tuple(a[i] for i in src)]
-                        row[j] = row.get(j, 0) + koszul_sign(degs, src)
+                        row[j] = row.get(j, 0) + sgn
                     ech.insert({j: v for j, v in row.items() if v})
             basis = [w for i, w in enumerate(words) if i not in ech]
             c = comps[content] = (words, widx, ech, basis)

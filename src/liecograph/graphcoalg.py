@@ -7,8 +7,12 @@ shuffles, reverse-all, cyclic).
 The fully iterated cobracket is injective on the quotient, so it is also the
 one solver for bar-basis coordinates: `bar_quotient` keeps, per content, the
 designated-leading words whose iterated-cobracket vectors are independent
-and their tracked echelon.  `to_bar_basis` and build_E both read classes
-through it.  Every cache here is a memo of the generator table it was
+and their tracked echelon.  Bar words are solved as words: on a long graph
+the iterated cobracket is a signed deconcatenation (`_word_vector`, the dual
+of the left-normed bracket expansion), so `bar_quotient` and build_E never
+build a graph.  The graph cobracket is its oracle; `is_zero_in_E` and
+`to_bar_basis` keep it, the latter reducing graph vectors against the echelon
+of word vectors.  Every cache here is a memo of the generator table it was
 computed over.
 """
 
@@ -147,33 +151,74 @@ def _iterated_vector(g):
     return out
 
 
+def _word_vector(table, word):
+    """_iterated_vector of the long graph on a bar word, read off the word:
+    cutting an edge of w1->...->wn leaves the prefix and the suffix, so only
+    the two end cuts split off one vertex, and
+        v(a) = (a),  v(w) = v(w1..w(n-1)).(wn) - k(w) v(w2..wn).(w1)
+    with ".(x)" appending the slot x and k(w) the Koszul sign of moving w1
+    past the rest.  Integer entries; memoized on the table."""
+    memo = table.memo("word_vector")
+    hit = memo.get(word)
+    if hit is None:
+        n = len(word)
+        if n == 1:
+            hit = {word: 1}
+        else:
+            kappa = koszul_sign(table.degrees_of(word), [*range(1, n), 0])
+            hit = {keys + word[-1:]: c
+                   for keys, c in _word_vector(table, word[:-1]).items()}
+            for keys, c in _word_vector(table, word[1:]).items():
+                key = keys + word[:1]
+                s = hit.get(key, 0) - kappa * c
+                if s:
+                    hit[key] = s
+                else:
+                    del hit[key]
+        memo[word] = hit
+    return hit
+
+
 def bar_quotient(table, content):
     """(basis, tracked Echelon) of a content's Lie-coalgebra quotient: the
-    designated words whose iterated-cobracket vectors are independent of the
-    earlier ones, and the echelon of those vectors tagged by word.  Memoized
-    on the table."""
+    designated words whose iterated-cobracket vectors (the word recursion
+    _word_vector) are independent of the earlier ones, and the echelon of
+    those vectors tagged by word.  Memoized on the table."""
     memo = table.memo("bar_quotient")
     hit = memo.get(content)
     if hit is None:
         basis, ech = [], Echelon(track=True)
         for w in designated_words(table, content):
-            if ech.insert(_iterated_vector(graphify(w, table)), w) is not None:
+            if ech.insert(_word_vector(table, w), w) is not None:
                 basis.append(w)
         hit = memo[content] = (basis, ech)
     return hit
 
 
+def _reduce_to_basis(table, content, vec, weight):
+    residual, coords = bar_quotient(table, content)[1].reduce(vec)
+    if residual:
+        raise AssertionError(
+            f"bar words failed to span component {content} at weight {weight}")
+    return coords
+
+
+def _word_coordinates(table, word):
+    """Coordinates of a bar word's class over the bar_quotient basis of its
+    content, solved on the word recursion alone (no graph)."""
+    return _reduce_to_basis(table, tuple(sorted(word, key=table.sort_key)),
+                            _word_vector(table, word), len(word))
+
+
 def _bar_coordinates(g):
     """Coordinates of g's class over the bar_quotient bases of its
-    components (disjoint word sets, one per content)."""
+    components (disjoint word sets, one per content): the graph iterated
+    cobracket reduced against the echelon of word vectors."""
     out = {}
     for (n, content), terms in _component_split(g).items():
-        residual, coords = bar_quotient(g.table, content)[1].reduce(
-            _iterated_vector(GraphElement(g.table, terms)))
-        if residual:
-            raise AssertionError(
-                f"bar words failed to span component {content} at weight {n}")
-        out.update(coords)
+        out.update(_reduce_to_basis(
+            g.table, content,
+            _iterated_vector(GraphElement(g.table, terms)), n))
     return out
 
 

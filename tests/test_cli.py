@@ -124,6 +124,17 @@ class TestVerbs:
         assert lines[0].startswith("# caps:")
         assert lines[1:] == ["2\t1", "3\t1", "4\t0"]
 
+    def test_pi_deep_window_on_xyz(self, capsys, tmp_path):
+        # the classical table of x, y (degree 2) and z (degree 3) with
+        # dz = xy; the default caps 10/9 run the word layer up to weight 10
+        path = tmp_path / "xyz.alg"
+        path.write_text("gen x deg 2\ngen y deg 2\ngen z deg 3\n"
+                        "diff z = x*y\n")
+        code, out, _ = run(capsys, "pi", str(path), "--window", "2..9")
+        assert code == 0
+        assert out == ("# caps: weight=10 degree=9\n2\t2\n3\t1\n"
+                       + "".join(f"{d}\t0\n" for d in range(4, 10)))
+
     def test_pi_deterministic(self, capsys):
         _, out1, _ = run(capsys, "pi", S2, "--window", "2..4", "--oracle")
         _, out2, _ = run(capsys, "pi", S2, "--window", "2..4", "--oracle")

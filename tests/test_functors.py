@@ -27,11 +27,14 @@ from liecograph.functors import (
     rational_homotopy,
 )
 from liecograph.graphcoalg import (
+    _bar_coordinates,
     _shuffles,
+    cobracket,
+    graphify,
     relation_generators,
     to_bar_basis,
 )
-from liecograph.linalg import Echelon
+from liecograph.linalg import Echelon, add_into
 from liecograph.presentations import parse_presentation
 
 from conftest import load_presentation, random_presentation
@@ -126,6 +129,25 @@ def test_harrison_mirrored_pairs_span_every_split(name):
         assert basis == [w for i, w in enumerate(words) if i not in full]
         for i in range(len(words)):
             assert full.reduce({i: 1}) == ech.reduce({i: 1}), (content, i)
+
+
+@pytest.mark.parametrize("name", list(_SHUFFLE_CASES))
+def test_key_cobracket_matches_graph_cobracket(name):
+    """build_E's key_cobracket deconcatenates its word and projects the
+    factors as words.  The oracle is the graph route: the cobracket of the
+    word's long graph, each factor projected through the graph iterated
+    cobracket (_bar_coordinates)."""
+    E = build_E(parse_presentation(_SHUFFLE_CASES[name]), 7, 7)
+    table = E.table
+    for word in E.key_bidegree:
+        want = {}
+        for (k1, k2), c in cobracket(graphify(word, table)).terms.items():
+            p1 = _bar_coordinates(GraphElement(table, {k1: Fraction(1)}))
+            p2 = _bar_coordinates(GraphElement(table, {k2: Fraction(1)}))
+            for w1, c1 in p1.items():
+                for w2, c2 in p2.items():
+                    add_into(want, (w1, w2), c * c1 * c2)
+        assert E.key_cobracket(word) == want, word
 
 
 class TestWordModel:

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from liecograph.elements import GeneratorTable, GraphElement, TreeElement
 from liecograph.errors import CapExceeded
 from liecograph.graphcoalg import (
+    _iterated_vector,
+    _word_vector,
     cobracket,
     designated_words,
     graphify,
@@ -129,6 +131,23 @@ class TestRelations:
         for kind in ("arnold", "harrison_shuffle", "cyclic"):
             for el in relation_generators(kind, table, ("a", "a", "b")):
                 assert to_bar_basis(el) == {}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["even", "odd", "mixed"]), st.data())
+def test_word_vector_matches_graph_iterated_cobracket(parity, data):
+    """The word recursion reads the fully iterated cobracket of a long graph
+    off its word; the graph cobracket is the oracle."""
+    k = data.draw(st.integers(1, 4), label="generators")
+    degree = {"even": st.sampled_from([2, 4]), "odd": st.sampled_from([1, 3]),
+              "mixed": st.integers(1, 4)}[parity]
+    degs = data.draw(st.lists(degree, min_size=k, max_size=k), label="degrees")
+    if parity == "mixed" and k > 1:
+        degs[:2] = [2, 3]
+    table = GeneratorTable([(f"g{i}", d) for i, d in enumerate(degs)])
+    word = tuple(data.draw(st.lists(st.sampled_from(table.names),
+                                    min_size=1, max_size=6), label="word"))
+    assert _word_vector(table, word) == _iterated_vector(graphify(word, table))
 
 
 @settings(max_examples=40, deadline=None)
