@@ -60,7 +60,7 @@ from .shapes import (
 from .elements import GeneratorTable, GraphElement, TreeElement, koszul_sign
 from .graphcoalg import (
     _distinct_arrangements,
-    _shuffles,
+    _signed_shuffles,
     _word_coordinates,
     bar_quotient,
     cobracket,
@@ -428,8 +428,11 @@ def build_A_hat(G, cap_letters=3, cap_degree=None):
 
 def build_L(C, cap_weight=None, cap_degree=None):
     """Free Lie algebra on the desuspended coalgebra basis, on left-comb word
-    coordinates; horizontal differential splits a letter along the reduced
-    coproduct, vertical applies the internal differential slot-wise.
+    coordinates: the basis combs of each content (liealg's
+    _content_reduction), every differential term put in normal form by
+    lie_normal_form.  The horizontal differential splits a letter along the
+    reduced coproduct, the vertical one applies the internal differential
+    slot-wise.
 
     Degrees are re-indexed so both differentials raise the index by one:
     piece (K - word length, OFF - natural degree) with K = cap_weight + 1,
@@ -449,10 +452,8 @@ def build_L(C, cap_weight=None, cap_degree=None):
 
     key_bidegree = {}
     for content, (k, nat) in _contents(table, cw, cd):
-        words, rel_ech = _content_reduction(table, content)
-        for i, w in enumerate(words):
-            if i not in rel_ech:
-                key_bidegree[w] = (K - k, OFF - nat)
+        for w in _content_reduction(table, content)[1]:
+            key_bidegree[w] = (K - k, OFF - nat)
 
     def normalize(raw, coeff, acc):
         """Accumulate the normal form of coeff * (the left comb on raw)."""
@@ -595,17 +596,6 @@ def harrison_shuffle_model(A, cap_weight=None, cap_degree=None):
     alphabet = _slot_alphabet(A, cd)
     table = alphabet[0]
     comps = table.memo("harrison_shuffle")
-    signed = table.memo("signed_shuffles")
-
-    def signed_shuffles(k, parities):
-        """[(src, Koszul sign)] of the (k, n-k) shuffles of a word with these
-        degree parities, memoized on the table."""
-        hit = signed.get((k, parities))
-        if hit is None:
-            hit = signed[(k, parities)] = [
-                (src, koszul_sign(parities, src))
-                for src in _shuffles(k, len(parities) - k)]
-        return hit
 
     def comp(content):
         """(all words, word index, echelon of shuffle relations, basis),
@@ -622,7 +612,7 @@ def harrison_shuffle_model(A, cap_weight=None, cap_degree=None):
                     if (n - k, a[k:] + a[:k]) < (k, a):
                         continue  # its mirror inserts the same relation
                     row = {}
-                    for src, sgn in signed_shuffles(k, parities):
+                    for src, sgn in _signed_shuffles(table, k, parities):
                         j = widx[tuple(a[i] for i in src)]
                         row[j] = row.get(j, 0) + sgn
                     ech.insert({j: v for j, v in row.items() if v})
@@ -709,7 +699,10 @@ def _transpose_check(A, C, cap_degree):
 def check_duality(A, C, cap_weight=None, cap_degree=None):
     """Verify that the bar-word model of A and the comb-word model of C are
     linearly dual: per-bidegree pairing matrices invertible, and the two
-    structure differentials adjoint up to a per-bidegree sign."""
+    structure differentials adjoint up to a per-bidegree sign.  Pairings go
+    through element_pair on graphs and trees, independent of the word
+    recursions that solve both models (graphcoalg._word_vector and
+    liealg._word_pair)."""
     cw = cap_weight if cap_weight is not None else min(A.cap_weight,
                                                        C.cap_weight)
     cd = cap_degree if cap_degree is not None else min(A.cap_degree,

@@ -17,7 +17,6 @@ computed over.
 """
 
 from fractions import Fraction
-from itertools import permutations
 
 from .errors import CapExceeded
 from .shapes import SGraph, cut_edge, enumerate_graphs, long_graph
@@ -118,7 +117,16 @@ BAR_CAP = 6
 
 
 def _distinct_arrangements(ms):
-    return sorted(set(permutations(ms)))
+    """The distinct orders of a multiset, in sorted order (that of
+    sorted(set(permutations(ms))), without building all n! of them)."""
+    if not ms:
+        return [()]
+    out = []
+    for x in sorted(set(ms)):
+        i = ms.index(x)
+        rest = _distinct_arrangements(ms[:i] + ms[i + 1:])
+        out += [(x,) + tail for tail in rest]
+    return out
 
 
 def designated_words(table, content):
@@ -271,11 +279,11 @@ def relation_generators(kind, table, labels, graphs=None):
                         labels)
                     out.append(g1.add(g2).add(g3))
     elif kind == "harrison_shuffle":
+        parities = tuple(d % 2 for d in degs)
         for k in range(1, n):
             el = GraphElement.zero(table)
-            for s in _shuffles(k, n - k):
-                word = tuple(labels[i] for i in s)
-                el = el.add(graphify(word, table, koszul_sign(degs, s)))
+            for s, sgn in _signed_shuffles(table, k, parities):
+                el = el.add(graphify(tuple(labels[i] for i in s), table, sgn))
             out.append(el)
     elif kind == "reverse_all":
         rev = list(range(n - 1, -1, -1))
@@ -311,3 +319,15 @@ def _shuffles(k, m):
             rec(i, j + 1, acc + [k + j])
     rec(0, 0, [])
     return out
+
+
+def _signed_shuffles(table, k, parities):
+    """[(src, Koszul sign)] of the (k, n-k) shuffles of a word whose letters
+    have these degree parities, memoized on the table."""
+    memo = table.memo("signed_shuffles")
+    hit = memo.get((k, parities))
+    if hit is None:
+        hit = memo[(k, parities)] = [
+            (src, koszul_sign(parities, src))
+            for src in _shuffles(k, len(parities) - k)]
+    return hit

@@ -2,6 +2,12 @@
 table (tree grafting), free Lie algebra normal forms over left combs with a
 designated leading slot, and expansion into the tensor algebra.
 
+Classes are read through the configuration pairing with long graphs, under
+which the bracket is dual to the cobracket (signed deconcatenation of the
+word, `_word_pair`); the long graphs on a content's designated words separate
+its free-Lie classes.  `tensor_expand` is an oracle the normal form never
+calls.
+
 A bracket literal [[a,b],c] and the product (a*b)*c share the same term keys:
 nested tuples of generator names.
 """
@@ -10,9 +16,8 @@ from fractions import Fraction
 
 from .errors import CapExceeded
 from .elements import TreeElement, _Element
-from .graphcoalg import _distinct_arrangements, designated_words, graphify
+from .graphcoalg import _word_vector, designated_words
 from .linalg import Echelon, add_into
-from .pairing import element_pair
 from .shapes import tall_tree, tree_leaves
 
 __all__ = ["product", "bracket", "lie_normal_form", "tensor_expand", "LieElement"]
@@ -36,9 +41,9 @@ bracket = product  # the Lie bracket of classes is induced by the tree product
 
 
 class LieElement(_Element):
-    """Class in the free Lie algebra: coordinates over left-comb words whose
-    leading slot carries the designated (minimal) generator of the content,
-    reduced modulo the exact relation space of those words."""
+    """Class in the free Lie algebra: coordinates over the basis left-comb
+    words of each content, whose leading slot carries the designated
+    (minimal) generator of the content."""
 
     def as_tree_element(self):
         return TreeElement(self.table,
@@ -56,110 +61,74 @@ class LieElement(_Element):
         return " + ".join(bits)
 
 
-def _word_degree(table, word):
-    return sum(table.degree[x] for x in word)
-
-
-def _br_words(table, u, v):
-    """[comb u, comb v] as a dict of comb words (Jacobi recursion on v)."""
-    if len(v) == 1:
-        return {u + v: Fraction(1)}
-    vp, z = v[:-1], v[-1:]
-    out = {}
-    for w, c in _br_words(table, u, vp).items():
-        add_into(out, w + z, c)
-    sgn = -((-1) ** (_word_degree(table, vp) * _word_degree(table, z)))
-    for w, c in _br_words(table, u + z, vp).items():
-        add_into(out, w, sgn * c)
-    return out
-
-
-def _combs_of_term(table, key):
-    """Left-comb word expansion of one tree term."""
-    if isinstance(key, str):
-        return {(key,): Fraction(1)}
-    L = _combs_of_term(table, key[0])
-    R = _combs_of_term(table, key[1])
-    out = {}
-    for u, cu in L.items():
-        for v, cv in R.items():
-            for w, c in _br_words(table, u, v).items():
-                add_into(out, w, cu * cv * c)
-    return out
-
-
-def _lead_designated(table, word, coeff, acc):
-    """Rewrite a comb word so the designated (minimal) generator leads."""
-    g0 = min(word, key=table.sort_key)
-    if word[0] == g0:
-        add_into(acc, word, coeff)
-        return
-    k = next(i for i, x in enumerate(word) if x == g0)
-    prefix, tail = word[:k], word[k + 1:]
-    sgn = -((-1) ** (_word_degree(table, prefix) * table.degree[g0]))
-    for w, c in _br_words(table, (g0,), prefix).items():
-        full = w + tail
-        assert full[0] == g0
-        add_into(acc, full, coeff * sgn * c)
+def _word_pair(table, w, t):
+    """<long graph on the word w, tree term t>, an integer: a leaf x pairs to
+    1 with (x,) only, and as the bracket is dual to the cobracket,
+        <w, (t1, t2)> = <w[:k], t1> <w[k:], t2> - s <w[i:], t1> <w[:i], t2>
+    with k the number of leaves of t1, i = len(w) - k and
+    s = (-1)^(|w[:i]| |w[i:]|).  Memoized on the table."""
+    if isinstance(t, str):
+        return int(w == (t,))
+    memo = table.memo("word_pair")
+    hit = memo.get((w, t))
+    if hit is None:
+        k = len(tree_leaves(t[0]))
+        i = len(w) - k
+        kappa = (-1) ** (sum(table.degrees_of(w[:i]))
+                         * sum(table.degrees_of(w[i:])))
+        hit = memo[(w, t)] = (
+            _word_pair(table, w[:k], t[0]) * _word_pair(table, w[k:], t[1])
+            - kappa * _word_pair(table, w[i:], t[0])
+            * _word_pair(table, w[:i], t[1]))
+    return hit
 
 
 def _content_reduction(table, content):
-    """Echelon of the exact relation space among designated-leading comb words
-    of a content (pivot = a word index), plus the word list.
-
-    Relations are detected through the configuration pairing against long
-    graphs over all arrangements, which separates free-Lie classes: the
-    pairing vectors go into a tracked echelon from the last word to the
-    first, and a word whose vector is already spanned gives the relation
-    e_i - (its coordinates over the later words).  Memoized on the table."""
+    """(designated words D, basis, tracked Echelon) of a content.  Long
+    graphs on D span its Lie-coalgebra quotient, so the column
+    {j: <D[j], comb d>} (the entry of _word_vector(D[j]) at d) determines the
+    class of the comb on d.  Columns go in from the last word to the first,
+    tagged by word; the basis is the words whose column is independent of
+    the later ones, in the order of D.  Memoized on the table."""
     memo = table.memo("content_reduction")
     hit = memo.get(content)
-    if hit is not None:
-        return hit
-    words = designated_words(table, content)
-    if len(words) > ARRANGEMENT_CAP:
-        raise CapExceeded(
-            f"content {content} has {len(words)} candidate words "
-            f"(cap {ARRANGEMENT_CAP})")
-    graphs = [graphify(arr, table) for arr in _distinct_arrangements(content)]
-    ech = Echelon(track=True)  # pairing vectors of independent words
-    rel_ech = Echelon()  # relations over word indices
-    for i in reversed(range(len(words))):
-        t = TreeElement.from_term(table, tall_tree(words[i]))
-        vec = {j: v for j, g in enumerate(graphs) if (v := element_pair(g, t))}
-        if ech.insert(vec, i) is None:
-            rel = {k: -c for k, c in ech.reduce(vec)[1].items()}
-            rel[i] = 1
-            rel_ech.insert(rel)
-    res = memo[content] = (words, rel_ech)
-    return res
+    if hit is None:
+        words = designated_words(table, content)
+        if len(words) > ARRANGEMENT_CAP:
+            raise CapExceeded(
+                f"content {content} has {len(words)} candidate words "
+                f"(cap {ARRANGEMENT_CAP})")
+        rows = [_word_vector(table, w) for w in words]
+        ech = Echelon(track=True)
+        basis = [d for d in reversed(words) if ech.insert(
+            {j: v for j, r in enumerate(rows) if (v := r.get(d))}, d)
+            is not None]
+        hit = memo[content] = (words, basis[::-1], ech)
+    return hit
 
 
 def lie_normal_form(t):
-    """Normal form of a TreeElement in the free Lie algebra: anti-symmetry and
-    Jacobi rewriting to left combs with the designated slot leading, then
-    exact reduction modulo the relation space of those words (nontrivial only
-    for repeated generators)."""
+    """Normal form of a TreeElement over the basis combs: per content, the
+    pairing of its terms with the long graphs on the designated words,
+    reduced in the content's echelon (zero residual, as the combs span)."""
     table = t.table
-    acc = {}
-    for key, coeff in t.terms.items():
-        n = len(tree_leaves(key))
-        if n > LIE_CAP:
-            raise CapExceeded(f"Lie normal form capped at weight <= {LIE_CAP}")
-        for w, c in _combs_of_term(table, key).items():
-            _lead_designated(table, w, coeff * c, acc)
-    # reduce per content
-    out = {}
     by_content = {}
-    for w, c in acc.items():
-        content = tuple(sorted(w, key=table.sort_key))
-        by_content.setdefault(content, {})[w] = c
-    for content, coords in by_content.items():
-        words, rel_ech = _content_reduction(table, content)
-        widx = {w: i for i, w in enumerate(words)}
-        vec, _ = rel_ech.reduce({widx[w]: c for w, c in coords.items()})
-        for i, c in vec.items():
-            out[words[i]] = c
+    for key, coeff in t.terms.items():
+        leaves = tree_leaves(key)
+        if len(leaves) > LIE_CAP:
+            raise CapExceeded(f"Lie normal form capped at weight <= {LIE_CAP}")
+        content = tuple(sorted(leaves, key=table.sort_key))
+        by_content.setdefault(content, []).append((key, coeff))
+    out = {}
+    for content, terms in by_content.items():
+        words, _, ech = _content_reduction(table, content)
+        residual, coords = ech.reduce({
+            j: s for j, w in enumerate(words)
+            if (s := sum(c * _word_pair(table, w, key) for key, c in terms))})
+        if residual:
+            raise AssertionError(
+                f"comb words failed to span content {content}")
+        out.update(coords)
     return LieElement(table, out)
 
 

@@ -106,7 +106,7 @@ def _shape_pair_relabeled(edges, perm, info):
     return sign
 
 
-# 9!, the most bijections a term pair of weight liealg.LIE_CAP = 9 can need
+# 9!, the bijections a term pair of weight 9 on one repeated letter needs
 BIJECTION_CAP = factorial(9)
 
 

@@ -193,8 +193,10 @@ class DgcaPresentation:
 class DgccPresentation:
     """Coalgebra data: named basis classes with degrees, reduced coproduct
     coprod[c] = [(coeff, a, b), ...] and differential codiff[c] = [(coeff, a)].
-    Construction checks degrees, codiff^2 = 0 and coassociativity of the
-    reduced coproduct; co-Leibniz is not checked."""
+    Construction checks degrees, codiff^2 = 0, coassociativity of the
+    reduced coproduct and co-Leibniz: codiff is a coderivation of it,
+        coprod(codiff c) = (codiff (x) 1 + (-1)^|a| 1 (x) codiff) coprod c
+    on each term a (x) b, the transpose of d(ab) = d(a) b + (-1)^|a| a d(b)."""
 
     def __init__(self, classes, coprod=None, codiff=None,
                  cap_weight=DEFAULT_CAP_WEIGHT, cap_degree=DEFAULT_CAP_DEGREE):
@@ -252,6 +254,20 @@ class DgccPresentation:
             if left != right:
                 raise InvalidPresentation(
                     f"coprod is not coassociative on class {c!r}")
+        for c in self.class_names:
+            left, right = {}, {}
+            for k, a in self.codiff.get(c, ()):
+                for k2, a1, a2 in self.coprod.get(a, ()):
+                    add_into(left, (a1, a2), k * k2)
+            for k, a, b in self.coprod.get(c, ()):
+                for k2, a2 in self.codiff.get(a, ()):
+                    add_into(right, (a2, b), k * k2)
+                sgn = (-1) ** self.class_degree[a]
+                for k2, b2 in self.codiff.get(b, ()):
+                    add_into(right, (a, b2), sgn * k * k2)
+            if left != right:
+                raise InvalidPresentation(
+                    f"codiff is not a coderivation of coprod on class {c!r}")
 
     def __repr__(self):
         return ("DgccPresentation(%s)" %

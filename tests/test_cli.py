@@ -117,6 +117,22 @@ class TestVerbs:
                            "--gens", "a:2,b:2,c:2")
         assert code == 0 and out == ""
 
+    @pytest.mark.parametrize("expr, gens, want", [
+        ("[[a,[b,c]],[d,[e,a]]]", "a:2,b:3,c:2,d:4,e:3",
+         "[[[[[a,e],d],a],b],c]\t1\n[[[[[a,e],d],a],c],b]\t-1\n"
+         "[[[[[a,e],d],b],c],a]\t-1\n[[[[[a,e],d],c],b],a]\t1\n"),
+        ("[[[a,b],[c,d]],[[e,f],g]]", "a:2,b:3,c:2,d:4,e:3,f:2,g:2",
+         "[[[[[[a,b],c],d],e],f],g]\t1\n[[[[[[a,b],c],d],f],e],g]\t-1\n"
+         "[[[[[[a,b],c],d],g],e],f]\t-1\n[[[[[[a,b],c],d],g],f],e]\t1\n"
+         "[[[[[[a,b],d],c],e],f],g]\t-1\n[[[[[[a,b],d],c],f],e],g]\t1\n"
+         "[[[[[[a,b],d],c],g],e],f]\t1\n[[[[[[a,b],d],c],g],f],e]\t-1\n"),
+    ], ids=["weight-6", "weight-7"])
+    def test_lie_normalize_pinned_output(self, capsys, expr, gens, want):
+        start = time.process_time()
+        code, out, _ = run(capsys, "lie-normalize", expr, "--gens", gens)
+        assert time.process_time() - start < 5.0
+        assert code == 0 and out == want
+
     def test_pi_table_with_header(self, capsys):
         code, out, _ = run(capsys, "pi", S2, "--window", "2..4")
         assert code == 0
@@ -165,7 +181,8 @@ class TestVerbs:
         assert code == 0 and out.endswith("pass\n")
 
     @pytest.mark.parametrize("name", ["bad_codiff_squared.coalg",
-                                      "bad_not_coassociative.coalg"])
+                                      "bad_not_coassociative.coalg",
+                                      "bad_not_coleibniz.coalg"])
     def test_dual_check_refuses_bad_coalgebra(self, capsys, name):
         code, out, err = run(capsys, "dual-check", S2, str(FIXTURES / name))
         assert code == 1 and out == "" and "InvalidPresentation" in err

@@ -5,10 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liecograph.elements import GeneratorTable, GraphElement, TreeElement
+from liecograph.elements import (
+    GeneratorTable,
+    GraphElement,
+    TreeElement,
+    koszul_sign,
+)
 from liecograph.errors import CapExceeded
 from liecograph.graphcoalg import (
+    _distinct_arrangements,
     _iterated_vector,
+    _shuffles,
     _word_vector,
     cobracket,
     designated_words,
@@ -112,6 +119,12 @@ class TestWordProblem:
         assert designated_words(table, ("b", "a", "b", "a")) == [
             ("b", "a", "a", "b"), ("b", "a", "b", "a"), ("b", "b", "a", "a")]
 
+    def test_distinct_arrangements_are_the_sorted_permutations(self):
+        for n in range(8):
+            for ms in itertools.combinations_with_replacement("abc", n):
+                assert _distinct_arrangements(ms) == sorted(
+                    set(itertools.permutations(ms)))
+
     def test_bar_cap(self, table):
         with pytest.raises(CapExceeded):
             to_bar_basis(graphify(("a",) * 7, table))
@@ -126,6 +139,22 @@ class TestRelations:
         for labels in (("a", "a"), ("a", "b")):
             for el in relation_generators("reverse_all", table, labels):
                 assert is_zero_in_E(el)[0]
+
+    def test_harrison_shuffles_signed_per_shuffle(self):
+        # the memoised signs depend on the degrees through their parities
+        table = GeneratorTable([("a", 2), ("b", 3), ("c", 1)])
+        for labels in (("a", "b", "c", "b"), ("b", "a", "a"), ("c", "c")):
+            degs = table.degrees_of(labels)
+            want = []
+            for k in range(1, len(labels)):
+                el = GraphElement.zero(table)
+                for s in _shuffles(k, len(labels) - k):
+                    el = el.add(graphify(tuple(labels[i] for i in s), table,
+                                         koszul_sign(degs, s)))
+                want.append(el)
+            want = [e for e in want if not e.is_zero()] or want[:1]
+            assert relation_generators(
+                "harrison_shuffle", table, labels) == want
 
     def test_relations_killed_by_bar_coordinates(self, table):
         for kind in ("arnold", "harrison_shuffle", "cyclic"):

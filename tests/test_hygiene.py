@@ -1,7 +1,8 @@
 """Static hygiene of the library: no module under src/liecograph imports a
 name it never uses, no private module-level helper is left without a caller,
-and every name the benchmark tracer rebinds still exists.  Standard-library
-ast only, so it needs no linter."""
+the free-Lie normal form never calls its own oracle, and every name the
+benchmark tracer rebinds still exists.  Standard-library ast only, so it
+needs no linter."""
 
 import ast
 import importlib
@@ -85,6 +86,34 @@ def test_no_dead_private_helpers():
     sources = {p.name: p.read_text(encoding="utf-8")
                for p in sorted(SRC.glob("*.py"))}
     assert unreferenced_helpers(sources) == []
+
+
+ORACLE = {"tensor_expand", "_expand_term"}
+
+
+def oracle_callers(source):
+    """Names of the functions and methods, other than the oracle's own, that
+    name tensor_expand or _expand_term."""
+    return sorted(
+        node.name for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef) and node.name not in ORACLE
+        and any(getattr(n, "id", getattr(n, "attr", None)) in ORACLE
+                for n in ast.walk(node)))
+
+
+def test_oracle_checker():
+    src = ("def tensor_expand(x):\n    return _expand_term(x)\n\n"
+           "def _expand_term(k):\n    return _expand_term(k)\n\n"
+           "def lie_normal_form(t):\n    f = tensor_expand\n    return f\n\n"
+           "class E:\n    def nf(self):\n        return m._expand_term\n")
+    assert oracle_callers(src) == ["lie_normal_form", "nf"]
+
+
+def test_normal_form_does_not_use_its_oracle():
+    """tensor_expand checks lie_normal_form in the tests; no other function
+    of liealg may reach it."""
+    assert oracle_callers((SRC / "liealg.py").read_text(
+        encoding="utf-8")) == []
 
 
 def test_traced_names_resolve():

@@ -7,14 +7,16 @@ from hypothesis import strategies as st
 
 from liecograph.elements import GeneratorTable, TreeElement
 from liecograph.errors import CapExceeded
-from liecograph.graphcoalg import graphify
+from liecograph.graphcoalg import _word_vector, graphify
 from liecograph.liealg import (
+    _word_pair,
     bracket,
     lie_normal_form,
     product,
     tensor_expand,
 )
 from liecograph.pairing import element_pair
+from liecograph.shapes import tall_tree
 
 
 TABLE = GeneratorTable([("a", 2), ("b", 3), ("c", 4)])
@@ -113,6 +115,43 @@ def test_weight_cap():
         deep = (deep, "a")
     with pytest.raises(CapExceeded):
         lie_normal_form(_as_element(deep))
+
+
+def test_arrangement_cap():
+    # eight distinct letters: 7! designated words on the content
+    table = GeneratorTable([(x, 2) for x in "abcdefgh"])
+    with pytest.raises(CapExceeded):
+        lie_normal_form(TreeElement.from_term(table, tall_tree("abcdefgh")))
+
+
+def _draw_tree(data, leaves):
+    if len(leaves) == 1:
+        return leaves[0]
+    k = data.draw(st.integers(1, len(leaves) - 1))
+    return (_draw_tree(data, leaves[:k]), _draw_tree(data, leaves[k:]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["even", "odd", "mixed"]), st.data())
+def test_word_pair_is_the_configuration_pairing(parity, data):
+    """The bracket/cobracket recursion against element_pair, on a random
+    word and a random planar tree over a rearrangement of its letters; on a
+    left comb it is the word vector's entry."""
+    k = data.draw(st.integers(1, 3), label="generators")
+    degree = {"even": st.sampled_from([2, 4]), "odd": st.sampled_from([1, 3]),
+              "mixed": st.integers(1, 4)}[parity]
+    degs = data.draw(st.lists(degree, min_size=k, max_size=k), label="degrees")
+    if parity == "mixed" and k > 1:
+        degs[:2] = [2, 3]
+    table = GeneratorTable([(f"g{i}", d) for i, d in enumerate(degs)])
+    word = tuple(data.draw(st.lists(st.sampled_from(table.names),
+                                    min_size=1, max_size=6), label="word"))
+    leaves = tuple(data.draw(st.permutations(word), label="leaves"))
+    tree = _draw_tree(data, leaves)
+    assert _word_pair(table, word, tree) == element_pair(
+        graphify(word, table), TreeElement.from_term(table, tree))
+    assert _word_pair(table, word, tall_tree(leaves)) \
+        == _word_vector(table, word).get(leaves, 0)
 
 
 def test_expansion_antisymmetry_identity():

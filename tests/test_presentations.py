@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liecograph.errors import InvalidPresentation, LiecographError, ParseError
+from liecograph.functors import dualize
 from liecograph.presentations import (
     DgcaPresentation,
     DgccPresentation,
@@ -14,7 +16,7 @@ from liecograph.presentations import (
     parse_presentation,
 )
 
-from conftest import load_presentation
+from conftest import FIXTURES, load_presentation, random_presentation
 
 
 class TestParsing:
@@ -123,7 +125,9 @@ class TestCoalgebraStructure:
     @pytest.mark.parametrize("name, match", [
         ("bad_codiff_squared.coalg", r"codiff\^2 != 0 on class 'c'"),
         ("bad_not_coassociative.coalg", "not coassociative on class 'z'"),
-    ], ids=["codiff-squared", "not-coassociative"])
+        ("bad_not_coleibniz.coalg",
+         "codiff is not a coderivation of coprod on class 'u'"),
+    ], ids=["codiff-squared", "not-coassociative", "not-coleibniz"])
     def test_axioms_enforced(self, name, match):
         with pytest.raises(InvalidPresentation, match=match):
             load_presentation(name)
@@ -139,6 +143,22 @@ class TestCoalgebraStructure:
             "coprod y = x (x) x\ncoprod z = x (x) y + y (x) x\n"
             "codiff z = 0\n")
         assert set(C.coprod) == {"y", "z"}
+
+    @pytest.mark.parametrize("path", sorted(
+        [*FIXTURES.glob("*.alg"),
+         *(FIXTURES.parents[1] / "perfbench" / "inputs").glob("*.alg")]),
+        ids=lambda p: f"{p.parent.name}/{p.name}")
+    def test_dual_of_an_algebra_is_coleibniz(self, path):
+        # DgccPresentation refuses a codiff that is not a coderivation, so
+        # building the transpose is the check, at the file's caps and beyond
+        A = parse_presentation(path.read_text())
+        for cap_degree in (A.cap_degree, 10):
+            dualize(A, cap_degree)
+
+    def test_dual_of_random_algebras_is_coleibniz(self):
+        rng = random.Random(20261018)
+        for _ in range(200):
+            dualize(random_presentation(rng))
 
 
 class TestPolynomials:
