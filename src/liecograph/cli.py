@@ -12,7 +12,6 @@ import argparse
 import os
 import re
 import sys
-from fractions import Fraction
 
 from .errors import (
     ArityMismatch,
@@ -104,14 +103,18 @@ class _ExprParser:
 
     def parse(self):
         out = None
-        sign = Fraction(1)
+        sign = 1
         if self.peek() in ("+", "-"):
-            sign = Fraction(-1) if self.take()[0] == "-" else Fraction(1)
+            sign = -1 if self.take()[0] == "-" else 1
         while self.pos < len(self.toks):
+            col = self.toks[self.pos][1]
             el = self.parse_term(sign)
+            if out is not None and type(el) is not type(out):
+                raise ParseError("a sum of graph-side and tree-side terms",
+                                 line=1, col=col)
             out = el if out is None else out.add(el)
             if self.peek() in ("+", "-"):
-                sign = Fraction(-1) if self.take()[0] == "-" else Fraction(1)
+                sign = -1 if self.take()[0] == "-" else 1
                 if self.pos >= len(self.toks):
                     raise ParseError("dangling sign at end of expression",
                                      line=1, col=len(self.text) + 1)
@@ -258,8 +261,13 @@ class _ExprParser:
 
 def parse_expression(text, table, kind="auto"):
     """Parse a rational combination of bar words / graph literals (GraphElement)
-    or bracket / product literals (TreeElement)."""
-    return _ExprParser(text, table, kind).parse()
+    or bracket / product literals (TreeElement); kind "graph" or "tree" also
+    refuses an expression of the other side."""
+    el = _ExprParser(text, table, kind).parse()
+    if kind != "auto" and (kind == "graph") != isinstance(el, GraphElement):
+        raise ParseError(
+            f"{clipped_repr(text)} is not a {kind}-side expression")
+    return el
 
 
 def _parse_gens(spec):
@@ -296,11 +304,6 @@ def _table_from_args(args):
 
 # ---------------------------------------------------------------------------
 # formatting
-
-def _fmt_q(q):
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
 
 def _fmt_graph_key(key):
     (n, edges), labels = key
@@ -374,11 +377,7 @@ def _cmd_pair(args, out):
     table = _table_from_args(args)
     g = parse_expression(args.graph, table, kind="graph")
     t = parse_expression(args.tree, table, kind="tree")
-    if not isinstance(g, GraphElement):
-        raise ParseError("first argument must be a graph-side expression")
-    if not isinstance(t, TreeElement):
-        raise ParseError("second argument must be a tree-side expression")
-    out.write(_fmt_q(element_pair(g, t)) + "\n")
+    out.write(f"{element_pair(g, t)}\n")
     return 0
 
 
@@ -390,7 +389,7 @@ def _cmd_cobracket(args, out):
     for (k1, k2), c in cb.terms.items():
         lines.append((_fmt_graph_key(k1), _fmt_graph_key(k2), c))
     for a, b, c in sorted(lines):
-        out.write(f"{_fmt_q(c)}\t{a}\t{b}\n")
+        out.write(f"{c}\t{a}\t{b}\n")
     return 0
 
 
@@ -399,7 +398,7 @@ def _cmd_normalize(args, out):
     g = parse_expression(args.expr, table, kind="graph")
     coords = to_bar_basis(g)
     for w in sorted(coords, key=lambda w: (len(w), w)):
-        out.write(f"{_fmt_word(w)}\t{_fmt_q(coords[w])}\n")
+        out.write(f"{_fmt_word(w)}\t{coords[w]}\n")
     return 0
 
 
@@ -412,18 +411,16 @@ def _cmd_iszero(args, out):
         keys, c = witness
         out.write("# witness tensor term: "
                   + " (x) ".join(_fmt_graph_key(k) for k in keys)
-                  + f" -> {_fmt_q(c)}\n")
+                  + f" -> {c}\n")
     return 0
 
 
 def _cmd_lie_normalize(args, out):
     table = _table_from_args(args)
     t = parse_expression(args.expr, table, kind="tree")
-    if not isinstance(t, TreeElement):
-        raise ParseError("lie-normalize expects a tree-side expression")
     nf = lie_normal_form(t)
     for w in sorted(nf.terms):
-        out.write(f"{_fmt_tree_key(tall_tree(w))}\t{_fmt_q(nf.terms[w])}\n")
+        out.write(f"{_fmt_tree_key(tall_tree(w))}\t{nf.terms[w]}\n")
     return 0
 
 
@@ -514,8 +511,15 @@ def _cmd_enumerate(args, out):
 
 # ---------------------------------------------------------------------------
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A malformed command line is an input error: one stderr line, exit 1."""
+
+    def error(self, message):
+        self.exit(1, f"error: usage: {self.prog}: {message}\n")
+
+
 def _build_parser():
-    p = argparse.ArgumentParser(
+    p = _ArgumentParser(
         prog="liecograph",
         description="graph coalgebra / Lie coalgebra calculator")
     sub = p.add_subparsers(dest="verb", required=True)

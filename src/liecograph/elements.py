@@ -1,5 +1,5 @@
 """Graded elements: finite Q-linear combinations of (shape x label tensor)
-terms over a table of graded generators.
+terms over a table of graded generators, with int or Fraction coefficients.
 
 Graph terms are stored in canonical form: the graph is relabeled to its
 lexicographically minimal representative, the label tuple is permuted along
@@ -11,6 +11,7 @@ stored as a nested tuple of generator names.
 """
 
 from fractions import Fraction
+from numbers import Integral, Rational
 
 from .linalg import add_into
 from .shapes import SGraph, _canonical_perms
@@ -101,15 +102,25 @@ def canonical_graph_term(n, edges, labels, degrees, order_key):
     return best_edges, best[0][1], best[0][0]
 
 
+def _coefficient(v):
+    """int and Fraction pass through, another Integral becomes an int and
+    another Rational a Fraction; float and bool are a TypeError."""
+    if type(v) is int or type(v) is Fraction:
+        return v
+    if isinstance(v, bool) or not isinstance(v, Rational):
+        raise TypeError(f"coefficient {v!r} is not an int or a rational")
+    return int(v) if isinstance(v, Integral) else Fraction(v)
+
+
 class _Element:
-    """Shared Q-linear-combination plumbing; terms: key -> Fraction."""
+    """Shared Q-linear-combination plumbing; terms: key -> int or Fraction."""
 
     def __init__(self, table, terms=None):
         self.table = table
         self.terms = {}
         if terms:
             for k, v in terms.items():
-                v = Fraction(v)
+                v = _coefficient(v)
                 if v:
                     self.terms[k] = v
 
@@ -124,7 +135,7 @@ class _Element:
         return type(self)(self.table, out)
 
     def scale(self, c):
-        c = Fraction(c)
+        c = _coefficient(c)
         if not c:
             return type(self)(self.table)
         return type(self)(self.table, {k: c * v for k, v in self.terms.items()})
@@ -145,7 +156,7 @@ class GraphElement(_Element):
     def from_term(cls, table, graph, labels, coeff=1):
         n = graph.n if isinstance(graph, SGraph) else graph[0]
         edges = graph.edges if isinstance(graph, SGraph) else tuple(graph[1])
-        labels = tuple(labels)
+        labels, coeff = tuple(labels), _coefficient(coeff)
         if len(labels) != n:
             raise ValueError(f"graph on {n} vertices with {len(labels)} labels")
         degs = table.degrees_of(labels)

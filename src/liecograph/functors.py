@@ -367,7 +367,7 @@ def build_G(A, cap_weight=None, cap_degree=None):
         return dv, dh
 
     def key_cobracket(key):
-        return dict(cobracket(GraphElement(table, {key: Fraction(1)})).terms)
+        return dict(cobracket(GraphElement(table, {key: 1})).terms)
 
     return _bundle("G_of_A", A, (cw, cd), key_bidegree, differential,
                    (0, min(cw, cd)), table=table, monomial_of=mono_of,
@@ -762,11 +762,11 @@ def check_duality(A, C, cap_weight=None, cap_degree=None):
         for x in ews:
             dhx = E.dh_of_key.get(x, {})
             for y in t_lws:
-                lhs = Fraction(0)
+                lhs = 0
                 for k2, c in dhx.items():
                     if c:
                         lhs += c * pair(k2, y)
-                rhs = Fraction(0)
+                rhs = 0
                 for k2, c in L.dh_of_key.get(y, {}).items():
                     rhs += c * pair(x, k2)
                 if lhs == rhs == 0:
@@ -776,10 +776,11 @@ def check_duality(A, C, cap_weight=None, cap_degree=None):
                         f"adjointness fails at {bd}: <dh {x}, {y}> = {lhs}, "
                         f"<{x}, dh {y}> = {rhs}")
                     continue
-                q = lhs / rhs
-                if q not in (1, -1):
+                q = 1 if lhs == rhs else -1 if lhs == -rhs else None
+                if q is None:
                     violations.append(
-                        f"adjointness ratio {q} at {bd} for ({x}, {y})")
+                        f"adjointness ratio {Fraction(lhs) / rhs} at {bd} "
+                        f"for ({x}, {y})")
                 elif sign is None:
                     sign = q
                 elif q != sign:

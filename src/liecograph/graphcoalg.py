@@ -16,8 +16,6 @@ of word vectors.  Every cache here is a memo of the generator table it was
 computed over.
 """
 
-from fractions import Fraction
-
 from .errors import CapExceeded
 from .shapes import SGraph, cut_edge, enumerate_graphs, long_graph
 from .elements import GraphElement, TensorElement, koszul_sign
@@ -69,7 +67,7 @@ def _iterated_term(table, key, k):
     if hit is not None:
         return hit
     if k == 0:
-        res = {(key,): Fraction(1)}
+        res = {(key,): 1}
     else:
         res = {}
         c2 = cobracket(GraphElement(table, {key: 1}))

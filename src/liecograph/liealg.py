@@ -12,8 +12,6 @@ A bracket literal [[a,b],c] and the product (a*b)*c share the same term keys:
 nested tuples of generator names.
 """
 
-from fractions import Fraction
-
 from .errors import CapExceeded
 from .elements import TreeElement, _Element
 from .graphcoalg import _word_vector, designated_words
@@ -135,7 +133,8 @@ def lie_normal_form(t):
 def tensor_expand(x):
     """Expand into the tensor algebra: [u, v] -> uv - (-1)^{|u||v|} vu,
     concatenation for the product.  Accepts a LieElement or TreeElement;
-    returns {word tuple: Fraction}.  Injective on free-Lie classes."""
+    returns {word tuple: coefficient}, ints on int input.  Injective on
+    free-Lie classes."""
     if isinstance(x, LieElement):
         x = x.as_tree_element()
     table = x.table
@@ -148,7 +147,7 @@ def tensor_expand(x):
 
 def _expand_term(table, key):
     if isinstance(key, str):
-        return {(key,): Fraction(1)}
+        return {(key,): 1}
     L = _expand_term(table, key[0])
     R = _expand_term(table, key[1])
     dl = sum(table.degree[x] for x in tree_leaves(key[0]))

@@ -6,7 +6,7 @@ row reduction through it.  It stores primitive integer rows and eliminates
 fraction-free, Bareiss-style; what it returns are exact Fractions.
 `integer_matrix_rank` certifies the rank of a large integer matrix on a
 nonsingular minor its caller names.  On top sit sparse matrices with
-Fraction entries (rank only) and bigraded complexes: basis keys in
+int or Fraction entries (rank only) and bigraded complexes: basis keys in
 (weight, degree) pieces with two anticommuting degree-+1 differentials held
 once, as key-indexed sparse columns.  Total homology and the
 spectral-sequence page dimensions for the weight filtration are ranks of
@@ -34,12 +34,10 @@ __all__ = [
 ]
 
 
-_ZERO = Fraction(0)
-
-
 def add_into(acc, key, val):
-    """acc[key] += val in a sparse dict, dropping the key when it cancels."""
-    s = acc.get(key, _ZERO) + val
+    """acc[key] += val (a new key takes val as is), dropping a zero sum."""
+    s = acc.get(key)
+    s = val if s is None else s + val
     if s:
         acc[key] = s
     else:
@@ -143,8 +141,8 @@ class Echelon:
 
 
 class SparseMatrix:
-    """rows x cols matrix over Q; entries stored as {(i, j): Fraction},
-    zeros never stored."""
+    """rows x cols matrix over Q; entries stored as given (ints or Fractions)
+    in {(i, j): value}, zeros never stored."""
 
     def __init__(self, rows, cols, entries=None):
         self.rows = rows
@@ -154,7 +152,6 @@ class SparseMatrix:
             for (i, j), v in entries.items():
                 if not (0 <= i < rows and 0 <= j < cols):
                     raise ValueError(f"entry ({i},{j}) out of bounds")
-                v = Fraction(v)
                 if v:
                     self.entries[(i, j)] = v
 
@@ -186,7 +183,7 @@ def _exact_inverse(S):
     inv = []
     for j in range(len(S)):
         _, coeffs = ech.reduce({j: 1})
-        inv.append([coeffs.get(i, _ZERO) for i in range(len(S))])
+        inv.append([coeffs.get(i, 0) for i in range(len(S))])
     return inv
 
 

@@ -23,7 +23,6 @@ memoised on (canonical graph term, odd-degree generators, tree term): the
 signs depend on the degrees only through their parities.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 from math import factorial, prod
@@ -113,10 +112,15 @@ BIJECTION_CAP = factorial(9)
 def element_pair(g, t):
     """Bilinear configuration pairing of a GraphElement against a TreeElement,
     with generators paired by name (the Kronecker pairing of g's table with
-    t's).  Terms of different weight contribute zero."""
-    if g.table is not t.table:
+    t's).  Terms of different weight contribute zero.  Returns the exact
+    sum, an int when both elements have int coefficients."""
+    table = g.table
+    if table is not t.table:
         _check_degrees(g, t)
-    odd = tuple(x for x in g.table.names if g.table.degree[x] % 2)
+    memo = table.memo("odd_names")
+    odd = memo.get(None)
+    if odd is None:
+        odd = memo[None] = tuple(x for x in table.names if table.degree[x] % 2)
     total = 0
     for tkey, tc in t.terms.items():
         acc = 0
@@ -126,7 +130,7 @@ def element_pair(g, t):
                 acc += gc * s
         if acc:
             total += tc * acc
-    return Fraction(total)
+    return total
 
 
 def _check_degrees(g, t):

@@ -1,7 +1,12 @@
+import contextlib
+import io
+import os
 import re
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liecograph.cli import MAX_NESTING, main, parse_expression
 from liecograph.elements import GeneratorTable, GraphElement, TreeElement
@@ -361,3 +366,142 @@ class TestErrorsAndCaps:
         monkeypatch.setenv("LIECOGRAPH_CAP_OVERRIDE", "bogus")
         code, _, err = run(capsys, "pi", S2, "--window", "2..4")
         assert code == 1
+
+
+# ---------------------------------------------------------------------------
+# fuzz: random command lines over every verb
+
+NAME = st.sampled_from(["a", "b", "c", "x", "G", "_q"])
+COEFF = st.sampled_from(["", "2 ", "1/2 ", "0 ", "3*", "-1 ", "1/0 ", "07 ",
+                         "9" * 40 + " ", BIG + " "])
+BAR_WORD = st.lists(NAME, min_size=1, max_size=5).map("|".join)
+GRAPH_LITERAL = st.builds(
+    lambda n, edges, labels: "G[%s; %s](%s)" % (
+        n, ", ".join(f"{a}->{b}" for a, b in edges), ",".join(labels)),
+    st.integers(0, 5),
+    st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=5),
+    st.lists(NAME, max_size=6))
+TREE = st.recursive(NAME, lambda kids: st.tuples(kids, kids, st.sampled_from(
+    ["[{},{}]", "({}*{})", "{}*{}"])).map(lambda t: t[2].format(t[0], t[1])),
+    max_leaves=6)
+TERM = st.tuples(COEFF, st.one_of(BAR_WORD, GRAPH_LITERAL, TREE)).map("".join)
+SUM = st.lists(st.tuples(st.sampled_from(["", " + ", " - ", "-"]), TERM),
+               min_size=1, max_size=3).map(
+    lambda ts: "".join(s + t for s, t in ts))
+
+
+@st.composite
+def expressions(draw):
+    """Well-formed sums, their one-character mutations, or raw text over the
+    expression alphabet; at most six letters a term, so every verb is quick."""
+    text = draw(SUM)
+    how = draw(st.sampled_from(["keep", "insert", "delete", "raw"]))
+    if how == "raw":
+        return draw(st.text("abcG|[](),;*+-/0123456789> ", max_size=24))
+    if how == "keep":
+        return text
+    i = draw(st.integers(0, len(text)))
+    if how == "delete":
+        return text[:i] + text[i + 1:]
+    return text[:i] + draw(st.sampled_from("ab|[](),;*+-/0>G ")) + text[i:]
+
+
+SMALL_INT = st.one_of(st.integers(-2, 6).map(str),
+                      st.sampled_from(["", "x", "1.5", "07", "2..3", BIG]))
+WINDOW = st.one_of(st.sampled_from(["1..3", "2..4", "2..5", "0..3", "4..2"]),
+                   st.text("0123456789.-x", max_size=7))
+ALGEBRAS = [str(FIXTURES / f) for f in ("s2.alg", "s3.alg", "cp2.alg",
+                                        "sullivan_s2.alg")]
+COALGEBRAS = [str(FIXTURES / f) for f in (
+    "s2.coalg", "cp2.coalg", "bad_codiff_squared.coalg",
+    "bad_not_coassociative.coalg", "bad_not_coleibniz.coalg")]
+# "@name" is a file of the odd_files fixture
+ODD_FILES = [str(FIXTURES / "missing.alg"), str(FIXTURES), "@bad.alg",
+             "@empty.alg"]
+FILE = st.sampled_from(ALGEBRAS + COALGEBRAS + ODD_FILES)
+GENS = st.one_of(st.sampled_from(["a:2,b:3", "a:2,b:2", "a:3,b:5,c:4",
+                                  "a:1", "a:2,a:3", "a:0", f"a:{BIG}"]),
+                 st.text("abc:,0123456789 ", max_size=10))
+
+
+def _options(**choices):
+    """A strategy for a flat list of "--flag value" pairs, each flag drawn
+    from its strategy or left out."""
+    return st.fixed_dictionaries({}, optional=choices).map(
+        lambda d: [x for flag, v in d.items() for x in (flag, v)])
+
+
+TABLE_OPTS = st.one_of(
+    _options(**{"--gens": GENS}),
+    _options(**{"--alg": st.sampled_from(ALGEBRAS + ODD_FILES)}))
+CAP_OPTS = _options(**{"--cap-weight": SMALL_INT, "--cap-degree": SMALL_INT})
+
+
+@st.composite
+def command_lines(draw):
+    """(argv, LIECOGRAPH_CAP_OVERRIDE or None) for a random verb."""
+    verb = draw(st.sampled_from(
+        ["pair", "cobracket", "normalize", "iszero", "lie-normalize", "pi",
+         "harrison", "ss", "dual-check", "enumerate"]))
+    if verb == "pair":
+        argv = [draw(expressions()), draw(expressions()),
+                *draw(TABLE_OPTS)]
+    elif verb in ("cobracket", "normalize", "iszero", "lie-normalize"):
+        argv = [draw(expressions()), *draw(TABLE_OPTS)]
+    elif verb == "enumerate":
+        argv = [draw(st.sampled_from(["graphs", "trees"])), draw(SMALL_INT)]
+    elif verb == "dual-check":
+        argv = [draw(FILE), draw(FILE), *draw(CAP_OPTS)]
+    else:
+        argv = [draw(FILE), *draw(CAP_OPTS),
+                *draw(_options(**{"--window": WINDOW}))]
+        if verb == "pi" and draw(st.booleans()):
+            argv.append("--oracle")
+        if verb == "ss":
+            argv += draw(_options(**{"--pages": SMALL_INT}))
+    env = draw(st.one_of(st.none(), st.sampled_from(["3,4", "5,5", "x,2",
+                                                     "-1,2", "4", ""])))
+    return [verb, *argv], env
+
+
+FUZZ_SECONDS = 10.0
+
+
+@pytest.fixture(scope="module")
+def odd_files(tmp_path_factory):
+    """The non-UTF-8 and empty presentation files the fuzz draws from."""
+    base = tmp_path_factory.mktemp("fuzz")
+    (base / "bad.alg").write_bytes(b"gen x deg 2\n\xff\n")
+    (base / "empty.alg").write_text("")
+    return base
+
+
+@settings(max_examples=400, deadline=None)
+@given(command_lines())
+def test_cli_fuzz(odd_files, case):
+    """Any command line ends with exit 0, 1 or 2, at most one stderr line
+    and no traceback, within FUZZ_SECONDS; a failing verb leaves stdout
+    empty."""
+    argv, env = case
+    argv = [str(odd_files / a[1:]) if a.startswith("@") else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    old = os.environ.pop("LIECOGRAPH_CAP_OVERRIDE", None)
+    if env is not None:
+        os.environ["LIECOGRAPH_CAP_OVERRIDE"] = env
+    start = time.perf_counter()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as e:  # argparse: --help, or a usage error
+                code = e.code
+    finally:
+        os.environ.pop("LIECOGRAPH_CAP_OVERRIDE", None)
+        if old is not None:
+            os.environ["LIECOGRAPH_CAP_OVERRIDE"] = old
+    assert time.perf_counter() - start < FUZZ_SECONDS, argv
+    err = err.getvalue()
+    assert code in (0, 1, 2), (argv, code, err)
+    assert err.count("\n") <= 1 and "Traceback" not in err, (argv, err)
+    if err:
+        assert out.getvalue() == "", (argv, err)

@@ -2,6 +2,8 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from liecograph.elements import (
     GeneratorTable,
     GraphElement,
@@ -70,3 +72,36 @@ class TestCanonicalTerms:
         assert not t.is_zero()
         leaf = TreeElement.leaf(self.TABLE, "a")
         assert set(leaf.terms) == {"a"}
+
+
+class TestCoefficientContract:
+    """Coefficients are exact: int and Fraction pass through unchanged, any
+    other rational is converted, float and bool are refused."""
+    TABLE = GeneratorTable([("a", 2), ("b", 3)])
+    G = SGraph(2, [(1, 2)])
+
+    def test_int_and_fraction_pass_through(self):
+        g = GraphElement.from_term(self.TABLE, self.G, ("a", "b"), 3)
+        assert [type(c) for c in g.terms.values()] == [int]
+        h = g.scale(Fraction(1, 2))
+        assert list(h.terms.values()) == [Fraction(3, 2)]
+        assert [type(c) for c in g.scale(Fraction(2)).terms.values()] \
+            == [Fraction]
+
+    def test_other_rationals_are_converted(self):
+        import numpy as np
+
+        t = TreeElement.leaf(self.TABLE, "a", np.int64(4))
+        assert [(type(c), c) for c in t.terms.values()] == [(int, 4)]
+        assert t.scale(np.int32(-1)).terms == {"a": -4}
+
+    @pytest.mark.parametrize("bad", [0.1, 1.0, float("nan"), True, False,
+                                     complex(1, 0), "1", None])
+    def test_float_bool_and_non_numbers_are_refused(self, bad):
+        g = GraphElement.from_term(self.TABLE, self.G, ("a", "b"))
+        with pytest.raises(TypeError):
+            GraphElement.from_term(self.TABLE, self.G, ("a", "b"), bad)
+        with pytest.raises(TypeError):
+            TreeElement.leaf(self.TABLE, "a", bad)
+        with pytest.raises(TypeError):
+            g.scale(bad)

@@ -26,7 +26,7 @@ from liecograph.graphcoalg import (
     to_bar_basis,
 )
 from liecograph.pairing import element_pair
-from liecograph.shapes import enumerate_graphs
+from liecograph.shapes import enumerate_graphs, enumerate_trees
 
 
 @pytest.fixture
@@ -179,6 +179,12 @@ def test_word_vector_matches_graph_iterated_cobracket(parity, data):
     assert _word_vector(table, word) == _iterated_vector(graphify(word, table))
 
 
+def _tree_term(shape, labels):
+    if isinstance(shape, int):
+        return labels[shape - 1]
+    return (_tree_term(shape[0], labels), _tree_term(shape[1], labels))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(
     st.tuples(st.sampled_from(["a", "b"]), st.sampled_from(["a", "b"]),
@@ -194,20 +200,60 @@ def test_three_way_agreement_on_random_combinations(terms):
     assert flag == (not to_bar_basis(g))
     if not flag:
         # a nonzero class must pair nontrivially against some tall tree
-        from liecograph.shapes import enumerate_trees
-
-        def tt(shape, labels):
-            if isinstance(shape, int):
-                return labels[shape - 1]
-            return (tt(shape[0], labels), tt(shape[1], labels))
-
         found = False
         for shape in enumerate_trees(3):
             for labels in itertools.product(["a", "b"], repeat=3):
-                t = TreeElement.from_term(table, tt(shape, labels))
+                t = TreeElement.from_term(table, _tree_term(shape, labels))
                 if not t.is_zero() and element_pair(g, t) != 0:
                     found = True
                     break
             if found:
                 break
         assert found
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["even", "odd", "mixed"]), st.data())
+def test_int_coefficients_match_fractions_and_stay_int(parity, data):
+    """The word layer computes the same thing from int and from Fraction
+    coefficients, and keeps ints int: only the bar coordinates, which come
+    out of the echelon, are Fractions.  Each side runs on its own table, so
+    neither reads the other's memos."""
+    k = data.draw(st.integers(1, 3), label="generators")
+    degree = {"even": st.sampled_from([2, 4]), "odd": st.sampled_from([1, 3]),
+              "mixed": st.integers(1, 4)}[parity]
+    degs = data.draw(st.lists(degree, min_size=k, max_size=k), label="degrees")
+    if parity == "mixed" and k > 1:
+        degs[:2] = [2, 3]
+    gens = [(f"g{i}", d) for i, d in enumerate(degs)]
+    n = data.draw(st.integers(1, 5), label="weight")
+    names = [x for x, _ in gens]
+    terms = data.draw(st.lists(st.tuples(
+        st.sampled_from(enumerate_graphs(n)),
+        st.lists(st.sampled_from(names), min_size=n, max_size=n),
+        st.integers(-3, 3).filter(bool)), min_size=1, max_size=3),
+        label="terms")
+    labels = data.draw(st.sampled_from([ls for _, ls, _ in terms]))
+    trees = data.draw(st.lists(st.tuples(
+        st.sampled_from(enumerate_trees(n)), st.permutations(labels),
+        st.integers(-3, 3).filter(bool)), min_size=1, max_size=3),
+        label="trees")
+    cut = data.draw(st.integers(0, n - 1), label="cobracket depth")
+
+    def run(number):
+        table = GeneratorTable(gens)
+        g, t = GraphElement.zero(table), TreeElement(table)
+        for G, ls, c in terms:
+            g = g.add(GraphElement.from_term(table, G, ls, number(c)))
+        for T, ls, c in trees:
+            t = t.add(TreeElement.from_term(table, _tree_term(T, ls),
+                                            number(c)))
+        return (g, cobracket(g).terms, iterated_cobracket(g, cut).terms,
+                is_zero_in_E(g), to_bar_basis(g), element_pair(g, t))
+
+    g, cob, it, (flag, witness), bar, pair = run(int)
+    assert run(Fraction)[1:] == (cob, it, (flag, witness), bar, pair)
+    exact = [*g.terms.values(), *cob.values(), *it.values(), pair]
+    if witness is not None:
+        exact.append(witness[1])
+    assert all(type(c) is int for c in exact)

@@ -1,8 +1,8 @@
 """Static hygiene of the library: no module under src/liecograph imports a
 name it never uses, no private module-level helper is left without a caller,
-the free-Lie normal form never calls its own oracle, and every name the
-benchmark tracer rebinds still exists.  Standard-library ast only, so it
-needs no linter."""
+the free-Lie normal form never calls its own oracle, no true division can
+turn int coefficients into a float, and every name the benchmark tracer
+rebinds still exists.  Standard-library ast only, so it needs no linter."""
 
 import ast
 import importlib
@@ -133,3 +133,33 @@ def test_traced_names_resolve():
         if name not in getattr(owner, "__dict__", {}):
             missing.append(f"{module}.{attr}")
     assert missing == []
+
+
+def true_divisions(source):
+    """Line numbers of every `/` or `/=` whose left operand is not a
+    Fraction(...) call.  On two ints, / is a float division, so an exact
+    quotient must start from a Fraction."""
+    def exact(node):
+        return (isinstance(node, ast.Call)
+                and getattr(node.func, "id",
+                            getattr(node.func, "attr", None)) == "Fraction")
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+            and not exact(node.left))
+        or (isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Div)))
+
+
+def test_true_division_checker():
+    src = ("q = lhs / rhs\nr = Fraction(lhs) / rhs\n"
+           "s = fractions.Fraction(1) / 3\nt = a // b\nu = Fraction(a / b)\n"
+           "v = 1\nv /= 2\n")
+    assert true_divisions(src) == [1, 5, 7]
+
+
+def test_no_true_division():
+    """Coefficients are ints where the maths is integral; no quotient in the
+    library may turn two of them into a float."""
+    found = {p.name: true_divisions(p.read_text(encoding="utf-8"))
+             for p in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
