@@ -89,9 +89,11 @@ def iterated_cobracket(g, k):
 
 
 def is_zero_in_E(g):
-    """Decide whether g vanishes in the Lie-coalgebra quotient, component by
-    component in weight.  Returns (flag, witness): witness is None when zero,
-    else a nonzero elementary-tensor term of some iterated cobracket."""
+    """Decide whether g vanishes in the Lie-coalgebra quotient, one weight
+    <= ZERO_CAP at a time.  Returns (flag, witness): witness is None when
+    zero, else a nonzero elementary-tensor term of some iterated cobracket."""
+    if any(n > ZERO_CAP for n in g.weights()):
+        raise CapExceeded(f"zero test capped at weight <= {ZERO_CAP}")
     for n in g.weights():
         comp = g.component(n)
         t = iterated_cobracket(comp, n - 1)
@@ -112,6 +114,7 @@ def graphify(word, table, coeff=1):
 # bar-basis normal form
 
 BAR_CAP = 6
+ZERO_CAP = 12  # is_zero_in_E: 0.1 s on a 12-letter word, 1.4x more a letter
 
 
 def _distinct_arrangements(ms):

@@ -13,9 +13,9 @@ spectral-sequence page dimensions for the weight filtration are ranks of
 blocks of the total differential, which lays the pieces of each degree out
 by ascending weight.
 
-No floating point ever enters a result: numpy is used only for integer
-matrix products whose entries are proven (by explicit magnitude bounds) to be
-exactly representable in int64.
+No floating point ever enters a result: numpy is used for integer arrays
+and, in the rank certificate alone, for float64 products of integers that an
+explicit magnitude bound proves exact (every partial sum below 2^53).
 """
 
 from fractions import Fraction
@@ -187,6 +187,9 @@ def _exact_inverse(S):
     return inv
 
 
+CERT_SLICE = 256  # rows of A per float64 product in integer_matrix_rank
+
+
 def integer_matrix_rank(A, rows, cols):
     """Exact Q-rank of an integer numpy matrix A, certified on the minor
     S = A[rows, cols] that the caller names.
@@ -195,14 +198,14 @@ def integer_matrix_rank(A, rows, cols):
     every row of A is a Q-combination of the rows `rows`, checked as the
     integer identity delta * A == (A[:, cols] @ adj) @ A[rows] with
     adj = delta * S^-1 and delta the common denominator of S^-1.  The
-    identity is evaluated in int64, which is exact while the explicit bound
-    on every partial sum stays below 2^62.  Raises ArithmeticError if S is
-    singular, if the identity fails (S is not a maximal nonsingular minor) or
-    if the bound is exceeded; it never returns an uncertified number."""
+    identity is evaluated in float64 BLAS, CERT_SLICE rows at a time, which
+    is exact while the explicit bound on every partial sum (in any order)
+    stays below 2^53.  Raises ArithmeticError if S is singular, if the
+    identity fails (S is not a maximal nonsingular minor) or if the bound is
+    reached; it never returns an uncertified number."""
     import numpy as np
 
     assert np.issubdtype(A.dtype, np.integer)
-    A = A.astype(np.int64)
     rows, cols = list(rows), list(cols)
     r = len(rows)
     if len(cols) != r:
@@ -213,16 +216,18 @@ def integer_matrix_rank(A, rows, cols):
         raise ArithmeticError("the named minor is singular") from None
     delta = lcm(*(x.denominator for row in Sinv for x in row))
     adj = [[int(x * delta) for x in row] for row in Sinv]
-    maxA = int(np.abs(A).max(initial=0))
+    maxA = max(int(A.max(initial=0)), -int(A.min(initial=0)))
     maxadj = max((abs(x) for row in adj for x in row), default=0)
     bound = r * r * maxA * maxadj * maxA + delta * maxA
-    if bound >= 2 ** 62:
+    if bound >= 2 ** 53:
         raise ArithmeticError(
-            f"certification bound {bound} exceeds the int64 range")
-    W = A[:, cols] @ np.array(adj, dtype=np.int64).reshape(r, r)
-    if (W @ A[rows] != delta * A).any():
-        raise ArithmeticError(
-            "a row lies outside the span of the named minor's rows")
+            f"certification bound {bound} reaches 2^53, past exact float64")
+    adj, span = np.array(adj, float).reshape(r, r), A[rows].astype(float)
+    for i in range(0, len(A), CERT_SLICE):
+        part = A[i:i + CERT_SLICE].astype(float)
+        if ((part[:, cols] @ adj) @ span != delta * part).any():
+            raise ArithmeticError(
+                "a row lies outside the span of the named minor's rows")
     return r
 
 

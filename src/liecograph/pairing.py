@@ -24,14 +24,14 @@ signs depend on the degrees only through their parities.
 """
 
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import factorial, prod
 
 from .errors import CapExceeded, MalformedDual, WeightMismatch
 from .linalg import integer_matrix_rank
 from .shapes import (
     ENUMERATION_CAP,
-    SGraph,
+    _tree_shapes,
     enumerate_graphs,
     enumerate_trees,
     long_graph,
@@ -48,28 +48,19 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 12)
 def _pair_info(tree):
     """For every ordered leaf-label pair (a, b): (nadir id, sign).  Internal
-    vertices are numbered in traversal order; there are n-1 of them."""
-    info = {}
-    counter = [0]
-
-    def walk(t):
-        if isinstance(t, int):
-            return (t,)
-        left = walk(t[0])
-        right = walk(t[1])
-        node = counter[0]
-        counter[0] += 1
-        for a in left:
-            for b in right:
-                info[(a, b)] = (node, 1)
-                info[(b, a)] = (node, -1)
-        return left + right
-
-    walk(tree)
-    return info, counter[0]
+    vertices are numbered top down; there are n-1 of them."""
+    info, subtrees, node = {}, [tree], 0
+    for t in subtrees:  # extended while it is read: every subtree, top down
+        if isinstance(t, tuple):
+            subtrees += t
+            for a in tree_leaves(t[0]):
+                for b in tree_leaves(t[1]):
+                    info[a, b], info[b, a] = (node, 1), (node, -1)
+            node += 1
+    return info, node
 
 
 def shape_pair(G, T):
@@ -230,19 +221,6 @@ class PairingMatrix:
                 f"{self.quotient.shape[0]}x{self.quotient.shape[1]})")
 
 
-def _classes(basis, reduce):
-    """Map each basis element to (class index, sign) under reduce(x) ->
-    (representative, sign).  Returns ({representative: class index}, class
-    indices, signs); representatives are numbered in order of first
-    appearance."""
-    index, cls, sign = {}, [], []
-    for x in basis:
-        rep, s = reduce(x)
-        cls.append(index.setdefault(rep, len(index)))
-        sign.append(s)
-    return index, cls, sign
-
-
 def _graph_class(G):
     """Orientation with a < b on every edge, and (-1)^(reversed edges)."""
     return (tuple(sorted((min(a, b), max(a, b)) for a, b in G.edges)),
@@ -252,50 +230,84 @@ def _graph_class(G):
 def _tree_class(T):
     """Child order with the smaller least leaf on the left at every internal
     node, and (-1)^(swaps)."""
-    def walk(t):
-        # (canonical subtree, least leaf, swap parity)
-        if isinstance(t, int):
-            return t, t, 0
-        left, lmin, lpar = walk(t[0])
-        right, rmin, rpar = walk(t[1])
-        if lmin < rmin:
-            return (left, right), lmin, lpar ^ rpar
-        return (right, left), rmin, lpar ^ rpar ^ 1
+    if isinstance(T, int):
+        return T, 1
+    (left, lsign), (right, rsign) = _tree_class(T[0]), _tree_class(T[1])
+    if tree_leaves(left)[0] < tree_leaves(right)[0]:  # their least leaves
+        return (left, right), lsign * rsign
+    return (right, left), -lsign * rsign
 
-    rep, _, parity = walk(T)
-    return rep, (-1) ** parity
+
+def _col_keys(n):
+    """Per tree of enumerate_trees(n): its sorted clade bitmasks packed into
+    one integer, and the parity of its nodes with the greater least leaf left."""
+    import numpy as np
+
+    labels = 1 << np.array(list(permutations(range(n))), dtype=np.int64)
+    weights = 1 << (n * np.arange(n - 1, dtype=np.int64))
+    keys, parity = [], []
+    for shape in _tree_shapes(n):
+        nodes = []
+        _clades(shape, labels, nodes)
+        left, right = np.array(nodes, dtype=np.int64).reshape(
+            -1, 2, len(labels)).transpose(1, 2, 0)
+        keys.append(np.sort(left | right, axis=1) @ weights)
+        # the lowest set bit of a clade is its least leaf
+        parity.append(((left & -left) > (right & -right)).sum(axis=1) & 1)
+    return np.concatenate(keys), np.concatenate(parity)
+
+
+def _clades(t, labels, nodes):
+    """Clade bitmask of shape t for every labeling (a row of label bits per
+    leaf position); appends its children's to nodes at each internal node."""
+    if not isinstance(t, tuple):
+        return labels[:, t]
+    nodes.append((_clades(t[0], labels, nodes), _clades(t[1], labels, nodes)))
+    return nodes[-1][0] | nodes[-1][1]
+
+
+def _classes(keys, basis, reduce):
+    """Class index of each basis element by key, numbered in order of first
+    appearance, and {reduce(first member)[0]: class index}."""
+    first = {}
+    cls = [first.setdefault(k, (len(first), i))[0]
+           for i, k in enumerate(keys.tolist())]
+    return cls, {reduce(basis[i])[0]: c for c, i in first.values()}
 
 
 @lru_cache(maxsize=None)
 def pairing_matrix(n):
     if n > ENUMERATION_CAP:
         raise CapExceeded(f"pairing matrix capped at n <= {ENUMERATION_CAP}")
-    graphs = enumerate_graphs(n)
-    trees = enumerate_trees(n)
-    row_index, row_class, row_sign = _classes(graphs, _graph_class)
-    col_index, col_class, col_sign = _classes(trees, _tree_class)
-    reps = [SGraph(n, edges, _checked=True) for edges in row_index]
-    Q = _dense_pairing(n, reps, list(col_index))
+    import numpy as np
+
+    graphs, trees = enumerate_graphs(n), enumerate_trees(n)
+    # undirected edges as a bitmask, above 3 bits counting reversed edges
+    bits = {}
+    for k, (a, b) in enumerate(combinations(range(1, n + 1), 2)):
+        bits[a, b], bits[b, a] = 8 << k, (8 << k) + 1
+    row_key = np.array([sum(map(bits.__getitem__, G.edges)) for G in graphs])
+    col_key, col_parity = _col_keys(n)
+    row_class, row_index = _classes(row_key >> 3, graphs, _graph_class)
+    col_class, col_index = _classes(col_key, trees, _tree_class)
+    Q = _dense_pairing(n, list(row_index), list(col_index))
     tails = list(permutations(range(2, n + 1)))
     minor = ([row_index[_graph_class(long_graph((1,) + t))[0]] for t in tails],
              [col_index[_tree_class(tall_tree((1,) + t))[0]] for t in tails])
-    return PairingMatrix(n, graphs, trees, row_class, row_sign, col_class,
-                         col_sign, Q, minor)
+    return PairingMatrix(n, graphs, trees, row_class,
+                         (1 - 2 * (row_key & 1)).tolist(), col_class,
+                         (1 - 2 * col_parity).tolist(), Q, minor)
 
 
 def _dense_pairing(n, graphs, trees):
-    """Vectorized pairing matrix: for a chunk of trees at a time, gather nadir
-    ids and signs for all graph edges at once and combine."""
+    """Vectorized pairing matrix of edge tuples against trees: for a chunk of
+    trees at a time, gather nadir ids and signs for all edges and combine."""
     import numpy as np
 
     g = len(graphs)
-    src = np.empty((g, n - 1), dtype=np.intp)
-    tgt = np.empty((g, n - 1), dtype=np.intp)
-    for i, G in enumerate(graphs):
-        for k, (a, b) in enumerate(G.edges):
-            src[i, k] = a
-            tgt[i, k] = b
-    flat = src * (n + 1) + tgt  # index into a flattened (n+1)x(n+1) lookup
+    edges = np.array(graphs, dtype=np.intp).reshape(g, n - 1, 2)
+    # index into a flattened (n+1)x(n+1) lookup
+    flat = edges[:, :, 0] * (n + 1) + edges[:, :, 1]
     full = (1 << (n - 1)) - 1
     out = np.zeros((g, len(trees)), dtype=np.int8)
     chunk = 256

@@ -7,7 +7,6 @@ surgery.  Trees are nested tuples over leaf labels: 3 is a leaf, ((2,1),3) is
 the tree whose left subtree is (2,1).
 """
 
-import heapq
 from functools import lru_cache
 from itertools import permutations, product
 
@@ -35,6 +34,12 @@ class SGraph:
         self.edges = tuple(sorted(tuple(e) for e in edges))
         if not _checked:
             validate_graph(n, edges)
+
+    @classmethod
+    def _presorted(cls, n, edges):  # a valid edge tuple, already sorted
+        G = object.__new__(cls)
+        G.n, G.edges = n, edges
+        return G
 
     def key(self):
         return (self.n, self.edges)
@@ -107,17 +112,12 @@ def enumerate_graphs(n):
     _check_weight(n, "graph")
     if n == 1:
         return [SGraph(1, [], _checked=True)]
-    # enumerate labeled trees via Pruefer sequences, then orient each edge
-    out = []
-    for seq in product(range(1, n + 1), repeat=n - 2):
-        und = _pruefer_to_tree(n, seq)
-        m = len(und)
-        for mask in range(1 << m):
-            es = [(b, a) if (mask >> i) & 1 else (a, b)
-                  for i, (a, b) in enumerate(und)]
-            out.append(SGraph(n, es, _checked=True))
-    out.sort(key=lambda g: g.edges)
-    return out
+    # Pruefer trees, each edge both ways; each edge tuple is sorted once
+    out = sorted(tuple(sorted(es))
+                 for seq in product(range(1, n + 1), repeat=n - 2)
+                 for es in product(*(((a, b), (b, a))
+                                     for a, b in _pruefer_to_tree(n, seq))))
+    return [SGraph._presorted(n, es) for es in out]
 
 
 def _check_weight(n, what):
@@ -128,22 +128,16 @@ def _check_weight(n, what):
 
 
 def _pruefer_to_tree(n, seq):
-    """Undirected labeled tree edges (a < b sorted) from a Pruefer sequence."""
+    """Undirected labeled tree edges from a Pruefer sequence."""
     degree = [1] * (n + 1)
     for x in seq:
         degree[x] += 1
     edges = []
-    leaves = [v for v in range(1, n + 1) if degree[v] == 1]
-    heapq.heapify(leaves)
     for x in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append(tuple(sorted((leaf, x))))
-        degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(leaves, x)
-    u, v = heapq.heappop(leaves), heapq.heappop(leaves)
-    edges.append(tuple(sorted((u, v))))
-    return sorted(edges)
+        leaf = degree.index(1, 1)  # the least leaf
+        edges.append((leaf, x))
+        degree[leaf], degree[x] = 0, degree[x] - 1
+    return edges + [tuple(v for v in range(1, n + 1) if degree[v] == 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +185,16 @@ def enumerate_trees(n):
     """All planar binary trees with leaves labeled by {1..n}; count is
     n! * Catalan(n-1).  Deterministic order."""
     _check_weight(n, "tree")
-    out = []
-    for shape in _tree_shapes(n):
-        for labels in permutations(range(1, n + 1)):
-            out.append(tree_relabel(shape, labels))
-    return out
+    # the label at each leaf position, over all permutations in order
+    columns = list(zip(*permutations(range(1, n + 1))))
+    return [T for shape in _tree_shapes(n) for T in _label_all(shape, columns)]
+
+
+def _label_all(shape, columns):
+    """tree_relabel(shape, p) for every permutation p, one zip per node."""
+    if not isinstance(shape, tuple):
+        return columns[shape]
+    return zip(_label_all(shape[0], columns), _label_all(shape[1], columns))
 
 
 def tree_relabel(t, perm):

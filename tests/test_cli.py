@@ -257,6 +257,16 @@ class TestErrorsAndCaps:
         assert code == 1 and out == "" and "CapExceeded" in err
         assert "Traceback" not in err and len(err.strip().split("\n")) == 1
 
+    def test_iszero_weight_cap_exits_1(self, capsys):
+        """A 40-letter word would take about half an hour to zero-test; it
+        is refused before any cobracket is taken."""
+        start = time.perf_counter()
+        code, out, err = run(capsys, "iszero", "|".join("abc" * 13 + "a"),
+                             "--gens", "a:2,b:2,c:4")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == "" and "CapExceeded" in err
+        assert "Traceback" not in err and len(err.strip().split("\n")) == 1
+
     @pytest.mark.parametrize("argv", [
         ("pair", "1/0*a|b", "[a,b]", "--gens", "a:2,b:2"),
         ("cobracket", "G[x;](a)", "--gens", "a:2"),

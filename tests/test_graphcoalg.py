@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from liecograph.elements import (
 )
 from liecograph.errors import CapExceeded
 from liecograph.graphcoalg import (
+    ZERO_CAP,
     _distinct_arrangements,
     _iterated_vector,
     _shuffles,
@@ -128,6 +130,16 @@ class TestWordProblem:
     def test_bar_cap(self, table):
         with pytest.raises(CapExceeded):
             to_bar_basis(graphify(("a",) * 7, table))
+
+    def test_zero_test_cap(self, table):
+        """A 40-letter word is refused before any cobracket is taken; at
+        ZERO_CAP letters the test still runs."""
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded):
+            is_zero_in_E(graphify(("a", "b") * 20, table))
+        assert time.perf_counter() - start < 1.0
+        assert not table.memo("iterated_cobracket")
+        assert is_zero_in_E(graphify(("a",) * ZERO_CAP, table)) == (True, None)
 
 
 class TestRelations:

@@ -18,6 +18,7 @@ from liecograph.graphcoalg import (
 from liecograph.linalg import (
     BigradedComplex,
     Echelon,
+    CERT_SLICE,
     SparseMatrix,
     _exact_inverse,
     integer_matrix_rank,
@@ -215,6 +216,29 @@ def test_integer_rank_refuses_bound_past_int64():
     with pytest.raises(ArithmeticError, match="bound"):
         integer_matrix_rank(A, [0], [0])
     assert integer_matrix_rank(A // 2 ** 20, [0], [0]) == 1
+
+
+def test_integer_rank_refuses_bound_at_float64_limit():
+    """A 1x1 minor [a] has delta = |a| and adj = +-1, so its bound is 2a^2:
+    exactly 2^53 at a = 2^26, refused; one step below, certified."""
+    with pytest.raises(ArithmeticError, match="bound"):
+        integer_matrix_rank(np.array([[2 ** 26]], dtype=np.int64), [0], [0])
+    assert integer_matrix_rank(
+        np.array([[2 ** 26 - 1]], dtype=np.int64), [0], [0]) == 1
+
+
+def test_integer_rank_checks_the_last_slice():
+    """A wrong entry planted in a row of the last CERT_SLICE-row slice is
+    found: rows are multiples of the first two until then."""
+    m = 2 * CERT_SLICE + 7
+    base = np.array([[1, 0, 2, -1], [0, 1, 1, 3]], dtype=np.int64)
+    A = np.array([[i % 5, i % 3 - 1] for i in range(m)],
+                 dtype=np.int64) @ base
+    A[:2] = base
+    assert integer_matrix_rank(A, [0, 1], [0, 1]) == 2
+    A[m - 3, 2] += 1
+    with pytest.raises(ArithmeticError, match="span"):
+        integer_matrix_rank(A, [0, 1], [0, 1])
 
 
 def _koszul_square_complex():

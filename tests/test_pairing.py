@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liecograph.elements import GeneratorTable, GraphElement, TreeElement
-from liecograph.errors import MalformedDual
+from liecograph.errors import GraphError, MalformedDual
 from liecograph.graphcoalg import cobracket, graphify
 from liecograph.liealg import product
 from liecograph.pairing import (
+    _dense_pairing,
     _term_pair,
     element_pair,
     pairing_matrix,
@@ -25,6 +26,7 @@ from liecograph.shapes import (
     long_graph,
     tall_tree,
     tree_relabel,
+    validate_graph,
 )
 
 from conftest import dense_rank_oracle
@@ -191,7 +193,7 @@ class TestQuotient:
         assert P.rank() == dense_rank_oracle(P.quotient.tolist())
 
     def test_weight_6_peak_memory(self):
-        """Building and ranking the weight-6 matrix stays under 200 MB of
+        """Building and ranking the weight-6 matrix stays under 48 MB of
         traced allocations (the full int8 matrix alone is 1.25 GB)."""
         for cached in (pairing_matrix, enumerate_graphs, enumerate_trees):
             cached.cache_clear()
@@ -201,7 +203,87 @@ class TestQuotient:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 200 * 2 ** 20, f"peak {peak / 2 ** 20:.0f} MB"
+        assert peak < 48 * 2 ** 20, f"peak {peak / 2 ** 20:.0f} MB"
+
+
+def _classes_oracle(basis, reduce):
+    """Class index (representatives numbered in order of first appearance)
+    and sign of each basis element under reduce(x) -> (rep, sign), one
+    element at a time; returns ({rep: index}, classes, signs)."""
+    index, cls, sign = {}, [], []
+    for x in basis:
+        rep, s = reduce(x)
+        cls.append(index.setdefault(rep, len(index)))
+        sign.append(s)
+    return index, cls, sign
+
+
+def _graph_class(G):
+    """Orientation with a < b on every edge, and (-1)^(reversed edges)."""
+    return (tuple(sorted((min(a, b), max(a, b)) for a, b in G.edges)),
+            (-1) ** sum(a > b for a, b in G.edges))
+
+
+def _tree_class(T):
+    """Child order with the smaller least leaf on the left at every internal
+    node, and (-1)^(swaps)."""
+    def walk(t):
+        # (canonical subtree, least leaf, swap parity)
+        if isinstance(t, int):
+            return t, t, 0
+        left, lmin, lpar = walk(t[0])
+        right, rmin, rpar = walk(t[1])
+        if lmin < rmin:
+            return (left, right), lmin, lpar ^ rpar
+        return (right, left), rmin, lpar ^ rpar ^ 1
+
+    rep, _, parity = walk(T)
+    return rep, (-1) ** parity
+
+
+def _graphs_oracle(n):
+    """Every orientation of every (n-1)-edge subset of K_n that
+    validate_graph accepts, sorted by edge list."""
+    out = []
+    for und in itertools.combinations(
+            itertools.combinations(range(1, n + 1), 2), n - 1):
+        try:
+            validate_graph(n, und)
+        except GraphError:
+            continue
+        for flips in itertools.product((False, True), repeat=n - 1):
+            out.append(SGraph(n, [(b, a) if f else (a, b)
+                                  for (a, b), f in zip(und, flips)]))
+    return sorted(out, key=lambda G: G.edges)
+
+
+class TestClassMaps:
+    """The class maps of pairing_matrix are computed by construction (edge
+    bitmasks, vectorised clade masks) and canonicalise only representatives;
+    canonicalising every element, one at a time, must give the same."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_match_per_element_path(self, n):
+        P = pairing_matrix(n)
+        row_index, row_class, row_sign = _classes_oracle(
+            enumerate_graphs(n), _graph_class)
+        col_index, col_class, col_sign = _classes_oracle(
+            enumerate_trees(n), _tree_class)
+        assert (P.row_class, P.row_sign) == (row_class, row_sign)
+        assert (P.col_class, P.col_sign) == (col_class, col_sign)
+        tails = list(itertools.permutations(range(2, n + 1)))
+        assert P.minor == (
+            [row_index[_graph_class(long_graph((1,) + t))[0]] for t in tails],
+            [col_index[_tree_class(tall_tree((1,) + t))[0]] for t in tails])
+        assert P.quotient.tobytes() == _dense_pairing(
+            n, list(row_index), list(col_index)).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_enumerate_graphs_matches_validated_construction(self, n):
+        graphs = enumerate_graphs(n)
+        assert [G.key() for G in graphs] \
+            == [G.key() for G in _graphs_oracle(n)]
+        assert all(validate_graph(G.n, G.edges) == G for G in graphs)
 
 
 class TestElementPair:
