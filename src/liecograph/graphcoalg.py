@@ -244,25 +244,24 @@ def to_bar_basis(g):
 # ---------------------------------------------------------------------------
 # relation generators
 
-def relation_generators(kind, table, labels, graphs=None):
+def relation_generators(kind, table, labels):
     """Explicit generating relation elements at the weight and label tuple of
     `labels`; every output is zero in the Lie-coalgebra quotient.
 
-    kind: arrow_reversing | arnold | harrison_shuffle | reverse_all | cyclic.
-    `graphs` optionally restricts the graph shapes used by the first two kinds
-    (default: every S-graph of that weight)."""
+    kind: arrow_reversing | arnold | harrison_shuffle | reverse_all | cyclic;
+    the first two run over every S-graph of the weight."""
     labels = tuple(labels)
     n = len(labels)
     degs = [table.degree[x] for x in labels]
     out = []
     if kind == "arrow_reversing":
-        for G in graphs or enumerate_graphs(n):
+        for G in enumerate_graphs(n):
             for e in range(len(G.edges)):
                 el = GraphElement.from_term(table, G, labels).add(
                     GraphElement.from_term(table, G.reverse_edge(e), labels))
                 out.append(el)
     elif kind == "arnold":
-        for G in graphs or enumerate_graphs(n):
+        for G in enumerate_graphs(n):
             for i, (a, b) in enumerate(G.edges):
                 for j, (b2, c) in enumerate(G.edges):
                     if j == i or b2 != b or c == a:

@@ -9,11 +9,17 @@ powers vanish.
 DgccPresentation: a coalgebra given by a named basis per degree with reduced
 coproduct and differential structure constants.
 
-File format (line oriented, # comments):
+File format (line oriented, # comments; each rel, diff, codiff, coprod and
+cap line at most once):
     gen x deg 2            cogen x deg 2
     rel x^2 = 0            coprod y = x (x) x   (also accepts the ⊗ glyph)
     diff y = x^2           codiff y = 2 * x
     cap weight 5 degree 12
+A right-hand side is 0, the empty sum, or terms joined by + and - (the first
+sign optional).  A term is an optional leading coefficient n or n/m, then
+optionally *, then its body: factors name or name^k separated by * or blanks
+for diff, a (x) b for coprod, one class name for codiff.  A name starts with
+a letter or _; a class name may contain * after that.
 """
 
 import re
@@ -54,19 +60,24 @@ def multisets(items, degree, max_degree, max_size=None, max_mult=None):
     return out
 
 
+def _declared(pairs, what):
+    """(names in order, {name: degree}) of declared (name, degree) pairs; a
+    repeated name or a degree < 1 is an InvalidPresentation."""
+    names, degree = [], {}
+    for name, deg in pairs:
+        if name in degree:
+            raise InvalidPresentation(f"duplicate {what} {name!r}")
+        if deg < 1:
+            raise InvalidPresentation(f"{what} {name!r} has degree {deg} < 1")
+        names.append(name)
+        degree[name] = deg
+    return names, degree
+
+
 class DgcaPresentation:
     def __init__(self, gens, relations=None, differentials=None,
                  cap_weight=DEFAULT_CAP_WEIGHT, cap_degree=DEFAULT_CAP_DEGREE):
-        self.gen_names = []
-        self.gen_degree = {}
-        for name, deg in gens:
-            if name in self.gen_degree:
-                raise InvalidPresentation(f"duplicate generator {name!r}")
-            if deg < 1:
-                raise InvalidPresentation(
-                    f"generator {name!r} has degree {deg} < 1")
-            self.gen_names.append(name)
-            self.gen_degree[name] = deg
+        self.gen_names, self.gen_degree = _declared(gens, "generator")
         self.order = {n: i for i, n in enumerate(self.gen_names)}
         self.relations = dict(relations or {})  # name -> power k (g^k = 0)
         for name, k in self.relations.items():
@@ -164,8 +175,7 @@ class DgcaPresentation:
                     raise InvalidPresentation(
                         f"diff {name} has a term of degree "
                         f"{self.monomial_degree(m)}, expected {want}")
-                mm, s = self.normalize_monomial(m)
-                if s == 0:
+                if self.normalize_monomial(m)[1] == 0:
                     raise InvalidPresentation(
                         f"diff {name} contains a vanishing monomial {m}")
         for name in self.differentials:
@@ -200,15 +210,7 @@ class DgccPresentation:
 
     def __init__(self, classes, coprod=None, codiff=None,
                  cap_weight=DEFAULT_CAP_WEIGHT, cap_degree=DEFAULT_CAP_DEGREE):
-        self.class_names = []
-        self.class_degree = {}
-        for name, deg in classes:
-            if name in self.class_degree:
-                raise InvalidPresentation(f"duplicate class {name!r}")
-            if deg < 1:
-                raise InvalidPresentation(f"class {name!r} has degree {deg} < 1")
-            self.class_names.append(name)
-            self.class_degree[name] = deg
+        self.class_names, self.class_degree = _declared(classes, "class")
         self.coprod = {c: [(Fraction(k), a, b) for (k, a, b) in terms if k]
                        for c, terms in (coprod or {}).items()}
         self.codiff = {c: [(Fraction(k), a) for (k, a) in terms if k]
@@ -279,9 +281,21 @@ class DgccPresentation:
 
 _GEN_RE = re.compile(r"^(co)?gen\s+(\w[\w*]*)\s+deg\s+(\d+)$")
 _REL_RE = re.compile(r"^rel\s+(\w+)\s*\^\s*(\d+)\s*=\s*0$")
-_DIFF_RE = re.compile(r"^(co)?diff\s+(\w[\w*]*)\s*=\s*(.*)$")
-_COPROD_RE = re.compile(r"^coprod\s+(\w[\w*]*)\s*=\s*(.*)$")
+_DEF_RE = re.compile(r"^(diff|codiff|coprod)\s+(\w[\w*]*)\s*=\s*(.*)$")
 _CAP_RE = re.compile(r"^cap\s+weight\s+(\d+)\s+degree\s+(\d+)$")
+
+# Right-hand sides (see the module docstring).  Every run of blanks is read
+# by one quantifier before the next token, so matching is linear.
+_FACTOR = r"([^\W\d]\w*)(?:\s*\^\s*(\d+))?"
+_CLASS = r"([^\W\d][\w*]*)"
+_BODY = {
+    "diff": rf"({_FACTOR}(?:(?:\s*\*\s*|\s+){_FACTOR})*)",
+    "coprod": rf"{_CLASS}\s*(?:\(x\)|⊗)\s*{_CLASS}",
+    "codiff": _CLASS,
+}
+_TERM = {kind: re.compile(
+    rf"([+-]?)\s*(?:(\d+(?:/\d+)?)(?:\s*\*)?\s*)?{body}\s*")
+    for kind, body in _BODY.items()}
 
 
 def parse_rational(text, line=None, col=None):
@@ -290,8 +304,8 @@ def parse_rational(text, line=None, col=None):
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ParseError(f"invalid number {text!r}", line=line,
-                         col=col) from None
+        raise ParseError(f"invalid number {clipped_repr(text)}", line,
+                         col) from None
 
 
 def clipped_repr(text):
@@ -310,116 +324,82 @@ def parse_int(text, line=None, col=None):
                          col=col) from None
 
 
-def _tokenize_poly(text, lineno):
-    toks = re.findall(r"\d+/\d+|\d+|\w+|\^|\*|\+|-|\(|\)", text)
-    if "".join(toks).replace(" ", "") != text.replace(" ", ""):
-        raise ParseError(f"cannot tokenize polynomial {text!r}", line=lineno)
-    return toks
+def _parse_terms(text, kind, lineno):
+    """The terms of a `kind` (diff, coprod or codiff) right-hand side, in
+    order: [(Fraction, *groups of its body)].  Any text left unread is a
+    ParseError at lineno."""
+    text = text.strip()
+    if text == "0":
+        return []
+    term, out, pos = _TERM[kind], [], 0
+    while True:
+        m = term.match(text, pos)
+        if not m or (out and not m.group(1)):
+            raise ParseError(f"{kind} right-hand side: cannot read text "
+                             f"{clipped_repr(text[pos:])}", line=lineno)
+        coeff = parse_rational(m.group(2) or "1", lineno)
+        out.append((-coeff if m.group(1) == "-" else coeff, *m.groups()[2:]))
+        pos = m.end()
+        if pos == len(text):
+            return out
 
 
 def parse_polynomial(text, lineno=None, max_factors=None):
-    """rational coefficients, generator powers, * + -.  Returns
-    {tuple-of-names (unsorted): Fraction}.  A term with more than
-    max_factors factors is a ParseError, raised before its factors are
-    expanded."""
-    toks = _tokenize_poly(text.strip(), lineno)
-    pos = 0
-
-    def peek():
-        return toks[pos] if pos < len(toks) else None
-
-    def take():
-        nonlocal pos
-        t = toks[pos]
-        pos += 1
-        return t
-
-    def parse_term():
-        coeff = Fraction(1)
-        factors = []
-        expect_factor = True
-        while True:
-            t = peek()
-            if t is None or t in "+-":
-                break
-            if t == "*":
-                take()
-                continue
-            t = take()
-            if re.fullmatch(r"\d+/\d+|\d+", t):
-                coeff *= parse_rational(t, lineno)
-            elif re.fullmatch(r"\w+", t):
-                power = 1
-                if peek() == "^":
-                    take()
-                    if not re.fullmatch(r"\d+", peek() or ""):
-                        raise ParseError(f"'^' needs an integer exponent in "
-                                         f"{text!r}", line=lineno)
-                    power = parse_int(take(), lineno)
-                if max_factors is not None and (
-                        len(factors) + power > max_factors):
-                    raise ParseError(f"a term of {text!r} has more than "
-                                     f"{max_factors} factors", line=lineno)
-                factors.extend([t] * power)
-            else:
-                raise ParseError(f"unexpected token {t!r} in polynomial",
-                                 line=lineno)
-        return coeff, tuple(factors)
-
+    """A `diff` right-hand side: rational coefficients, factors `name` or
+    `name^k` separated by `*` or blanks.  Returns {tuple-of-names
+    (unsorted): Fraction}.  A term with more than max_factors factors is a
+    ParseError, raised before its powers are expanded."""
     out = {}
-    sign = 1
-    if peek() in ("+", "-"):
-        sign = -1 if take() == "-" else 1
-    while pos < len(toks):
-        coeff, mono = parse_term()
-        add_into(out, mono, sign * coeff)
-        if peek() in ("+", "-"):
-            sign = -1 if take() == "-" else 1
-        elif pos < len(toks):
-            raise ParseError(f"trailing tokens in polynomial {text!r}",
-                             line=lineno)
+    for coeff, body, *_ in _parse_terms(text, "diff", lineno):
+        factors = []
+        for f in re.finditer(_FACTOR, body):
+            power = parse_int(f.group(2) or "1", lineno)
+            if max_factors is not None and len(factors) + power > max_factors:
+                raise ParseError(f"a term has more than {max_factors} "
+                                 "factors", line=lineno)
+            factors += [f.group(1)] * power
+        add_into(out, tuple(factors), coeff)
     return out
+
+
+def _once(first, key, lineno):
+    """Record that `key` is defined at lineno; a second definition is a
+    ParseError there that names the first."""
+    if key in first:
+        raise ParseError(f"repeated {key!r} (first at line {first[key]})",
+                         line=lineno)
+    first[key] = lineno
 
 
 def parse_presentation(text):
     """Parse a presentation file; returns a DgcaPresentation or a
     DgccPresentation depending on which keywords appear."""
-    gens, rels, diff_lines = [], {}, []
-    cogens, coprods, codiffs = [], {}, {}
+    gens, cogens, rels, diff_lines, first = [], [], {}, [], {}
+    terms = {"coprod": {}, "codiff": {}}  # kind -> {class: its terms}
     cap_w, cap_d = DEFAULT_CAP_WEIGHT, DEFAULT_CAP_DEGREE
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        m = _GEN_RE.match(line)
-        if m:
+        if m := _GEN_RE.match(line):
             (cogens if m.group(1) else gens).append(
                 (m.group(2), parse_int(m.group(3), lineno)))
-            continue
-        m = _REL_RE.match(line)
-        if m:
+        elif m := _REL_RE.match(line):
+            _once(first, f"rel {m.group(1)}", lineno)
             rels[m.group(1)] = parse_int(m.group(2), lineno)
-            continue
-        m = _COPROD_RE.match(line)
-        if m:
-            coprods[m.group(1)] = _parse_terms(
-                m.group(2).replace("⊗", "(x)"),
-                r"(\w[\w*]*)\s*\(x\)\s*(\w[\w*]*)", "coproduct", lineno)
-            continue
-        m = _DIFF_RE.match(line)
-        if m:
-            if m.group(1):  # codiff
-                codiffs[m.group(2)] = _parse_terms(
-                    m.group(3), r"(\w[\w*]*)", "codifferential", lineno)
-            else:  # parsed below, once the generator degrees are known
-                diff_lines.append((m.group(2), m.group(3), lineno))
-            continue
-        m = _CAP_RE.match(line)
-        if m:
+        elif m := _DEF_RE.match(line):
+            kind, name, rhs = m.groups()
+            _once(first, f"{kind} {name}", lineno)
+            if kind == "diff":  # read below, once the degrees are known
+                diff_lines.append((name, rhs, lineno))
+            else:
+                terms[kind][name] = _parse_terms(rhs, kind, lineno)
+        elif m := _CAP_RE.match(line):
+            _once(first, "cap", lineno)
             cap_w, cap_d = (parse_int(m.group(1), lineno),
                             parse_int(m.group(2), lineno))
-            continue
-        raise ParseError(f"unrecognized line {raw!r}", line=lineno)
+        else:
+            raise ParseError(f"unrecognized line {raw!r}", line=lineno)
     if cogens and gens:
         raise ParseError("file mixes gen and cogen declarations")
     # a term of diff y has degree deg y + 1, so at most deg y + 1 factors
@@ -430,25 +410,6 @@ def parse_presentation(text):
             raise InvalidPresentation(f"differential on unknown {name!r}")
         diffs[name] = parse_polynomial(rhs, lineno, degree[name] + 1)
     if cogens:
-        return DgccPresentation(cogens, coprods, codiffs,
+        return DgccPresentation(cogens, terms["coprod"], terms["codiff"],
                                 cap_weight=cap_w, cap_degree=cap_d)
     return DgcaPresentation(gens, rels, diffs, cap_weight=cap_w, cap_degree=cap_d)
-
-
-def _parse_terms(text, term_re, what, lineno):
-    """`2 * t1 - 1/2 t2 + ...` with each term matching term_re ->
-    [(Fraction, *groups of term_re)]; `0` is the empty sum."""
-    out = []
-    if text.strip() == "0":
-        return out
-    for signed in re.finditer(r"([+-]?)\s*([^+-]+)", text):
-        sgn = -1 if signed.group(1) == "-" else 1
-        part = signed.group(2).strip()
-        if not part:
-            continue
-        m = re.fullmatch(r"(?:(\d+(?:/\d+)?)\s*\*?\s*)?" + term_re, part)
-        if not m:
-            raise ParseError(f"cannot parse {what} term {part!r}", line=lineno)
-        coeff = parse_rational(m.group(1) or "1", lineno)
-        out.append((sgn * coeff, *m.groups()[1:]))
-    return out

@@ -1,4 +1,6 @@
 import random
+import re
+import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liecograph.cli import main
 from liecograph.errors import InvalidPresentation, LiecographError, ParseError
 from liecograph.functors import dualize
 from liecograph.presentations import (
@@ -86,6 +89,164 @@ class TestParsing:
             parse_presentation("gen x deg 2\ndiff q = x^2\n")
 
 
+def structure(P):
+    """The parsed data of a presentation, as plain literals."""
+    caps = (P.cap_weight, P.cap_degree)
+    if isinstance(P, DgcaPresentation):
+        return ([(g, P.gen_degree[g]) for g in P.gen_names], P.relations,
+                P.differentials, caps)
+    return ([(c, P.class_degree[c]) for c in P.class_names], P.coprod,
+            P.codiff, caps)
+
+
+DEFAULT_CAPS = (5, 12)
+CP2_CO = ([("x", 2), ("x*x", 4)], {"x*x": [(1, "x", "x")]}, {}, DEFAULT_CAPS)
+S2_CO = ([("x", 2)], {}, {}, DEFAULT_CAPS)
+CP2 = ([("x", 2)], {"x": 3}, {}, DEFAULT_CAPS)
+S2 = ([("x", 2)], {"x": 2}, {}, DEFAULT_CAPS)
+S3 = ([("x", 3)], {}, {}, DEFAULT_CAPS)
+SULLIVAN_S2 = ([("x", 2), ("y", 3)], {}, {"y": {("x", "x"): 1}},
+               DEFAULT_CAPS)
+# every presentation file of the repository, written out by hand
+FILES = {
+    "fixtures/bad_codiff_squared.coalg": (
+        [("a", 2), ("b", 3), ("c", 4)], {},
+        {"b": [(1, "a")], "c": [(1, "b")]}, DEFAULT_CAPS),
+    "fixtures/bad_not_coassociative.coalg": (
+        [("x", 2), ("y", 4), ("z", 6)],
+        {"y": [(1, "x", "x")], "z": [(1, "x", "y")]}, {}, DEFAULT_CAPS),
+    "fixtures/bad_not_coleibniz.coalg": (
+        [("x", 2), ("y", 3), ("u", 5)],
+        {"u": [(1, "x", "y"), (1, "y", "x")]}, {"y": [(1, "x")]},
+        DEFAULT_CAPS),
+    "fixtures/cp2.alg": CP2,
+    "fixtures/cp2.coalg": CP2_CO,
+    "fixtures/s2.alg": S2,
+    "fixtures/s2.coalg": S2_CO,
+    "fixtures/s3.alg": S3,
+    "fixtures/sullivan_s2.alg": SULLIVAN_S2,
+    "inputs/cp2.alg": CP2,
+    "inputs/cp2.coalg": CP2_CO,
+    "inputs/s2.alg": S2,
+    "inputs/s2.coalg": S2_CO,
+    "inputs/s2xs2.alg": ([("x", 2), ("y", 2)], {"x": 2, "y": 2}, {},
+                         DEFAULT_CAPS),
+    "inputs/s3.alg": S3,
+    "inputs/sullivan_s2.alg": SULLIVAN_S2,
+    "inputs/xyz.alg": ([("x", 2), ("y", 2), ("z", 3)], {},
+                       {"z": {("x", "y"): 1}}, DEFAULT_CAPS),
+}
+# the examples of the README's "Presentation files" section, in order
+README_EXAMPLES = [
+    CP2,
+    ([("x", 2), ("y", 3)], {}, {"y": {("x", "x"): 1}}, (4, 9)),
+    ([("x", 2), ("y", 2), ("z", 3)], {},
+     {"z": {("x", "y"): 2, ("x", "x"): Fraction(-1, 2)}}, DEFAULT_CAPS),
+    ([("x", 2), ("x*x", 4)], {"x*x": [(1, "x", "x")]}, {"x*x": []},
+     DEFAULT_CAPS),
+]
+ROOT = FIXTURES.parents[1]
+
+
+class TestFiles:
+    @pytest.mark.parametrize("path", sorted(
+        [*FIXTURES.iterdir(), *(ROOT / "perfbench" / "inputs").glob("*.*")]),
+        ids=lambda p: f"{p.parent.name}/{p.name}")
+    def test_file_parses_to_its_literal(self, path, monkeypatch):
+        # the bad_* fixtures are refused by the coalgebra axioms, which
+        # TestCoalgebraStructure checks; here only what was read counts
+        monkeypatch.setattr(DgccPresentation, "_validate", lambda self: None)
+        got = structure(parse_presentation(path.read_text()))
+        assert got == FILES[f"{path.parent.name}/{path.name}"]
+
+    def test_readme_examples(self):
+        readme = (ROOT / "README.md").read_text()
+        section = readme.split("## Presentation files")[1].split("\n## ")[0]
+        blocks = re.findall(r"^```\n(.*?)^```$", section, re.M | re.S)
+        assert [structure(parse_presentation(b)) for b in blocks] \
+            == README_EXAMPLES
+
+
+DIFF = "gen x deg 2\ngen y deg 4\ndiff y = {}\n"
+COPROD = "cogen x deg 2\ncogen y deg 4\ncoprod y = {}\n"
+CODIFF = "cogen x deg 2\ncogen y deg 3\ncodiff y = {}\n"
+MALFORMED = [
+    pytest.param(head.format(rhs), id=f"{kind} = {rhs}")
+    for kind, head, rhss in [
+        ("diff", DIFF, [
+            "x -", "-", "", "x - - y", "x + + y", "x*", "*x", "x**y",
+            "x*2*y", "x^", "x^y", "(x)", "2 3 x", "x^2 3", "x^2 +", "-0",
+            "x + 0"]),
+        ("coprod", COPROD, [
+            "x (x) y - - y (x) x", "x (x) x -", "-", "", "x (x)", "x x",
+            "x (x) x (x) x", "x (x) 2 x", "2 3 x (x) x", "x (x) x x (x) x"]),
+        ("codiff", CODIFF, [
+            "x -", "-", "", "x - - x", "2 3 x", "x x", "x (x) x", "x^2"])]
+    for rhs in rhss]
+REPEATED = [pytest.param(text, first, id=first) for text, first in [
+    ("gen x deg 2\ngen y deg 3\ndiff y = x^2\ndiff y = 2 x^2\n", "diff y"),
+    ("gen x deg 2\nrel x^2 = 0\nrel x^3 = 0\n", "rel x"),
+    ("gen x deg 2\ncap weight 4 degree 9\ncap weight 4 degree 9\n", "cap"),
+    ("cogen x deg 2\ncogen y deg 4\ncoprod y = x (x) x\ncoprod y = 0\n",
+     "coprod y"),
+    ("cogen x deg 2\ncogen y deg 3\ncodiff y = x\ncodiff y = 0\n",
+     "codiff y"),
+]]
+
+
+class TestStrictGrammar:
+    @pytest.mark.parametrize("text", MALFORMED)
+    def test_malformed_right_hand_side(self, text):
+        with pytest.raises(ParseError) as e:
+            parse_presentation(text)
+        assert e.value.line == 3
+
+    @pytest.mark.parametrize("text", MALFORMED + [
+        pytest.param(p.values[0], id=p.id) for p in REPEATED])
+    def test_cli_exits_1(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.alg"
+        path.write_text(text)
+        code = main(["pi", str(path)])
+        out, err = capsys.readouterr()
+        last = text.count("\n")  # the offending line is the last one
+        assert code == 1 and out == "" and "ParseError" in err
+        assert f"at line {last}" in err
+        assert "Traceback" not in err and len(err.strip().split("\n")) == 1
+
+    @pytest.mark.parametrize("text, first", REPEATED)
+    def test_repeated_definition(self, text, first):
+        with pytest.raises(ParseError, match=f"repeated '{first}'") as e:
+            parse_presentation(text)
+        assert e.value.line == text.count("\n")
+        assert f"first at line {e.value.line - 1}" in str(e.value)
+
+    def test_coprod_and_codiff_terms(self):
+        C = parse_presentation(
+            "cogen a deg 2\ncogen b deg 2\ncogen c deg 4\ncogen d deg 3\n"
+            "coprod c = 2 a ⊗ b - 1/2*b (x) a + a(x)a\n"
+            "codiff c = -3 d\ncodiff d = 0\n")
+        assert C.coprod == {"c": [(2, "a", "b"), (Fraction(-1, 2), "b", "a"),
+                                  (1, "a", "a")]}
+        assert C.codiff == {"c": [(-3, "d")], "d": []}
+
+    @pytest.mark.parametrize("head, rhs", [
+        (DIFF, "x*" * 50_000),
+        (DIFF, "x " * 50_000 + "^"),
+        (DIFF, "2" + " " * 100_000 + "y^"),
+        (DIFF, "x - " * 25_000 + "-"),
+        (COPROD, "x (x) x + " * 10_000 + "x"),
+        (COPROD, "x" + " " * 100_000 + "(x)"),
+        (CODIFF, "x +" + " " * 100_000 + "+ x"),
+    ], ids=["diff-star", "diff-caret", "diff-blanks", "diff-signs",
+            "coprod-terms", "coprod-blanks", "codiff-blanks"])
+    def test_long_malformed_line_refused_fast(self, head, rhs):
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as e:
+            parse_presentation(head.format(rhs))
+        assert time.perf_counter() - start < 1.0
+        assert e.value.line == 3 and len(str(e.value)) < 100
+
+
 class TestAlgebraStructure:
     def test_odd_squares_vanish(self):
         A = parse_presentation("gen t deg 3\n")
@@ -163,9 +324,18 @@ class TestCoalgebraStructure:
 
 class TestPolynomials:
     def test_parse_polynomial(self):
-        A = parse_presentation("gen x deg 2\ngen y deg 3\n")
-        p = parse_polynomial("2 x^2 - 1/3 x*y", A)
+        p = parse_polynomial("2 x^2 - 1/3 x*y", 1)
         assert p == {("x", "x"): Fraction(2), ("x", "y"): Fraction(-1, 3)}
+
+    @pytest.mark.parametrize("text, want", [
+        ("-x y + 2*x^2", {("x", "y"): -1, ("x", "x"): 2}),
+        ("3/2 * x ^ 2 y", {("x", "x", "y"): Fraction(3, 2)}),
+        ("+ 2x*y*x", {("x", "y", "x"): 2}),
+        ("x*y - x*y", {}),
+        ("0", {}),
+    ])
+    def test_term_forms(self, text, want):
+        assert parse_polynomial(text, 1) == want
 
     def test_poly_multiply_graded_commutative(self):
         A = parse_presentation("gen t deg 3\ngen u deg 5\n")
