@@ -14,11 +14,12 @@ from fractions import Fraction
 from numbers import Integral, Rational
 
 from .linalg import add_into
-from .shapes import SGraph, _canonical_perms
+from .shapes import _canonical_perms
 
 __all__ = [
     "GeneratorTable",
     "koszul_sign",
+    "graded_sort",
     "GraphElement",
     "TreeElement",
     "TensorElement",
@@ -75,6 +76,30 @@ def koszul_sign(degrees, src):
             if src[j] < src[i] and degrees[src[j]] % 2 == 1:
                 sign = -sign
     return sign
+
+
+def _slotwise(word, degree, letter_map):
+    """The derivation extending letter_map slot by slot: for each slot i and
+    each (replacement tuple, c) in letter_map(word[i]), yield the raw word
+    with slot i replaced and c times (-1)^(degrees of the slots before i)."""
+    sign = 1
+    for i, x in enumerate(word):
+        for repl, c in letter_map(x):
+            yield word[:i] + repl + word[i + 1:], sign * c
+        if degree[x] % 2:
+            sign = -sign
+
+
+def graded_sort(seq, degree, order):
+    """Sort seq by order[x] (stable), returning (sorted tuple, Koszul sign of
+    the sort); the sign is 0 when a letter of odd degree[x] repeats.  degree
+    and order are indexables: dicts, lists or a range."""
+    perm = sorted(range(len(seq)), key=lambda i: order[seq[i]])
+    word = tuple(seq[i] for i in perm)
+    for a in range(len(word) - 1):
+        if word[a] == word[a + 1] and degree[word[a]] % 2:
+            return word, 0
+    return word, koszul_sign([degree[x] for x in seq], perm)
 
 
 def canonical_graph_term(n, edges, labels, degrees, order_key):
@@ -154,8 +179,7 @@ class GraphElement(_Element):
 
     @classmethod
     def from_term(cls, table, graph, labels, coeff=1):
-        n = graph.n if isinstance(graph, SGraph) else graph[0]
-        edges = graph.edges if isinstance(graph, SGraph) else tuple(graph[1])
+        n, edges = graph.n, graph.edges
         labels, coeff = tuple(labels), _coefficient(coeff)
         if len(labels) != n:
             raise ValueError(f"graph on {n} vertices with {len(labels)} labels")

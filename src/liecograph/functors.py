@@ -23,10 +23,10 @@ BigradedComplex, which groups the keys into pieces and checks that every
 differential term lands in its target piece.
 Every internal differential, and the letter-splitting differentials of
 build_A_hat and build_L, is a map on letters extended slot by slot with the
-Koszul sign (`_slotwise`); the structure terms (edge contraction, adjacent
-product, bracket merge) are each builder's own.  build_A_hat and build_C
-sort raw words into graded-commutative basis words through one emitter
-(`_sorted_emitter`).
+Koszul sign (elements._slotwise); the structure terms (edge contraction,
+adjacent product, bracket merge) are each builder's own.  build_A_hat and
+build_C sort raw words into graded-commutative basis words through one
+emitter (`_sorted_emitter`, on elements.graded_sort).
 
 check_duality, check_twisting, rational_homotopy and spectral-sequence
 reporting sit on top.
@@ -57,7 +57,8 @@ from .shapes import (
     enumerate_graphs,
     tall_tree,
 )
-from .elements import GeneratorTable, GraphElement, TreeElement, koszul_sign
+from .elements import (GeneratorTable, GraphElement, TreeElement,
+                       _slotwise, graded_sort, koszul_sign)
 from .graphcoalg import (
     _distinct_arrangements,
     _signed_shuffles,
@@ -164,37 +165,14 @@ def _bundle(kind, source, caps, key_bidegree, differential, complete,
                            key_cobracket=key_cobracket)
 
 
-def _slotwise(word, degree, letter_map):
-    """The derivation extending letter_map slot by slot: for each slot i and
-    each (replacement tuple, c) in letter_map(word[i]), yield the raw word
-    with slot i replaced and c times (-1)^(degrees of the slots before i)."""
-    sign = 1
-    for i, x in enumerate(word):
-        for repl, c in letter_map(x):
-            yield word[:i] + repl + word[i + 1:], sign * c
-        if degree[x] % 2:
-            sign = -sign
-
-
-def _sorted_word(letters, sdeg):
-    """Sort letter indices ascending; returns (word, sign) with the Koszul
-    sign of the sort, 0 when an odd letter repeats."""
-    seq = list(letters)
-    order = sorted(range(len(seq)), key=lambda i: seq[i])
-    sign = koszul_sign([sdeg[i] for i in seq], order)
-    word = tuple(seq[i] for i in order)
-    for a in range(len(word) - 1):
-        if word[a] == word[a + 1] and sdeg[word[a]] % 2:
-            return word, 0
-    return word, sign
-
-
 def _sorted_emitter(sdeg, keys, degree_hi):
-    """emit(acc, raw letters, coeff) accumulates coeff times the sorted
-    graded-commutative word of raw into acc.  A word missing from keys must
-    lie beyond total degree degree_hi (it was cut by the caps)."""
+    """emit(acc, raw letter indices, coeff) accumulates coeff times the
+    graded_sort of raw by index into acc.  A word missing from keys must lie
+    beyond total degree degree_hi (it was cut by the caps)."""
+    letters = range(len(sdeg))
+
     def emit(acc, raw, coeff):
-        w2, sgn = _sorted_word(raw, sdeg)
+        w2, sgn = graded_sort(raw, sdeg, letters)
         if sgn and coeff:
             if w2 not in keys:
                 assert sum(sdeg[i] for i in w2) > degree_hi, (
@@ -682,9 +660,8 @@ def _transpose_check(A, C, cap_degree):
 
     def norm(terms):
         acc = {}
-        for item in terms:
-            c, rest = item[0], tuple(item[1:])
-            add_into(acc, rest, Fraction(c))
+        for c, *rest in terms:
+            add_into(acc, tuple(rest), Fraction(c))
         return acc
 
     for name in want.class_names:
@@ -702,92 +679,67 @@ def check_duality(A, C, cap_weight=None, cap_degree=None):
     structure differentials adjoint up to a per-bidegree sign.  Pairings go
     through element_pair on graphs and trees, independent of the word
     recursions that solve both models (graphcoalg._word_vector and
-    liealg._word_pair)."""
-    cw = cap_weight if cap_weight is not None else min(A.cap_weight,
-                                                       C.cap_weight)
-    cd = cap_degree if cap_degree is not None else min(A.cap_degree,
-                                                       C.cap_degree)
+    liealg._word_pair); each (bar word, comb) pair is computed once, and
+    the adjointness sums read the pairing matrices' entries."""
+    cw = min(A.cap_weight, C.cap_weight) if cap_weight is None else cap_weight
+    cd = min(A.cap_degree, C.cap_degree) if cap_degree is None else cap_degree
     _transpose_check(A, C, cd)
     E = build_E(A, cw, cd)
     L = build_L(C, cw, cd)
 
+    @cache
     def pair(bar, comb):
         return element_pair(graphify(bar, E.table),
                             TreeElement.from_term(L.table, tall_tree(comb)))
 
-    # collect L basis per natural bidegree (word length, degree sum)
-    L_basis = {}
-    for w in L.key_bidegree:
-        nat = sum(L.table.degree[x] for x in w)
-        L_basis.setdefault((len(w), nat), []).append(w)
-    E_basis = {}
+    # both bases per natural bidegree (word length, degree sum)
+    E_basis, L_basis = {}, {}
     for word, bd in E.key_bidegree.items():
         E_basis.setdefault(bd, []).append(word)
+    for w in L.key_bidegree:
+        L_basis.setdefault((len(w), sum(L.table.degrees_of(w))), []).append(w)
 
-    violations = []
-    signs = {}
-    bidegrees = {}
-    pairings = {}
+    violations, signs, bidegrees, paired = [], {}, {}, set()
+    # ascending, so the target (w-1, d+1) of dh comes before (w, d)
     for bd in sorted(set(E_basis) | set(L_basis)):
-        ews = E_basis.get(bd, [])
-        lws = L_basis.get(bd, [])
+        ews, lws = E_basis.get(bd, []), L_basis.get(bd, [])
         bidegrees[bd] = (len(ews), len(lws))
         if len(ews) != len(lws):
             violations.append(
                 f"dimension mismatch at (weight, degree)={bd}: "
                 f"{len(ews)} vs {len(lws)}")
             continue
-        if not ews:
-            continue
-        entries = {}
-        for i, lw in enumerate(lws):
-            for j, ew in enumerate(ews):
-                v = pair(ew, lw)
-                if v:
-                    entries[(i, j)] = v
-        M = SparseMatrix(len(lws), len(ews), entries)
-        pairings[bd] = (ews, lws, M)
+        paired.add(bd)
+        M = SparseMatrix(len(lws), len(ews), {
+            (i, j): v for i, lw in enumerate(lws)
+            for j, ew in enumerate(ews) if (v := pair(ew, lw))})
         if M.rank() != len(ews):
             violations.append(f"pairing matrix singular at {bd}")
-
-    # adjointness of the structure differentials: for x at (w, d) and y at
-    # (w-1, d+1): <dh x, y> = sign * <x, d_Delta y>
-    for bd, (ews, lws, _) in sorted(pairings.items()):
-        w, d = bd
-        tgt = (w - 1, d + 1)
-        if tgt not in pairings:
+        # adjointness of the structure differentials: for x at (w, d) and y
+        # at (w-1, d+1): <dh x, y> = sign * <x, d_Delta y>
+        tgt = (bd[0] - 1, bd[1] + 1)
+        if tgt not in paired:
             continue
-        t_ews, t_lws, _ = pairings[tgt]
-        sign = None
         for x in ews:
-            dhx = E.dh_of_key.get(x, {})
-            for y in t_lws:
-                lhs = 0
-                for k2, c in dhx.items():
-                    if c:
-                        lhs += c * pair(k2, y)
-                rhs = 0
-                for k2, c in L.dh_of_key.get(y, {}).items():
-                    rhs += c * pair(x, k2)
-                if lhs == rhs == 0:
+            for y in L_basis[tgt]:
+                lhs = sum(c * pair(k2, y)
+                          for k2, c in E.dh_of_key.get(x, {}).items())
+                rhs = sum(c * pair(x, k2)
+                          for k2, c in L.dh_of_key.get(y, {}).items())
+                if not (lhs or rhs):
                     continue
-                if rhs == 0 or lhs == 0:
+                q = 1 if lhs == rhs else -1 if lhs == -rhs else None
+                if not (lhs and rhs):
                     violations.append(
                         f"adjointness fails at {bd}: <dh {x}, {y}> = {lhs}, "
                         f"<{x}, dh {y}> = {rhs}")
-                    continue
-                q = 1 if lhs == rhs else -1 if lhs == -rhs else None
-                if q is None:
+                elif q is None:
                     violations.append(
                         f"adjointness ratio {Fraction(lhs) / rhs} at {bd} "
                         f"for ({x}, {y})")
-                elif sign is None:
-                    sign = q
-                elif q != sign:
+                elif signs.setdefault(bd, q) != q:
                     violations.append(
                         f"inconsistent adjoint sign at {bd} for ({x}, {y})")
-        if sign is not None:
-            signs[bd] = sign
     return DualityReport(not violations, violations, signs, bidegrees)
 
 

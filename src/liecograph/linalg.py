@@ -9,9 +9,9 @@ nonsingular minor its caller names.  On top sit sparse matrices with
 int or Fraction entries (rank only) and bigraded complexes: basis keys in
 (weight, degree) pieces with two anticommuting degree-+1 differentials held
 once, as key-indexed sparse columns.  Total homology and the
-spectral-sequence page dimensions for the weight filtration are ranks of
-blocks of the total differential, which lays the pieces of each degree out
-by ascending weight.
+spectral-sequence page dimensions for the weight filtration, both in a
+degree window the caller names, are ranks of blocks of the total
+differential, which lays the pieces of each degree out by ascending weight.
 
 No floating point ever enters a result: numpy is used for integer arrays
 and, in the rank certificate alone, for float64 products of integers that an
@@ -340,13 +340,11 @@ def total_homology(C, window):
     return out
 
 
-def spectral_pages(C, max_page, window=None):
+def spectral_pages(C, max_page, window):
     """Page dimensions E^0..E^max_page of the weight-filtration spectral
-    sequence; each page maps (w, d) -> dim (zero dims omitted).
-
-    window restricts reported degrees; defaults to the guaranteed range
-    shrunk by one on each side (each page at degree d looks at chains in
-    degrees d-1 and d+1).
+    sequence in the degrees window = (d_lo, d_hi); each page maps (w, d) ->
+    dim (zero dims omitted).  A page at degree d looks at chains in degrees
+    d-1 and d+1, so C must be complete from d_lo - 1 to d_hi + 1.
 
     Each dimension is a rank of a corner block of D_d: F_a T^d is a column
     prefix and the weights > b a row suffix of T^{d+1} (pieces ascend in
@@ -357,9 +355,6 @@ def spectral_pages(C, max_page, window=None):
 
     d_r lowers the weight by r, so it vanishes once r exceeds the weight
     span: the pages after E^(span+1) are that same page dict."""
-    if window is None:
-        lo, hi = C.complete_degrees
-        window = (lo + 1, hi - 1)
     d_lo, d_hi = window
     C.check_window(d_lo - 1, d_hi + 1)
     pages = [{(w, d): len(keys) for (w, d), keys in C.pieces.items()

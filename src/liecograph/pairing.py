@@ -69,16 +69,7 @@ def shape_pair(G, T):
     if G.n != n_internal + 1:
         raise WeightMismatch(
             f"graph weight {G.n} vs tree with {n_internal + 1} leaves")
-    seen = 0
-    sign = 1
-    for a, b in G.edges:
-        node, s = info[(a, b)]
-        bit = 1 << node
-        if seen & bit:
-            return 0  # not injective, hence not surjective
-        seen |= bit
-        sign *= s
-    return sign if G.n >= 1 else 0
+    return _shape_pair_relabeled(G.edges, range(1, G.n + 1), info)
 
 
 def _shape_pair_relabeled(edges, perm, info):

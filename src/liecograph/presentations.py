@@ -3,8 +3,8 @@
 DgcaPresentation: a free graded-commutative algebra on generators of degree
 >= 2 with optional monomial relations g^k = 0 and a differential given by a
 polynomial per generator.  Monomials are tuples of generator names sorted by
-table order; products normalize with Koszul signs, odd squares and relation
-powers vanish.
+table order; products normalize through elements.graded_sort (Koszul signs,
+odd squares vanish), and relation powers vanish.
 
 DgccPresentation: a coalgebra given by a named basis per degree with reduced
 coproduct and differential structure constants.
@@ -20,12 +20,17 @@ sign optional).  A term is an optional leading coefficient n or n/m, then
 optionally *, then its body: factors name or name^k separated by * or blanks
 for diff, a (x) b for coprod, one class name for codiff.  A name starts with
 a letter or _; a class name may contain * after that.
+
+The first gen, rel or diff statement makes the file an algebra, the first
+cogen, coprod or codiff a coalgebra; a statement of the other kind is a
+ParseError at its line.  Error messages echo names and lines through
+clipped_repr, so each stays one short line.
 """
 
 import re
 from fractions import Fraction
 
-from .elements import koszul_sign
+from .elements import _slotwise, graded_sort
 from .errors import InvalidPresentation, ParseError
 from .linalg import add_into
 
@@ -60,15 +65,22 @@ def multisets(items, degree, max_degree, max_size=None, max_mult=None):
     return out
 
 
+def _invalid(template, *fields):
+    """InvalidPresentation(template.format(*fields)), each str field (a name
+    from the input) shown through clipped_repr."""
+    return InvalidPresentation(template.format(
+        *(clipped_repr(f) if isinstance(f, str) else f for f in fields)))
+
+
 def _declared(pairs, what):
     """(names in order, {name: degree}) of declared (name, degree) pairs; a
     repeated name or a degree < 1 is an InvalidPresentation."""
     names, degree = [], {}
     for name, deg in pairs:
         if name in degree:
-            raise InvalidPresentation(f"duplicate {what} {name!r}")
+            raise _invalid(f"duplicate {what} {{}}", name)
         if deg < 1:
-            raise InvalidPresentation(f"{what} {name!r} has degree {deg} < 1")
+            raise _invalid(f"{what} {{}} has degree {{}} < 1", name, deg)
         names.append(name)
         degree[name] = deg
     return names, degree
@@ -82,14 +94,14 @@ class DgcaPresentation:
         self.relations = dict(relations or {})  # name -> power k (g^k = 0)
         for name, k in self.relations.items():
             if name not in self.gen_degree:
-                raise InvalidPresentation(f"relation on unknown {name!r}")
+                raise _invalid("relation on unknown {}", name)
             if k < 2:
-                raise InvalidPresentation(f"relation power {k} < 2 on {name!r}")
+                raise _invalid("relation power {} < 2 on {}", k, name)
         # differential: name -> {monomial: Fraction}
         self.differentials = {}
         for name, poly in (differentials or {}).items():
             if name not in self.gen_degree:
-                raise InvalidPresentation(f"differential on unknown {name!r}")
+                raise _invalid("differential on unknown {}", name)
             self.differentials[name] = {m: Fraction(c) for m, c in poly.items() if c}
         self.cap_weight = cap_weight
         self.cap_degree = cap_degree
@@ -103,18 +115,11 @@ class DgcaPresentation:
     def normalize_monomial(self, seq):
         """Sort a factor sequence, returning (monomial, sign); sign 0 if it
         vanishes (odd square or relation power)."""
-        perm = sorted(range(len(seq)), key=lambda i: self.order[seq[i]])
-        m = tuple(seq[i] for i in perm)
-        counts = {}
-        for x in m:
-            counts[x] = counts.get(x, 0) + 1
-        for x, k in counts.items():
-            if k >= 2 and self.gen_degree[x] % 2:
+        m, sign = graded_sort(seq, self.gen_degree, self.order)
+        for x, k in self.relations.items():
+            if m.count(x) >= k:
                 return m, 0
-            if x in self.relations and k >= self.relations[x]:
-                return m, 0
-        # each odd generator occurs once, so the sign is cheap
-        return m, koszul_sign([self.gen_degree[x] for x in seq], perm)
+        return m, sign
 
     def multiply(self, m1, m2):
         """Product of two monomials: (monomial, sign) with sign possibly 0."""
@@ -144,16 +149,12 @@ class DgcaPresentation:
     def differential_of_monomial(self, m):
         """Leibniz extension: {monomial: Fraction}."""
         out = {}
-        for i, g in enumerate(m):
-            dg = self.differentials.get(g)
-            if not dg:
-                continue
-            sgn = (-1) ** (sum(self.gen_degree[x] for x in m[:i]))
-            prefix, suffix = m[:i], m[i + 1:]
-            for mu, c in dg.items():
-                m2, s2 = self.normalize_monomial(prefix + mu + suffix)
-                if s2:
-                    add_into(out, m2, sgn * s2 * c)
+        dg = self.differentials
+        for raw, c in _slotwise(m, self.gen_degree,
+                                lambda g: dg.get(g, {}).items()):
+            m2, s2 = self.normalize_monomial(raw)
+            if s2:
+                add_into(out, m2, s2 * c)
         return out
 
     def differential_of_poly(self, p):
@@ -169,19 +170,18 @@ class DgcaPresentation:
             for m, _ in poly.items():
                 for x in m:
                     if x not in self.gen_degree:
-                        raise InvalidPresentation(
-                            f"unknown generator {x!r} in diff {name}")
+                        raise _invalid("unknown generator {} in diff {}", x,
+                                       name)
                 if self.monomial_degree(m) != want:
-                    raise InvalidPresentation(
-                        f"diff {name} has a term of degree "
-                        f"{self.monomial_degree(m)}, expected {want}")
+                    raise _invalid("diff {} has a term of degree {}, "
+                                   "expected {}", name,
+                                   self.monomial_degree(m), want)
                 if self.normalize_monomial(m)[1] == 0:
-                    raise InvalidPresentation(
-                        f"diff {name} contains a vanishing monomial {m}")
+                    raise _invalid("diff {} contains a vanishing monomial {}",
+                                   name, "*".join(m))
         for name in self.differentials:
-            dd = self.differential_of_poly(self.differentials[name])
-            if dd:
-                raise InvalidPresentation(f"d^2 != 0 on generator {name!r}: {dd}")
+            if self.differential_of_poly(self.differentials[name]):
+                raise _invalid("d^2 != 0 on generator {}", name)
         for name, k in self.relations.items():
             dg = self.differentials.get(name)
             if dg:
@@ -189,8 +189,8 @@ class DgcaPresentation:
                 p = {tuple([name] * (k - 1)): Fraction(1)}
                 res = self.poly_multiply(p, dg)
                 if res:
-                    raise InvalidPresentation(
-                        f"relation {name}^{k} = 0 is not differential-stable")
+                    raise _invalid("relation {}^{} = 0 is not "
+                                   "differential-stable", name, k)
 
     def is_simply_connected(self):
         return all(d >= 2 for d in self.gen_degree.values())
@@ -222,29 +222,28 @@ class DgccPresentation:
     def _validate(self):
         for c, terms in self.coprod.items():
             if c not in self.class_degree:
-                raise InvalidPresentation(f"coprod on unknown {c!r}")
+                raise _invalid("coprod on unknown {}", c)
             for k, a, b in terms:
                 if a not in self.class_degree or b not in self.class_degree:
-                    raise InvalidPresentation(f"coprod {c} uses unknown classes")
+                    raise _invalid("coprod {} uses unknown classes", c)
                 if (self.class_degree[a] + self.class_degree[b]
                         != self.class_degree[c]):
-                    raise InvalidPresentation(
-                        f"coprod {c}: degrees of {a},{b} do not add up")
+                    raise _invalid("coprod {}: degrees of {},{} do not add "
+                                   "up", c, a, b)
         for c, terms in self.codiff.items():
             if c not in self.class_degree:
-                raise InvalidPresentation(f"codiff on unknown {c!r}")
+                raise _invalid("codiff on unknown {}", c)
             for k, a in terms:
                 if a not in self.class_degree:
-                    raise InvalidPresentation(f"codiff {c} uses unknown {a!r}")
+                    raise _invalid("codiff {} uses unknown {}", c, a)
                 if self.class_degree[a] != self.class_degree[c] - 1:
-                    raise InvalidPresentation(
-                        f"codiff {c} -> {a} is not degree -1")
+                    raise _invalid("codiff {} -> {} is not degree -1", c, a)
             dd = {}
             for k, a in terms:
                 for k2, b in self.codiff.get(a, ()):
                     add_into(dd, b, k * k2)
             if dd:
-                raise InvalidPresentation(f"codiff^2 != 0 on class {c!r}")
+                raise _invalid("codiff^2 != 0 on class {}", c)
         # coassociativity of the reduced coproduct: no Koszul sign enters
         for c, terms in self.coprod.items():
             left, right = {}, {}
@@ -254,8 +253,7 @@ class DgccPresentation:
                 for k2, b1, b2 in self.coprod.get(b, ()):
                     add_into(right, (a, b1, b2), k * k2)
             if left != right:
-                raise InvalidPresentation(
-                    f"coprod is not coassociative on class {c!r}")
+                raise _invalid("coprod is not coassociative on class {}", c)
         for c in self.class_names:
             left, right = {}, {}
             for k, a in self.codiff.get(c, ()):
@@ -268,8 +266,8 @@ class DgccPresentation:
                 for k2, b2 in self.codiff.get(b, ()):
                     add_into(right, (a, b2), sgn * k * k2)
             if left != right:
-                raise InvalidPresentation(
-                    f"codiff is not a coderivation of coprod on class {c!r}")
+                raise _invalid(
+                    "codiff is not a coderivation of coprod on class {}", c)
 
     def __repr__(self):
         return ("DgccPresentation(%s)" %
@@ -366,24 +364,35 @@ def _once(first, key, lineno):
     """Record that `key` is defined at lineno; a second definition is a
     ParseError there that names the first."""
     if key in first:
-        raise ParseError(f"repeated {key!r} (first at line {first[key]})",
-                         line=lineno)
+        raise ParseError(f"repeated {clipped_repr(key)} (first at line "
+                         f"{first[key]})", line=lineno)
     first[key] = lineno
 
 
+# the kind of file each statement belongs in
+_FILE_KIND = {**dict.fromkeys(("gen", "rel", "diff"), "an algebra"),
+              **dict.fromkeys(("cogen", "coprod", "codiff"), "a coalgebra")}
+
+
 def parse_presentation(text):
-    """Parse a presentation file; returns a DgcaPresentation or a
-    DgccPresentation depending on which keywords appear."""
-    gens, cogens, rels, diff_lines, first = [], [], {}, [], {}
+    """Parse a presentation file into a DgcaPresentation or, when its first
+    statement of a kind is a coalgebra's, a DgccPresentation."""
+    decls, rels, diff_lines, first = [], {}, [], {}
     terms = {"coprod": {}, "codiff": {}}  # kind -> {class: its terms}
     cap_w, cap_d = DEFAULT_CAP_WEIGHT, DEFAULT_CAP_DEGREE
+    file_kind = by = None  # the kind of file and the statement that fixed it
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        keyword = line.split(None, 1)[0]
+        if keyword in _FILE_KIND and file_kind is None:
+            file_kind, by = _FILE_KIND[keyword], f"{keyword} at line {lineno}"
+        elif _FILE_KIND.get(keyword, file_kind) != file_kind:
+            raise ParseError(f"{keyword} line in {file_kind} file ({by})",
+                             line=lineno)
         if m := _GEN_RE.match(line):
-            (cogens if m.group(1) else gens).append(
-                (m.group(2), parse_int(m.group(3), lineno)))
+            decls.append((m.group(2), parse_int(m.group(3), lineno)))
         elif m := _REL_RE.match(line):
             _once(first, f"rel {m.group(1)}", lineno)
             rels[m.group(1)] = parse_int(m.group(2), lineno)
@@ -399,17 +408,16 @@ def parse_presentation(text):
             cap_w, cap_d = (parse_int(m.group(1), lineno),
                             parse_int(m.group(2), lineno))
         else:
-            raise ParseError(f"unrecognized line {raw!r}", line=lineno)
-    if cogens and gens:
-        raise ParseError("file mixes gen and cogen declarations")
+            raise ParseError(f"unrecognized line {clipped_repr(raw)}",
+                             line=lineno)
     # a term of diff y has degree deg y + 1, so at most deg y + 1 factors
-    degree = dict(gens)
+    degree = dict(decls)
     diffs = {}
     for name, rhs, lineno in diff_lines:
         if name not in degree:
-            raise InvalidPresentation(f"differential on unknown {name!r}")
+            raise _invalid("differential on unknown {}", name)
         diffs[name] = parse_polynomial(rhs, lineno, degree[name] + 1)
-    if cogens:
-        return DgccPresentation(cogens, terms["coprod"], terms["codiff"],
+    if file_kind == "a coalgebra":
+        return DgccPresentation(decls, terms["coprod"], terms["codiff"],
                                 cap_weight=cap_w, cap_degree=cap_d)
-    return DgcaPresentation(gens, rels, diffs, cap_weight=cap_w, cap_degree=cap_d)
+    return DgcaPresentation(decls, rels, diffs, cap_weight=cap_w, cap_degree=cap_d)

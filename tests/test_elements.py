@@ -8,6 +8,7 @@ from liecograph.elements import (
     GeneratorTable,
     GraphElement,
     TreeElement,
+    graded_sort,
     koszul_sign,
 )
 from liecograph.shapes import SGraph
@@ -33,6 +34,47 @@ class TestKoszulSign:
             permuted = [degs[p[i]] for i in range(4)]
             assert koszul_sign(degs, pq) \
                 == koszul_sign(degs, p) * koszul_sign(permuted, q)
+
+
+def bubble_sort(seq, degree, order):
+    """Sort by adjacent swaps of letters out of order, negating the sign at
+    each swap of two odd letters; 0 when two equal odd letters end up side
+    by side."""
+    word, sign = list(seq), 1
+    for end in range(len(word) - 1, 0, -1):
+        for i in range(end):
+            a, b = word[i], word[i + 1]
+            if order[a] > order[b]:
+                word[i], word[i + 1] = b, a
+                if degree[a] % 2 and degree[b] % 2:
+                    sign = -sign
+    if any(a == b and degree[a] % 2 for a, b in zip(word, word[1:])):
+        sign = 0
+    return tuple(word), sign
+
+
+class TestGradedSort:
+    def test_matches_bubble_sort(self):
+        rng = random.Random(17)
+        names = ["a", "b", "c", "d"]
+        for _ in range(2000):
+            degree = {x: rng.randint(1, 4) for x in names}
+            order = {x: i for i, x in enumerate(rng.sample(names, 4))}
+            seq = tuple(rng.choice(names) for _ in range(rng.randint(0, 7)))
+            assert graded_sort(seq, degree, order) \
+                == bubble_sort(seq, degree, order), (seq, degree, order)
+
+    def test_odd_repeats_give_zero(self):
+        degree, order = {"t": 3, "u": 2}, {"t": 0, "u": 1}
+        assert graded_sort(("t", "u", "t"), degree, order) == (
+            ("t", "t", "u"), 0)
+        assert graded_sort(("u", "u", "t"), degree, order) == (
+            ("t", "u", "u"), 1)
+
+    def test_letter_indices(self):
+        # the index form of the word builders: degree a list, order a range
+        assert graded_sort((1, 2, 0), [3, 3, 2], range(3)) == ((0, 1, 2), -1)
+        assert graded_sort((2, 0, 1), [3, 3, 2], range(3)) == ((0, 1, 2), 1)
 
 
 class TestCanonicalTerms:

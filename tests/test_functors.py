@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from liecograph import functors
 from liecograph.elements import GraphElement, koszul_sign
 from liecograph.errors import (
     CapTooSmall,
@@ -35,6 +36,7 @@ from liecograph.graphcoalg import (
     to_bar_basis,
 )
 from liecograph.linalg import Echelon, add_into
+from liecograph.pairing import element_pair
 from liecograph.presentations import parse_presentation
 
 from conftest import load_presentation, random_presentation
@@ -238,6 +240,82 @@ class TestDuality:
         rep = check_duality(A, C, 4, 8)
         assert rep.passed
         assert all(s in (1, -1) for s in rep.signs.values())
+
+    @staticmethod
+    def patch(monkeypatch, builder, drop=(), dh=None):
+        """Make functors.<builder> drop the basis keys in drop and replace
+        the horizontal differential of the keys in dh."""
+        real = getattr(functors, builder)
+
+        def build(P, cap_weight, cap_degree):
+            B = real(P, cap_weight, cap_degree)
+            B.key_bidegree = {k: bd for k, bd in B.key_bidegree.items()
+                              if k not in drop}
+            B.dh_of_key = {**B.dh_of_key, **(dh or {})}
+            return B
+        monkeypatch.setattr(functors, builder, build)
+
+    def cp2_report(self, caps):
+        return check_duality(load_presentation("cp2.alg"),
+                             load_presentation("cp2.coalg"), *caps)
+
+    def test_dimension_mismatch(self, monkeypatch):
+        self.patch(monkeypatch, "build_E", drop={("x",)})
+        rep = self.cp2_report((4, 8))
+        assert not rep.passed and rep.violations == [
+            "dimension mismatch at (weight, degree)=(1, 1): 0 vs 1"]
+        assert rep.bidegrees[(1, 1)] == (0, 1)
+
+    def test_singular_pairing_matrix(self, monkeypatch):
+        # at (5, 9) the pairing matrix is [[-1, -1], [-1, 0]] (rows L, columns
+        # E); dropping the first row and column leaves its zero entry
+        self.patch(monkeypatch, "build_E",
+                   drop={("x", "x", "x", "x*x", "x*x")})
+        self.patch(monkeypatch, "build_L",
+                   drop={("x", "x*x", "x", "x", "x*x")})
+        rep = self.cp2_report((6, 12))
+        assert rep.violations == ["pairing matrix singular at (5, 9)"]
+
+    @pytest.mark.parametrize("coeff, message", [
+        (0, "adjointness fails at (2, 2): <dh ('x', 'x'), ('x*x',)> = 0, "
+            "<('x', 'x'), dh ('x*x',)> = 1"),
+        (2, "adjointness ratio 2 at (2, 2) for (('x', 'x'), ('x*x',))"),
+    ], ids=["zeroed", "doubled"])
+    def test_adjointness_broken(self, monkeypatch, coeff, message):
+        # dh (x|x) = (x*x) is the only term of <dh (x|x), (x*x)>
+        self.patch(monkeypatch, "build_E",
+                   dh={("x", "x"): {("x*x",): Fraction(coeff)}})
+        rep = self.cp2_report((4, 8))
+        assert rep.violations == [message]
+
+    def test_inconsistent_adjoint_sign(self, monkeypatch):
+        # flipping dh of the second word at (6, 10) flips the first nonzero
+        # adjoint pair there, so the two pairs of the third word disagree
+        x2, x3 = ("x", "x", "x", "x*x", "x", "x*x"), \
+            ("x", "x", "x*x", "x", "x", "x*x")
+        self.patch(monkeypatch, "build_E",
+                   dh={x2: {("x", "x*x", "x", "x*x", "x*x"): Fraction(-1)}})
+        rep = self.cp2_report((6, 12))
+        y0, y1 = ("x", "x*x", "x*x", "x", "x*x"), \
+            ("x", "x*x", "x*x", "x*x", "x")
+        assert rep.violations == [
+            f"inconsistent adjoint sign at (6, 10) for ({x3}, {y0})",
+            f"inconsistent adjoint sign at (6, 10) for ({x3}, {y1})"]
+        assert rep.signs[(6, 10)] == -1
+
+    def test_each_pair_computed_once(self, monkeypatch):
+        calls = []
+
+        def counting(g, t):
+            calls.append((frozenset(g.terms.items()),
+                          frozenset(t.terms.items())))
+            return element_pair(g, t)
+        monkeypatch.setattr(functors, "element_pair", counting)
+        rep = self.cp2_report((6, 12))
+        assert rep.passed
+        # one call per (bar word, comb) of each square pairing matrix
+        assert len(calls) == len(set(calls)) == sum(
+            de * dl for de, dl in rep.bidegrees.values()) == 38
 
 
 class TestTwisting:

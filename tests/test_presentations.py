@@ -247,6 +247,91 @@ class TestStrictGrammar:
         assert e.value.line == 3 and len(str(e.value)) < 100
 
 
+class TestFileKind:
+    @pytest.mark.parametrize("text, message", [
+        ("gen x deg 2\ncoprod x = x (x) x\ncodiff x = x\n",
+         "coprod line in an algebra file (gen at line 1) at line 2"),
+        ("cogen x deg 2\nrel x^2 = 0\n",
+         "rel line in a coalgebra file (cogen at line 1) at line 2"),
+        ("gen x deg 2\ncogen y deg 3\n",
+         "cogen line in an algebra file (gen at line 1) at line 2"),
+        ("# comment\ncodiff y = 0\ncap weight 3 degree 6\ndiff y = 0\n",
+         "diff line in a coalgebra file (codiff at line 2) at line 4"),
+    ], ids=["coprod-in-algebra", "rel-in-coalgebra", "cogen-in-algebra",
+            "diff-after-codiff"])
+    def test_statement_of_the_other_kind(self, capsys, tmp_path, text,
+                                         message):
+        with pytest.raises(ParseError) as e:
+            parse_presentation(text)
+        assert str(e.value) == message
+        path = tmp_path / "mixed.alg"
+        path.write_text(text)
+        code = main(["pi", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err == f"error: ParseError: {message}\n"
+
+    def test_kind_fixed_by_the_first_statement(self):
+        # coprod/codiff without cogen lines make a coalgebra file, refused
+        # for its unknown class instead of read as an empty algebra
+        with pytest.raises(InvalidPresentation, match="coprod on unknown"):
+            parse_presentation("coprod z = x (x) x\n")
+
+
+LONG = "n" * 10_000
+LONG_NAME_FILES = {
+    "duplicate": f"gen {LONG} deg 2\ngen {LONG} deg 2\n",
+    "degree-0": f"gen {LONG} deg 0\n",
+    "rel-unknown": f"gen x deg 2\nrel {LONG}^2 = 0\n",
+    "rel-power": f"gen {LONG} deg 2\nrel {LONG}^1 = 0\n",
+    "diff-unknown": f"gen x deg 2\ndiff {LONG} = x^2\n",
+    "diff-unknown-generator": f"gen y deg 3\ndiff y = {LONG}^2\n",
+    "diff-degree": f"gen x deg 2\ngen {LONG} deg 5\ndiff {LONG} = x^2\n",
+    "diff-vanishing": f"gen {LONG} deg 3\ngen y deg 5\ndiff y = {LONG}^2\n",
+    "d-squared": (f"gen t deg 4\ngen x deg 3\ngen {LONG} deg 2\n"
+                  f"diff x = t\ndiff {LONG} = x\n"),
+    "rel-unstable": (f"gen x deg 2\ngen {LONG} deg 3\nrel {LONG}^2 = 0\n"
+                     f"diff {LONG} = x^2\n"),
+    "repeated": f"gen x deg 3\ndiff {LONG} = x\ndiff {LONG} = x\n",
+    "unrecognized": f"gen x deg 2\n{LONG}\n",
+    "coprod-unknown": f"cogen a deg 2\ncoprod {LONG} = a (x) a\n",
+    "coprod-unknown-classes": f"cogen {LONG} deg 4\ncoprod {LONG} = a (x) a\n",
+    "coprod-degrees": (f"cogen a deg 2\ncogen {LONG} deg 5\n"
+                       f"coprod {LONG} = a (x) a\n"),
+    "codiff-unknown": f"cogen a deg 2\ncodiff {LONG} = a\n",
+    "codiff-unknown-class": f"cogen y deg 3\ncodiff y = {LONG}\n",
+    "codiff-degree": f"cogen a deg 2\ncogen {LONG} deg 4\ncodiff {LONG} = a\n",
+    "codiff-squared": (f"cogen a deg 2\ncogen b deg 3\ncogen {LONG} deg 4\n"
+                       f"codiff {LONG} = b\ncodiff b = a\n"),
+}
+
+
+class TestClippedMessages:
+    @pytest.mark.parametrize("text", LONG_NAME_FILES.values(),
+                             ids=LONG_NAME_FILES.keys())
+    def test_long_names_are_clipped(self, text):
+        with pytest.raises(LiecographError) as e:
+            parse_presentation(text)
+        assert re.search(r"of \d+ characters", str(e.value))
+        assert len(str(e.value).encode()) < 200
+
+    def test_unrecognized_line_through_pi(self, capsys, tmp_path):
+        path = tmp_path / "long.alg"
+        path.write_text("gen x deg 2\n" + "q" * 100_000 + "\n")
+        assert main(["pi", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and len(err.encode()) < 200
+
+    def test_unknown_class_through_dual_check(self, capsys, tmp_path):
+        path = tmp_path / "long.coalg"
+        path.write_text("cogen x deg 2\ncogen y deg 3\ncodiff y = "
+                        + "x*" * 5000 + "x\n")
+        assert main(["dual-check", str(FIXTURES / "s2.alg"), str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert "InvalidPresentation" in err and "of 10001 characters" in err
+        assert out == "" and err.count("\n") == 1 and len(err.encode()) < 200
+
+
 class TestAlgebraStructure:
     def test_odd_squares_vanish(self):
         A = parse_presentation("gen t deg 3\n")
