@@ -60,6 +60,7 @@ from .shapes import (
 from .elements import (GeneratorTable, GraphElement, TreeElement,
                        _slotwise, graded_sort, koszul_sign)
 from .graphcoalg import (
+    _certify_dimension,
     _distinct_arrangements,
     _signed_shuffles,
     _word_coordinates,
@@ -67,7 +68,7 @@ from .graphcoalg import (
     cobracket,
     graphify,
 )
-from .liealg import _content_reduction, lie_normal_form
+from .liealg import ARRANGEMENT_CAP, lie_normal_form
 from .pairing import element_pair
 from .presentations import DgccPresentation, multisets
 
@@ -112,7 +113,7 @@ class DgComplexBundle:
       key_cobracket   key -> {(key1, key2): coeff}, the cobracket of one basis
                       key (build_G, build_E); build_A_hat needs it.
     build_E's classes of GraphElements over its table are read with
-    graphcoalg.to_bar_basis, which shares the table's bar_quotient memo."""
+    graphcoalg.to_bar_basis, from the same bar_quotient memo as build_E."""
 
     def __init__(self, kind, complex, presentation, caps, table=None,
                  monomial_of=None, key_cobracket=None):
@@ -256,11 +257,11 @@ def build_E(A, cap_weight=None, cap_degree=None):
     """Lie-coalgebra model of a commutative algebra presentation, realized on
     designated-leading bar words (see _bar_model for the bigrading and the
     differentials).  The basis of each content and the coordinates of every
-    raw word and cobracket factor come from graphcoalg.bar_quotient, the
-    quotient solved through the iterated cobracket read on words (the word
-    recursion); no word is turned into a graph.  The key cobracket is the
-    signed deconcatenation of the word, checked in the tests against the
-    graph cobracket of its long graph."""
+    raw word and cobracket factor come from the content's pairing block
+    (graphcoalg.bar_quotient), read through the iterated cobracket on words
+    (the word recursion); no word is turned into a graph.  The key cobracket
+    is the signed deconcatenation of the word, checked in the tests against
+    the graph cobracket of its long graph."""
     cw, cd = _caps(A, cap_weight, cap_degree)
     alphabet = _slot_alphabet(A, cd)
     table = alphabet[0]
@@ -288,7 +289,7 @@ def build_E(A, cap_weight=None, cap_degree=None):
 
     return _bar_model(
         "E_of_A", A, (cw, cd), alphabet,
-        lambda content: bar_quotient(table, content)[0], project_word,
+        lambda content: bar_quotient(table, content).basis, project_word,
         key_cobracket=key_cobracket)
 
 
@@ -406,11 +407,10 @@ def build_A_hat(G, cap_letters=3, cap_degree=None):
 
 def build_L(C, cap_weight=None, cap_degree=None):
     """Free Lie algebra on the desuspended coalgebra basis, on left-comb word
-    coordinates: the basis combs of each content (liealg's
-    _content_reduction), every differential term put in normal form by
-    lie_normal_form.  The horizontal differential splits a letter along the
-    reduced coproduct, the vertical one applies the internal differential
-    slot-wise.
+    coordinates: the comb basis of each content (its bar_quotient), every
+    differential term put in normal form by lie_normal_form.  The horizontal
+    differential splits a letter along the reduced coproduct, the vertical
+    one applies the internal differential slot-wise.
 
     Degrees are re-indexed so both differentials raise the index by one:
     piece (K - word length, OFF - natural degree) with K = cap_weight + 1,
@@ -430,7 +430,7 @@ def build_L(C, cap_weight=None, cap_degree=None):
 
     key_bidegree = {}
     for content, (k, nat) in _contents(table, cw, cd):
-        for w in _content_reduction(table, content)[1]:
+        for w in bar_quotient(table, content, ARRANGEMENT_CAP).combs:
             key_bidegree[w] = (K - k, OFF - nat)
 
     def normalize(raw, coeff, acc):
@@ -566,8 +566,8 @@ def harrison_shuffle_model(A, cap_weight=None, cap_degree=None):
     the desuspended monomial alphabet modulo the shuffle subspace.  It shares
     the bar differential with build_E (_bar_model: the slot-wise and
     adjacent-product loops), reduced here modulo the shuffle subspace; the
-    quotient itself, an echelon of shuffle relations per content, shares no
-    machinery with build_E's pairing/cobracket solver.  Since u ⧢ v is
+    quotient itself, an echelon of shuffle relations per content of certified
+    size, shares no machinery with build_E's solver.  Since u ⧢ v is
     ±(v ⧢ u), the relation from the word a split at k is inserted once, from
     the smaller of (k, a) and its mirror (n-k, a[k:] + a[:k])."""
     cw, cd = _caps(A, cap_weight, cap_degree)
@@ -595,12 +595,13 @@ def harrison_shuffle_model(A, cap_weight=None, cap_degree=None):
                         row[j] = row.get(j, 0) + sgn
                     ech.insert({j: v for j, v in row.items() if v})
             basis = [w for i, w in enumerate(words) if i not in ech]
+            _certify_dimension(table, content, len(basis), "shuffle quotient")
             c = comps[content] = (words, widx, ech, basis)
         return c
 
     def project_word(raw, coeff, acc):
         words, widx, ech, _ = comp(tuple(sorted(raw, key=table.sort_key)))
-        vec, _ = ech.reduce({widx[raw]: coeff})
+        vec = ech.reduce({widx[raw]: coeff})
         for i, c in vec.items():
             add_into(acc, words[i], c)
 

@@ -4,22 +4,23 @@ iterated cobracket, the word-problem decision procedure, graphification of
 bar words, and generators for the relation suites (arrow-reversing, Arnold,
 shuffles, reverse-all, cyclic).
 
-The fully iterated cobracket is injective on the quotient, so it is also the
-one solver for bar-basis coordinates: `bar_quotient` keeps, per content, the
-designated-leading words whose iterated-cobracket vectors are independent
-and their tracked echelon.  Bar words are solved as words: on a long graph
-the iterated cobracket is a signed deconcatenation (`_word_vector`, the dual
-of the left-normed bracket expansion), so `bar_quotient` and build_E never
-build a graph.  The graph cobracket is its oracle; `is_zero_in_E` and
-`to_bar_basis` keep it, the latter reducing graph vectors against the echelon
-of word vectors.  Every cache here is a memo of the generator table it was
-computed over.
+The fully iterated cobracket is injective on the quotient, so it solves for
+bar-basis coordinates in one pairing block per content (`bar_quotient`,
+which liealg reads too).  On a long graph it is a signed deconcatenation
+(`_word_vector`), so build_E never builds a graph; the graph cobracket is
+its oracle and serves `is_zero_in_E` and `to_bar_basis`.  Every cache here
+is a memo of the generator table it was computed over.
 """
+
+from fractions import Fraction
+from functools import cache
+from itertools import combinations
+from math import factorial, gcd, prod
 
 from .errors import CapExceeded
 from .shapes import SGraph, cut_edge, enumerate_graphs, long_graph
 from .elements import GraphElement, TensorElement, koszul_sign
-from .linalg import Echelon, add_into
+from .linalg import Echelon, _exact_inverse, add_into
 
 __all__ = [
     "cobracket",
@@ -139,16 +140,6 @@ def designated_words(table, content):
     return [(g0,) + tail for tail in _distinct_arrangements(tuple(rest))]
 
 
-def _component_split(g):
-    """Split into (weight, sorted-label-multiset) components."""
-    comps = {}
-    for key, c in g.terms.items():
-        (n, _), labels = key
-        sig = (n, tuple(sorted(labels, key=g.table.sort_key)))
-        comps.setdefault(sig, {})[key] = c
-    return comps
-
-
 def _iterated_vector(g):
     """Injective linear coordinates of g's Lie-coalgebra class: the fully
     iterated cobracket as a map into tensors of single slots."""
@@ -188,57 +179,111 @@ def _word_vector(table, word):
     return hit
 
 
-def bar_quotient(table, content):
-    """(basis, tracked Echelon) of a content's Lie-coalgebra quotient: the
-    designated words whose iterated-cobracket vectors (the word recursion
-    _word_vector) are independent of the earlier ones, and the echelon of
-    those vectors tagged by word.  Memoized on the table."""
+@cache
+def _witt_dimension(mults, odd):
+    """Dimension of the free Lie superalgebra in multidegree mults over
+    letters of these parities (Petrogradsky 2000), by Moebius inversion of
+    sum_{k | mults} c_k dim L(mults/k) / k = multinomial(mults) / |mults|,
+    with c_k = (-1)^((k+1) * the number of odd letters of mults/k)."""
+    n, g = sum(mults), gcd(*mults)
+    total = Fraction(factorial(n) // prod(map(factorial, mults)), n)
+    for k in (k for k in range(2, g + 1) if g % k == 0):
+        sub = tuple(m // k for m in mults)
+        c = (-1) ** ((k + 1) * sum(m * o for m, o in zip(sub, odd)))
+        total -= Fraction(c * _witt_dimension(sub, odd), k)
+    return int(total)
+
+
+def _certify_dimension(table, content, dim, what):
+    """AssertionError naming the content unless dim is the dimension of its
+    part of the free Lie superalgebra (odd letters: odd table degree)."""
+    letters = sorted(set(content), key=table.sort_key)
+    want = _witt_dimension(tuple(map(content.count, letters)),
+                           tuple(table.degree[x] % 2 for x in letters))
+    if dim != want:
+        raise AssertionError(f"{what} of content {content} has dimension "
+                             f"{dim}, the free Lie superalgebra {want}")
+
+
+class BarQuotient:
+    """One content's pairing block.  With D its designated words and
+    P[i][j] = <long graph on D[i], comb on D[j]> (_word_vector(D[i]) at
+    D[j]), `basis` B is the greedy independent rows of P in D order, `combs`
+    C the greedy independent columns of P[B, :] from the last word to the
+    first, and S^-1 = adj / delta for S = P[B, C].  Bar coordinates of an
+    iterated-cobracket vector p are p|C S^-1; comb coordinates of a free-Lie
+    class pairing to q with the long graphs on B are S^-1 q."""
+
+    def __init__(self, table, content):
+        words = designated_words(table, content)
+        index = {w: j for j, w in enumerate(words)}
+        ech, self.basis, rows = Echelon(), [], []
+        for w in words:
+            row = {j: v for u, v in _word_vector(table, w).items()
+                   if (j := index.get(u)) is not None}
+            if ech.insert(row) is not None:
+                self.basis.append(w)
+                rows.append(row)
+        _certify_dimension(table, content, len(rows), "bar basis")
+        ech, picked = Echelon(), []
+        for j in reversed(range(len(words))):
+            col = {i: r[j] for i, r in enumerate(rows) if j in r}
+            if len(picked) < len(rows) and ech.insert(col) is not None:
+                picked.insert(0, j)
+        self.combs = [words[j] for j in picked]
+        self._comb_index = {w: c for c, w in enumerate(self.combs)}
+        self.adj, self.delta = _exact_inverse(
+            [[r.get(j, 0) for j in picked] for r in rows])
+
+    def bar_coordinates(self, vec):
+        acc = [0] * len(self.basis)
+        for u, p in vec.items():
+            if (c := self._comb_index.get(u)) is not None:
+                acc = [a + p * x for a, x in zip(acc, self.adj[c])]
+        return {w: Fraction(s, self.delta)
+                for w, s in zip(self.basis, acc) if s}
+
+    def comb_coordinates(self, q):
+        q = [(b, x) for b, x in enumerate(q) if x]
+        return {w: Fraction(s, self.delta)
+                for w, row in zip(self.combs, self.adj)
+                if (s := sum(row[b] * x for b, x in q))}
+
+
+def bar_quotient(table, content, cap=None):
+    """The BarQuotient of a sorted content, one memo entry for both sides;
+    more designated words than a cap given is a CapExceeded."""
+    if cap is not None:
+        n = factorial(len(content) - 1) // prod(factorial(
+            content.count(x) - (x == content[0])) for x in set(content))
+        if n > cap:
+            raise CapExceeded(f"content {content} has {n} candidate words "
+                              f"(cap {cap})")
     memo = table.memo("bar_quotient")
-    hit = memo.get(content)
-    if hit is None:
-        basis, ech = [], Echelon(track=True)
-        for w in designated_words(table, content):
-            if ech.insert(_word_vector(table, w), w) is not None:
-                basis.append(w)
-        hit = memo[content] = (basis, ech)
-    return hit
-
-
-def _reduce_to_basis(table, content, vec, weight):
-    residual, coords = bar_quotient(table, content)[1].reduce(vec)
-    if residual:
-        raise AssertionError(
-            f"bar words failed to span component {content} at weight {weight}")
-    return coords
+    if content not in memo:
+        memo[content] = BarQuotient(table, content)
+    return memo[content]
 
 
 def _word_coordinates(table, word):
-    """Coordinates of a bar word's class over the bar_quotient basis of its
-    content, solved on the word recursion alone (no graph)."""
-    return _reduce_to_basis(table, tuple(sorted(word, key=table.sort_key)),
-                            _word_vector(table, word), len(word))
-
-
-def _bar_coordinates(g):
-    """Coordinates of g's class over the bar_quotient bases of its
-    components (disjoint word sets, one per content): the graph iterated
-    cobracket reduced against the echelon of word vectors."""
-    out = {}
-    for (n, content), terms in _component_split(g).items():
-        out.update(_reduce_to_basis(
-            g.table, content,
-            _iterated_vector(GraphElement(g.table, terms)), n))
-    return out
+    """Bar coordinates of a word's class, read on the word recursion."""
+    return bar_quotient(table, tuple(sorted(word, key=table.sort_key))
+                        ).bar_coordinates(_word_vector(table, word))
 
 
 def to_bar_basis(g):
     """Coordinates of g's Lie-coalgebra class over bar words whose leading
     slot carries the designated (minimal) generator of their component; the
-    class is zero iff all coordinates vanish.  Classes are read through the
-    iterated cobracket (bar_quotient), weights up to BAR_CAP."""
+    class is zero iff all coordinates vanish.  Weights up to BAR_CAP; the
+    graph iterated cobracket is read per content in its bar_quotient."""
     if any(n > BAR_CAP for n in g.weights()):
         raise CapExceeded(f"bar basis capped at weight <= {BAR_CAP}")
-    return _bar_coordinates(g)
+    parts, out = {}, {}
+    for u, c in _iterated_vector(g).items():
+        parts.setdefault(tuple(sorted(u, key=g.table.sort_key)), {})[u] = c
+    for content, vec in parts.items():
+        out.update(bar_quotient(g.table, content).bar_coordinates(vec))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -268,16 +313,12 @@ def relation_generators(kind, table, labels):
                         continue
                     rest = [G.edges[k] for k in range(len(G.edges))
                             if k not in (i, j)]
-                    g1 = GraphElement.from_term(
-                        table, SGraph(n, rest + [(a, b), (b, c)], _checked=True),
-                        labels)
-                    g2 = GraphElement.from_term(
-                        table, SGraph(n, rest + [(b, c), (c, a)], _checked=True),
-                        labels)
-                    g3 = GraphElement.from_term(
-                        table, SGraph(n, rest + [(a, b), (c, a)], _checked=True),
-                        labels)
-                    out.append(g1.add(g2).add(g3))
+                    el = GraphElement.zero(table)
+                    for pair in ([(a, b), (b, c)], [(b, c), (c, a)],
+                                 [(a, b), (c, a)]):
+                        el = el.add(GraphElement.from_term(table, SGraph(
+                            n, rest + pair, _checked=True), labels))
+                    out.append(el)
     elif kind == "harrison_shuffle":
         parities = tuple(d % 2 for d in degs)
         for k in range(1, n):
@@ -305,19 +346,12 @@ def relation_generators(kind, table, labels):
 
 def _shuffles(k, m):
     """All interleavings of positions (0..k-1) with (k..k+m-1), preserving
-    relative orders."""
-    n = k + m
+    relative orders, in lexicographic order of the first word's slots."""
     out = []
-
-    def rec(i, j, acc):
-        if i == k and j == m:
-            out.append(tuple(acc))
-            return
-        if i < k:
-            rec(i + 1, j, acc + [i])
-        if j < m:
-            rec(i, j + 1, acc + [k + j])
-    rec(0, 0, [])
+    for slots in combinations(range(k + m), k):
+        first, second = iter(range(k)), iter(range(k, k + m))
+        out.append(tuple(next(first if p in slots else second)
+                         for p in range(k + m)))
     return out
 
 

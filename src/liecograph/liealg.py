@@ -4,9 +4,9 @@ designated leading slot, and expansion into the tensor algebra.
 
 Classes are read through the configuration pairing with long graphs, under
 which the bracket is dual to the cobracket (signed deconcatenation of the
-word, `_word_pair`); the long graphs on a content's designated words separate
-its free-Lie classes.  `tensor_expand` is an oracle the normal form never
-calls.
+word, `_word_pair`): the comb basis and the coordinates of a content come
+from its pairing block (graphcoalg.bar_quotient), shared with the bar side.
+`tensor_expand` is an oracle the normal form never calls.
 
 A bracket literal [[a,b],c] and the product (a*b)*c share the same term keys:
 nested tuples of generator names.
@@ -14,8 +14,8 @@ nested tuples of generator names.
 
 from .errors import CapExceeded
 from .elements import TreeElement, _Element
-from .graphcoalg import _word_vector, designated_words
-from .linalg import Echelon, add_into
+from .graphcoalg import bar_quotient
+from .linalg import add_into
 from .shapes import tall_tree, tree_leaves
 
 __all__ = ["product", "bracket", "lie_normal_form", "tensor_expand", "LieElement"]
@@ -81,34 +81,10 @@ def _word_pair(table, w, t):
     return hit
 
 
-def _content_reduction(table, content):
-    """(designated words D, basis, tracked Echelon) of a content.  Long
-    graphs on D span its Lie-coalgebra quotient, so the column
-    {j: <D[j], comb d>} (the entry of _word_vector(D[j]) at d) determines the
-    class of the comb on d.  Columns go in from the last word to the first,
-    tagged by word; the basis is the words whose column is independent of
-    the later ones, in the order of D.  Memoized on the table."""
-    memo = table.memo("content_reduction")
-    hit = memo.get(content)
-    if hit is None:
-        words = designated_words(table, content)
-        if len(words) > ARRANGEMENT_CAP:
-            raise CapExceeded(
-                f"content {content} has {len(words)} candidate words "
-                f"(cap {ARRANGEMENT_CAP})")
-        rows = [_word_vector(table, w) for w in words]
-        ech = Echelon(track=True)
-        basis = [d for d in reversed(words) if ech.insert(
-            {j: v for j, r in enumerate(rows) if (v := r.get(d))}, d)
-            is not None]
-        hit = memo[content] = (words, basis[::-1], ech)
-    return hit
-
-
 def lie_normal_form(t):
     """Normal form of a TreeElement over the basis combs: per content, the
-    pairing of its terms with the long graphs on the designated words,
-    reduced in the content's echelon (zero residual, as the combs span)."""
+    pairing of its terms with the long graphs on the bar basis words, solved
+    in the content's pairing block (bar_quotient)."""
     table = t.table
     by_content = {}
     for key, coeff in t.terms.items():
@@ -119,14 +95,10 @@ def lie_normal_form(t):
         by_content.setdefault(content, []).append((key, coeff))
     out = {}
     for content, terms in by_content.items():
-        words, _, ech = _content_reduction(table, content)
-        residual, coords = ech.reduce({
-            j: s for j, w in enumerate(words)
-            if (s := sum(c * _word_pair(table, w, key) for key, c in terms))})
-        if residual:
-            raise AssertionError(
-                f"comb words failed to span content {content}")
-        out.update(coords)
+        q = bar_quotient(table, content, ARRANGEMENT_CAP)
+        out.update(q.comb_coordinates(
+            [sum(c * _word_pair(table, b, key) for key, c in terms)
+             for b in q.basis]))
     return LieElement(table, out)
 
 

@@ -1,17 +1,17 @@
 """Exact linear algebra over Q.
 
-`Echelon` is the single exact elimination kernel: every rank, inverse,
-coordinate extraction and quotient normal form over Q in the package is a
-row reduction through it.  It stores primitive integer rows and eliminates
-fraction-free, Bareiss-style; what it returns are exact Fractions.
+`Echelon` is the single exact elimination kernel: every rank, exact inverse
+and quotient normal form over Q in the package is a row reduction through
+it, fraction-free on primitive integer rows.  Coordinates are products with
+an integer inverse over one denominator (`_exact_inverse`), and
 `integer_matrix_rank` certifies the rank of a large integer matrix on a
-nonsingular minor its caller names.  On top sit sparse matrices with
-int or Fraction entries (rank only) and bigraded complexes: basis keys in
-(weight, degree) pieces with two anticommuting degree-+1 differentials held
-once, as key-indexed sparse columns.  Total homology and the
-spectral-sequence page dimensions for the weight filtration, both in a
-degree window the caller names, are ranks of blocks of the total
-differential, which lays the pieces of each degree out by ascending weight.
+nonsingular minor its caller names.  On top sit sparse matrices (rank only)
+and bigraded complexes: basis keys in (weight, degree) pieces with two
+anticommuting degree-+1 differentials held once, as key-indexed sparse
+columns.  Total homology and the spectral-sequence page dimensions for the
+weight filtration, both in a degree window the caller names, are ranks of
+blocks of the total differential, which lays the pieces of each degree out
+by ascending weight.
 
 No floating point ever enters a result: numpy is used for integer arrays
 and, in the rank certificate alone, for float64 products of integers that an
@@ -53,18 +53,11 @@ class Echelon:
     of its denominators, clears column c against the row with pivot entry p
     as vec <- a*vec - b*row, where a = p/g, b = f/g, g = gcd(p, f) and f is
     the vector's entry at c; one integer denominator for the vector records
-    the scaling.  `reduce` returns exact Fractions.
+    the scaling.  `reduce` returns exact Fractions.  The min-first pivots
+    and the fully reduced residual depend only on the row space."""
 
-    With track=True each row also carries its expression {tag: Fraction}
-    over the tags of the inserted rows, and `reduce` returns the coefficients
-    of a vector over those tags.  Since the min-first pivot set depends only
-    on the row space, the pivots, the fully reduced residual and the
-    coordinates over an independent set of inserted rows do not depend on
-    insertion order, on how far rows are reduced or on their scaling."""
-
-    def __init__(self, track=False):
+    def __init__(self):
         self.rows = {}  # pivot col -> row
-        self.exprs = {} if track else None  # pivot col -> {tag: coeff}
 
     def __len__(self):
         return len(self.rows)
@@ -74,12 +67,11 @@ class Echelon:
 
     def _eliminate(self, vec, full):
         """Clear pivot columns of vec in ascending column order.  Returns
-        (ivec, den, coeffs, free): ivec/den is the reduced vector with ivec
-        integral, and free is the smallest non-pivot column left when not
-        `full` (elimination stops there), else None."""
+        (ivec, den, free): ivec/den is the reduced vector with ivec integral,
+        and free is the smallest non-pivot column left when not `full`
+        (elimination stops there), else None."""
         den = lcm(*(v.denominator for v in vec.values()))
         vec = {k: v.numerator * (den // v.denominator) for k, v in vec.items()}
-        coeffs = {} if self.exprs is not None else None
         heap = list(vec)
         heapify(heap)
         while heap:
@@ -91,14 +83,10 @@ class Echelon:
             if row is None:
                 if full:
                     continue
-                return vec, den, coeffs, c
+                return vec, den, c
             p = row[c]
             g = gcd(p, f)
             a, b = p // g, f // g
-            if coeffs is not None:
-                x = Fraction(b, a * den)
-                for t, e in self.exprs[c].items():
-                    add_into(coeffs, t, x * e)
             if a != 1:
                 den *= a
                 for k in vec:
@@ -113,31 +101,25 @@ class Echelon:
                     vec[k] = s
                 else:
                     del vec[k]
-        return vec, den, coeffs, None
+        return vec, den, None
 
-    def insert(self, row, tag=None):
+    def insert(self, row):
         """Add a row; returns its new pivot column, or None if the row lies
         in the span of the rows already present."""
-        vec, den, coeffs, c = self._eliminate(row, full=False)
+        vec, _, c = self._eliminate(row, full=False)
         if c is None:
             return None
         g = gcd(*vec.values())
         if vec[c] < 0:
             g = -g
         self.rows[c] = {k: v // g for k, v in vec.items()}
-        if coeffs is not None:
-            x = Fraction(den, g)
-            expr = {t: -x * e for t, e in coeffs.items()}
-            add_into(expr, tag, x)
-            self.exprs[c] = expr
         return c
 
     def reduce(self, vec):
-        """(residual, coeffs): vec = sum of coeffs[t] * (row tagged t) +
-        residual, with the residual zero at every pivot column.  coeffs is
-        None unless tracking."""
-        vec, den, coeffs, _ = self._eliminate(vec, full=True)
-        return {k: Fraction(v, den) for k, v in vec.items()}, coeffs
+        """The residual of vec modulo the rows: zero at every pivot column,
+        and vec minus it lies in the row span."""
+        vec, den, _ = self._eliminate(vec, full=True)
+        return {k: Fraction(v, den) for k, v in vec.items()}
 
 
 class SparseMatrix:
@@ -173,18 +155,22 @@ class SparseMatrix:
 # certified rank of an integer matrix on a named minor (numpy-backed)
 
 def _exact_inverse(S):
-    """Exact inverse of a square matrix given as a list of lists of
-    ints/Fractions.  Raises ZeroDivisionError if singular."""
-    ech = Echelon(track=True)
+    """(adj, delta) with S^-1 = adj / delta, adj integral and delta > 0 the
+    least common denominator, for a square integer matrix S (a list of
+    lists).  S goes into an Echelon beside unit tag columns n + i; reducing
+    e_j leaves minus row j of S^-1 on the tag columns.  Raises
+    ZeroDivisionError if S is singular (a pivot falls on a tag column)."""
+    n, ech = len(S), Echelon()
     for i, row in enumerate(S):
-        if ech.insert({j: x for j, x in enumerate(row) if x}, i) is None:
+        row = {j: x for j, x in enumerate(row) if x}
+        if ech.insert({**row, n + i: 1}) >= n:
             raise ZeroDivisionError("singular matrix")
-    # row j of the inverse holds the coordinates of e_j over the rows of S
-    inv = []
-    for j in range(len(S)):
-        _, coeffs = ech.reduce({j: 1})
-        inv.append([coeffs.get(i, 0) for i in range(len(S))])
-    return inv
+    rows = [ech._eliminate({j: 1}, full=True)[:2] for j in range(n)]
+    delta = lcm(*(den for _, den in rows))
+    adj = [[-vec.get(n + k, 0) * (delta // den) for k in range(n)]
+           for vec, den in rows]
+    g = gcd(delta, *(x for row in adj for x in row))
+    return [[x // g for x in row] for row in adj], delta // g
 
 
 CERT_SLICE = 256  # rows of A per float64 product in integer_matrix_rank
@@ -211,11 +197,10 @@ def integer_matrix_rank(A, rows, cols):
     if len(cols) != r:
         raise ArithmeticError(f"minor of {r} rows and {len(cols)} columns")
     try:
-        Sinv = _exact_inverse([[int(A[i, j]) for j in cols] for i in rows])
+        adj, delta = _exact_inverse(
+            [[int(A[i, j]) for j in cols] for i in rows])
     except ZeroDivisionError:
         raise ArithmeticError("the named minor is singular") from None
-    delta = lcm(*(x.denominator for row in Sinv for x in row))
-    adj = [[int(x * delta) for x in row] for row in Sinv]
     maxA = max(int(A.max(initial=0)), -int(A.min(initial=0)))
     maxadj = max((abs(x) for row in adj for x in row), default=0)
     bound = r * r * maxA * maxadj * maxA + delta * maxA

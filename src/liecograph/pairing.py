@@ -69,7 +69,7 @@ def shape_pair(G, T):
     if G.n != n_internal + 1:
         raise WeightMismatch(
             f"graph weight {G.n} vs tree with {n_internal + 1} leaves")
-    return _shape_pair_relabeled(G.edges, range(1, G.n + 1), info)
+    return _shape_pair_relabeled(G.edges, tuple(range(1, G.n + 1)), info)
 
 
 def _shape_pair_relabeled(edges, perm, info):

@@ -23,10 +23,11 @@ a letter or _; a class name may contain * after that.
 
 The first gen, rel or diff statement makes the file an algebra, the first
 cogen, coprod or codiff a coalgebra; a statement of the other kind is a
-ParseError at its line.  Error messages echo names and lines through
-clipped_repr, so each stays one short line.
+ParseError at its line.  Error messages echo names, lines and numbers
+through clipped_repr, so each stays one short line.
 """
 
+import math
 import re
 from fractions import Fraction
 
@@ -66,10 +67,9 @@ def multisets(items, degree, max_degree, max_size=None, max_mult=None):
 
 
 def _invalid(template, *fields):
-    """InvalidPresentation(template.format(*fields)), each str field (a name
-    from the input) shown through clipped_repr."""
-    return InvalidPresentation(template.format(
-        *(clipped_repr(f) if isinstance(f, str) else f for f in fields)))
+    """InvalidPresentation(template.format(*fields)), each field (a name, a
+    degree or a power from the input) shown through clipped_repr."""
+    return InvalidPresentation(template.format(*map(clipped_repr, fields)))
 
 
 def _declared(pairs, what):
@@ -306,10 +306,16 @@ def parse_rational(text, line=None, col=None):
                          col) from None
 
 
-def clipped_repr(text):
-    """repr(text), or its length once it is longer than 20 characters, so
-    that an error message stays one short line."""
-    return repr(text) if len(text) <= 20 else f"of {len(text)} characters"
+def clipped_repr(x):
+    """repr(x) of a str or an int, or its length in characters or digits once
+    that is over 20, so that an error message stays one short line (digits
+    counted without str(), which refuses ints past the str-digit limit)."""
+    if isinstance(x, str):
+        return repr(x) if len(x) <= 20 else f"of {len(x)} characters"
+    if abs(x) < 10 ** 20:
+        return repr(x)
+    d = int(math.log10(abs(x))) + 1  # the digit count, or one off it
+    return f"of {d + (10 ** d <= abs(x)) - (10 ** (d - 1) > abs(x))} digits"
 
 
 def parse_int(text, line=None, col=None):
@@ -353,8 +359,9 @@ def parse_polynomial(text, lineno=None, max_factors=None):
         for f in re.finditer(_FACTOR, body):
             power = parse_int(f.group(2) or "1", lineno)
             if max_factors is not None and len(factors) + power > max_factors:
-                raise ParseError(f"a term has more than {max_factors} "
-                                 "factors", line=lineno)
+                raise ParseError(f"a term has more than "
+                                 f"{clipped_repr(max_factors)} factors",
+                                 line=lineno)
             factors += [f.group(1)] * power
         add_into(out, tuple(factors), coeff)
     return out

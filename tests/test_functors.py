@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from liecograph import functors
+from liecograph import functors, graphcoalg
 from liecograph.elements import GraphElement, koszul_sign
 from liecograph.errors import (
     CapTooSmall,
@@ -28,7 +28,6 @@ from liecograph.functors import (
     rational_homotopy,
 )
 from liecograph.graphcoalg import (
-    _bar_coordinates,
     _shuffles,
     cobracket,
     graphify,
@@ -133,19 +132,33 @@ def test_harrison_mirrored_pairs_span_every_split(name):
             assert full.reduce({i: 1}) == ech.reduce({i: 1}), (content, i)
 
 
+def test_harrison_dimension_mismatch_names_the_content(monkeypatch):
+    """The shuffle quotient's size per content is checked against the free
+    Lie dimension; a planted wrong dimension is an AssertionError naming
+    the content."""
+    # cp2's slot letters are x and x*x, both odd; only ('x', 'x*x') has
+    # multidegree (1, 1)
+    true = graphcoalg._witt_dimension
+    monkeypatch.setattr(graphcoalg, "_witt_dimension",
+                        lambda m, o: true(m, o) + (m == (1, 1)))
+    with pytest.raises(AssertionError,
+                       match=r"shuffle quotient of content \('x', 'x\*x'\)"):
+        harrison_shuffle_model(parse_presentation(_SHUFFLE_CASES["cp2"]), 6, 6)
+
+
 @pytest.mark.parametrize("name", list(_SHUFFLE_CASES))
 def test_key_cobracket_matches_graph_cobracket(name):
     """build_E's key_cobracket deconcatenates its word and projects the
     factors as words.  The oracle is the graph route: the cobracket of the
     word's long graph, each factor projected through the graph iterated
-    cobracket (_bar_coordinates)."""
+    cobracket (to_bar_basis)."""
     E = build_E(parse_presentation(_SHUFFLE_CASES[name]), 7, 7)
     table = E.table
     for word in E.key_bidegree:
         want = {}
         for (k1, k2), c in cobracket(graphify(word, table)).terms.items():
-            p1 = _bar_coordinates(GraphElement(table, {k1: Fraction(1)}))
-            p2 = _bar_coordinates(GraphElement(table, {k2: Fraction(1)}))
+            p1 = to_bar_basis(GraphElement(table, {k1: Fraction(1)}))
+            p2 = to_bar_basis(GraphElement(table, {k2: Fraction(1)}))
             for w1, c1 in p1.items():
                 for w2, c2 in p2.items():
                     add_into(want, (w1, w2), c * c1 * c2)

@@ -13,13 +13,16 @@ from liecograph.elements import (
     koszul_sign,
 )
 from liecograph.errors import CapExceeded
+from liecograph import graphcoalg
 from liecograph.graphcoalg import (
     ZERO_CAP,
     _distinct_arrangements,
+    _witt_dimension,
     _iterated_vector,
     _shuffles,
     _word_vector,
     cobracket,
+    bar_quotient,
     designated_words,
     graphify,
     is_zero_in_E,
@@ -27,8 +30,10 @@ from liecograph.graphcoalg import (
     relation_generators,
     to_bar_basis,
 )
+from liecograph.liealg import tensor_expand
+from liecograph.linalg import SparseMatrix
 from liecograph.pairing import element_pair
-from liecograph.shapes import enumerate_graphs, enumerate_trees
+from liecograph.shapes import enumerate_graphs, enumerate_trees, tall_tree
 
 
 @pytest.fixture
@@ -229,8 +234,8 @@ def test_three_way_agreement_on_random_combinations(terms):
 def test_int_coefficients_match_fractions_and_stay_int(parity, data):
     """The word layer computes the same thing from int and from Fraction
     coefficients, and keeps ints int: only the bar coordinates, which come
-    out of the echelon, are Fractions.  Each side runs on its own table, so
-    neither reads the other's memos."""
+    out of the content's pairing block, are Fractions.  Each side runs on
+    its own table, so neither reads the other's memos."""
     k = data.draw(st.integers(1, 3), label="generators")
     degree = {"even": st.sampled_from([2, 4]), "odd": st.sampled_from([1, 3]),
               "mixed": st.integers(1, 4)}[parity]
@@ -269,3 +274,51 @@ def test_int_coefficients_match_fractions_and_stay_int(parity, data):
     if witness is not None:
         exact.append(witness[1])
     assert all(type(c) is int for c in exact)
+
+
+def _free_lie_dimension(table, content):
+    letters = sorted(set(content), key=table.sort_key)
+    return _witt_dimension(tuple(map(content.count, letters)),
+                           tuple(table.degree[x] % 2 for x in letters))
+
+
+class TestFreeLieDimension:
+    def test_known_dimensions(self):
+        # x even, y odd: [x, x] = 0, [y, y] != 0, [y, [y, y]] = 0; two even
+        # generators give the necklace numbers, 1 at multidegree (2, 2)
+        table = GeneratorTable([("x", 2), ("y", 1), ("z", 4)])
+        assert [_free_lie_dimension(table, c) for c in (
+            ("x", "x"), ("y", "y"), ("y", "y", "y"), ("y",) * 4,
+            ("x", "x", "z", "z"), ("x", "y"), ("x", "z", "z"))] == [
+            0, 1, 0, 0, 1, 1, 1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=3), st.data())
+    def test_matches_rank_of_expanded_combs(self, degs, data):
+        """Left combs on the arrangements of a content span its free Lie
+        part, so the formula is the rank of their tensor expansions."""
+        table = GeneratorTable([(f"g{i}", d) for i, d in enumerate(degs)])
+        content = tuple(sorted(data.draw(st.lists(
+            st.sampled_from(table.names), min_size=1, max_size=6)),
+            key=table.sort_key))
+        words = _distinct_arrangements(content)
+        index = {w: j for j, w in enumerate(words)}
+        entries = {}
+        for i, w in enumerate(words):
+            for u, c in tensor_expand(
+                    TreeElement(table, {tall_tree(w): 1})).items():
+                entries[(i, index[u])] = c
+        rank = SparseMatrix(len(words), len(words), entries).rank()
+        assert _free_lie_dimension(table, content) == rank
+        q = bar_quotient(table, content)
+        assert len(q.basis) == len(q.combs) == rank
+
+    def test_planted_mismatch_names_the_content(self, monkeypatch):
+        # a(2) once and b(3) twice: multidegree (1, 2), odd letters (0, 1)
+        table = GeneratorTable([("a", 2), ("b", 3)])
+        monkeypatch.setattr(graphcoalg, "_witt_dimension", lambda m, o: (
+            _witt_dimension(m, o) + (m == (1, 2))))
+        assert bar_quotient(table, ("a", "a", "b")).basis
+        with pytest.raises(AssertionError,
+                           match=r"bar basis of content \('a', 'b', 'b'\)"):
+            bar_quotient(table, ("a", "b", "b"))

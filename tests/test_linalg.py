@@ -9,23 +9,28 @@ from hypothesis import strategies as st
 
 from liecograph.errors import CapTooSmall
 from liecograph.functors import build_E, build_G, harrison_shuffle_model
+from liecograph.elements import TreeElement
 from liecograph.graphcoalg import (
     _distinct_arrangements,
     _iterated_vector,
+    _word_vector,
     designated_words,
     graphify,
 )
+from liecograph.liealg import lie_normal_form
 from liecograph.linalg import (
     BigradedComplex,
     Echelon,
     CERT_SLICE,
     SparseMatrix,
     _exact_inverse,
+    add_into,
     integer_matrix_rank,
     spectral_pages,
     total_homology,
 )
 from liecograph.presentations import parse_presentation
+from liecograph.shapes import tall_tree
 
 from conftest import (
     dense_rank_oracle,
@@ -85,27 +90,26 @@ small_rational_matrix = st.lists(
 @settings(max_examples=120, deadline=None)
 @given(small_rational_matrix, st.data())
 def test_echelon_matches_oracle(rows, data):
-    ech = Echelon(track=True)
-    for t, row in enumerate(_sparse_rows(rows)):
-        ech.insert(row, t)
-    assert len(ech) == dense_rank_oracle(rows)
+    ech = Echelon()
+    for row in _sparse_rows(rows):
+        ech.insert(row)
+    rank = dense_rank_oracle(rows)
+    assert len(ech) == rank
     for c, row in ech.rows.items():
         assert all(type(x) is int for x in row.values())
         assert math.gcd(*row.values()) == 1
         assert row[c] > 0 and min(row) == c
     for row in _sparse_rows(rows):
-        residual, _ = ech.reduce(row)
-        assert residual == {}
+        assert ech.reduce(row) == {}
     ncols = len(rows[0])
-    v = {j: x for j, x in enumerate(data.draw(
-        st.lists(rational, min_size=ncols, max_size=ncols))) if x}
-    residual, coeffs = ech.reduce(v)
+    drawn = data.draw(st.lists(rational, min_size=ncols, max_size=ncols))
+    residual = ech.reduce({j: x for j, x in enumerate(drawn) if x})
     assert all(c not in residual for c in ech.rows)
-    total = dict(residual)
-    for t, f in coeffs.items():
-        for j, x in enumerate(rows[t]):
-            total[j] = total.get(j, 0) + f * x
-    assert {j: x for j, x in total.items() if x} == v
+    # v - reduce(v) lies in the row span, and the residual vanishes exactly
+    # when v does
+    assert dense_rank_oracle(
+        rows + [[x - residual.get(j, 0) for j, x in enumerate(drawn)]]) == rank
+    assert (residual == {}) == (dense_rank_oracle(rows + [drawn]) == rank)
 
 
 class _FractionEchelon:
@@ -154,35 +158,73 @@ class _FractionEchelon:
 
 
 def test_echelon_matches_fraction_reference_on_bar_quotients():
-    """Every content of the x, y, z word model at caps 7/7: the integer
-    kernel and the Fraction reference fed with the same bar_quotient vectors
-    keep the same pivots and basis words, and give the same residual and
-    coordinates for the vector of every word of the content and for every
-    unit vector on the vectors' columns."""
+    """Every content of the x, y, z word model at caps 7/7 against the
+    Fraction reference fed the full graph iterated-cobracket vectors V_w of
+    the designated words: the same bar basis (independent rows), the same
+    comb basis (independent columns of the full matrix, last word first),
+    and for every arrangement u the same bar coordinates of V_u, read both
+    from V_u and from the word recursion, with sum x_b V_b == V_u on full
+    vectors, and the same comb coordinates of the comb on u."""
     E = build_E(parse_presentation(
         "gen x deg 2\ngen y deg 2\ngen z deg 3\ndiff z = x*y\n"), 7, 7)
     table = E.table
     contents = table.memo("bar_quotient")
     assert len(contents) > 20
-    for content, (basis, ech) in contents.items():
-        ref = _FractionEchelon()
-        ref_basis = [w for w in designated_words(table, content)
-                     if ref.insert(_iterated_vector(graphify(w, table)), w)
-                     is not None]
-        assert ref_basis == basis and set(ref.rows) == set(ech.rows)
-        vectors = [_iterated_vector(graphify(w, table))
-                   for w in _distinct_arrangements(content)]
-        columns = {k for v in vectors for k in v}
-        for v in vectors + [{k: 1} for k in sorted(columns)]:
-            residual, coeffs = ech.reduce(v)
-            want_residual, want_coeffs = ref.reduce(v)
-            assert residual == want_residual, content
-            assert {t: e for t, e in coeffs.items() if e} == want_coeffs
+    for content, q in contents.items():
+        words = designated_words(table, content)
+        full = {w: _iterated_vector(graphify(w, table))
+                for w in _distinct_arrangements(content)}
+        rows = _FractionEchelon()
+        assert q.basis == [w for w in words
+                           if rows.insert(full[w], w) is not None], content
+        cols = _FractionEchelon()
+        column = {u: {i: v for i, w in enumerate(words)
+                      if (v := full[w].get(u))} for u in full}
+        assert q.combs == [u for u in reversed(words)
+                           if cols.insert(column[u], u) is not None][::-1]
+        for u, vec in full.items():
+            residual, want = rows.reduce(vec)
+            assert residual == {}
+            x = q.bar_coordinates(vec)
+            assert x == want and q.bar_coordinates(_word_vector(table, u)) == x
+            total = {}
+            for b, c in x.items():
+                for k, v in full[b].items():
+                    add_into(total, k, c * v)
+            assert total == vec, (content, u)
+            residual, want = cols.reduce(column[u])
+            assert residual == {}
+            assert lie_normal_form(TreeElement(
+                table, {tall_tree(u): 1})).terms == want, (content, u)
 
 
-def test_exact_inverse():
-    S = [[2, 1], [1, 1]]
-    assert _exact_inverse(S) == [[1, -1], [-1, 2]]
+square_matrix = st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+    min_size=n, max_size=n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrix)
+def test_exact_inverse(S):
+    """S adj = delta I with integer adj and delta the least common
+    denominator of S^-1; singular S is refused."""
+    n = len(S)
+    if dense_rank_oracle(S) < n:
+        with pytest.raises(ZeroDivisionError):
+            _exact_inverse(S)
+        return
+    adj, delta = _exact_inverse(S)
+    assert type(delta) is int and delta > 0
+    assert all(type(x) is int for row in adj for x in row)
+    assert math.gcd(delta, *(x for row in adj for x in row)) == 1
+    assert [[sum(S[i][k] * adj[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)] == [[delta * (i == j) for j in range(n)]
+                                   for i in range(n)]
+
+
+def test_exact_inverse_examples():
+    assert _exact_inverse([[2, 1], [1, 1]]) == ([[1, -1], [-1, 2]], 1)
+    assert _exact_inverse([[2, 0], [0, 3]]) == ([[3, 0], [0, 2]], 6)
     with pytest.raises(ZeroDivisionError):
         _exact_inverse([[1, 2], [2, 4]])
 

@@ -315,6 +315,22 @@ class TestClippedMessages:
         assert re.search(r"of \d+ characters", str(e.value))
         assert len(str(e.value).encode()) < 200
 
+    @pytest.mark.parametrize("text, digits", [
+        ("gen x deg 2\ngen y deg {}\ndiff y = x^2\n", 4000),
+        ("gen x deg {}\ngen y deg 5\ndiff y = x^2\n", 4000),
+        ("gen x deg 1\ngen y deg {}\ndiff y = x^19\n", 4000),
+        ("gen x deg 2\ngen y deg {}\ndiff y = x^2\n", 4300),
+    ], ids=["expected-degree", "term-degree", "factors", "past-str-limit"])
+    def test_long_numbers_are_clipped(self, capsys, tmp_path, text, digits):
+        """A degree of 4 000 nines is echoed by its digit count, also where
+        the echoed number has more digits than str() will print."""
+        path = tmp_path / "big.alg"
+        path.write_text(text.format("9" * digits))
+        assert main(["pi", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert re.search(r"of \d{4} digits", err), err[:200]
+        assert out == "" and err.count("\n") == 1 and len(err.encode()) < 200
+
     def test_unrecognized_line_through_pi(self, capsys, tmp_path):
         path = tmp_path / "long.alg"
         path.write_text("gen x deg 2\n" + "q" * 100_000 + "\n")
