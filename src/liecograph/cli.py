@@ -68,8 +68,8 @@ def _tokenize(text):
         if not m or not m.group(1):
             if text[pos:].strip() == "":
                 break
-            raise ParseError(f"cannot tokenize {text[pos:]!r}", line=1,
-                             col=pos + 1)
+            raise ParseError(f"cannot tokenize {clipped_repr(text[pos:])}",
+                             line=1, col=pos + 1)
         tokens.append((m.group(1), m.start(1) + 1))
         pos = m.end()
     return tokens
@@ -96,8 +96,8 @@ class _ExprParser:
                              col=len(self.text) + 1)
         tok, col = self.toks[self.pos]
         if expect is not None and tok != expect:
-            raise ParseError(f"expected {expect!r}, found {tok!r}", line=1,
-                             col=col)
+            raise ParseError(f"expected {expect!r}, found {clipped_repr(tok)}",
+                             line=1, col=col)
         self.pos += 1
         return tok, col
 
@@ -120,7 +120,8 @@ class _ExprParser:
                                      line=1, col=len(self.text) + 1)
             elif self.pos < len(self.toks):
                 tok, col = self.toks[self.pos]
-                raise ParseError(f"unexpected token {tok!r}", line=1, col=col)
+                raise ParseError(f"unexpected token {clipped_repr(tok)}",
+                                 line=1, col=col)
         if out is None:
             raise ParseError("empty expression", line=1, col=1)
         return out
@@ -146,11 +147,13 @@ class _ExprParser:
                 return self.parse_tree()
             return self.parse_bar_word()
         t, col = self.toks[self.pos] if self.pos < len(self.toks) else ("", 1)
-        raise ParseError(f"cannot parse atom at {t!r}", line=1, col=col)
+        raise ParseError(f"cannot parse atom at {clipped_repr(t)}", line=1,
+                         col=col)
 
     def _check_name(self, name, col):
         if name not in self.table:
-            raise UnknownGenerator(f"unknown generator {name!r} (column {col})")
+            raise UnknownGenerator(
+                f"unknown generator {clipped_repr(name)} (column {col})")
 
     def parse_bar_word(self):
         names = []
@@ -169,8 +172,8 @@ class _ExprParser:
     def take_int(self):
         tok, col = self.take()
         if not re.fullmatch(r"\d+", tok):
-            raise ParseError(f"expected an integer, found {tok!r}", line=1,
-                             col=col)
+            raise ParseError(f"expected an integer, found {clipped_repr(tok)}",
+                             line=1, col=col)
         return parse_int(tok, 1, col)
 
     def parse_graph_literal(self):
@@ -250,8 +253,8 @@ class _ExprParser:
             return node
         name, col = self.take()
         if not re.fullmatch(r"[A-Za-z_]\w*", name):
-            raise ParseError(f"expected a generator, found {name!r}",
-                             line=1, col=col)
+            raise ParseError("expected a generator, found "
+                             f"{clipped_repr(name)}", line=1, col=col)
         self._check_name(name, col)
         return name, 0
 
@@ -279,14 +282,15 @@ def _parse_gens(spec):
             continue
         m = re.fullmatch(r"([A-Za-z_]\w*):(\d+)", part)
         if not m:
-            raise ParseError(f"cannot parse generator spec {part!r}",
-                             line=1, col=col)
+            raise ParseError("cannot parse generator spec "
+                             f"{clipped_repr(part)}", line=1, col=col)
         name, deg = m.group(1), parse_int(m.group(2), 1, col + m.start(2))
         if name in gens:
-            raise ParseError(f"duplicate generator {name!r}", line=1, col=col)
-        if deg < 1:
-            raise ParseError(f"generator {name!r} has degree {deg} < 1",
+            raise ParseError(f"duplicate generator {clipped_repr(name)}",
                              line=1, col=col)
+        if deg < 1:
+            raise ParseError(f"generator {clipped_repr(name)} has degree "
+                             f"{deg} < 1", line=1, col=col)
         gens[name] = deg
     if not gens:
         raise ParseError("no generators given")
@@ -363,10 +367,11 @@ def _caps_from_args(args, default):
 def _parse_window(text):
     m = re.fullmatch(r"(\d+)\.\.(\d+)", text)
     if not m:
-        raise ParseError(f"window must look like 2..8, got {text!r}")
+        raise ParseError(
+            f"window must look like 2..8, got {clipped_repr(text)}")
     lo, hi = (parse_int(m.group(i), 1, m.start(i) + 1) for i in (1, 2))
     if lo > hi:
-        raise ParseError(f"empty window {text!r}")
+        raise ParseError(f"empty window {clipped_repr(text)}")
     return lo, hi
 
 

@@ -43,6 +43,7 @@ class GeneratorTable:
             self.names.append(name)
             self.degree[name] = deg
         self.order = {n: i for i, n in enumerate(self.names)}
+        self.odd_names = tuple(n for n in self.names if self.degree[n] % 2)
         self._memos = {}
 
     def memo(self, name):

@@ -10,14 +10,15 @@ and bigraded complexes: basis keys in (weight, degree) pieces with two
 anticommuting degree-+1 differentials held once, as key-indexed sparse
 columns.  Total homology and the spectral-sequence page dimensions for the
 weight filtration, both in a degree window the caller names, are ranks of
-blocks of the total differential, which lays the pieces of each degree out
-by ascending weight.
+corners of the total differential D = dv + dh, read from the key maps and
+memoised on the complex; there is no coordinate layout.
 
 No floating point ever enters a result: numpy is used for integer arrays
 and, in the rank certificate alone, for float64 products of integers that an
 explicit magnitude bound proves exact (every partial sum below 2^53).
 """
 
+from bisect import bisect_right
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
@@ -243,6 +244,7 @@ class BigradedComplex:
         self.dv = dv
         self.dh = dh
         self.complete_degrees = tuple(complete_degrees)
+        self._degree_keys, self._ranks = {}, {}  # degree_keys, rank memos
         self.pieces = {}  # (w, d) -> [keys]
         for key, bd in key_bidegree.items():
             self.pieces.setdefault(bd, []).append(key)
@@ -283,44 +285,50 @@ class BigradedComplex:
 
     # -- total complex -----------------------------------------------------
 
-    def total_offsets(self, d):
-        """Coordinate layout of T^d = sum over w of piece (w, d):
-        returns ({w: offset}, total_dim), weights ascending."""
-        offs, t = {}, 0
-        for w in self.weights():
-            n = self.dim(w, d)
-            if n:
-                offs[w] = t
-                t += n
-        return offs, t
+    def degree_keys(self, d):
+        """The keys of T^d = sum over w of piece (w, d), weights ascending
+        (each piece in its own order), and their weights; kept per degree."""
+        if d not in self._degree_keys:
+            keys = [k for w in self.weights()
+                    for k in self.pieces.get((w, d), ())]
+            weights = [self.key_bidegree[k][0] for k in keys]
+            self._degree_keys[d] = keys, weights
+        return self._degree_keys[d]
 
-    def total_differential(self, d):
-        """SparseMatrix T^d -> T^{d+1} for D = dv + dh; a key's coordinate is
-        its piece's weight offset plus its position in the piece."""
-        offs_d, nd = self.total_offsets(d)
-        offs_t, nt = self.total_offsets(d + 1)
-        row = {k: off + i for w, off in offs_t.items()
-               for i, k in enumerate(self.pieces[(w, d + 1)])}
-        entries = {}
-        for w, off in offs_d.items():
-            for j, key in enumerate(self.pieces[(w, d)]):
+    def count(self, d, w=None):
+        """|F_w T^d|: the number of degree-d keys of weight <= w (all of
+        T^d when w is None)."""
+        keys, weights = self.degree_keys(d)
+        return len(keys) if w is None else bisect_right(weights, w)
+
+    def rank(self, d, a=None, b=None):
+        """Rank of D = dv + dh from the degree-d keys of weight <= a to the
+        degree-(d+1) keys of weight > b (all of D by default).  One row per
+        target key, in order of first appearance, holds the coefficients of
+        the source keys by position in degree_keys(d).  Memoised by the key
+        sets it reads, (d, |F_a T^d|, |F_b T^(d+1)|)."""
+        n, m = self.count(d, a), 0 if b is None else self.count(d + 1, b)
+        if (d, n, m) not in self._ranks:
+            kb, rows = self.key_bidegree, {}
+            for j, key in enumerate(self.degree_keys(d)[0][:n]):
                 for of_key in (self.dv, self.dh):
                     for k2, c in of_key.get(key, {}).items():
-                        entries[(row[k2], off + j)] = c
-        return SparseMatrix(nt, nd, entries)
+                        if c and (b is None or kb[k2][0] > b):
+                            rows.setdefault(k2, {})[j] = c
+            ech = Echelon()
+            for row in rows.values():
+                ech.insert(row)
+            self._ranks[(d, n, m)] = len(ech)
+        return self._ranks[(d, n, m)]
 
 
 def total_homology(C, window):
     """dims of H^d of the total complex for d in window = (d_lo, d_hi)."""
     d_lo, d_hi = window
     C.check_window(d_lo - 1, d_hi + 1)
-    ranks = {}
-    for d in range(d_lo - 1, d_hi + 1):
-        ranks[d] = C.total_differential(d).rank()
     out = {}
     for d in range(d_lo, d_hi + 1):
-        _, nd = C.total_offsets(d)
-        out[d] = nd - ranks[d] - ranks[d - 1]
+        out[d] = C.count(d) - C.rank(d - 1) - C.rank(d)
         assert out[d] >= 0
     return out
 
@@ -331,12 +339,12 @@ def spectral_pages(C, max_page, window):
     dim (zero dims omitted).  A page at degree d looks at chains in degrees
     d-1 and d+1, so C must be complete from d_lo - 1 to d_hi + 1.
 
-    Each dimension is a rank of a corner block of D_d: F_a T^d is a column
-    prefix and the weights > b a row suffix of T^{d+1} (pieces ascend in
-    weight), and rho(d, a, b) is the rank of that block.  dim Z_r^{w,d} =
-    |F_w T^d| - rho(d, w, w-r); modulo Z_{r-1}^{w-1,d}, D Z_{r-1}^{w+r-1,d-1}
-    adds the rank of D mod F_{w-1} on the kernel of D mod F_w, which is
-    rho(d-1, w+r-1, w-1) - rho(d-1, w+r-1, w).
+    Each dimension is a rank of a corner of D = dv + dh read from the key
+    maps: rho(d, a, b) = C.rank(d, a, b) is the rank of D from F_a T^d to
+    the weights > b of T^(d+1), and end(d, w) = C.count(d, w) = |F_w T^d|.
+    dim Z_r^{w,d} = end(d, w) - rho(d, w, w-r); modulo Z_{r-1}^{w-1,d},
+    D Z_{r-1}^{w+r-1,d-1} adds the rank of D mod F_{w-1} on the kernel of D
+    mod F_w, which is rho(d-1, w+r-1, w-1) - rho(d-1, w+r-1, w).
 
     d_r lowers the weight by r, so it vanishes once r exceeds the weight
     span: the pages after E^(span+1) are that same page dict."""
@@ -345,27 +353,7 @@ def spectral_pages(C, max_page, window):
     pages = [{(w, d): len(keys) for (w, d), keys in C.pieces.items()
               if d_lo <= d <= d_hi}]
     weights = C.weights()
-    Ds = {d: C.total_differential(d) for d in range(d_lo - 1, d_hi + 1)}
-    layout = {d: C.total_offsets(d) for d in range(d_lo - 1, d_hi + 2)}
-    ranks = {}
-
-    def end(d, w):
-        """Length of F_w T^d: the coordinates of weights <= w."""
-        offs, total = layout[d]
-        return next((o for wp, o in offs.items() if wp > w), total)
-
-    def rho(d, a, b):
-        """Rank of D_d from the columns of weight <= a to the rows of
-        weight > b."""
-        key = (d, end(d, a), end(d + 1, b))
-        if key not in ranks:
-            D, col_end, row_start = Ds[d], key[1], key[2]
-            ranks[key] = SparseMatrix(
-                D.rows - row_start, col_end,
-                {(i - row_start, j): v for (i, j), v in D.entries.items()
-                 if j < col_end and i >= row_start}).rank()
-        return ranks[key]
-
+    end, rho = C.count, C.rank
     span = weights[-1] - weights[0] if weights else 0
     for r in range(1, min(max_page, span + 1) + 1):
         page = {}

@@ -99,10 +99,7 @@ def element_pair(g, t):
     table = g.table
     if table is not t.table:
         _check_degrees(g, t)
-    memo = table.memo("odd_names")
-    odd = memo.get(None)
-    if odd is None:
-        odd = memo[None] = tuple(x for x in table.names if table.degree[x] % 2)
+    odd = table.odd_names
     total = 0
     for tkey, tc in t.terms.items():
         acc = 0

@@ -38,6 +38,10 @@ from .linalg import add_into
 DEFAULT_CAP_WEIGHT = 5
 DEFAULT_CAP_DEGREE = 12
 
+# most factors a diff term may have: a term is expanded into a tuple of its
+# factors, and the d^2 check costs about the square of its length
+MAX_FACTORS = 256
+
 
 def multisets(items, degree, max_degree, max_size=None, max_mult=None):
     """Nonempty multisets over items, as tuples in the order of items, of
@@ -183,14 +187,15 @@ class DgcaPresentation:
             if self.differential_of_poly(self.differentials[name]):
                 raise _invalid("d^2 != 0 on generator {}", name)
         for name, k in self.relations.items():
-            dg = self.differentials.get(name)
-            if dg:
-                # ideal stability: g^(k-1) dg must vanish in the quotient
-                p = {tuple([name] * (k - 1)): Fraction(1)}
-                res = self.poly_multiply(p, dg)
-                if res:
-                    raise _invalid("relation {}^{} = 0 is not "
-                                   "differential-stable", name, k)
+            # ideal stability: g^(k-1) dg = 0 in the quotient.  An odd
+            # g^(k-1) with k > 2 is 0; else it kills the terms that hold g
+            # and is injective, up to one sign per monomial, on the others.
+            rest = {m: c for m, c in self.differentials.get(name, {}).items()
+                    if name not in m}
+            power_vanishes = k > 2 and self.gen_degree[name] % 2
+            if not power_vanishes and self.poly_multiply({(): 1}, rest):
+                raise _invalid("relation {}^{} = 0 is not "
+                               "differential-stable", name, k)
 
     def is_simply_connected(self):
         return all(d >= 2 for d in self.gen_degree.values())
@@ -348,20 +353,20 @@ def _parse_terms(text, kind, lineno):
             return out
 
 
-def parse_polynomial(text, lineno=None, max_factors=None):
+def parse_polynomial(text, lineno=None, max_factors=MAX_FACTORS):
     """A `diff` right-hand side: rational coefficients, factors `name` or
     `name^k` separated by `*` or blanks.  Returns {tuple-of-names
-    (unsorted): Fraction}.  A term with more than max_factors factors is a
-    ParseError, raised before its powers are expanded."""
-    out = {}
+    (unsorted): Fraction}.  A term with more than max_factors factors, or
+    more than MAX_FACTORS, is a ParseError, raised before its powers are
+    expanded."""
+    out, limit = {}, min(max_factors, MAX_FACTORS)
     for coeff, body, *_ in _parse_terms(text, "diff", lineno):
         factors = []
         for f in re.finditer(_FACTOR, body):
             power = parse_int(f.group(2) or "1", lineno)
-            if max_factors is not None and len(factors) + power > max_factors:
+            if len(factors) + power > limit:
                 raise ParseError(f"a term has more than "
-                                 f"{clipped_repr(max_factors)} factors",
-                                 line=lineno)
+                                 f"{clipped_repr(limit)} factors", line=lineno)
             factors += [f.group(1)] * power
         add_into(out, tuple(factors), coeff)
     return out

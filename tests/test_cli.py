@@ -26,6 +26,7 @@ CP2 = str(FIXTURES / "cp2.alg")
 S2_CO = str(FIXTURES / "s2.coalg")
 CP2_CO = str(FIXTURES / "cp2.coalg")
 BIG = "9" * 4301  # one digit past Python's integer-string limit
+LONG = "q" * 5000
 
 
 class TestPair:
@@ -348,6 +349,30 @@ class TestErrorsAndCaps:
         assert "Traceback" not in err and len(err.strip().split("\n")) == 1
         if env is not None:
             assert "LIECOGRAPH_CAP_OVERRIDE" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("normalize", "a|a " + "$" * 4996, "--gens", "a:2"),
+        ("normalize", "a", "--gens", "a:2," + "q" * 4996),
+        ("normalize", "a", "--gens", f"{LONG}:2,{LONG}:3"),
+        ("normalize", "a", "--gens", f"{LONG}:0"),
+        ("cobracket", f"G[2 {LONG}](a,a)", "--gens", "a:2"),
+        ("normalize", f"a {LONG}", "--gens", "a:2"),
+        ("normalize", "a + " + " " * 4995 + ";", "--gens", "a:2"),
+        ("cobracket", f"G[{LONG}; ](a)", "--gens", "a:2"),
+        ("lie-normalize", f"[a,{'1' * 5000}]", "--gens", "a:2"),
+        ("normalize", f"a|{LONG}", "--gens", "a:2"),
+        ("pi", S2, "--window", LONG),
+        ("pi", S2, "--window", "2" * 2499 + ".." + "1" * 2499),
+    ], ids=["tokenize", "gens-spec", "gens-duplicate", "gens-degree",
+            "expected-token", "unexpected-token", "atom", "integer",
+            "generator", "unknown-generator", "window", "empty-window"])
+    def test_long_input_is_clipped(self, capsys, argv):
+        """Each echo of a 5 000-character input stays one short line."""
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert err.count("\n") == 1 and len(err.encode()) < 200, err[:200]
 
     @pytest.mark.parametrize("value", ["9" * 300, "9" * 4301 + ",4"],
                              ids=["300-digits", "4301-digits"])

@@ -337,8 +337,6 @@ def test_total_homology_two_term():
     # 0 -> Q --id--> Q -> 0 is exact; a lone Q contributes 1
     kb, dv, dh = _koszul_square_complex()
     C = BigradedComplex(kb, dv, dh, (-1, 2))
-    # T^0 = u (weight 1) then w (weight 2); T^1 = v
-    assert C.total_differential(0).entries == {(0, 0): 1, (0, 1): 1}
     hom = total_homology(C, (0, 1))
     assert hom == {0: 1, 1: 0}  # (2,0)+(1,0) in degree 0; one dv + dh kills
 
@@ -438,22 +436,55 @@ _BUILDERS = {"E": (build_E, (8, 14)), "G": (build_G, (4, 10)),
              "harrison": (harrison_shuffle_model, (8, 14))}
 
 
-@pytest.mark.parametrize("case", ["cp2", "sullivan_s2"] + [
-    f"{b}-{i}" for i in range(len(_RANDOM)) for b in _BUILDERS])
+_CASES = ["cp2", "sullivan_s2"] + [
+    f"{b}-{i}" for i in range(len(_RANDOM)) for b in _BUILDERS]
+
+
+def _case_complex(case):
+    """The cp2 or Sullivan S^2 word model, or builder b over random
+    presentation i for case "b-i"."""
+    if case in ("cp2", "sullivan_s2"):
+        return build_E(load_presentation(f"{case}.alg"), 6, 6).complex
+    b, i = case.split("-")
+    builder, caps = _BUILDERS[b]
+    return builder(_RANDOM[int(i)], *caps).complex
+
+
+@pytest.mark.parametrize("case", _CASES)
 def test_spectral_pages_match_definition(case):
     """The corner-rank pages equal the pages computed from the definition
     on the builders' complexes: the cp2 and Sullivan S^2 word models and
     three builders over four random presentations, through three pages past
     the weight span (where spectral_pages stops computing)."""
-    if case in ("cp2", "sullivan_s2"):
-        C = build_E(load_presentation(f"{case}.alg"), 6, 6).complex
-    else:
-        b, i = case.split("-")
-        builder, caps = _BUILDERS[b]
-        C = builder(_RANDOM[int(i)], *caps).complex
+    C = _case_complex(case)
     lo, hi = C.complete_degrees
     window = (lo + 1, hi - 1)
     weights = C.weights()
     last = weights[-1] - weights[0] + 3
     assert spectral_pages(C, last, window) \
         == _pages_from_definition(C, last, window)
+
+
+@pytest.mark.parametrize("case", _CASES)
+def test_total_homology_matches_dense_ranks(case):
+    """dim H^d = dim T^d - rank D_d - rank D_(d-1), the ranks taken by the
+    dense oracle on a layout of dv + dh made here (keys in key_bidegree
+    order, not the complex's own)."""
+    C = _case_complex(case)
+    lo, hi = C.complete_degrees
+    basis = {d: [k for k, (_, dd) in C.key_bidegree.items() if dd == d]
+             for d in range(lo, hi + 1)}
+
+    def rank(d):
+        at = {k: i for i, k in enumerate(basis[d + 1])}
+        rows = [[Fraction(0)] * len(basis[d]) for _ in basis[d + 1]]
+        for j, k in enumerate(basis[d]):
+            for of_key in (C.dv, C.dh):
+                for k2, c in of_key.get(k, {}).items():
+                    rows[at[k2]][j] += c
+        return dense_rank_oracle(rows)
+
+    window = (lo + 1, hi - 1)
+    assert total_homology(C, window) == {
+        d: len(basis[d]) - rank(d) - rank(d - 1)
+        for d in range(window[0], window[1] + 1)}

@@ -12,6 +12,7 @@ from liecograph.cli import main
 from liecograph.errors import InvalidPresentation, LiecographError, ParseError
 from liecograph.functors import dualize
 from liecograph.presentations import (
+    MAX_FACTORS,
     DgcaPresentation,
     DgccPresentation,
     multisets,
@@ -346,6 +347,76 @@ class TestClippedMessages:
         out, err = capsys.readouterr()
         assert "InvalidPresentation" in err and "of 10001 characters" in err
         assert out == "" and err.count("\n") == 1 and len(err.encode()) < 200
+
+
+# a 30-digit N and N = 10^9
+HUGE_POWERS = pytest.mark.parametrize("n", [10 ** 29, 10 ** 9],
+                                      ids=["30-digits", "10^9"])
+
+
+def _pi(capsys, tmp_path, text):
+    """(exit code, stdout, stderr) of `pi` on text, asserted under 1 s."""
+    path = tmp_path / "big.alg"
+    path.write_text(text)
+    start = time.perf_counter()
+    code = main(["pi", str(path)])
+    assert time.perf_counter() - start < 1.0
+    return (code, *capsys.readouterr())
+
+
+class TestHugePowers:
+    """Powers far past every cap are decided or refused without expanding
+    them into factor tuples."""
+
+    @HUGE_POWERS
+    def test_diff_power_past_the_factor_bound(self, capsys, tmp_path, n):
+        """x^N has the degree of diff y, but more than MAX_FACTORS factors."""
+        code, out, err = _pi(capsys, tmp_path, f"gen x deg 2\ngen y deg "
+                             f"{2 * n - 1}\ndiff y = x^{n}\n")
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert f"ParseError: a term has more than {MAX_FACTORS} factors" in err
+
+    @HUGE_POWERS
+    def test_odd_relation_power_is_stable(self, capsys, tmp_path, n):
+        """y is odd, so y^2 = 0 and y^(N-1) dy = 0 for every N > 2: the
+        relation is differential-stable and changes no answer."""
+        sullivan = "gen x deg 2\ngen y deg 3\ndiff y = x^2\n"
+        text = sullivan + f"rel y^{n} = 0\n"
+        assert parse_presentation(text).relations == {"y": n}
+        assert _pi(capsys, tmp_path, text) == _pi(capsys, tmp_path, sullivan)
+
+    @HUGE_POWERS
+    def test_even_relation_power_is_refused(self, capsys, tmp_path, n):
+        """y is even and dy = xz lacks y, so y^(N-1) dy != 0."""
+        code, out, err = _pi(capsys, tmp_path, (
+            "gen x deg 2\ngen z deg 3\ngen y deg 4\ndiff y = x*z\n"
+            f"rel y^{n} = 0\n"))
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert "InvalidPresentation" in err and "differential-stable" in err
+
+    @pytest.mark.parametrize("text", [
+        "gen x deg 2\ngen y deg 3\ndiff y = x^2\n",
+        "gen u deg 1\ngen y deg 3\ndiff y = y*u\n",
+        "gen x deg 2\ngen z deg 3\ngen y deg 4\ndiff y = x*z\n",
+        "gen u deg 1\ngen y deg 2\ndiff y = y*u\n",
+        "gen u deg 1\ngen x deg 2\ngen y deg 2\ndiff y = y*u + x*u\n",
+        "gen x deg 2\ngen z deg 3\ngen y deg 4\ndiff y = x*z - z*x\n",
+    ], ids=["odd", "odd-holds-y", "even", "even-holds-y", "even-mixed",
+            "even-cancelling"])
+    def test_stability_matches_the_expanded_product(self, text):
+        """For k = 2..5, rel y^k is accepted exactly when the product
+        y^(k-1) dy, expanded in the quotient, is zero."""
+        for k in range(2, 6):
+            A = parse_presentation(text)
+            A.relations = {"y": k}
+            product = A.poly_multiply({("y",) * (k - 1): 1},
+                                      A.differentials["y"])
+            try:
+                parse_presentation(text + f"rel y^{k} = 0\n")
+            except InvalidPresentation as e:
+                assert "differential-stable" in str(e) and product, k
+            else:
+                assert not product, k
 
 
 class TestAlgebraStructure:
