@@ -15,6 +15,7 @@ import sys
 
 from .errors import (
     ArityMismatch,
+    CapExceeded,
     CapTooSmall,
     LiecographError,
     ParseError,
@@ -378,11 +379,20 @@ def _parse_window(text):
 # ---------------------------------------------------------------------------
 # verbs
 
+def _num(c):
+    """str of a coefficient, or CapExceeded past the integer-string limit."""
+    try:
+        return str(c)
+    except ValueError:
+        raise CapExceeded("a coefficient is past Python's integer-string "
+                          "limit") from None
+
+
 def _cmd_pair(args, out):
     table = _table_from_args(args)
     g = parse_expression(args.graph, table, kind="graph")
     t = parse_expression(args.tree, table, kind="tree")
-    out.write(f"{element_pair(g, t)}\n")
+    out.write(f"{_num(element_pair(g, t))}\n")
     return 0
 
 
@@ -393,8 +403,7 @@ def _cmd_cobracket(args, out):
     lines = []
     for (k1, k2), c in cb.terms.items():
         lines.append((_fmt_graph_key(k1), _fmt_graph_key(k2), c))
-    for a, b, c in sorted(lines):
-        out.write(f"{c}\t{a}\t{b}\n")
+    out.write("".join(f"{_num(c)}\t{a}\t{b}\n" for a, b, c in sorted(lines)))
     return 0
 
 
@@ -402,8 +411,8 @@ def _cmd_normalize(args, out):
     table = _table_from_args(args)
     g = parse_expression(args.expr, table, kind="graph")
     coords = to_bar_basis(g)
-    for w in sorted(coords, key=lambda w: (len(w), w)):
-        out.write(f"{_fmt_word(w)}\t{coords[w]}\n")
+    out.write("".join(f"{_fmt_word(w)}\t{_num(coords[w])}\n"
+                      for w in sorted(coords, key=lambda w: (len(w), w))))
     return 0
 
 
@@ -411,12 +420,13 @@ def _cmd_iszero(args, out):
     table = _table_from_args(args)
     g = parse_expression(args.expr, table, kind="graph")
     flag, witness = is_zero_in_E(g)
-    out.write("zero\n" if flag else "nonzero\n")
-    if not flag:
+    if flag:
+        out.write("zero\n")
+    else:
         keys, c = witness
-        out.write("# witness tensor term: "
+        out.write("nonzero\n# witness tensor term: "
                   + " (x) ".join(_fmt_graph_key(k) for k in keys)
-                  + f" -> {c}\n")
+                  + f" -> {_num(c)}\n")
     return 0
 
 
@@ -424,8 +434,8 @@ def _cmd_lie_normalize(args, out):
     table = _table_from_args(args)
     t = parse_expression(args.expr, table, kind="tree")
     nf = lie_normal_form(t)
-    for w in sorted(nf.terms):
-        out.write(f"{_fmt_tree_key(tall_tree(w))}\t{nf.terms[w]}\n")
+    out.write("".join(f"{_fmt_tree_key(tall_tree(w))}\t{_num(nf.terms[w])}\n"
+                      for w in sorted(nf.terms)))
     return 0
 
 

@@ -561,15 +561,27 @@ def build_C(L, cap_weight=None, cap_degree=None):
 # ---------------------------------------------------------------------------
 # Harrison shuffle oracle
 
+def _lyndon_prefix(word):
+    """Length of the first factor of word's Chen-Fox-Lyndon factorisation,
+    its longest Lyndon prefix (Duval 1983)."""
+    i, j = 0, 1
+    while j < len(word) and word[i] <= word[j]:
+        i = 0 if word[i] < word[j] else i + 1
+        j += 1
+    return j - i
+
+
 def harrison_shuffle_model(A, cap_weight=None, cap_degree=None):
     """Independent realization of the commutative bar quotient: all words on
     the desuspended monomial alphabet modulo the shuffle subspace.  It shares
     the bar differential with build_E (_bar_model: the slot-wise and
     adjacent-product loops), reduced here modulo the shuffle subspace; the
     quotient itself, an echelon of shuffle relations per content of certified
-    size, shares no machinery with build_E's solver.  Since u ⧢ v is
-    ±(v ⧢ u), the relation from the word a split at k is inserted once, from
-    the smaller of (k, a) and its mirror (n-k, a[k:] + a[:k])."""
+    size, shares no machinery with build_E's solver.  Each word w = l.u that
+    is not super-Lyndon (Lyndon, or l.l for an odd Lyndon l) gives one
+    relation l ⧢ u, l its first Lyndon factor (l.l on an odd square), whose
+    largest word is w (Reutenauer, Free Lie Algebras, Thm 6.1); words are
+    indexed in descending order, so that pivot is asserted, not searched."""
     cw, cd = _caps(A, cap_weight, cap_degree)
     alphabet = _slot_alphabet(A, cd)
     table = alphabet[0]
@@ -580,20 +592,23 @@ def harrison_shuffle_model(A, cap_weight=None, cap_degree=None):
         memoized on the table."""
         c = comps.get(content)
         if c is None:
-            words = _distinct_arrangements(content)
+            words = _distinct_arrangements(content)[::-1]
             widx = {w: i for i, w in enumerate(words)}
             ech = Echelon()
             for a in words:
-                n = len(a)
                 parities = tuple(table.degree[x] % 2 for x in a)
-                for k in range(1, n):
-                    if (n - k, a[k:] + a[:k]) < (k, a):
-                        continue  # its mirror inserts the same relation
-                    row = {}
-                    for src, sgn in _signed_shuffles(table, k, parities):
-                        j = widx[tuple(a[i] for i in src)]
-                        row[j] = row.get(j, 0) + sgn
-                    ech.insert({j: v for j, v in row.items() if v})
+                k = _lyndon_prefix(a)
+                if a[k:2 * k] == a[:k] and sum(parities[:k]) % 2:
+                    k *= 2  # an odd Lyndon square is super-Lyndon
+                if k == len(a):
+                    continue  # a basis word
+                row = {}
+                for src, sgn in _signed_shuffles(table, k, parities):
+                    j = widx[tuple(a[i] for i in src)]
+                    row[j] = row.get(j, 0) + sgn
+                if ech.insert({j: v for j, v in row.items() if v}) != widx[a]:
+                    raise AssertionError(f"shuffle relation of content "
+                                         f"{content} does not lead with {a}")
             basis = [w for i, w in enumerate(words) if i not in ech]
             _certify_dimension(table, content, len(basis), "shuffle quotient")
             c = comps[content] = (words, widx, ech, basis)

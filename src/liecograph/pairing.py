@@ -69,16 +69,16 @@ def shape_pair(G, T):
     if G.n != n_internal + 1:
         raise WeightMismatch(
             f"graph weight {G.n} vs tree with {n_internal + 1} leaves")
-    return _shape_pair_relabeled(G.edges, tuple(range(1, G.n + 1)), info)
+    return _shape_pair_on(G.edges, info)
 
 
-def _shape_pair_relabeled(edges, perm, info):
-    """<sigma G, T> where sigma is perm (1-based tuple, vertex i -> perm[i-1])
-    and info is the tree's pair info."""
+def _shape_pair_on(edges, info):
+    """The pairing of the edges a -> b, given as leaf-label pairs (a, b),
+    with the tree whose pair info is info."""
     seen = 0
     sign = 1
-    for a, b in edges:
-        node, s = info[(perm[a - 1], perm[b - 1])]
+    for edge in edges:
+        node, s = info[edge]
         bit = 1 << node
         if seen & bit:
             return 0
@@ -155,7 +155,8 @@ def _term_pair(n, edges, wlabels, odd, tkey):
             for j, i in zip(js, ps):
                 perm[j] = i + 1
                 inv[i] = j
-        sp = _shape_pair_relabeled(edges, perm, info)
+        sp = _shape_pair_on([(perm[a - 1], perm[b - 1]) for a, b in edges],
+                            info)
         if sp:
             total += sp * koszul_sign(parity, inv)
     return total

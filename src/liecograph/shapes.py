@@ -112,11 +112,13 @@ def enumerate_graphs(n):
     _check_weight(n, "graph")
     if n == 1:
         return [SGraph(1, [], _checked=True)]
-    # Pruefer trees, each edge both ways; each edge tuple is sorted once
-    out = sorted(tuple(sorted(es))
-                 for seq in product(range(1, n + 1), repeat=n - 2)
-                 for es in product(*(((a, b), (b, a))
-                                     for a, b in _pruefer_to_tree(n, seq))))
+    # Pruefer trees, each edge both ways; each edge tuple is sorted once, the
+    # tuples by their flat vertex bytes (the same order, compared faster)
+    out = sorted((tuple(sorted(es))
+                  for seq in product(range(1, n + 1), repeat=n - 2)
+                  for es in product(*(((a, b), (b, a))
+                                      for a, b in _pruefer_to_tree(n, seq)))),
+                 key=lambda es: bytes(sum(es, ())))
     return [SGraph._presorted(n, es) for es in out]
 
 

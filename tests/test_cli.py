@@ -321,6 +321,20 @@ class TestErrorsAndCaps:
         assert code == 1 and out == "" and "ParseError" in err
         assert "Traceback" not in err and len(err.strip().split("\n")) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["pair", f"{BIG[1:]} a|b + a|b", "[a,b]"],
+        ["cobracket", f"{BIG[1:]} a|b + a|b"],
+        ["normalize", f"a|b + {BIG[1:]} a|a|b + a|a|b"],
+        ["iszero", f"{BIG[1:]} a|b + a|b"],
+        ["lie-normalize", f"{BIG[1:]} [a,b] + [a,b]"],
+    ], ids=lambda argv: argv[0])
+    def test_coefficient_past_the_digit_limit_exits_1(self, capsys, argv):
+        """Each literal fits the integer-string limit but their sum does not;
+        the verb prints nothing and exits 1 with one stderr line."""
+        code, out, err = run(capsys, *argv, "--gens", "a:2,b:2")
+        assert code == 1 and out == "" and "CapExceeded" in err, err[:200]
+        assert "Traceback" not in err and len(err.strip().split("\n")) == 1
+
     @pytest.mark.parametrize("argv, env", [
         (("pi", S2, "--cap-weight", "x"), None),
         (("pi", S2, "--cap-degree", "1.5"), None),

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -109,10 +110,11 @@ _SHUFFLE_CASES = {
 
 
 @pytest.mark.parametrize("name", list(_SHUFFLE_CASES))
-def test_harrison_mirrored_pairs_span_every_split(name):
-    """harrison_shuffle_model inserts one relation per mirrored pair of
-    splits; an echelon fed with every split of every word has the same
-    pivots and reduces every word to the same residual."""
+def test_harrison_every_split_spans_the_same_quotient(name):
+    """harrison_shuffle_model inserts one relation per word that is not
+    super-Lyndon; an echelon fed with every split of every word, in the same
+    column order, has the same pivots and reduces every word to the same
+    residual."""
     H = harrison_shuffle_model(parse_presentation(_SHUFFLE_CASES[name]), 6, 6)
     comps = H.table.memo("harrison_shuffle")
     assert comps
@@ -130,6 +132,54 @@ def test_harrison_mirrored_pairs_span_every_split(name):
         assert basis == [w for i, w in enumerate(words) if i not in full]
         for i in range(len(words)):
             assert full.reduce({i: 1}) == ech.reduce({i: 1}), (content, i)
+
+
+def _is_lyndon(word):
+    """Strictly smaller than each of its proper suffixes."""
+    return all(word < word[i:] for i in range(1, len(word)))
+
+
+def test_lyndon_prefix_is_the_longest_lyndon_prefix():
+    """Duval's first Chen-Fox-Lyndon factor against the definition, on every
+    word of length <= 8 over 1 to 3 letters."""
+    for n in range(1, 9):
+        for word in itertools.product("abc", repeat=n):
+            want = max(k for k in range(1, n + 1) if _is_lyndon(word[:k]))
+            assert functors._lyndon_prefix(word) == want, word
+
+
+def _super_lyndon(word, degree):
+    """A Lyndon word, or l.l for a Lyndon word l of odd total degree."""
+    h = len(word) // 2
+    return _is_lyndon(word) or (
+        word[:h] == word[h:] and _is_lyndon(word[:h])
+        and sum(degree[x] for x in word[:h]) % 2 == 1)
+
+
+@pytest.mark.parametrize("seed", ["xyz", "s2xs2", "cp2", 0, 1, 2, 3, 4, 5])
+def test_harrison_basis_is_the_super_lyndon_words(seed):
+    """The oracle's basis of each content is its super-Lyndon words, on the
+    shuffle cases and on random presentations with odd slot letters."""
+    if seed in _SHUFFLE_CASES:
+        A = parse_presentation(_SHUFFLE_CASES[seed])
+    else:
+        A = random_presentation(random.Random(seed))
+    H = harrison_shuffle_model(A, 6, 8)
+    comps = H.table.memo("harrison_shuffle")
+    assert comps
+    for content, (words, _, _, basis) in comps.items():
+        assert basis == [w for w in words
+                         if _super_lyndon(w, H.table.degree)], content
+
+
+def test_harrison_wrong_pivot_names_the_content(monkeypatch):
+    """Each relation's pivot is predicted, not searched for; a planted wrong
+    split is an AssertionError naming the content and the word."""
+    monkeypatch.setattr(functors, "_lyndon_prefix",
+                        lambda word: max(len(word) - 1, 1))
+    with pytest.raises(AssertionError, match=r"shuffle relation of content "
+                       r"\('x[^)]*\) does not lead with \('x[^)]*\)$"):
+        harrison_shuffle_model(parse_presentation(_SHUFFLE_CASES["cp2"]), 6, 6)
 
 
 def test_harrison_dimension_mismatch_names_the_content(monkeypatch):

@@ -78,6 +78,14 @@ class TestEnumeration:
         assert [G.edges for G in enumerate_graphs(3)] \
             == [G.edges for G in enumerate_graphs(3)]
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_graphs_in_edge_tuple_order(self, n):
+        """The graphs come sorted by their edge tuples (compared as tuples
+        of tuples), whatever key the enumeration sorts by."""
+        edges = [G.edges for G in enumerate_graphs(n)]
+        assert all(isinstance(e, tuple) for es in edges for e in es)
+        assert edges == sorted(edges)
+
     def test_enumeration_cap(self):
         with pytest.raises(CapExceeded):
             enumerate_graphs(99)
