@@ -4,9 +4,11 @@ From a commutative algebra presentation A:
   build_G   — graph words on the desuspended monomial basis, with the
               edge-contraction differential and the slot-wise internal one;
   build_E   — its Lie-coalgebra quotient realized directly on bar-word
-              coordinates (designated-leading words per content);
+              coordinates (the super-Lyndon words of each content);
   harrison_shuffle_model — an independent realization of the same quotient:
               all words modulo the shuffle subspace (the homology oracle).
+Both refuse, before building, caps whose predicted key count passes
+KEY_BUDGET.
 
 From either of those, build_A_hat gives the free graded-commutative algebra
 on the suspended basis with the cobracket-splitting differential.
@@ -32,11 +34,14 @@ check_duality, check_twisting, rational_homotopy and spectral-sequence
 reporting sit on top.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
+from math import gcd
 
 from .errors import (
+    CapExceeded,
     DegreeMismatch,
     InvalidInput,
     InvalidPresentation,
@@ -45,7 +50,6 @@ from .errors import (
 )
 from .linalg import (
     BigradedComplex,
-    Echelon,
     SparseMatrix,
     add_into,
     total_homology,
@@ -67,6 +71,7 @@ from .graphcoalg import (
     bar_quotient,
     cobracket,
     graphify,
+    super_lyndon_words,
 )
 from .liealg import ARRANGEMENT_CAP, lie_normal_form
 from .pairing import element_pair
@@ -218,6 +223,41 @@ def _contents(table, cap_weight, cap_degree):
                                cap_weight)]
 
 
+# most keys build_E or the shuffle oracle may build: pi costs 0.15-0.3 ms and
+# under 10 KB a key on a 2-vCPU host (xyz.alg at 2..11: 16 679 keys, 2.5 s,
+# 109 MB; at 2..12: 43 692 keys, 12 s, 378 MB)
+KEY_BUDGET = 50_000
+
+
+def _predicted_keys(table, cap_weight, cap_degree):
+    """The number of keys of build_E and of the shuffle oracle within the
+    caps, the sum of the free Lie dimensions of the contents, found without
+    listing a content; CapExceeded as soon as the sum passes KEY_BUDGET.
+    Summed over the contents of n letters and total slot degree d,
+    _witt_dimension's formula gives the bigraded dimensions
+        L(n, d) = W(n, d) / n - sum_{k > 1 dividing n and d}
+                                (-1)^((k + 1) d/k) L(n/k, d/k) / k,
+    W(n, d) the number of words of n letters and total degree d (a content
+    of odd total degree has an odd number of odd letters)."""
+    letters = Counter(table.degree.values())
+    words, dims, total = {(0, 0): 1}, {}, 0
+    for n in range(1, cap_weight + 1):
+        for d in range(n, cap_degree + 1):
+            words[n, d] = sum(c * words.get((n - 1, d - e), 0)
+                              for e, c in letters.items())
+            dim = Fraction(words[n, d], n) - sum(
+                Fraction((-1) ** ((k + 1) * (d // k)) * dims[n // k, d // k],
+                         k)
+                for k in range(2, gcd(n, d) + 1) if n % k == d % k == 0)
+            dims[n, d] = int(dim)
+            total += dims[n, d]
+            if total > KEY_BUDGET:
+                raise CapExceeded(
+                    f"caps weight={cap_weight} degree={cap_degree} give at "
+                    f"least {total} keys, over the budget of {KEY_BUDGET}")
+    return total
+
+
 # ---------------------------------------------------------------------------
 # the bar-word complex (shared with the Harrison oracle) and build_E
 
@@ -231,6 +271,7 @@ def _bar_model(kind, A, caps, alphabet, basis_of, project_word,
     adjacent-slot multiplication differential."""
     cw, cd = caps
     table, mono_of, d_letter = alphabet
+    _predicted_keys(table, cw, cd)
     key_bidegree = {word: bd for content, bd in _contents(table, cw, cd)
                     for word in basis_of(content)}
 
@@ -255,13 +296,15 @@ def _bar_model(kind, A, caps, alphabet, basis_of, project_word,
 
 def build_E(A, cap_weight=None, cap_degree=None):
     """Lie-coalgebra model of a commutative algebra presentation, realized on
-    designated-leading bar words (see _bar_model for the bigrading and the
-    differentials).  The basis of each content and the coordinates of every
-    raw word and cobracket factor come from the content's pairing block
-    (graphcoalg.bar_quotient), read through the iterated cobracket on words
-    (the word recursion); no word is turned into a graph.  The key cobracket
-    is the signed deconcatenation of the word, checked in the tests against
-    the graph cobracket of its long graph."""
+    the super-Lyndon words of each content in table order (see _bar_model
+    for the bigrading and the differentials).  Every raw word and cobracket
+    factor is put in that basis by the content's pairing block
+    (graphcoalg.bar_quotient): its pairings with the standard bracketings,
+    solved by one back substitution in the block's unitriangular matrix; no
+    word is turned into a graph.  Caps past KEY_BUDGET keys are refused
+    before anything is built.  The key cobracket is the signed
+    deconcatenation of the word, checked in the tests against the graph
+    cobracket of its long graph."""
     cw, cd = _caps(A, cap_weight, cap_degree)
     alphabet = _slot_alphabet(A, cd)
     table = alphabet[0]
@@ -571,57 +614,80 @@ def _lyndon_prefix(word):
     return j - i
 
 
+def _shuffle_relation(table, w):
+    """None for a super-Lyndon word (Lyndon, or l.l for an odd Lyndon l),
+    else (c, [(u, c_u), ...]) with c w + sum c_u u the shuffle relation l ⧢ v
+    of w = l.v, l its first Lyndon factor (l.l on an odd square).  Its
+    largest word is w (Reutenauer, Free Lie Algebras, Thm 6.1): asserted,
+    not searched for."""
+    parities = tuple(table.degree[x] % 2 for x in w)
+    k = _lyndon_prefix(w)
+    if w[k:2 * k] == w[:k] and sum(parities[:k]) % 2:
+        k *= 2  # an odd Lyndon square is super-Lyndon
+    if k == len(w):
+        return None
+    row = {}
+    for src, sgn in _signed_shuffles(table, k, parities):
+        add_into(row, tuple(w[i] for i in src), sgn)
+    lead = row.pop(w, 0)
+    if not lead or any(u > w for u in row):
+        raise AssertionError(
+            f"shuffle relation of content "
+            f"{tuple(sorted(w, key=table.sort_key))} does not lead with {w}")
+    return lead, list(row.items())
+
+
+def _shuffle_reduce(table, word):
+    """{super-Lyndon word: coefficient} of word modulo the shuffle relations:
+    a basis word is itself, any other word is its relation solved for it,
+    its smaller words reduced first.  Depth-first on an explicit stack, so
+    no chain of relations meets the recursion limit; memoized on the
+    table."""
+    reduced, stack, pending = table.memo("shuffle_reduce"), [word], {}
+    while stack:
+        w = stack[-1]
+        if w in reduced:
+            stack.pop()
+        elif w not in pending:
+            rel = pending[w] = _shuffle_relation(table, w)
+            if rel is None:
+                reduced[w] = {w: 1}
+            else:
+                stack += [u for u, _ in rel[1] if u not in reduced]
+        else:
+            lead, rest = pending.pop(w)
+            acc = reduced[w] = {}
+            for u, c in rest:
+                for b, x in reduced[u].items():
+                    add_into(acc, b, Fraction(-c, lead) * x)
+    return reduced[word]
+
+
 def harrison_shuffle_model(A, cap_weight=None, cap_degree=None):
     """Independent realization of the commutative bar quotient: all words on
     the desuspended monomial alphabet modulo the shuffle subspace.  It shares
     the bar differential with build_E (_bar_model: the slot-wise and
-    adjacent-product loops), reduced here modulo the shuffle subspace; the
-    quotient itself, an echelon of shuffle relations per content of certified
-    size, shares no machinery with build_E's solver.  Each word w = l.u that
-    is not super-Lyndon (Lyndon, or l.l for an odd Lyndon l) gives one
-    relation l ⧢ u, l its first Lyndon factor (l.l on an odd square), whose
-    largest word is w (Reutenauer, Free Lie Algebras, Thm 6.1); words are
-    indexed in descending order, so that pivot is asserted, not searched."""
+    adjacent-product loops) and the super-Lyndon word generator, here with
+    letters in name order; the quotient itself shares no machinery with
+    build_E's solver.  The basis of each content is its super-Lyndon words,
+    certified in number, and each raw word is rewritten into them by its
+    shuffle relations (_shuffle_reduce), lazily, word by word."""
     cw, cd = _caps(A, cap_weight, cap_degree)
     alphabet = _slot_alphabet(A, cd)
     table = alphabet[0]
-    comps = table.memo("harrison_shuffle")
+    bases = table.memo("harrison_basis")
 
-    def comp(content):
-        """(all words, word index, echelon of shuffle relations, basis),
-        memoized on the table."""
-        c = comps.get(content)
-        if c is None:
-            words = _distinct_arrangements(content)[::-1]
-            widx = {w: i for i, w in enumerate(words)}
-            ech = Echelon()
-            for a in words:
-                parities = tuple(table.degree[x] % 2 for x in a)
-                k = _lyndon_prefix(a)
-                if a[k:2 * k] == a[:k] and sum(parities[:k]) % 2:
-                    k *= 2  # an odd Lyndon square is super-Lyndon
-                if k == len(a):
-                    continue  # a basis word
-                row = {}
-                for src, sgn in _signed_shuffles(table, k, parities):
-                    j = widx[tuple(a[i] for i in src)]
-                    row[j] = row.get(j, 0) + sgn
-                if ech.insert({j: v for j, v in row.items() if v}) != widx[a]:
-                    raise AssertionError(f"shuffle relation of content "
-                                         f"{content} does not lead with {a}")
-            basis = [w for i, w in enumerate(words) if i not in ech]
-            _certify_dimension(table, content, len(basis), "shuffle quotient")
-            c = comps[content] = (words, widx, ech, basis)
-        return c
+    def basis_of(content):
+        basis = bases[content] = super_lyndon_words(table, content, str)
+        _certify_dimension(table, content, len(basis), "shuffle quotient")
+        return basis
 
     def project_word(raw, coeff, acc):
-        words, widx, ech, _ = comp(tuple(sorted(raw, key=table.sort_key)))
-        vec = ech.reduce({widx[raw]: coeff})
-        for i, c in vec.items():
-            add_into(acc, words[i], c)
+        for w, c in _shuffle_reduce(table, raw).items():
+            add_into(acc, w, coeff * c)
 
-    return _bar_model("harrison", A, (cw, cd), alphabet,
-                      lambda content: comp(content)[3], project_word)
+    return _bar_model("harrison", A, (cw, cd), alphabet, basis_of,
+                      project_word)
 
 
 # ---------------------------------------------------------------------------
@@ -694,9 +760,10 @@ def check_duality(A, C, cap_weight=None, cap_degree=None):
     linearly dual: per-bidegree pairing matrices invertible, and the two
     structure differentials adjoint up to a per-bidegree sign.  Pairings go
     through element_pair on graphs and trees, independent of the word
-    recursions that solve both models (graphcoalg._word_vector and
-    liealg._word_pair); each (bar word, comb) pair is computed once, and
-    the adjointness sums read the pairing matrices' entries."""
+    recursions that solve both models (graphcoalg's standard-bracketing
+    columns and _word_vector, and liealg._word_pair); each (bar word, comb)
+    pair is computed once, and the adjointness sums read the pairing
+    matrices' entries."""
     cw = min(A.cap_weight, C.cap_weight) if cap_weight is None else cap_weight
     cd = min(A.cap_degree, C.cap_degree) if cap_degree is None else cap_degree
     _transpose_check(A, C, cd)

@@ -4,18 +4,21 @@ iterated cobracket, the word-problem decision procedure, graphification of
 bar words, and generators for the relation suites (arrow-reversing, Arnold,
 shuffles, reverse-all, cyclic).
 
-The fully iterated cobracket is injective on the quotient, so it solves for
-bar-basis coordinates in one pairing block per content (`bar_quotient`,
-which liealg reads too).  On a long graph it is a signed deconcatenation
-(`_word_vector`), so build_E never builds a graph; the graph cobracket is
-its oracle and serves `is_zero_in_E` and `to_bar_basis`.  Every cache here
-is a memo of the generator table it was computed over.
+The quotient has a basis known in advance: the super-Lyndon words of each
+content (`super_lyndon_words`, also the shuffle oracle's basis).  Their
+standard bracketings pair with them in a unitriangular block, so a word's
+bar coordinates are one back substitution in its content's block
+(`bar_quotient`, which liealg reads for the comb side); build_E never builds
+a graph, and `to_bar_basis` reads a graph's fully iterated cobracket
+through the same solve.  Every cache here is a memo of the generator table
+it was computed over.
 """
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
+from heapq import heapify, heappop, heappush
 from itertools import combinations
-from math import factorial, gcd, prod
+from math import factorial, gcd, lcm, prod
 
 from .errors import CapExceeded
 from .shapes import SGraph, cut_edge, enumerate_graphs, long_graph
@@ -29,6 +32,7 @@ __all__ = [
     "to_bar_basis",
     "bar_quotient",
     "designated_words",
+    "super_lyndon_words",
     "graphify",
     "relation_generators",
 ]
@@ -157,7 +161,8 @@ def _word_vector(table, word):
     the two end cuts split off one vertex, and
         v(a) = (a),  v(w) = v(w1..w(n-1)).(wn) - k(w) v(w2..wn).(w1)
     with ".(x)" appending the slot x and k(w) the Koszul sign of moving w1
-    past the rest.  Integer entries; memoized on the table."""
+    past the rest.  v(w) at u is the pairing of w with the left comb on u.
+    Integer entries; memoized on the table."""
     memo = table.memo("word_vector")
     hit = memo.get(word)
     if hit is None:
@@ -205,48 +210,185 @@ def _certify_dimension(table, content, dim, what):
                              f"{dim}, the free Lie superalgebra {want}")
 
 
+# ---------------------------------------------------------------------------
+# super-Lyndon words and the triangular pairing block
+
+def _lyndon_words(letters, mults):
+    """The Lyndon words with mults[i] copies of letters[i], in lexicographic
+    order of letter positions, by the fixed-content prenecklace recursion
+    (Sawada 2003): a[:t] is a prenecklace whose longest Lyndon prefix has
+    length p, and a letter equal to a[t - p] keeps p, a larger one makes
+    all of a[:t + 1] Lyndon.  A full word is Lyndon when p is its length."""
+    n, num, out = sum(mults), list(mults), []
+    if not n:
+        return out
+    a = [0] * n
+    num[0] -= 1  # a Lyndon word starts with its least letter
+
+    def grow(t, p):
+        if t == n:
+            if p == n:
+                out.append(tuple(letters[i] for i in a))
+            return
+        for j in range(a[t - p], len(letters)):
+            if num[j]:
+                a[t] = j
+                num[j] -= 1
+                grow(t + 1, p if j == a[t - p] else t + 1)
+                num[j] += 1
+
+    grow(1, 1)
+    return out
+
+
+def super_lyndon_words(table, content, key):
+    """The super-Lyndon words of a content, ascending in the lexicographic
+    order of its letters by key: its Lyndon words, and l.l for each Lyndon
+    word l of odd total degree.  They are a basis of the content's part of
+    the Lie coalgebra (Radford 1979; Reutenauer, Free Lie Algebras, 1993,
+    Thm 6.1).  Generated directly; no arrangement of the content is listed."""
+    letters = sorted(set(content), key=key)
+    mults = [content.count(x) for x in letters]
+    words = _lyndon_words(letters, mults)
+    if not any(m % 2 for m in mults):
+        half = _lyndon_words(letters, [m // 2 for m in mults])
+        words += [l + l for l in half if sum(table.degrees_of(l)) % 2]
+    rank = {x: i for i, x in enumerate(letters)}
+    return sorted(words, key=lambda w: [rank[x] for x in w])
+
+
+def _standard_split(table, word):
+    """Where the standard bracketing P of a super-Lyndon word in sort_key
+    order splits it: P(w) = [P(w[:i]), P(w[i:])] with w[i:] the longest
+    proper Lyndon suffix of w, which is its least proper suffix (Chen, Fox
+    and Lyndon 1958), and P(l.l) = [P(l), P(l)] on an odd square."""
+    h = len(word) // 2
+    if word[:h] == word[h:]:
+        return h
+    ranks = [table.sort_key(x) for x in word]
+    return min(range(1, len(word)), key=lambda i: ranks[i:])
+
+
+def _lie_column(table, word):
+    """{u: <long graph on u, P(word)>} over the words u pairing nontrivially
+    with the standard bracketing of a super-Lyndon word, by the recursion of
+    liealg._word_pair read column-wise: a letter pairs to 1 with itself
+    only, and with P(w) = [P(w1), P(w2)] the column of w gives u.v the
+    coefficient c1 c2 and v.u the coefficient -s c1 c2, for c1, c2 the
+    entries of u and v in the columns of w1 and w2 and s = (-1)^(|w1| |w2|).
+    Integer entries; memoized on the table per subword."""
+    if len(word) == 1:
+        return {word: 1}
+    memo = table.memo("lie_column")
+    hit = memo.get(word)
+    if hit is None:
+        i = _standard_split(table, word)
+        c1, c2 = _lie_column(table, word[:i]), _lie_column(table, word[i:])
+        s = -(-1) ** (sum(table.degrees_of(word[:i]))
+                      * sum(table.degrees_of(word[i:])))
+        # u.v determines u and v, so only the v.u terms can meet a word
+        hit = memo[word] = {u + v: a * b for u, a in c1.items()
+                            for v, b in c2.items()}
+        for u, a in c1.items():
+            for v, b in c2.items():
+                c = hit.get(v + u, 0) + s * a * b
+                if c:
+                    hit[v + u] = c
+                else:
+                    del hit[v + u]
+    return hit
+
+
 class BarQuotient:
-    """One content's pairing block.  With D its designated words and
-    P[i][j] = <long graph on D[i], comb on D[j]> (_word_vector(D[i]) at
-    D[j]), `basis` B is the greedy independent rows of P in D order, `combs`
-    C the greedy independent columns of P[B, :] from the last word to the
-    first, and S^-1 = adj / delta for S = P[B, C].  Bar coordinates of an
-    iterated-cobracket vector p are p|C S^-1; comb coordinates of a free-Lie
-    class pairing to q with the long graphs on B are S^-1 q."""
+    """One content's pairing block, with its bar basis B = l_0 < l_1 < ...:
+    the content's super-Lyndon words in sort_key order.  Each half is built
+    on first use.
+
+    The bar half: with P the standard bracketing, M[i][j] = <l_i, P(l_j)> is
+    lower triangular with diagonal 1, or 2 on an odd square (checked).
+    `rows` maps each word u of the content that pairs nontrivially with some
+    P(l_j) to {j: <u, P(l_j)>}; the class of u is sum_j x_j l_j with
+    x M = rows[u], solved by one back substitution (`solve`).
+
+    The comb half: the combs C are the greedy independent columns of
+    <long graphs on B, combs on the designated words>, from the last word to
+    the first, and S^-1 = adj / delta for S = <B, C>.  Comb coordinates of a
+    free-Lie class pairing to q with the long graphs on B are S^-1 q."""
 
     def __init__(self, table, content):
-        words = designated_words(table, content)
+        self.table, self.content = table, content
+        self.basis = super_lyndon_words(table, content, table.sort_key)
+        _certify_dimension(table, content, len(self.basis), "bar basis")
+
+    @cached_property
+    def rows(self):
+        rows = {}
+        for j, l in enumerate(self.basis):
+            for u, v in _lie_column(self.table, l).items():
+                rows.setdefault(u, {})[j] = v
+        for i, l in enumerate(self.basis):
+            row, h = rows.get(l, {}), len(l) // 2
+            if row.get(i) != 1 + (l[:h] == l[h:]) or max(row) != i:
+                raise AssertionError(f"pairing block of content "
+                                     f"{self.content} is not unitriangular "
+                                     f"at {l}")
+        return rows
+
+    def solve(self, r):
+        """{l_j: x_j} for the x with x M = r, r = {j: rational}: x_j is fixed
+        from the last j down, then cleared from the lower entries of row j.
+        The work is in integers over one denominator, doubled on an odd
+        square's diagonal 2 when needed."""
+        den = lcm(*(v.denominator for v in r.values()))
+        r = {j: v.numerator * (den // v.denominator) for j, v in r.items()}
+        x, heap = {}, [-j for j in r]
+        heapify(heap)
+        while heap:
+            j = -heappop(heap)
+            v = r.pop(j, 0)
+            if not v:
+                continue
+            row = self.rows[self.basis[j]]
+            if row[j] == 2:
+                if v % 2:
+                    den, v = 2 * den, 2 * v
+                    r = {i: 2 * s for i, s in r.items()}
+                    x = {w: 2 * s for w, s in x.items()}
+                v //= 2
+            x[self.basis[j]] = v
+            for i, m in row.items():
+                if i != j:
+                    s = r.get(i)
+                    if s is None:
+                        heappush(heap, -i)
+                        r[i] = -v * m
+                    else:
+                        r[i] = s - v * m
+        return {w: Fraction(v, den) for w, v in x.items()}
+
+    @cached_property
+    def _comb_half(self):
+        words = designated_words(self.table, self.content)
         index = {w: j for j, w in enumerate(words)}
-        ech, self.basis, rows = Echelon(), [], []
-        for w in words:
-            row = {j: v for u, v in _word_vector(table, w).items()
-                   if (j := index.get(u)) is not None}
-            if ech.insert(row) is not None:
-                self.basis.append(w)
-                rows.append(row)
-        _certify_dimension(table, content, len(rows), "bar basis")
+        rows = [{j: v for u, v in _word_vector(self.table, l).items()
+                 if (j := index.get(u)) is not None} for l in self.basis]
         ech, picked = Echelon(), []
         for j in reversed(range(len(words))):
             col = {i: r[j] for i, r in enumerate(rows) if j in r}
             if len(picked) < len(rows) and ech.insert(col) is not None:
                 picked.insert(0, j)
-        self.combs = [words[j] for j in picked]
-        self._comb_index = {w: c for c, w in enumerate(self.combs)}
-        self.adj, self.delta = _exact_inverse(
-            [[r.get(j, 0) for j in picked] for r in rows])
+        adj, delta = _exact_inverse([[r.get(j, 0) for j in picked]
+                                     for r in rows])
+        return [words[j] for j in picked], adj, delta
 
-    def bar_coordinates(self, vec):
-        acc = [0] * len(self.basis)
-        for u, p in vec.items():
-            if (c := self._comb_index.get(u)) is not None:
-                acc = [a + p * x for a, x in zip(acc, self.adj[c])]
-        return {w: Fraction(s, self.delta)
-                for w, s in zip(self.basis, acc) if s}
+    @property
+    def combs(self):
+        return self._comb_half[0]
 
     def comb_coordinates(self, q):
+        combs, adj, delta = self._comb_half
         q = [(b, x) for b, x in enumerate(q) if x]
-        return {w: Fraction(s, self.delta)
-                for w, row in zip(self.combs, self.adj)
+        return {w: Fraction(s, delta) for w, row in zip(combs, adj)
                 if (s := sum(row[b] * x for b, x in q))}
 
 
@@ -266,23 +408,31 @@ def bar_quotient(table, content, cap=None):
 
 
 def _word_coordinates(table, word):
-    """Bar coordinates of a word's class, read on the word recursion."""
-    return bar_quotient(table, tuple(sorted(word, key=table.sort_key))
-                        ).bar_coordinates(_word_vector(table, word))
+    """Bar coordinates of a word's class: its pairings with the standard
+    bracketings, solved in its content's pairing block."""
+    q = bar_quotient(table, tuple(sorted(word, key=table.sort_key)))
+    return q.solve(q.rows.get(word, {}))
 
 
 def to_bar_basis(g):
-    """Coordinates of g's Lie-coalgebra class over bar words whose leading
-    slot carries the designated (minimal) generator of their component; the
-    class is zero iff all coordinates vanish.  Weights up to BAR_CAP; the
-    graph iterated cobracket is read per content in its bar_quotient."""
+    """Coordinates of g's Lie-coalgebra class over the super-Lyndon words of
+    its contents; the class is zero iff all coordinates vanish.  Weights up
+    to BAR_CAP.  The graph iterated cobracket pairs g with the left combs;
+    by Dynkin-Specht-Wever the comb on each word u, summed with weight
+    <u, P(l_j)> / n, is P(l_j), so g pairs with P(l_j) to
+    b_j = (1/n) sum_u <u, P(l_j)> vec[u], solved in the content's block."""
     if any(n > BAR_CAP for n in g.weights()):
         raise CapExceeded(f"bar basis capped at weight <= {BAR_CAP}")
     parts, out = {}, {}
     for u, c in _iterated_vector(g).items():
         parts.setdefault(tuple(sorted(u, key=g.table.sort_key)), {})[u] = c
     for content, vec in parts.items():
-        out.update(bar_quotient(g.table, content).bar_coordinates(vec))
+        q, r = bar_quotient(g.table, content), {}
+        for u, c in vec.items():
+            for j, v in q.rows.get(u, {}).items():
+                add_into(r, j, c * v)
+        out.update(q.solve({j: Fraction(s, len(content))
+                            for j, s in r.items()}))
     return out
 
 

@@ -4,9 +4,10 @@ designated leading slot, and expansion into the tensor algebra.
 
 Classes are read through the configuration pairing with long graphs, under
 which the bracket is dual to the cobracket (signed deconcatenation of the
-word, `_word_pair`): the comb basis and the coordinates of a content come
-from its pairing block (graphcoalg.bar_quotient), shared with the bar side.
-`tensor_expand` is an oracle the normal form never calls.
+word, `_word_pair`): a term's pairings with the long graphs on the
+super-Lyndon bar basis are solved for comb coordinates in the comb half of
+the content's pairing block (graphcoalg.bar_quotient), whose bar half
+serves build_E.  `tensor_expand` is an oracle the normal form never calls.
 
 A bracket literal [[a,b],c] and the product (a*b)*c share the same term keys:
 nested tuples of generator names.

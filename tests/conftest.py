@@ -79,3 +79,21 @@ def dense_rref(rows, ncols):
 
 def dense_rank_oracle(rows):
     return len(dense_rref(rows, len(rows[0]) if rows else 0)[1])
+
+
+# ---------------------------------------------------------------------------
+# Lyndon words by their definition
+
+def is_lyndon(word, key=None):
+    """Strictly smaller than each of its proper suffixes, comparing letters
+    by key (by name when None)."""
+    w = list(word) if key is None else [key(x) for x in word]
+    return all(w < w[i:] for i in range(1, len(w)))
+
+
+def super_lyndon(word, degree, key=None):
+    """A Lyndon word, or l.l for a Lyndon word l of odd total degree."""
+    h = len(word) // 2
+    return is_lyndon(word, key) or (
+        word[:h] == word[h:] and is_lyndon(word[:h], key)
+        and sum(degree[x] for x in word[:h]) % 2 == 1)

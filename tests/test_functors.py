@@ -1,12 +1,15 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from liecograph import functors, graphcoalg
 from liecograph.elements import GraphElement, koszul_sign
 from liecograph.errors import (
+    CapExceeded,
     CapTooSmall,
     DegreeMismatch,
     InvalidInput,
@@ -29,6 +32,7 @@ from liecograph.functors import (
     rational_homotopy,
 )
 from liecograph.graphcoalg import (
+    _distinct_arrangements,
     _shuffles,
     cobracket,
     graphify,
@@ -39,7 +43,12 @@ from liecograph.linalg import Echelon, add_into
 from liecograph.pairing import element_pair
 from liecograph.presentations import parse_presentation
 
-from conftest import load_presentation, random_presentation
+from conftest import (
+    is_lyndon,
+    load_presentation,
+    random_presentation,
+    super_lyndon,
+)
 
 
 SULLIVAN = "gen x deg 2\ngen y deg 3\ndiff y = x^2\n"
@@ -111,14 +120,17 @@ _SHUFFLE_CASES = {
 
 @pytest.mark.parametrize("name", list(_SHUFFLE_CASES))
 def test_harrison_every_split_spans_the_same_quotient(name):
-    """harrison_shuffle_model inserts one relation per word that is not
-    super-Lyndon; an echelon fed with every split of every word, in the same
-    column order, has the same pivots and reduces every word to the same
-    residual."""
+    """harrison_shuffle_model rewrites a word by one relation per word that
+    is not super-Lyndon, lazily; an echelon fed with every split of every
+    word of each content, columns in descending word order, has the basis
+    words as its free columns and reduces every word to the same
+    coordinates."""
     H = harrison_shuffle_model(parse_presentation(_SHUFFLE_CASES[name]), 6, 6)
-    comps = H.table.memo("harrison_shuffle")
-    assert comps
-    for content, (words, widx, ech, basis) in comps.items():
+    bases = H.table.memo("harrison_basis")
+    assert bases
+    for content, basis in bases.items():
+        words = _distinct_arrangements(content)[::-1]
+        widx = {w: i for i, w in enumerate(words)}
         full = Echelon()
         for a in words:
             degs = [H.table.degree[x] for x in a]
@@ -128,15 +140,10 @@ def test_harrison_every_split_spans_the_same_quotient(name):
                     j = widx[tuple(a[i] for i in src)]
                     row[j] = row.get(j, 0) + koszul_sign(degs, src)
                 full.insert({j: v for j, v in row.items() if v})
-        assert set(full.rows) == set(ech.rows), content
-        assert basis == [w for i, w in enumerate(words) if i not in full]
-        for i in range(len(words)):
-            assert full.reduce({i: 1}) == ech.reduce({i: 1}), (content, i)
-
-
-def _is_lyndon(word):
-    """Strictly smaller than each of its proper suffixes."""
-    return all(word < word[i:] for i in range(1, len(word)))
+        assert basis == [w for w in words if widx[w] not in full][::-1]
+        for w in words:
+            want = {words[i]: c for i, c in full.reduce({widx[w]: 1}).items()}
+            assert functors._shuffle_reduce(H.table, w) == want, (content, w)
 
 
 def test_lyndon_prefix_is_the_longest_lyndon_prefix():
@@ -144,42 +151,60 @@ def test_lyndon_prefix_is_the_longest_lyndon_prefix():
     word of length <= 8 over 1 to 3 letters."""
     for n in range(1, 9):
         for word in itertools.product("abc", repeat=n):
-            want = max(k for k in range(1, n + 1) if _is_lyndon(word[:k]))
+            want = max(k for k in range(1, n + 1) if is_lyndon(word[:k]))
             assert functors._lyndon_prefix(word) == want, word
-
-
-def _super_lyndon(word, degree):
-    """A Lyndon word, or l.l for a Lyndon word l of odd total degree."""
-    h = len(word) // 2
-    return _is_lyndon(word) or (
-        word[:h] == word[h:] and _is_lyndon(word[:h])
-        and sum(degree[x] for x in word[:h]) % 2 == 1)
 
 
 @pytest.mark.parametrize("seed", ["xyz", "s2xs2", "cp2", 0, 1, 2, 3, 4, 5])
 def test_harrison_basis_is_the_super_lyndon_words(seed):
-    """The oracle's basis of each content is its super-Lyndon words, on the
-    shuffle cases and on random presentations with odd slot letters."""
+    """The oracle's basis of each content is its super-Lyndon words in name
+    order, on the shuffle cases and on random presentations with odd slot
+    letters."""
     if seed in _SHUFFLE_CASES:
         A = parse_presentation(_SHUFFLE_CASES[seed])
     else:
         A = random_presentation(random.Random(seed))
     H = harrison_shuffle_model(A, 6, 8)
-    comps = H.table.memo("harrison_shuffle")
-    assert comps
-    for content, (words, _, _, basis) in comps.items():
-        assert basis == [w for w in words
-                         if _super_lyndon(w, H.table.degree)], content
+    bases = H.table.memo("harrison_basis")
+    assert bases
+    for content, basis in bases.items():
+        assert basis == [w for w in _distinct_arrangements(content)
+                         if super_lyndon(w, H.table.degree)], content
+
+
+def test_harrison_reduce_needs_no_recursion():
+    """The rewriting keeps its own stack: this word reduces through a chain
+    of eleven relations, which a recursive rewriting cannot follow within 12
+    frames of the caller."""
+    H = harrison_shuffle_model(parse_presentation(_SHUFFLE_CASES["xyz"]),
+                               2, 2)
+    word = tuple("yyyxxyyxxxxy")
+
+    def frames_left(n=0):
+        try:
+            return frames_left(n + 1)
+        except RecursionError:
+            return n
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit - frames_left() + 12)
+    try:
+        coords = functors._shuffle_reduce(H.table, word)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert coords and all(super_lyndon(w, H.table.degree) for w in coords)
 
 
 def test_harrison_wrong_pivot_names_the_content(monkeypatch):
     """Each relation's pivot is predicted, not searched for; a planted wrong
-    split is an AssertionError naming the content and the word."""
+    split is an AssertionError naming the content and the word.  The oracle
+    reduces only the words its differentials reach; at caps 8/8 those of
+    cp2 include words that are not super-Lyndon."""
     monkeypatch.setattr(functors, "_lyndon_prefix",
                         lambda word: max(len(word) - 1, 1))
     with pytest.raises(AssertionError, match=r"shuffle relation of content "
                        r"\('x[^)]*\) does not lead with \('x[^)]*\)$"):
-        harrison_shuffle_model(parse_presentation(_SHUFFLE_CASES["cp2"]), 6, 6)
+        harrison_shuffle_model(parse_presentation(_SHUFFLE_CASES["cp2"]), 8, 8)
 
 
 def test_harrison_dimension_mismatch_names_the_content(monkeypatch):
@@ -194,6 +219,42 @@ def test_harrison_dimension_mismatch_names_the_content(monkeypatch):
     with pytest.raises(AssertionError,
                        match=r"shuffle quotient of content \('x', 'x\*x'\)"):
         harrison_shuffle_model(parse_presentation(_SHUFFLE_CASES["cp2"]), 6, 6)
+
+
+_STORED = sorted(Path(__file__).resolve().parents[1].glob(
+    "perfbench/inputs/*.alg"))
+
+
+@pytest.mark.parametrize("source", [*_STORED, *range(50)],
+                         ids=lambda s: getattr(s, "name", str(s)))
+def test_predicted_keys_are_the_built_keys(source):
+    """The key count predicted from the caps alone is the number of keys
+    build_E and the shuffle oracle build, on every stored presentation and
+    on the criterion-6 random presentations, at the caps of their stored
+    jobs and at those of criterion 6."""
+    if isinstance(source, Path):
+        A, caps = parse_presentation(source.read_text()), [(9, 8), (9, 9)]
+    else:
+        rng = random.Random(20260823)
+        for _ in range(source + 1):
+            A = random_presentation(rng)
+        caps = [(3, 8), (5, 9)]
+    for cw, cd in caps:
+        E = build_E(A, cw, cd)
+        H = harrison_shuffle_model(A, cw, cd)
+        predicted = functors._predicted_keys(E.table, cw, cd)
+        assert predicted == len(E.key_bidegree) == len(H.key_bidegree)
+
+
+def test_key_budget_refuses_before_building(monkeypatch):
+    """Past KEY_BUDGET keys build_E is refused with the predicted count and
+    the budget, before any content's block is built."""
+    A = parse_presentation(_SHUFFLE_CASES["xyz"])
+    monkeypatch.setattr(functors, "KEY_BUDGET", 979)
+    with pytest.raises(CapExceeded, match=r"caps weight=9 degree=8 give at "
+                       r"least 980 keys, over the budget of 979$"):
+        build_E(A, 9, 8)
+    assert len(build_E(A, 9, 7).key_bidegree) <= 979
 
 
 @pytest.mark.parametrize("name", list(_SHUFFLE_CASES))

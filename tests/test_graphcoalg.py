@@ -17,9 +17,12 @@ from liecograph import graphcoalg
 from liecograph.graphcoalg import (
     ZERO_CAP,
     _distinct_arrangements,
+    _lie_column,
+    _standard_split,
     _witt_dimension,
     _iterated_vector,
     _shuffles,
+    _word_coordinates,
     _word_vector,
     cobracket,
     bar_quotient,
@@ -28,12 +31,15 @@ from liecograph.graphcoalg import (
     is_zero_in_E,
     iterated_cobracket,
     relation_generators,
+    super_lyndon_words,
     to_bar_basis,
 )
-from liecograph.liealg import tensor_expand
+from liecograph.liealg import _word_pair, tensor_expand
 from liecograph.linalg import SparseMatrix
 from liecograph.pairing import element_pair
 from liecograph.shapes import enumerate_graphs, enumerate_trees, tall_tree
+
+from conftest import super_lyndon
 
 
 @pytest.fixture
@@ -322,3 +328,83 @@ class TestFreeLieDimension:
         with pytest.raises(AssertionError,
                            match=r"bar basis of content \('a', 'b', 'b'\)"):
             bar_quotient(table, ("a", "b", "b"))
+
+
+# tables listed out of name order, with letters of both parities
+_MIXED_TABLES = ([("b", 1)], [("b", 2), ("a", 3)],
+                 [("c", 3), ("a", 2), ("b", 1)],
+                 [("b", 1), ("a", 1), ("c", 2)])
+
+
+def _table_id(gens):
+    return ",".join(f"{n}:{d}" for n, d in gens)
+
+
+def _contents(table, top):
+    for n in range(1, top + 1):
+        for c in itertools.combinations_with_replacement(table.names, n):
+            yield c
+
+
+class TestSuperLyndonBasis:
+    @pytest.mark.parametrize("gens", _MIXED_TABLES, ids=_table_id)
+    def test_generator_matches_the_definition(self, gens):
+        """Generated directly, the super-Lyndon words of every content of
+        weight <= 8 are the arrangements that are super-Lyndon by
+        definition, ascending, in table order and in name order, and as
+        many as the free Lie dimension."""
+        table = GeneratorTable(gens)
+        for content in _contents(table, 8):
+            words = _distinct_arrangements(content)
+            for key in (table.sort_key, str):
+                got = super_lyndon_words(table, content, key)
+                want = sorted((w for w in words
+                               if super_lyndon(w, table.degree, key)),
+                              key=lambda w: [key(x) for x in w])
+                assert got == want, (content, key)
+            assert len(got) == _free_lie_dimension(table, content), content
+
+    @pytest.mark.parametrize("gens", _MIXED_TABLES[1:], ids=_table_id)
+    def test_columns_are_the_pairings_with_the_standard_bracketing(
+            self, gens):
+        """The column of each basis word holds its standard bracketing's
+        pairing with every arrangement, as the word recursion and the
+        configuration pairing compute it."""
+        table = GeneratorTable(gens)
+
+        def bracketing(w):
+            if len(w) == 1:
+                return w[0]
+            i = _standard_split(table, w)
+            return (bracketing(w[:i]), bracketing(w[i:]))
+
+        for content in _contents(table, 5):
+            for l in bar_quotient(table, content).basis:
+                t = bracketing(l)
+                tree = TreeElement.from_term(table, t)
+                column = _lie_column(table, l)
+                for u in _distinct_arrangements(content):
+                    assert column.get(u, 0) == _word_pair(table, u, t) \
+                        == element_pair(graphify(u, table), tree), (l, u)
+
+    def test_planted_wrong_bracketing_names_the_content(self, monkeypatch):
+        """A left comb in place of the standard bracketing of a a b is zero
+        (a is even), so the block is not triangular."""
+        table = GeneratorTable([("a", 2), ("b", 2)])
+        monkeypatch.setattr(graphcoalg, "_standard_split",
+                            lambda table, w: len(w) - 1)
+        with pytest.raises(AssertionError, match=r"pairing block of content "
+                           r"\('a', 'a', 'b'\) is not unitriangular"):
+            _word_coordinates(table, ("a", "b", "a"))
+
+    @pytest.mark.parametrize("gens", _MIXED_TABLES[1:], ids=_table_id)
+    def test_graph_and_word_routes_agree(self, gens):
+        """Read through its graph's iterated cobracket (Dynkin-Specht-Wever)
+        or through its pairings with the standard bracketings, every
+        arrangement of every content of weight <= 5 has the same
+        coordinates."""
+        table = GeneratorTable(gens)
+        for content in _contents(table, 5):
+            for w in _distinct_arrangements(content):
+                assert to_bar_basis(graphify(w, table)) \
+                    == _word_coordinates(table, w), w

@@ -11,11 +11,13 @@ from liecograph.errors import CapTooSmall
 from liecograph.functors import build_E, build_G, harrison_shuffle_model
 from liecograph.elements import TreeElement
 from liecograph.graphcoalg import (
+    BAR_CAP,
     _distinct_arrangements,
     _iterated_vector,
-    _word_vector,
+    _word_coordinates,
     designated_words,
     graphify,
+    to_bar_basis,
 )
 from liecograph.liealg import lie_normal_form
 from liecograph.linalg import (
@@ -159,12 +161,15 @@ class _FractionEchelon:
 
 def test_echelon_matches_fraction_reference_on_bar_quotients():
     """Every content of the x, y, z word model at caps 7/7 against the
-    Fraction reference fed the full graph iterated-cobracket vectors V_w of
-    the designated words: the same bar basis (independent rows), the same
-    comb basis (independent columns of the full matrix, last word first),
-    and for every arrangement u the same bar coordinates of V_u, read both
-    from V_u and from the word recursion, with sum x_b V_b == V_u on full
-    vectors, and the same comb coordinates of the comb on u."""
+    Fraction reference fed the full graph iterated-cobracket vectors V_w:
+    the bar basis is the greedy independent rows among the designated words
+    in sort_key order, and every arrangement u has the reference's bar
+    coordinates of V_u, read both from the word (its pairings with the
+    standard bracketings) and, to BAR_CAP letters, from its graph
+    (to_bar_basis), with
+    sum x_b V_b == V_u on full vectors.  The comb basis is the greedy
+    independent columns of the full matrix on the designated words, last
+    word first, and the comb on u has the reference's comb coordinates."""
     E = build_E(parse_presentation(
         "gen x deg 2\ngen y deg 2\ngen z deg 3\ndiff z = x*y\n"), 7, 7)
     table = E.table
@@ -175,7 +180,8 @@ def test_echelon_matches_fraction_reference_on_bar_quotients():
         full = {w: _iterated_vector(graphify(w, table))
                 for w in _distinct_arrangements(content)}
         rows = _FractionEchelon()
-        assert q.basis == [w for w in words
+        ordered = sorted(words, key=lambda w: [table.sort_key(x) for x in w])
+        assert q.basis == [w for w in ordered
                            if rows.insert(full[w], w) is not None], content
         cols = _FractionEchelon()
         column = {u: {i: v for i, w in enumerate(words)
@@ -185,8 +191,10 @@ def test_echelon_matches_fraction_reference_on_bar_quotients():
         for u, vec in full.items():
             residual, want = rows.reduce(vec)
             assert residual == {}
-            x = q.bar_coordinates(vec)
-            assert x == want and q.bar_coordinates(_word_vector(table, u)) == x
+            x = _word_coordinates(table, u)
+            assert x == want
+            if len(u) <= BAR_CAP:
+                assert to_bar_basis(graphify(u, table)) == x
             total = {}
             for b, c in x.items():
                 for k, v in full[b].items():
