@@ -34,7 +34,7 @@ check_duality, check_twisting, rational_homotopy and spectral-sequence
 reporting sit on top.
 """
 
-from collections import Counter
+from bisect import bisect_right
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -196,13 +196,19 @@ def _caps(P, cap_weight, cap_degree):
             cap_degree if cap_degree is not None else P.cap_degree)
 
 
-def _slot_alphabet(A, cap_degree):
+def _slot_alphabet(A, cap_degree, cap_weight=None):
     """GeneratorTable of A's basis monomials with slot degree = degree - 1,
     the name -> monomial map, and A's differential as a letter map for
-    _slotwise (with the internal differential's extra minus sign)."""
+    _slotwise (with the internal differential's extra minus sign).  Given
+    cap_weight, the word models' keys are first counted from the letters'
+    degrees (_predicted_keys), so caps past KEY_BUDGET are refused before
+    a monomial is listed."""
     if not A.is_simply_connected():
         raise NotSimplyConnected(
             "input algebra must be generated in degrees >= 2")
+    if cap_weight is not None:
+        _predicted_keys(_letter_degrees(A, cap_degree), cap_weight,
+                        cap_degree)
     monos = A.monomials(cap_degree + 1)
     table = GeneratorTable(
         [(_mono_name(m), A.monomial_degree(m) - 1) for m in monos])
@@ -213,6 +219,13 @@ def _slot_alphabet(A, cap_degree):
         return [((_mono_name(m2),), -c) for m2, c in
                 A.differential_of_monomial(mono_of[name]).items()]
     return table, mono_of, d_letter
+
+
+def _letter_degrees(A, cap_degree):
+    """{slot degree: number of letters} of _slot_alphabet(A, cap_degree),
+    counted from the generators' degrees and power caps alone."""
+    return {d - 1: c for d, c in enumerate(A.monomial_counts(cap_degree + 1))
+            if c}
 
 
 def _contents(table, cap_weight, cap_degree):
@@ -229,25 +242,31 @@ def _contents(table, cap_weight, cap_degree):
 KEY_BUDGET = 50_000
 
 
-def _predicted_keys(table, cap_weight, cap_degree):
+def _predicted_keys(letters, cap_weight, cap_degree):
     """The number of keys of build_E and of the shuffle oracle within the
-    caps, the sum of the free Lie dimensions of the contents, found without
-    listing a content; CapExceeded as soon as the sum passes KEY_BUDGET.
+    caps, on an alphabet with letters[e] letters of slot degree e: the sum
+    of the free Lie dimensions of the contents, found without listing a
+    content; CapExceeded as soon as the sum passes KEY_BUDGET.
     Summed over the contents of n letters and total slot degree d,
     _witt_dimension's formula gives the bigraded dimensions
         L(n, d) = W(n, d) / n - sum_{k > 1 dividing n and d}
                                 (-1)^((k + 1) d/k) L(n/k, d/k) / k,
     W(n, d) the number of words of n letters and total degree d (a content
     of odd total degree has an odd number of odd letters)."""
-    letters = Counter(table.degree.values())
+    letters = sorted(letters.items())
+    degrees = [e for e, _ in letters]
     words, dims, total = {(0, 0): 1}, {}, 0
     for n in range(1, cap_weight + 1):
         for d in range(n, cap_degree + 1):
-            words[n, d] = sum(c * words.get((n - 1, d - e), 0)
-                              for e, c in letters.items())
-            dim = Fraction(words[n, d], n) - sum(
-                Fraction((-1) ** ((k + 1) * (d // k)) * dims[n // k, d // k],
-                         k)
+            # the last letter leaves n - 1 letters of degree >= n - 1
+            last = letters[:bisect_right(degrees, d - n + 1)]
+            w = sum(c * words.get((n - 1, d - e), 0) for e, c in last)
+            if not w:
+                continue  # no content, no keys
+            words[n, d] = w
+            dim = Fraction(w, n) - sum(
+                Fraction((-1) ** ((k + 1) * (d // k))
+                         * dims.get((n // k, d // k), 0), k)
                 for k in range(2, gcd(n, d) + 1) if n % k == d % k == 0)
             dims[n, d] = int(dim)
             total += dims[n, d]
@@ -271,7 +290,6 @@ def _bar_model(kind, A, caps, alphabet, basis_of, project_word,
     adjacent-slot multiplication differential."""
     cw, cd = caps
     table, mono_of, d_letter = alphabet
-    _predicted_keys(table, cw, cd)
     key_bidegree = {word: bd for content, bd in _contents(table, cw, cd)
                     for word in basis_of(content)}
 
@@ -306,7 +324,7 @@ def build_E(A, cap_weight=None, cap_degree=None):
     deconcatenation of the word, checked in the tests against the graph
     cobracket of its long graph."""
     cw, cd = _caps(A, cap_weight, cap_degree)
-    alphabet = _slot_alphabet(A, cd)
+    alphabet = _slot_alphabet(A, cd, cw)
     table = alphabet[0]
 
     def project_word(raw, coeff, acc):
@@ -673,7 +691,7 @@ def harrison_shuffle_model(A, cap_weight=None, cap_degree=None):
     certified in number, and each raw word is rewritten into them by its
     shuffle relations (_shuffle_reduce), lazily, word by word."""
     cw, cd = _caps(A, cap_weight, cap_degree)
-    alphabet = _slot_alphabet(A, cd)
+    alphabet = _slot_alphabet(A, cd, cw)
     table = alphabet[0]
     bases = table.memo("harrison_basis")
 

@@ -124,15 +124,23 @@ ZERO_CAP = 12  # is_zero_in_E: 0.1 s on a 12-letter word, 1.4x more a letter
 
 def _distinct_arrangements(ms):
     """The distinct orders of a multiset, in sorted order (that of
-    sorted(set(permutations(ms))), without building all n! of them)."""
-    if not ms:
-        return [()]
-    out = []
-    for x in sorted(set(ms)):
-        i = ms.index(x)
-        rest = _distinct_arrangements(ms[:i] + ms[i + 1:])
-        out += [(x,) + tail for tail in rest]
-    return out
+    sorted(set(permutations(ms))), without building all n! of them): each
+    the next greater permutation of the last (Narayana Pandita), no
+    recursion."""
+    a = sorted(ms)
+    out, n = [tuple(a)], len(a)
+    while True:
+        i = n - 2  # the last ascent a[i] < a[i + 1]
+        while i >= 0 and not a[i] < a[i + 1]:
+            i -= 1
+        if i < 0:
+            return out
+        j = n - 1  # the last entry past a[i] that is greater
+        while not a[i] < a[j]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = a[:i:-1]
+        out.append(tuple(a))
 
 
 def designated_words(table, content):
@@ -163,25 +171,32 @@ def _word_vector(table, word):
     with ".(x)" appending the slot x and k(w) the Koszul sign of moving w1
     past the rest.  v(w) at u is the pairing of w with the left comb on u.
     Integer entries; memoized on the table."""
-    memo = table.memo("word_vector")
-    hit = memo.get(word)
-    if hit is None:
-        n = len(word)
+    memo, stack = table.memo("word_vector"), [word]
+    while stack:  # depth first on an explicit stack: no recursion limit
+        w = stack[-1]
+        if w in memo:
+            stack.pop()
+            continue
+        n = len(w)
         if n == 1:
-            hit = {word: 1}
-        else:
-            kappa = koszul_sign(table.degrees_of(word), [*range(1, n), 0])
-            hit = {keys + word[-1:]: c
-                   for keys, c in _word_vector(table, word[:-1]).items()}
-            for keys, c in _word_vector(table, word[1:]).items():
-                key = keys + word[:1]
-                s = hit.get(key, 0) - kappa * c
-                if s:
-                    hit[key] = s
-                else:
-                    del hit[key]
-        memo[word] = hit
-    return hit
+            memo[w] = {w: 1}
+            continue
+        head, tail = w[:-1], w[1:]
+        missing = [u for u in (head, tail) if u not in memo]
+        if missing:
+            stack += missing
+            continue
+        kappa = koszul_sign(table.degrees_of(w), [*range(1, n), 0])
+        hit = {keys + w[-1:]: c for keys, c in memo[head].items()}
+        for keys, c in memo[tail].items():
+            key = keys + w[:1]
+            s = hit.get(key, 0) - kappa * c
+            if s:
+                hit[key] = s
+            else:
+                del hit[key]
+        memo[w] = hit
+    return memo[word]
 
 
 @cache
@@ -222,22 +237,29 @@ def _lyndon_words(letters, mults):
     n, num, out = sum(mults), list(mults), []
     if not n:
         return out
-    a = [0] * n
+    k, a = len(letters), [0] * n
     num[0] -= 1  # a Lyndon word starts with its least letter
-
-    def grow(t, p):
+    # depth first without recursion: at depth t, a[:t] is the prefix, p[t]
+    # its p and nxt[t] the next letter to try at a[t]
+    p, nxt = [0] * (n + 1), [0] * (n + 1)
+    t, p[1] = 1, 1
+    while t:
+        j = nxt[t]
         if t == n:
-            if p == n:
+            if p[t] == n:
                 out.append(tuple(letters[i] for i in a))
-            return
-        for j in range(a[t - p], len(letters)):
-            if num[j]:
-                a[t] = j
-                num[j] -= 1
-                grow(t + 1, p if j == a[t - p] else t + 1)
-                num[j] += 1
-
-    grow(1, 1)
+            j = k
+        while j < k and not num[j]:
+            j += 1
+        if j == k:  # depth t is done: back to t - 1 and undo its letter
+            t -= 1
+            num[a[t]] += 1
+            continue
+        a[t], nxt[t] = j, j + 1
+        num[j] -= 1
+        p[t + 1] = p[t] if j == a[t - p[t]] else t + 1
+        t += 1
+        nxt[t] = a[t - p[t]]
     return out
 
 

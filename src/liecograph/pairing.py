@@ -4,6 +4,9 @@ At shape level: each edge a->b of the graph is sent to the nadir (lowest
 internal vertex) of the path between leaves a and b of the tree; the pairing
 is 0 unless that map is surjective onto the internal vertices, and otherwise
 the product of edge signs (+1 when leaf a sits to the left of leaf b).
+A tree's nadirs and signs are held as one flat table of small ints,
++-(nadir + 1) at a * (n + 1) + b (_pair_info), cached for shape_pair and
+_term_pair and built afresh, chunk by chunk, for the dense matrix.
 
 Two sign rules hold: reversing an edge of the graph negates the pairing, and
 so does swapping the two children at an internal node of the tree.  The
@@ -25,7 +28,7 @@ signs depend on the degrees only through their parities.
 
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from math import factorial, prod
+from math import factorial, isqrt, prod
 
 from .errors import CapExceeded, MalformedDual, WeightMismatch
 from .linalg import integer_matrix_rank
@@ -50,40 +53,46 @@ __all__ = [
 
 @lru_cache(maxsize=1 << 12)
 def _pair_info(tree):
-    """For every ordered leaf-label pair (a, b): (nadir id, sign).  Internal
-    vertices are numbered top down; there are n-1 of them."""
-    info, subtrees, node = {}, [tree], 0
+    """The nadir table of a tree on the leaves 1..n: at a * (n + 1) + b,
+    for every ordered pair of leaves a != b, +(nadir + 1) when a sits left
+    of b and -(nadir + 1) when it sits right, the n - 1 internal vertices
+    numbered 0, 1, ... top down; 0 elsewhere."""
+    stride = len(tree_leaves(tree)) + 1
+    info, subtrees, node = [0] * (stride * stride), [tree], 0
     for t in subtrees:  # extended while it is read: every subtree, top down
         if isinstance(t, tuple):
             subtrees += t
+            node += 1
             for a in tree_leaves(t[0]):
                 for b in tree_leaves(t[1]):
-                    info[a, b], info[b, a] = (node, 1), (node, -1)
-            node += 1
-    return info, node
+                    info[a * stride + b], info[b * stride + a] = node, -node
+    return tuple(info)
 
 
 def shape_pair(G, T):
     """Configuration pairing of an S-graph with a planar tree; in {-1, 0, 1}."""
-    info, n_internal = _pair_info(T)
-    if G.n != n_internal + 1:
-        raise WeightMismatch(
-            f"graph weight {G.n} vs tree with {n_internal + 1} leaves")
-    return _shape_pair_on(G.edges, info)
+    info = _pair_info(T)
+    stride = isqrt(len(info))  # the table is stride x stride
+    if G.n != stride - 1:
+        raise WeightMismatch(f"graph weight {G.n} vs tree with {stride - 1} "
+                             "leaves")
+    return _shape_pair_on(G.edges, info, stride)
 
 
-def _shape_pair_on(edges, info):
+def _shape_pair_on(edges, info, stride):
     """The pairing of the edges a -> b, given as leaf-label pairs (a, b),
-    with the tree whose pair info is info."""
+    with the tree whose nadir table (_pair_info) is info, of row length
+    stride: 0 if two edges share a nadir, else the product of their signs."""
     seen = 0
     sign = 1
-    for edge in edges:
-        node, s = info[edge]
-        bit = 1 << node
+    for a, b in edges:
+        v = info[a * stride + b]
+        if v < 0:
+            v, sign = -v, -sign
+        bit = 1 << v
         if seen & bit:
             return 0
         seen |= bit
-        sign *= s
     return sign
 
 
@@ -146,7 +155,7 @@ def _term_pair(n, edges, wlabels, odd, tkey):
     if prod(factorial(len(js)) for js in verts.values()) > BIJECTION_CAP:
         raise CapExceeded(
             f"element pairing capped at {BIJECTION_CAP} bijections per term")
-    info, _ = _pair_info(tree_term_shape(tkey))
+    info = _pair_info(tree_term_shape(tkey))
     parity = [x in odd for x in wlabels]
     perm, inv = [0] * n, [0] * n  # vertex j -> leaf perm[j]; leaf i <- inv[i]
     total = 0
@@ -156,7 +165,7 @@ def _term_pair(n, edges, wlabels, odd, tkey):
                 perm[j] = i + 1
                 inv[i] = j
         sp = _shape_pair_on([(perm[a - 1], perm[b - 1]) for a, b in edges],
-                            info)
+                            info, n + 1)
         if sp:
             total += sp * koszul_sign(parity, inv)
     return total
@@ -275,7 +284,8 @@ def pairing_matrix(n):
     bits = {}
     for k, (a, b) in enumerate(combinations(range(1, n + 1), 2)):
         bits[a, b], bits[b, a] = 8 << k, (8 << k) + 1
-    row_key = np.array([sum(map(bits.__getitem__, G.edges)) for G in graphs])
+    row_key = np.fromiter((sum(map(bits.__getitem__, G.edges))
+                           for G in graphs), np.int64, len(graphs))
     col_key, col_parity = _col_keys(n)
     row_class, row_index = _classes(row_key >> 3, graphs, _graph_class)
     col_class, col_index = _classes(col_key, trees, _tree_class)
@@ -290,31 +300,25 @@ def pairing_matrix(n):
 
 def _dense_pairing(n, graphs, trees):
     """Vectorized pairing matrix of edge tuples against trees: for a chunk of
-    trees at a time, gather nadir ids and signs for all edges and combine."""
+    trees at a time, gather the nadir table entries of all edges and
+    combine.  The tables are built here, not through _pair_info's cache,
+    which would keep one per tree."""
     import numpy as np
 
     g = len(graphs)
     edges = np.array(graphs, dtype=np.intp).reshape(g, n - 1, 2)
-    # index into a flattened (n+1)x(n+1) lookup
+    # index into a flattened (n+1)x(n+1) nadir table
     flat = edges[:, :, 0] * (n + 1) + edges[:, :, 1]
-    full = (1 << (n - 1)) - 1
+    full = (1 << n) - 2  # the bits 1 << (nadir + 1) of the n-1 nadirs
+    table = _pair_info.__wrapped__
     out = np.zeros((g, len(trees)), dtype=np.int8)
-    chunk = 256
+    chunk = 64
     for j0 in range(0, len(trees), chunk):
-        part = trees[j0:j0 + chunk]
-        c = len(part)
-        node_of = np.zeros((c, (n + 1) * (n + 1)), dtype=np.int8)
-        sign_of = np.zeros((c, (n + 1) * (n + 1)), dtype=np.int8)
-        for t, T in enumerate(part):
-            info, _ = _pair_info(T)
-            for (a, b), (node, s) in info.items():
-                node_of[t, a * (n + 1) + b] = node
-                sign_of[t, a * (n + 1) + b] = s
-        nodes = node_of[:, flat]  # (c, g, n-1)
-        signs = sign_of[:, flat]
-        bits = np.left_shift(np.int8(1), nodes)
-        masks = np.bitwise_or.reduce(bits, axis=2)
+        part = np.array([table(T) for T in trees[j0:j0 + chunk]], np.int8)
+        entries = part[:, flat]  # (c, g, n-1): +-(nadir + 1)
+        bits = np.left_shift(np.int8(1), np.abs(entries))
         # distinctness: OR of bits has n-1 set bits iff no collision occurred
-        surj = masks == full
-        out[:, j0:j0 + c] = np.where(surj, signs.prod(axis=2, dtype=np.int8), 0).T
+        surj = np.bitwise_or.reduce(bits, axis=2) == full
+        signs = np.sign(entries).prod(axis=2, dtype=np.int8)
+        out[:, j0:j0 + len(part)] = np.where(surj, signs, 0).T
     return out

@@ -48,25 +48,29 @@ def multisets(items, degree, max_degree, max_size=None, max_mult=None):
     total degree (degree[x] summed) at most max_degree, with at most max_size
     elements and each x at most max_mult[x] times (unbounded where None or
     absent).  Depth-first order: each multiset comes right before its
-    extensions."""
+    extensions.  Iterative, so a multiset may be longer than the recursion
+    limit."""
     items = list(items)
     max_mult = max_mult or {}
     out = []
-
-    def rec(start, cur, deg, run):
-        # run: multiplicity of cur[-1], which is items[start]
+    # (multiset, its degree, multiplicity of its last item items[start],
+    # start); depth first on an explicit stack, each node's extensions
+    # pushed in reverse so they come off it in order
+    stack = [((), 0, 0, 0)]
+    while stack:
+        cur, deg, run, start = stack.pop()
         if cur:
-            out.append(tuple(cur))
+            out.append(cur)
         if len(cur) == max_size:
-            return
+            continue
+        ext = []
         for j in range(start, len(items)):
             x = items[j]
             d = deg + degree[x]
             m = run + 1 if cur and j == start else 1
             if d <= max_degree and m <= max_mult.get(x, m):
-                rec(j, cur + [x], d, m)
-
-    rec(0, [], 0, 0)
+                ext.append((cur + (x,), d, m, j))
+        stack += reversed(ext)
     return out
 
 
@@ -138,17 +142,39 @@ class DgcaPresentation:
                     add_into(out, m, s * c1 * c2)
         return out
 
+    def _power_caps(self):
+        """{generator: its highest nonzero power}: 1 for odd degree, k - 1
+        for g^k = 0; absent where unbounded."""
+        return {g: 1 if self.gen_degree[g] % 2 else self.relations[g] - 1
+                for g in self.gen_names
+                if self.gen_degree[g] % 2 or g in self.relations}
+
     def monomials(self, max_degree):
         """All basis monomials of the augmentation ideal with degree bound,
         deterministically ordered (by degree, then lexicographically)."""
-        cap = {g: 1 if self.gen_degree[g] % 2 else self.relations[g] - 1
-               for g in self.gen_names
-               if self.gen_degree[g] % 2 or g in self.relations}
         out = multisets(self.gen_names, self.gen_degree, max_degree,
-                        max_mult=cap)
+                        max_mult=self._power_caps())
         out.sort(key=lambda m: (self.monomial_degree(m),
                                 tuple(self.order[x] for x in m)))
         return out
+
+    def monomial_counts(self, max_degree):
+        """The number of monomials(max_degree) in each degree 0..max_degree,
+        as a list, counted without listing them: the coefficients of the
+        product over generators g of (1 - t^((c + 1) |g|)) / (1 - t^|g|), c
+        the power cap of g, with the constant term dropped."""
+        counts = [1] + [0] * max_degree
+        caps = self._power_caps()
+        for g in self.gen_names:
+            e = self.gen_degree[g]
+            for d in range(e, max_degree + 1):
+                counts[d] += counts[d - e]
+            if g in caps:
+                top = (caps[g] + 1) * e
+                for d in range(max_degree, top - 1, -1):
+                    counts[d] -= counts[d - top]
+        counts[0] = 0
+        return counts
 
     def differential_of_monomial(self, m):
         """Leibniz extension: {monomial: Fraction}."""

@@ -112,11 +112,13 @@ def enumerate_graphs(n):
     _check_weight(n, "graph")
     if n == 1:
         return [SGraph(1, [], _checked=True)]
-    # Pruefer trees, each edge both ways; each edge tuple is sorted once, the
-    # tuples by their flat vertex bytes (the same order, compared faster)
+    # Pruefer trees, each edge both ways, from one shared tuple per vertex
+    # pair; each edge tuple is sorted once, the tuples by their flat vertex
+    # bytes (the same order, compared faster)
+    arc = [[(a, b) for b in range(n + 1)] for a in range(n + 1)]
     out = sorted((tuple(sorted(es))
                   for seq in product(range(1, n + 1), repeat=n - 2)
-                  for es in product(*(((a, b), (b, a))
+                  for es in product(*((arc[a][b], arc[b][a])
                                       for a, b in _pruefer_to_tree(n, seq)))),
                  key=lambda es: bytes(sum(es, ())))
     return [SGraph._presorted(n, es) for es in out]
@@ -185,18 +187,24 @@ def _tree_shapes(n):
 @lru_cache(maxsize=None)
 def enumerate_trees(n):
     """All planar binary trees with leaves labeled by {1..n}; count is
-    n! * Catalan(n-1).  Deterministic order."""
+    n! * Catalan(n-1).  Deterministic order.  Equal proper subtrees are one
+    shared tuple, so the trees hold each labeled subtree once."""
     _check_weight(n, "tree")
     # the label at each leaf position, over all permutations in order
     columns = list(zip(*permutations(range(1, n + 1))))
-    return [T for shape in _tree_shapes(n) for T in _label_all(shape, columns)]
+    intern = {}.setdefault  # one dict for all shapes, dropped on return
+    return [T for shape in _tree_shapes(n)
+            for T in _label_all(shape, columns, intern, root=True)]
 
 
-def _label_all(shape, columns):
-    """tree_relabel(shape, p) for every permutation p, one zip per node."""
+def _label_all(shape, columns, intern, root=False):
+    """tree_relabel(shape, p) for every permutation p, one zip per node;
+    below the root each subtree is intern(t, t), the first equal one met."""
     if not isinstance(shape, tuple):
         return columns[shape]
-    return zip(_label_all(shape[0], columns), _label_all(shape[1], columns))
+    nodes = zip(_label_all(shape[0], columns, intern),
+                _label_all(shape[1], columns, intern))
+    return nodes if root else [intern(t, t) for t in nodes]
 
 
 def tree_relabel(t, perm):

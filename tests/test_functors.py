@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -228,10 +229,11 @@ _STORED = sorted(Path(__file__).resolve().parents[1].glob(
 @pytest.mark.parametrize("source", [*_STORED, *range(50)],
                          ids=lambda s: getattr(s, "name", str(s)))
 def test_predicted_keys_are_the_built_keys(source):
-    """The key count predicted from the caps alone is the number of keys
-    build_E and the shuffle oracle build, on every stored presentation and
-    on the criterion-6 random presentations, at the caps of their stored
-    jobs and at those of criterion 6."""
+    """The letters counted per slot degree without listing a monomial are
+    those of the listed alphabet, and the key count predicted from them and
+    the caps is the number of keys build_E and the shuffle oracle build, on
+    every stored presentation and on the criterion-6 random presentations,
+    at the caps of their stored jobs and at those of criterion 6."""
     if isinstance(source, Path):
         A, caps = parse_presentation(source.read_text()), [(9, 8), (9, 9)]
     else:
@@ -242,7 +244,9 @@ def test_predicted_keys_are_the_built_keys(source):
     for cw, cd in caps:
         E = build_E(A, cw, cd)
         H = harrison_shuffle_model(A, cw, cd)
-        predicted = functors._predicted_keys(E.table, cw, cd)
+        letters = functors._letter_degrees(A, cd)
+        assert letters == Counter(E.table.degree.values())
+        predicted = functors._predicted_keys(letters, cw, cd)
         assert predicted == len(E.key_bidegree) == len(H.key_bidegree)
 
 

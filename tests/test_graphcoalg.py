@@ -1,4 +1,5 @@
 import itertools
+import sys
 import time
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from liecograph.graphcoalg import (
     _standard_split,
     _witt_dimension,
     _iterated_vector,
+    _lyndon_words,
     _shuffles,
     _word_coordinates,
     _word_vector,
@@ -137,6 +139,25 @@ class TestWordProblem:
             for ms in itertools.combinations_with_replacement("abc", n):
                 assert _distinct_arrangements(ms) == sorted(
                     set(itertools.permutations(ms)))
+
+    def test_helpers_pass_the_recursion_limit(self):
+        """_distinct_arrangements, _lyndon_words and _word_vector do not
+        recurse per letter: on words longer than the recursion limit each
+        answers in well under a second."""
+        n = sys.getrecursionlimit() + 10
+        x, y = ("x",), ("y",)
+        table = GeneratorTable([("x", 2), ("y", 2)])
+        start = time.perf_counter()
+        arrangements = _distinct_arrangements(x * n + y)
+        lyndon = _lyndon_words(["x", "y"], [1, n])
+        vector = _word_vector(table, x * n + y)
+        assert time.perf_counter() - start < 1.0
+        assert arrangements == [x * k + y + x * (n - k)
+                                for k in range(n, -1, -1)]
+        assert lyndon == [x + y * n]
+        # even letters: v(x^k) = 0 for k > 1, so v(x^k y) = -v(x^(k-1) y).(x)
+        assert vector == {x + y + x * (n - 1): (-1) ** (n - 1),
+                          y + x * n: (-1) ** n}
 
     def test_bar_cap(self, table):
         with pytest.raises(CapExceeded):

@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -537,6 +538,33 @@ class TestMultisets:
                             for x in self.ITEMS)]
             want.sort(key=lambda c: [self.ITEMS.index(x) for x in c])
             assert got == want, (max_degree, max_size, max_mult)
+
+    def test_longer_than_the_recursion_limit(self):
+        """Depth first on an explicit stack: multisets of more elements than
+        the recursion limit come out in well under a second."""
+        n = sys.getrecursionlimit() + 10
+        start = time.perf_counter()
+        got = multisets(["x"], {"x": 1}, n)
+        assert time.perf_counter() - start < 0.5
+        assert got == [("x",) * k for k in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("source", [*sorted(FIXTURES.glob("*.alg")),
+                                    *range(20)],
+                         ids=lambda s: getattr(s, "name", str(s)))
+def test_monomial_counts_count_the_monomials(source):
+    """monomial_counts is the number of listed monomials in each degree,
+    on every algebra fixture and on random presentations."""
+    if isinstance(source, int):
+        rng = random.Random(source)
+        A = random_presentation(rng)
+    else:
+        A = parse_presentation(source.read_text())
+    for top in (1, 7, 16):
+        want = [0] * (top + 1)
+        for m in A.monomials(top):
+            want[A.monomial_degree(m)] += 1
+        assert A.monomial_counts(top) == want
 
 
 # presentation lines built from the file format's own tokens

@@ -16,6 +16,7 @@ from liecograph.errors import (
 from liecograph.shapes import (
     SGraph,
     _canonical_perms,
+    _tree_shapes,
     canonical_form,
     contract_edge,
     cut_edge,
@@ -24,6 +25,7 @@ from liecograph.shapes import (
     long_graph,
     tall_tree,
     tree_leaves,
+    tree_relabel,
     validate_graph,
     validate_tree,
 )
@@ -72,6 +74,25 @@ class TestEnumeration:
         assert len(set(trees)) == count
         for t in trees:
             assert sorted(tree_leaves(t)) == list(range(1, n + 1))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_trees_share_equal_subtrees(self, n):
+        """The trees are those of the unshared construction, each shape
+        relabeled by every permutation, in that order; and every proper
+        subtree is the one object of its value, across all the trees."""
+        trees = enumerate_trees(n)
+        perms = list(itertools.permutations(range(1, n + 1)))
+        assert trees == [tree_relabel(shape, p)
+                         for shape in _tree_shapes(n) for p in perms]
+        shared, seen = {}, set()
+        stack = [t for T in trees if isinstance(T, tuple) for t in T]
+        while stack:
+            t = stack.pop()
+            if isinstance(t, tuple) and id(t) not in seen:
+                seen.add(id(t))
+                assert shared.setdefault(t, t) is t
+                stack += t
+        assert len(seen) == len(shared)
 
     def test_enumeration_deterministic(self):
         assert enumerate_trees(3) == enumerate_trees(3)
