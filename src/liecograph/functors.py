@@ -73,7 +73,7 @@ from .graphcoalg import (
     graphify,
     super_lyndon_words,
 )
-from .liealg import ARRANGEMENT_CAP, lie_normal_form
+from .liealg import comb_basis, lie_normal_form
 from .pairing import element_pair
 from .presentations import DgccPresentation, multisets
 
@@ -118,7 +118,10 @@ class DgComplexBundle:
       key_cobracket   key -> {(key1, key2): coeff}, the cobracket of one basis
                       key (build_G, build_E); build_A_hat needs it.
     build_E's classes of GraphElements over its table are read with
-    graphcoalg.to_bar_basis, from the same bar_quotient memo as build_E."""
+    graphcoalg.to_bar_basis, from the same bar_quotient memo as build_E;
+    build_L's keys are the combs of liealg.comb_basis.  No memo of a table
+    refers back to it, so a dropped bundle frees its table and caches
+    without waiting for the cycle collector."""
 
     def __init__(self, kind, complex, presentation, caps, table=None,
                  monomial_of=None, key_cobracket=None):
@@ -468,7 +471,7 @@ def build_A_hat(G, cap_letters=3, cap_degree=None):
 
 def build_L(C, cap_weight=None, cap_degree=None):
     """Free Lie algebra on the desuspended coalgebra basis, on left-comb word
-    coordinates: the comb basis of each content (its bar_quotient), every
+    coordinates: the comb basis of each content (liealg.comb_basis), every
     differential term put in normal form by lie_normal_form.  The horizontal
     differential splits a letter along the reduced coproduct, the vertical
     one applies the internal differential slot-wise.
@@ -491,7 +494,7 @@ def build_L(C, cap_weight=None, cap_degree=None):
 
     key_bidegree = {}
     for content, (k, nat) in _contents(table, cw, cd):
-        for w in bar_quotient(table, content, ARRANGEMENT_CAP).combs:
+        for w in comb_basis(table, content)[0]:
             key_bidegree[w] = (K - k, OFF - nat)
 
     def normalize(raw, coeff, acc):
@@ -777,11 +780,11 @@ def check_duality(A, C, cap_weight=None, cap_degree=None):
     """Verify that the bar-word model of A and the comb-word model of C are
     linearly dual: per-bidegree pairing matrices invertible, and the two
     structure differentials adjoint up to a per-bidegree sign.  Pairings go
-    through element_pair on graphs and trees, independent of the word
-    recursions that solve both models (graphcoalg's standard-bracketing
-    columns and _word_vector, and liealg._word_pair); each (bar word, comb)
-    pair is computed once, and the adjointness sums read the pairing
-    matrices' entries."""
+    through element_pair on graphs and trees, independent of the one word
+    recursion that solves both models (graphcoalg._tree_column, the columns
+    of the bar block and of the comb basis); each (bar word, comb) pair is
+    computed once, and the adjointness sums read the pairing matrices'
+    entries."""
     cw = min(A.cap_weight, C.cap_weight) if cap_weight is None else cap_weight
     cd = min(A.cap_degree, C.cap_degree) if cap_degree is None else cap_degree
     _transpose_check(A, C, cd)

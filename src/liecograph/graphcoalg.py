@@ -8,12 +8,16 @@ The quotient has a basis known in advance: the super-Lyndon words of each
 content (`super_lyndon_words`, also the shuffle oracle's basis).  Their
 standard bracketings pair with them in a unitriangular block, so a word's
 bar coordinates are one back substitution in its content's block
-(`bar_quotient`, which liealg reads for the comb side); build_E never builds
-a graph, and `to_bar_basis` reads a graph's fully iterated cobracket
-through the same solve.  Every cache here is a memo of the generator table
-it was computed over.
+(`bar_quotient`); build_E never builds a graph, and `to_bar_basis` reads a
+graph's fully iterated cobracket through the same solve.  `_tree_column` is
+the one recursion pairing long graphs with trees, for both sides of the
+duality: the block's columns here, and liealg's comb basis and normal form.
+The coalgebra side does no elimination.  Every cache here is a memo of the
+generator table it was computed over, and no memo value refers back to its
+table, so a dropped table is freed without the cycle collector.
 """
 
+import weakref
 from fractions import Fraction
 from functools import cache, cached_property
 from heapq import heapify, heappop, heappush
@@ -21,9 +25,10 @@ from itertools import combinations
 from math import factorial, gcd, lcm, prod
 
 from .errors import CapExceeded
-from .shapes import SGraph, cut_edge, enumerate_graphs, long_graph
+from .shapes import (SGraph, cut_edge, enumerate_graphs, long_graph,
+                     tree_leaves)
 from .elements import GraphElement, TensorElement, koszul_sign
-from .linalg import Echelon, _exact_inverse, add_into
+from .linalg import add_into
 
 __all__ = [
     "cobracket",
@@ -31,7 +36,6 @@ __all__ = [
     "is_zero_in_E",
     "to_bar_basis",
     "bar_quotient",
-    "designated_words",
     "super_lyndon_words",
     "graphify",
     "relation_generators",
@@ -118,7 +122,9 @@ def graphify(word, table, coeff=1):
 # ---------------------------------------------------------------------------
 # bar-basis normal form
 
-BAR_CAP = 6
+# to_bar_basis on the long graph of n distinct letters (2 vCPUs): 0.1 s and
+# 24 MB at n = 7, 1.1 s and 158 MB at n = 8
+BAR_CAP = 7
 ZERO_CAP = 12  # is_zero_in_E: 0.1 s on a 12-letter word, 1.4x more a letter
 
 
@@ -143,15 +149,6 @@ def _distinct_arrangements(ms):
         out.append(tuple(a))
 
 
-def designated_words(table, content):
-    """The words of a content whose leading slot carries its designated
-    (minimal) generator: one per distinct order of the other letters."""
-    g0 = min(content, key=table.sort_key)
-    rest = list(content)
-    rest.remove(g0)
-    return [(g0,) + tail for tail in _distinct_arrangements(tuple(rest))]
-
-
 def _iterated_vector(g):
     """Injective linear coordinates of g's Lie-coalgebra class: the fully
     iterated cobracket as a map into tensors of single slots."""
@@ -161,42 +158,6 @@ def _iterated_vector(g):
         for keys, c in t.terms.items():
             add_into(out, tuple(k[1][0] for k in keys), c)
     return out
-
-
-def _word_vector(table, word):
-    """_iterated_vector of the long graph on a bar word, read off the word:
-    cutting an edge of w1->...->wn leaves the prefix and the suffix, so only
-    the two end cuts split off one vertex, and
-        v(a) = (a),  v(w) = v(w1..w(n-1)).(wn) - k(w) v(w2..wn).(w1)
-    with ".(x)" appending the slot x and k(w) the Koszul sign of moving w1
-    past the rest.  v(w) at u is the pairing of w with the left comb on u.
-    Integer entries; memoized on the table."""
-    memo, stack = table.memo("word_vector"), [word]
-    while stack:  # depth first on an explicit stack: no recursion limit
-        w = stack[-1]
-        if w in memo:
-            stack.pop()
-            continue
-        n = len(w)
-        if n == 1:
-            memo[w] = {w: 1}
-            continue
-        head, tail = w[:-1], w[1:]
-        missing = [u for u in (head, tail) if u not in memo]
-        if missing:
-            stack += missing
-            continue
-        kappa = koszul_sign(table.degrees_of(w), [*range(1, n), 0])
-        hit = {keys + w[-1:]: c for keys, c in memo[head].items()}
-        for keys, c in memo[tail].items():
-            key = keys + w[:1]
-            s = hit.get(key, 0) - kappa * c
-            if s:
-                hit[key] = s
-            else:
-                del hit[key]
-        memo[w] = hit
-    return memo[word]
 
 
 @cache
@@ -279,38 +240,46 @@ def super_lyndon_words(table, content, key):
     return sorted(words, key=lambda w: [rank[x] for x in w])
 
 
-def _standard_split(table, word):
-    """Where the standard bracketing P of a super-Lyndon word in sort_key
-    order splits it: P(w) = [P(w[:i]), P(w[i:])] with w[i:] the longest
-    proper Lyndon suffix of w, which is its least proper suffix (Chen, Fox
-    and Lyndon 1958), and P(l.l) = [P(l), P(l)] on an odd square."""
-    h = len(word) // 2
-    if word[:h] == word[h:]:
-        return h
-    ranks = [table.sort_key(x) for x in word]
-    return min(range(1, len(word)), key=lambda i: ranks[i:])
-
-
-def _lie_column(table, word):
-    """{u: <long graph on u, P(word)>} over the words u pairing nontrivially
-    with the standard bracketing of a super-Lyndon word, by the recursion of
-    liealg._word_pair read column-wise: a letter pairs to 1 with itself
-    only, and with P(w) = [P(w1), P(w2)] the column of w gives u.v the
-    coefficient c1 c2 and v.u the coefficient -s c1 c2, for c1, c2 the
-    entries of u and v in the columns of w1 and w2 and s = (-1)^(|w1| |w2|).
-    Integer entries; memoized on the table per subword."""
+def _standard_bracketing(table, word):
+    """The standard bracketing P of a super-Lyndon word in sort_key order, as
+    a tree term: P(x) = x, P(w) = (P(w[:i]), P(w[i:])) with w[i:] the
+    longest proper Lyndon suffix of w, which is its least proper suffix
+    (Chen, Fox and Lyndon 1958), and P(l.l) = (P(l), P(l)) on an odd
+    square.  Memoized on the table per subword."""
     if len(word) == 1:
-        return {word: 1}
-    memo = table.memo("lie_column")
+        return word[0]
+    memo = table.memo("standard_bracketing")
     hit = memo.get(word)
     if hit is None:
-        i = _standard_split(table, word)
-        c1, c2 = _lie_column(table, word[:i]), _lie_column(table, word[i:])
-        s = -(-1) ** (sum(table.degrees_of(word[:i]))
-                      * sum(table.degrees_of(word[i:])))
+        i = h = len(word) // 2
+        if word[:h] != word[h:]:
+            ranks = [table.sort_key(x) for x in word]
+            i = min(range(1, len(word)), key=lambda i: ranks[i:])
+        hit = memo[word] = (_standard_bracketing(table, word[:i]),
+                            _standard_bracketing(table, word[i:]))
+    return hit
+
+
+def _tree_column(table, t):
+    """{u: <long graph on u, t>} over the words u pairing nontrivially with
+    the tree term t, the one recursion for the pairing of words with trees:
+    a leaf x pairs to 1 with (x,) only, and as the bracket is dual to the
+    cobracket (signed deconcatenation of the word), the column of
+    t = (t1, t2) gives u.v the coefficient c1 c2 and v.u the coefficient
+    -s c1 c2, for c1, c2 the entries of u and v in the columns of t1 and t2
+    and s = (-1)^(|t1| |t2|).  Integer entries; memoized on the table per
+    subtree."""
+    if isinstance(t, str):
+        return {(t,): 1}
+    memo = table.memo("tree_column")
+    hit = memo.get(t)
+    if hit is None:
+        c1, c2 = _tree_column(table, t[0]), _tree_column(table, t[1])
+        s = -(-1) ** (sum(table.degrees_of(tree_leaves(t[0])))
+                      * sum(table.degrees_of(tree_leaves(t[1]))))
+        hit = memo[t] = {u + v: a * b for u, a in c1.items()
+                         for v, b in c2.items()}
         # u.v determines u and v, so only the v.u terms can meet a word
-        hit = memo[word] = {u + v: a * b for u, a in c1.items()
-                            for v, b in c2.items()}
         for u, a in c1.items():
             for v, b in c2.items():
                 c = hit.get(v + u, 0) + s * a * b
@@ -323,30 +292,28 @@ def _lie_column(table, word):
 
 class BarQuotient:
     """One content's pairing block, with its bar basis B = l_0 < l_1 < ...:
-    the content's super-Lyndon words in sort_key order.  Each half is built
-    on first use.
-
-    The bar half: with P the standard bracketing, M[i][j] = <l_i, P(l_j)> is
-    lower triangular with diagonal 1, or 2 on an odd square (checked).
-    `rows` maps each word u of the content that pairs nontrivially with some
-    P(l_j) to {j: <u, P(l_j)>}; the class of u is sum_j x_j l_j with
-    x M = rows[u], solved by one back substitution (`solve`).
-
-    The comb half: the combs C are the greedy independent columns of
-    <long graphs on B, combs on the designated words>, from the last word to
-    the first, and S^-1 = adj / delta for S = <B, C>.  Comb coordinates of a
-    free-Lie class pairing to q with the long graphs on B are S^-1 q."""
+    the content's super-Lyndon words in sort_key order.  With P the standard
+    bracketing, M[i][j] = <l_i, P(l_j)> is lower triangular with diagonal 1,
+    or 2 on an odd square (checked).  `rows`, built on first use, maps each
+    word u of the content that pairs nontrivially with some P(l_j) to
+    {j: <u, P(l_j)>}, read from the columns of the P(l_j); the class of u is
+    sum_j x_j l_j with x M = rows[u], solved by one back substitution
+    (`solve`).  The Lie side reads only the basis, so builds no rows.  The
+    table is held by a weak reference, so that the table's memo, which holds
+    this block, is not a reference cycle."""
 
     def __init__(self, table, content):
-        self.table, self.content = table, content
+        self.content = content
         self.basis = super_lyndon_words(table, content, table.sort_key)
         _certify_dimension(table, content, len(self.basis), "bar basis")
+        self._table = weakref.ref(table)
 
     @cached_property
     def rows(self):
-        rows = {}
+        table, rows = self._table(), {}
         for j, l in enumerate(self.basis):
-            for u, v in _lie_column(self.table, l).items():
+            column = _tree_column(table, _standard_bracketing(table, l))
+            for u, v in column.items():
                 rows.setdefault(u, {})[j] = v
         for i, l in enumerate(self.basis):
             row, h = rows.get(l, {}), len(l) // 2
@@ -388,41 +355,9 @@ class BarQuotient:
                         r[i] = s - v * m
         return {w: Fraction(v, den) for w, v in x.items()}
 
-    @cached_property
-    def _comb_half(self):
-        words = designated_words(self.table, self.content)
-        index = {w: j for j, w in enumerate(words)}
-        rows = [{j: v for u, v in _word_vector(self.table, l).items()
-                 if (j := index.get(u)) is not None} for l in self.basis]
-        ech, picked = Echelon(), []
-        for j in reversed(range(len(words))):
-            col = {i: r[j] for i, r in enumerate(rows) if j in r}
-            if len(picked) < len(rows) and ech.insert(col) is not None:
-                picked.insert(0, j)
-        adj, delta = _exact_inverse([[r.get(j, 0) for j in picked]
-                                     for r in rows])
-        return [words[j] for j in picked], adj, delta
 
-    @property
-    def combs(self):
-        return self._comb_half[0]
-
-    def comb_coordinates(self, q):
-        combs, adj, delta = self._comb_half
-        q = [(b, x) for b, x in enumerate(q) if x]
-        return {w: Fraction(s, delta) for w, row in zip(combs, adj)
-                if (s := sum(row[b] * x for b, x in q))}
-
-
-def bar_quotient(table, content, cap=None):
-    """The BarQuotient of a sorted content, one memo entry for both sides;
-    more designated words than a cap given is a CapExceeded."""
-    if cap is not None:
-        n = factorial(len(content) - 1) // prod(factorial(
-            content.count(x) - (x == content[0])) for x in set(content))
-        if n > cap:
-            raise CapExceeded(f"content {content} has {n} candidate words "
-                              f"(cap {cap})")
+def bar_quotient(table, content):
+    """The BarQuotient of a sorted content, one memo entry per content."""
     memo = table.memo("bar_quotient")
     if content not in memo:
         memo[content] = BarQuotient(table, content)

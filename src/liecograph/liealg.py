@@ -4,22 +4,28 @@ designated leading slot, and expansion into the tensor algebra.
 
 Classes are read through the configuration pairing with long graphs, under
 which the bracket is dual to the cobracket (signed deconcatenation of the
-word, `_word_pair`): a term's pairings with the long graphs on the
-super-Lyndon bar basis are solved for comb coordinates in the comb half of
-the content's pairing block (graphcoalg.bar_quotient), whose bar half
-serves build_E.  `tensor_expand` is an oracle the normal form never calls.
+word): graphcoalg._tree_column gives a tree's pairings with every word.
+Each content's comb basis is this side's own (`comb_basis`): the
+designated-leading combs independent against the long graphs on the
+super-Lyndon bar basis of graphcoalg.bar_quotient, whose rows serve build_E
+only.  A term's pairings with those long graphs are solved for comb
+coordinates.  `tensor_expand` is an oracle the normal form never calls.
 
 A bracket literal [[a,b],c] and the product (a*b)*c share the same term keys:
 nested tuples of generator names.
 """
 
+from fractions import Fraction
+from math import factorial, prod
+
 from .errors import CapExceeded
 from .elements import TreeElement, _Element
-from .graphcoalg import bar_quotient
-from .linalg import add_into
+from .graphcoalg import _distinct_arrangements, _tree_column, bar_quotient
+from .linalg import Echelon, _exact_inverse, add_into
 from .shapes import tall_tree, tree_leaves
 
-__all__ = ["product", "bracket", "lie_normal_form", "tensor_expand", "LieElement"]
+__all__ = ["product", "bracket", "lie_normal_form", "comb_basis",
+           "tensor_expand", "LieElement"]
 
 LIE_CAP = 9
 ARRANGEMENT_CAP = 1000
@@ -60,32 +66,51 @@ class LieElement(_Element):
         return " + ".join(bits)
 
 
-def _word_pair(table, w, t):
-    """<long graph on the word w, tree term t>, an integer: a leaf x pairs to
-    1 with (x,) only, and as the bracket is dual to the cobracket,
-        <w, (t1, t2)> = <w[:k], t1> <w[k:], t2> - s <w[i:], t1> <w[:i], t2>
-    with k the number of leaves of t1, i = len(w) - k and
-    s = (-1)^(|w[:i]| |w[i:]|).  Memoized on the table."""
-    if isinstance(t, str):
-        return int(w == (t,))
-    memo = table.memo("word_pair")
-    hit = memo.get((w, t))
+def _designated_words(table, content):
+    """The words of a content whose leading slot carries its designated
+    (minimal) generator: one per distinct order of the other letters."""
+    g0 = min(content, key=table.sort_key)
+    rest = list(content)
+    rest.remove(g0)
+    return [(g0,) + tail for tail in _distinct_arrangements(tuple(rest))]
+
+
+def comb_basis(table, content):
+    """(combs, adj, delta) of a sorted content, one memo entry per content.
+    The combs are the greedy independent columns of <long graphs on the bar
+    basis B, left combs on the designated words>, from the last word to the
+    first, and S^-1 = adj / delta for S = <B, combs>: comb coordinates of a
+    free-Lie class pairing to q with the long graphs on B are S^-1 q.  A
+    content of more than ARRANGEMENT_CAP designated words is a CapExceeded,
+    counted before any is listed."""
+    memo = table.memo("comb_basis")
+    hit = memo.get(content)
     if hit is None:
-        k = len(tree_leaves(t[0]))
-        i = len(w) - k
-        kappa = (-1) ** (sum(table.degrees_of(w[:i]))
-                         * sum(table.degrees_of(w[i:])))
-        hit = memo[(w, t)] = (
-            _word_pair(table, w[:k], t[0]) * _word_pair(table, w[k:], t[1])
-            - kappa * _word_pair(table, w[i:], t[0])
-            * _word_pair(table, w[:i], t[1]))
+        n = factorial(len(content) - 1) // prod(factorial(
+            content.count(x) - (x == content[0])) for x in set(content))
+        if n > ARRANGEMENT_CAP:
+            raise CapExceeded(f"content {content} has {n} candidate words "
+                              f"(cap {ARRANGEMENT_CAP})")
+        index = {l: i for i, l in enumerate(bar_quotient(table, content).basis)}
+        words, picked, ech = _designated_words(table, content), [], Echelon()
+        for d in reversed(words):
+            if len(picked) == len(index):
+                break
+            col = {i: v for u, v in _tree_column(table, tall_tree(d)).items()
+                   if (i := index.get(u)) is not None}
+            if ech.insert(col) is not None:
+                picked.append((d, col))
+        picked.reverse()
+        adj, delta = _exact_inverse([[col.get(i, 0) for _, col in picked]
+                                     for i in range(len(index))])
+        hit = memo[content] = [d for d, _ in picked], adj, delta
     return hit
 
 
 def lie_normal_form(t):
     """Normal form of a TreeElement over the basis combs: per content, the
-    pairing of its terms with the long graphs on the bar basis words, solved
-    in the content's pairing block (bar_quotient)."""
+    pairings of its terms with the long graphs on the bar basis words, one
+    column of each term, solved in the content's comb basis."""
     table = t.table
     by_content = {}
     for key, coeff in t.terms.items():
@@ -96,10 +121,12 @@ def lie_normal_form(t):
         by_content.setdefault(content, []).append((key, coeff))
     out = {}
     for content, terms in by_content.items():
-        q = bar_quotient(table, content, ARRANGEMENT_CAP)
-        out.update(q.comb_coordinates(
-            [sum(c * _word_pair(table, b, key) for key, c in terms)
-             for b in q.basis]))
+        combs, adj, delta = comb_basis(table, content)
+        columns = [(c, _tree_column(table, key)) for key, c in terms]
+        q = [(b, x) for b, l in enumerate(bar_quotient(table, content).basis)
+             if (x := sum(c * column.get(l, 0) for c, column in columns))]
+        out.update({w: Fraction(s, delta) for w, row in zip(combs, adj)
+                    if (s := sum(row[b] * x for b, x in q))})
     return LieElement(table, out)
 
 

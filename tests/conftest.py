@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from liecograph.elements import GeneratorTable
+from liecograph.elements import GeneratorTable, koszul_sign
 from liecograph.presentations import DgcaPresentation, parse_presentation
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -97,3 +97,43 @@ def super_lyndon(word, degree, key=None):
     return is_lyndon(word, key) or (
         word[:h] == word[h:] and is_lyndon(word[:h], key)
         and sum(degree[x] for x in word[:h]) % 2 == 1)
+
+
+# ---------------------------------------------------------------------------
+# the word recursion of the iterated cobracket, an oracle for the pairing
+
+def _word_vector(table, word):
+    """The fully iterated cobracket of the long graph on a bar word, read
+    off the word: cutting an edge of w1->...->wn leaves the prefix and the
+    suffix, so only the two end cuts split off one vertex, and
+        v(a) = (a),  v(w) = v(w1..w(n-1)).(wn) - k(w) v(w2..wn).(w1)
+    with ".(x)" appending the slot x and k(w) the Koszul sign of moving w1
+    past the rest.  v(w) at u is the pairing of w with the left comb on u.
+    Integer entries; memoized on the table, on an explicit stack, so no
+    recursion limit applies."""
+    memo, stack = table.memo("word_vector"), [word]
+    while stack:
+        w = stack[-1]
+        if w in memo:
+            stack.pop()
+            continue
+        n = len(w)
+        if n == 1:
+            memo[w] = {w: 1}
+            continue
+        head, tail = w[:-1], w[1:]
+        missing = [u for u in (head, tail) if u not in memo]
+        if missing:
+            stack += missing
+            continue
+        kappa = koszul_sign(table.degrees_of(w), [*range(1, n), 0])
+        hit = {keys + w[-1:]: c for keys, c in memo[head].items()}
+        for keys, c in memo[tail].items():
+            key = keys + w[:1]
+            s = hit.get(key, 0) - kappa * c
+            if s:
+                hit[key] = s
+            else:
+                del hit[key]
+        memo[w] = hit
+    return memo[word]

@@ -1,12 +1,18 @@
 """Every cache derived from a generator table lives and dies with that table
 (GeneratorTable.memo): running the builders and normal forms on fresh tables
-leaves every module-level container of the library at its old size."""
+leaves every module-level container of the library at its old size, and no
+memo value refers back to its table, so a dropped bundle frees its table
+without the cycle collector."""
 
 import gc
 import importlib
 import pkgutil
+import weakref
+
+import pytest
 
 import liecograph
+from liecograph import functors
 from liecograph.elements import GeneratorTable, TreeElement
 from liecograph.functors import (
     build_E,
@@ -47,3 +53,28 @@ def test_module_level_containers_do_not_grow():
     del A, table
     gc.collect()
     assert module_container_sizes() == before
+
+
+@pytest.mark.parametrize("builder", [
+    "build_G", "build_E", "harrison_shuffle_model", "build_L"])
+def test_table_dies_with_its_bundle(builder):
+    """With the cycle collector off, dropping a bundle frees its table and
+    every memo on it.  build_E's bar blocks have built rows; build_L reads
+    only the bar bases, and builds no rows."""
+    A = parse_presentation("gen x deg 2\ngen y deg 2\ngen z deg 3\n"
+                           "diff z = x*y\n")
+    source = dualize(A, 6) if builder == "build_L" else A
+    gc.collect()
+    gc.disable()
+    try:
+        bundle = getattr(functors, builder)(source, 4, 6)
+        table = bundle.table
+        rows = ["rows" in vars(q)
+                for q in table.memo("bar_quotient").values()]
+        if builder in ("build_E", "build_L"):
+            assert rows and any(rows) == (builder == "build_E")
+        ref = weakref.ref(table)
+        del bundle, table
+        assert ref() is None
+    finally:
+        gc.enable()

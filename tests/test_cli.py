@@ -3,6 +3,7 @@ import io
 import os
 import re
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from liecograph.cli import MAX_NESTING, main, parse_expression
 from liecograph.elements import GeneratorTable, GraphElement, TreeElement
 from liecograph.errors import ArityMismatch, ParseError, UnknownGenerator
+from liecograph.graphcoalg import _word_coordinates
 
 from conftest import FIXTURES
 
@@ -98,6 +100,28 @@ class TestVerbs:
     def test_normalize(self, capsys):
         code, out, _ = run(capsys, "normalize", "b|a", "--gens", "a:2,b:2")
         assert code == 0 and out == "a|b\t-1\n"
+
+    def test_normalize_at_weight_7(self, capsys):
+        """Weight 7 (BAR_CAP) is read: the long graphs' coordinates are
+        their words' pairings with the standard bracketings, solved."""
+        gens = "a:2,b:3,c:2,d:4,e:3,f:2,g:5"
+        words = {("d", "a", "c", "g", "b", "f", "e"): 1,
+                 ("b", "a", "b", "c", "a", "b", "c"): Fraction(-3, 2)}
+        start = time.perf_counter()
+        code, out, err = run(capsys, "normalize",
+                             "d|a|c|g|b|f|e - 3/2*b|a|b|c|a|b|c",
+                             "--gens", gens)
+        assert time.perf_counter() - start < 5.0
+        assert code == 0 and err == ""
+        table = GeneratorTable([(x.split(":")[0], int(x.split(":")[1]))
+                                for x in gens.split(",")])
+        want = {}
+        for w, c in words.items():
+            for b, x in _word_coordinates(table, w).items():
+                want[b] = want.get(b, 0) + c * x
+        got = {tuple(w.split("|")): Fraction(x)
+               for w, x in (line.split("\t") for line in out.splitlines())}
+        assert got == {b: x for b, x in want.items() if x} and len(got) > 2
 
     def test_iszero_zero(self, capsys):
         code, out, _ = run(capsys, "iszero", "a|b + b|a",
@@ -254,6 +278,16 @@ class TestErrorsAndCaps:
         start = time.perf_counter()
         code, out, err = run(capsys, "pair", "|".join("a" * 12),
                              "(" + "*".join("a" * 12) + ")", "--gens", "a:2")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == "" and "CapExceeded" in err
+        assert "Traceback" not in err and len(err.strip().split("\n")) == 1
+
+    def test_normalize_weight_cap_exits_1(self, capsys):
+        """A weight-8 graph is past BAR_CAP: refused before its iterated
+        cobracket is taken, with one stderr line."""
+        start = time.perf_counter()
+        code, out, err = run(capsys, "normalize", "a|b|c|d|e|f|g|a",
+                             "--gens", "a:2,b:3,c:2,d:4,e:3,f:2,g:5")
         assert time.perf_counter() - start < 1.0
         assert code == 1 and out == "" and "CapExceeded" in err
         assert "Traceback" not in err and len(err.strip().split("\n")) == 1

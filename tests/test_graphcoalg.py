@@ -16,19 +16,18 @@ from liecograph.elements import (
 from liecograph.errors import CapExceeded
 from liecograph import graphcoalg
 from liecograph.graphcoalg import (
+    BAR_CAP,
     ZERO_CAP,
     _distinct_arrangements,
-    _lie_column,
-    _standard_split,
+    _standard_bracketing,
+    _tree_column,
     _witt_dimension,
     _iterated_vector,
     _lyndon_words,
     _shuffles,
     _word_coordinates,
-    _word_vector,
     cobracket,
     bar_quotient,
-    designated_words,
     graphify,
     is_zero_in_E,
     iterated_cobracket,
@@ -36,12 +35,12 @@ from liecograph.graphcoalg import (
     super_lyndon_words,
     to_bar_basis,
 )
-from liecograph.liealg import _word_pair, tensor_expand
+from liecograph.liealg import _designated_words, comb_basis, tensor_expand
 from liecograph.linalg import SparseMatrix
 from liecograph.pairing import element_pair
 from liecograph.shapes import enumerate_graphs, enumerate_trees, tall_tree
 
-from conftest import super_lyndon
+from conftest import _word_vector, super_lyndon
 
 
 @pytest.fixture
@@ -129,9 +128,9 @@ class TestWordProblem:
     def test_designated_words(self):
         table = GeneratorTable([("b", 2), ("a", 3)])
         # the designated generator is the table's first, whatever its name
-        assert designated_words(table, ("a", "b", "a")) == [
+        assert _designated_words(table, ("a", "b", "a")) == [
             ("b", "a", "a")]
-        assert designated_words(table, ("b", "a", "b", "a")) == [
+        assert _designated_words(table, ("b", "a", "b", "a")) == [
             ("b", "a", "a", "b"), ("b", "a", "b", "a"), ("b", "b", "a", "a")]
 
     def test_distinct_arrangements_are_the_sorted_permutations(self):
@@ -160,8 +159,10 @@ class TestWordProblem:
                           y + x * n: (-1) ** n}
 
     def test_bar_cap(self, table):
+        """Weight BAR_CAP is read; one letter more is refused."""
+        assert to_bar_basis(graphify(("a",) * BAR_CAP, table)) == {}
         with pytest.raises(CapExceeded):
-            to_bar_basis(graphify(("a",) * 7, table))
+            to_bar_basis(graphify(("a",) * (BAR_CAP + 1), table))
 
     def test_zero_test_cap(self, table):
         """A 40-letter word is refused before any cobracket is taken; at
@@ -337,8 +338,8 @@ class TestFreeLieDimension:
                 entries[(i, index[u])] = c
         rank = SparseMatrix(len(words), len(words), entries).rank()
         assert _free_lie_dimension(table, content) == rank
-        q = bar_quotient(table, content)
-        assert len(q.basis) == len(q.combs) == rank
+        assert len(bar_quotient(table, content).basis) \
+            == len(comb_basis(table, content)[0]) == rank
 
     def test_planted_mismatch_names_the_content(self, monkeypatch):
         # a(2) once and b(3) twice: multidegree (1, 2), odd letters (0, 1)
@@ -388,32 +389,26 @@ class TestSuperLyndonBasis:
     @pytest.mark.parametrize("gens", _MIXED_TABLES[1:], ids=_table_id)
     def test_columns_are_the_pairings_with_the_standard_bracketing(
             self, gens):
-        """The column of each basis word holds its standard bracketing's
-        pairing with every arrangement, as the word recursion and the
-        configuration pairing compute it."""
+        """The column of each basis word's standard bracketing holds its
+        pairing with every arrangement, as the configuration pairing
+        computes it, and is its expansion in the tensor algebra."""
         table = GeneratorTable(gens)
-
-        def bracketing(w):
-            if len(w) == 1:
-                return w[0]
-            i = _standard_split(table, w)
-            return (bracketing(w[:i]), bracketing(w[i:]))
-
         for content in _contents(table, 5):
             for l in bar_quotient(table, content).basis:
-                t = bracketing(l)
+                t = _standard_bracketing(table, l)
                 tree = TreeElement.from_term(table, t)
-                column = _lie_column(table, l)
+                column = _tree_column(table, t)
+                assert column == tensor_expand(tree), l
                 for u in _distinct_arrangements(content):
-                    assert column.get(u, 0) == _word_pair(table, u, t) \
+                    assert column.get(u, 0) \
                         == element_pair(graphify(u, table), tree), (l, u)
 
     def test_planted_wrong_bracketing_names_the_content(self, monkeypatch):
         """A left comb in place of the standard bracketing of a a b is zero
         (a is even), so the block is not triangular."""
         table = GeneratorTable([("a", 2), ("b", 2)])
-        monkeypatch.setattr(graphcoalg, "_standard_split",
-                            lambda table, w: len(w) - 1)
+        monkeypatch.setattr(graphcoalg, "_standard_bracketing",
+                            lambda table, w: tall_tree(w))
         with pytest.raises(AssertionError, match=r"pairing block of content "
                            r"\('a', 'a', 'b'\) is not unitriangular"):
             _word_coordinates(table, ("a", "b", "a"))

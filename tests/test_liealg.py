@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from liecograph.elements import GeneratorTable, TreeElement
 from liecograph.errors import CapExceeded
-from liecograph.graphcoalg import _word_vector, graphify
+from liecograph.graphcoalg import _tree_column, graphify
 from liecograph.liealg import (
-    _word_pair,
     bracket,
     lie_normal_form,
     product,
@@ -17,6 +16,8 @@ from liecograph.liealg import (
 )
 from liecograph.pairing import element_pair
 from liecograph.shapes import tall_tree
+
+from conftest import _word_vector
 
 
 TABLE = GeneratorTable([("a", 2), ("b", 3), ("c", 4)])
@@ -134,9 +135,10 @@ def _draw_tree(data, leaves):
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(["even", "odd", "mixed"]), st.data())
 def test_word_pair_is_the_configuration_pairing(parity, data):
-    """The bracket/cobracket recursion against element_pair, on a random
-    word and a random planar tree over a rearrangement of its letters; on a
-    left comb it is the word vector's entry."""
+    """The tree's column (the bracket/cobracket recursion) against
+    element_pair, on a random word and a random planar tree over a
+    rearrangement of its letters; on a left comb it is the entry of the word
+    vector, the iterated cobracket's word recursion."""
     k = data.draw(st.integers(1, 3), label="generators")
     degree = {"even": st.sampled_from([2, 4]), "odd": st.sampled_from([1, 3]),
               "mixed": st.integers(1, 4)}[parity]
@@ -148,9 +150,9 @@ def test_word_pair_is_the_configuration_pairing(parity, data):
                                     min_size=1, max_size=6), label="word"))
     leaves = tuple(data.draw(st.permutations(word), label="leaves"))
     tree = _draw_tree(data, leaves)
-    assert _word_pair(table, word, tree) == element_pair(
+    assert _tree_column(table, tree).get(word, 0) == element_pair(
         graphify(word, table), TreeElement.from_term(table, tree))
-    assert _word_pair(table, word, tall_tree(leaves)) \
+    assert _tree_column(table, tall_tree(leaves)).get(word, 0) \
         == _word_vector(table, word).get(leaves, 0)
 
 

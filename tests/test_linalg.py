@@ -15,11 +15,10 @@ from liecograph.graphcoalg import (
     _distinct_arrangements,
     _iterated_vector,
     _word_coordinates,
-    designated_words,
     graphify,
     to_bar_basis,
 )
-from liecograph.liealg import lie_normal_form
+from liecograph.liealg import _designated_words, comb_basis, lie_normal_form
 from liecograph.linalg import (
     BigradedComplex,
     Echelon,
@@ -176,7 +175,7 @@ def test_echelon_matches_fraction_reference_on_bar_quotients():
     contents = table.memo("bar_quotient")
     assert len(contents) > 20
     for content, q in contents.items():
-        words = designated_words(table, content)
+        words = _designated_words(table, content)
         full = {w: _iterated_vector(graphify(w, table))
                 for w in _distinct_arrangements(content)}
         rows = _FractionEchelon()
@@ -186,8 +185,9 @@ def test_echelon_matches_fraction_reference_on_bar_quotients():
         cols = _FractionEchelon()
         column = {u: {i: v for i, w in enumerate(words)
                       if (v := full[w].get(u))} for u in full}
-        assert q.combs == [u for u in reversed(words)
-                           if cols.insert(column[u], u) is not None][::-1]
+        combs = [u for u in reversed(words)
+                 if cols.insert(column[u], u) is not None][::-1]
+        assert comb_basis(table, content)[0] == combs, content
         for u, vec in full.items():
             residual, want = rows.reduce(vec)
             assert residual == {}
