@@ -60,6 +60,7 @@ from .shapes import (
     contract_edge,
     enumerate_graphs,
     tall_tree,
+    tree_leaves,
 )
 from .elements import (GeneratorTable, GraphElement, TreeElement,
                        _slotwise, graded_sort, koszul_sign)
@@ -498,14 +499,16 @@ def build_L(C, cap_weight=None, cap_degree=None):
             key_bidegree[w] = (K - k, OFF - nat)
 
     def normalize(raw, coeff, acc):
-        """Accumulate the normal form of coeff * (the left comb on raw)."""
-        el = lie_normal_form(TreeElement(table, {tall_tree(raw): coeff}))
-        for w, c in el.terms.items():
-            if w not in key_bidegree:
-                k, nat = len(w), sum(table.degree[x] for x in w)
-                assert k > cw or nat > cd, (
-                    f"comb word {w} missing inside caps")
-                continue
+        """Accumulate the normal form of coeff * (the left comb on raw).  Its
+        words have raw's letters, so a raw past the caps is skipped unread
+        (a split slot holds a pair: raw has more letters than slots)."""
+        tree = tall_tree(raw)
+        letters = tree_leaves(tree)
+        if len(letters) > cw or sum(map(table.degree.__getitem__, letters)) > cd:
+            return
+        for w, c in lie_normal_form(TreeElement(table, {tree: coeff})) \
+                .terms.items():
+            assert w in key_bidegree, f"comb word {w} missing inside caps"
             add_into(acc, w, c)
 
     def d_letter(name):

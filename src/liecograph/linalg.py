@@ -13,15 +13,18 @@ weight filtration, both in a degree window the caller names, are ranks of
 corners of the total differential D = dv + dh, read from the key maps and
 memoised on the complex; there is no coordinate layout.
 
-No floating point ever enters a result: numpy is used for integer arrays
-and, in the rank certificate alone, for float64 products of integers that an
-explicit magnitude bound proves exact (every partial sum below 2^53).
+Everything is Python integers and Fractions; no float is ever formed.  The
+rank certificate packs each row of its matrix into one integer, a field per
+column wide enough for an explicit bound, so it is exact at any magnitude.
 """
 
+import sys
 from bisect import bisect_right
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import compress
 from math import gcd, lcm
+from operator import mul
 
 from .errors import CapTooSmall
 
@@ -153,7 +156,7 @@ class SparseMatrix:
 
 
 # ---------------------------------------------------------------------------
-# certified rank of an integer matrix on a named minor (numpy-backed)
+# certified rank of an integer matrix on a named minor
 
 def _exact_inverse(S):
     """(adj, delta) with S^-1 = adj / delta, adj integral and delta > 0 the
@@ -174,44 +177,72 @@ def _exact_inverse(S):
     return [[x // g for x in row] for row in adj], delta // g
 
 
-CERT_SLICE = 256  # rows of A per float64 product in integer_matrix_rank
+# 1 on a byte with its top bit set: read on an entry's most significant
+# byte, 1 when the entry is negative
+_SIGN = bytes(b >> 7 for b in range(256))
 
 
 def integer_matrix_rank(A, rows, cols):
-    """Exact Q-rank of an integer numpy matrix A, certified on the minor
-    S = A[rows, cols] that the caller names.
+    """Exact Q-rank of an integer matrix A, certified on the minor
+    S = A[rows, cols] that the caller names.  A is a 2-D buffer of signed
+    integers: a memoryview such as PairingMatrix.quotient, or a numpy
+    integer array.
 
     Lower bound: S has an exact inverse, so rank >= len(rows).  Upper bound:
     every row of A is a Q-combination of the rows `rows`, checked as the
-    integer identity delta * A == (A[:, cols] @ adj) @ A[rows] with
-    adj = delta * S^-1 and delta the common denominator of S^-1.  The
-    identity is evaluated in float64 BLAS, CERT_SLICE rows at a time, which
-    is exact while the explicit bound on every partial sum (in any order)
-    stays below 2^53.  Raises ArithmeticError if S is singular, if the
-    identity fails (S is not a maximal nonsingular minor) or if the bound is
-    reached; it never returns an uncertified number."""
-    import numpy as np
-
-    assert np.issubdtype(A.dtype, np.integer)
+    integer identity delta * A[i] == sum_k A[i, cols[k]] * B[k] for every
+    row i, with B = adj @ A[rows], adj = delta * S^-1 and delta the common
+    denominator of S^-1.  Each row is packed into one int, entry j in the
+    j-th field of W bits (Kronecker substitution), so each side is one
+    integer per row.  Every entry of A is at most maxA, the largest
+    magnitude its type holds, so every entry of the difference of the two
+    sides is at most the explicit bound r^2 maxA^2 max|adj| + delta maxA;
+    W holds the bound and a sign bit, so the packed difference is 0 only
+    when every entry is, at any magnitude.  Raises ArithmeticError if S is
+    singular or if the identity fails (S is not a maximal nonsingular
+    minor); it never returns an uncertified number."""
+    A = memoryview(A)
+    if A.ndim != 2 or A.format not in tuple("bhilqn"):
+        raise TypeError("integer_matrix_rank needs a 2-D buffer of signed "
+                        f"integers, not {A.ndim}-D of {A.format!r}")
     rows, cols = list(rows), list(cols)
     r = len(rows)
     if len(cols) != r:
         raise ArithmeticError(f"minor of {r} rows and {len(cols)} columns")
+    C, k = A.shape[1], A.itemsize
+    raw = A.tobytes()
+    flat = memoryview(raw).cast(A.format)
     try:
         adj, delta = _exact_inverse(
-            [[int(A[i, j]) for j in cols] for i in rows])
+            [[flat[i * C + j] for j in cols] for i in rows])
     except ZeroDivisionError:
         raise ArithmeticError("the named minor is singular") from None
-    maxA = max(int(A.max(initial=0)), -int(A.min(initial=0)))
+    maxA = 1 << 8 * k - 1
     maxadj = max((abs(x) for row in adj for x in row), default=0)
     bound = r * r * maxA * maxadj * maxA + delta * maxA
-    if bound >= 2 ** 53:
-        raise ArithmeticError(
-            f"certification bound {bound} reaches 2^53, past exact float64")
-    adj, span = np.array(adj, float).reshape(r, r), A[rows].astype(float)
-    for i in range(0, len(A), CERT_SLICE):
-        part = A[i:i + CERT_SLICE].astype(float)
-        if ((part[:, cols] @ adj) @ span != delta * part).any():
+    m = (bound.bit_length() + 8) // 8  # bytes per field, W = 8m
+
+    def packed(i):
+        """Row i as sum_j A[i, j] * 2^(W*j): its bytes spread into the low
+        bytes of the fields, less 2^(8k) in each field whose entry is
+        negative."""
+        row = raw[i * C * k:(i + 1) * C * k]
+        if sys.byteorder == "big":
+            # entries little-endian, in reverse column order, the same for
+            # every row: the identity holds column by column either way
+            row = row[::-1]
+        fields, signs = bytearray(C * m), bytearray(C * m)
+        for t in range(k):
+            fields[t::m] = row[t::k]
+        signs[::m] = row[k - 1::k].translate(_SIGN)
+        return (int.from_bytes(fields, "little")
+                - (int.from_bytes(signs, "little") << 8 * k))
+
+    span = [packed(i) for i in rows]
+    B = [sum(a * p for a, p in zip(arow, span) if a) for arow in adj]
+    for i in range(A.shape[0]):
+        a = list(map(flat[i * C:(i + 1) * C].__getitem__, cols))
+        if delta * packed(i) != sum(map(mul, compress(a, a), compress(B, a))):
             raise ArithmeticError(
                 "a row lies outside the span of the named minor's rows")
     return r

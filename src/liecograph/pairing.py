@@ -6,16 +6,20 @@ is 0 unless that map is surjective onto the internal vertices, and otherwise
 the product of edge signs (+1 when leaf a sits to the left of leaf b).
 A tree's nadirs and signs are held as one flat table of small ints,
 +-(nadir + 1) at a * (n + 1) + b (_pair_info), cached for shape_pair and
-_term_pair and built afresh, chunk by chunk, for the dense matrix.
+_term_pair.
 
 Two sign rules hold: reversing an edge of the graph negates the pairing, and
 so does swapping the two children at an internal node of the tree.  The
 weight-n pairing matrix is therefore built and ranked on the quotient by
 both, one oriented tree per undirected tree (n^(n-2) rows) against one child
 order per antisymmetry class (n!*Cat(n-1)/2^(n-1) columns): 1296 x 945 at
-n = 6 instead of 41472 x 30240.  Its rank is certified on the block of
-long graphs against tall trees, a signed identity since the two are dual
-bases; see PairingMatrix.
+n = 6 instead of 41472 x 30240.  The quotient is an int8 bytearray, seen
+as a 2-D memoryview, and is filled column by column from where the pairing
+can be nonzero: the edges of G must meet the internal vertices of T one to
+one, so a column's nonzeros are its choices of one leaf pair across each
+vertex (74520 of 1224720 cells at n = 6).  Its rank is certified on the
+block of long graphs against tall trees, a signed identity since the two
+are dual bases; see PairingMatrix.
 
 At element level generators pair by name, so a graph term meets a tree term
 of its weight only through the label-preserving bijections from vertices to
@@ -29,6 +33,7 @@ signs depend on the degrees only through their parities.
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import factorial, isqrt, prod
+from operator import or_
 
 from .errors import CapExceeded, MalformedDual, WeightMismatch
 from .linalg import integer_matrix_rank
@@ -181,7 +186,7 @@ class PairingMatrix:
     children at an internal node of T negates <G, T>, so every tree is
     (-1)^(swaps) times its child order with the smaller least leaf on the
     left; there are n!*Cat(n-1)/2^(n-1) such columns.  The quotient matrix
-    Q pairs these representatives, and
+    Q (`quotient`, a 2-D int8 memoryview) pairs these representatives, and
     entry(i, j) = row_sign[i] * col_sign[j] * Q[row_class[i], col_class[j]]
     for i, j indexing row_basis and col_basis.  Rows and columns equal up
     to sign span the same space, so rank() is the rank of Q.
@@ -206,7 +211,7 @@ class PairingMatrix:
 
     def entry(self, i, j):
         return (self.row_sign[i] * self.col_sign[j]
-                * int(self.quotient[self.row_class[i], self.col_class[j]]))
+                * self.quotient[self.row_class[i], self.col_class[j]])
 
     def rank(self):
         if self._rank is None:
@@ -219,106 +224,105 @@ class PairingMatrix:
                 f"{self.quotient.shape[0]}x{self.quotient.shape[1]})")
 
 
-def _graph_class(G):
-    """Orientation with a < b on every edge, and (-1)^(reversed edges)."""
-    return (tuple(sorted((min(a, b), max(a, b)) for a, b in G.edges)),
-            (-1) ** sum(a > b for a, b in G.edges))
+def _splits(t):
+    """(leaves of the left child, leaves of the right child) at every
+    internal vertex of the tree t."""
+    out, stack = [], [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, tuple):
+            out.append((tree_leaves(t[0]), tree_leaves(t[1])))
+            stack += t
+    return out
 
 
-def _tree_class(T):
-    """Child order with the smaller least leaf on the left at every internal
-    node, and (-1)^(swaps)."""
-    if isinstance(T, int):
-        return T, 1
-    (left, lsign), (right, rsign) = _tree_class(T[0]), _tree_class(T[1])
-    if tree_leaves(left)[0] < tree_leaves(right)[0]:  # their least leaves
-        return (left, right), lsign * rsign
-    return (right, left), -lsign * rsign
+def _tree_key(t):
+    """The OR (a sum, as clades differ) of 1 << clade over the internal
+    vertices of t, a clade being the bits 1 << leaf of the leaves below a
+    vertex: it names t up to child order."""
+    return sum(1 << sum(1 << x for x in left + right)
+               for left, right in _splits(t))
 
 
 def _col_keys(n):
-    """Per tree of enumerate_trees(n): its sorted clade bitmasks packed into
-    one integer, and the parity of its nodes with the greater least leaf left."""
-    import numpy as np
-
-    labels = 1 << np.array(list(permutations(range(n))), dtype=np.int64)
-    weights = 1 << (n * np.arange(n - 1, dtype=np.int64))
-    keys, parity = [], []
+    """Per tree of enumerate_trees(n), in its order: _tree_key shifted up
+    one bit, above the parity of the internal vertices whose left child
+    holds the greater least leaf.  Computed per shape for every labeling at
+    once, one list per internal vertex."""
+    # columns[i]: the bit of the leaf at position i, over all labelings
+    columns = [[1 << x for x in c]
+               for c in zip(*permutations(range(1, n + 1)))]
+    # per clade: its key bit (clades are even, so bit 0 stays free) and its
+    # least leaf, the clade's lowest bit
+    bit = [2 << c for c in range(2 << n)]
+    least = [c & -c for c in range(2 << n)]
+    keys = []
     for shape in _tree_shapes(n):
         nodes = []
-        _clades(shape, labels, nodes)
-        left, right = np.array(nodes, dtype=np.int64).reshape(
-            -1, 2, len(labels)).transpose(1, 2, 0)
-        keys.append(np.sort(left | right, axis=1) @ weights)
-        # the lowest set bit of a clade is its least leaf
-        parity.append(((left & -left) > (right & -right)).sum(axis=1) & 1)
-    return np.concatenate(keys), np.concatenate(parity)
+        _clades(shape, columns, nodes)
+        key = [0] * len(columns[0])
+        for left, right in nodes:
+            key = [k ^ bit[lo | ro] ^ (least[lo] > least[ro])
+                   for k, lo, ro in zip(key, left, right)]
+        keys += key
+    return keys
 
 
-def _clades(t, labels, nodes):
-    """Clade bitmask of shape t for every labeling (a row of label bits per
-    leaf position); appends its children's to nodes at each internal node."""
+def _clades(t, columns, nodes):
+    """The clade of shape t under every labeling; appends its children's to
+    nodes at each internal vertex."""
     if not isinstance(t, tuple):
-        return labels[:, t]
-    nodes.append((_clades(t[0], labels, nodes), _clades(t[1], labels, nodes)))
-    return nodes[-1][0] | nodes[-1][1]
+        return columns[t]
+    nodes.append((_clades(t[0], columns, nodes),
+                  _clades(t[1], columns, nodes)))
+    return list(map(or_, *nodes[-1]))
 
 
-def _classes(keys, basis, reduce):
-    """Class index of each basis element by key, numbered in order of first
-    appearance, and {reduce(first member)[0]: class index}."""
+def _classes(keys):
+    """Class index of each key, numbered in order of first appearance, and
+    {key: (class index, position of its first appearance)}."""
     first = {}
-    cls = [first.setdefault(k, (len(first), i))[0]
-           for i, k in enumerate(keys.tolist())]
-    return cls, {reduce(basis[i])[0]: c for c, i in first.values()}
+    return ([first.setdefault(k, (len(first), i))[0]
+             for i, k in enumerate(keys)], first)
 
 
 @lru_cache(maxsize=None)
 def pairing_matrix(n):
     if n > ENUMERATION_CAP:
         raise CapExceeded(f"pairing matrix capped at n <= {ENUMERATION_CAP}")
-    import numpy as np
-
     graphs, trees = enumerate_graphs(n), enumerate_trees(n)
     # undirected edges as a bitmask, above 3 bits counting reversed edges
     bits = {}
     for k, (a, b) in enumerate(combinations(range(1, n + 1), 2)):
         bits[a, b], bits[b, a] = 8 << k, (8 << k) + 1
-    row_key = np.fromiter((sum(map(bits.__getitem__, G.edges))
-                           for G in graphs), np.int64, len(graphs))
-    col_key, col_parity = _col_keys(n)
-    row_class, row_index = _classes(row_key >> 3, graphs, _graph_class)
-    col_class, col_index = _classes(col_key, trees, _tree_class)
-    Q = _dense_pairing(n, list(row_index), list(col_index))
+    row_key = [sum(map(bits.__getitem__, G.edges)) for G in graphs]
+    row_class, row_first = _classes([k >> 3 for k in row_key])
+    col_key = _col_keys(n)
+    col_class, col_first = _classes([k >> 1 for k in col_key])
+    R, C = len(row_first), len(col_first)
+    # <G, T> != 0 only when the edges of G meet the internal vertices of T
+    # one to one, so a column's nonzeros are its choices of one leaf pair
+    # (a, b) across each vertex, a under the left child.  The pair is an
+    # edge of the row representative, which runs from the smaller end: it
+    # counts -1 when a > b.  The column's first tree differs from its
+    # representative by its parity of child swaps.
+    offset = {k: c * C for k, (c, _) in row_first.items()}
+    byte = (1, 255)  # +1 and -1 as int8
+    buf = bytearray(R * C)
+    for j, i in col_first.values():
+        keys = [0]
+        for left, right in _splits(trees[i]):
+            pairs = [bits[a, b] for a in left for b in right]
+            keys = [k + e for k in keys for e in pairs]
+        parity = col_key[i] & 1
+        for k in keys:
+            buf[offset[k >> 3] + j] = byte[(k ^ parity) & 1]
     tails = list(permutations(range(2, n + 1)))
-    minor = ([row_index[_graph_class(long_graph((1,) + t))[0]] for t in tails],
-             [col_index[_tree_class(tall_tree((1,) + t))[0]] for t in tails])
+    minor = ([row_first[sum(map(bits.__getitem__,
+                                long_graph((1,) + t).edges)) >> 3][0]
+              for t in tails],
+             [col_first[_tree_key(tall_tree((1,) + t))][0] for t in tails])
     return PairingMatrix(n, graphs, trees, row_class,
-                         (1 - 2 * (row_key & 1)).tolist(), col_class,
-                         (1 - 2 * col_parity).tolist(), Q, minor)
-
-
-def _dense_pairing(n, graphs, trees):
-    """Vectorized pairing matrix of edge tuples against trees: for a chunk of
-    trees at a time, gather the nadir table entries of all edges and
-    combine.  The tables are built here, not through _pair_info's cache,
-    which would keep one per tree."""
-    import numpy as np
-
-    g = len(graphs)
-    edges = np.array(graphs, dtype=np.intp).reshape(g, n - 1, 2)
-    # index into a flattened (n+1)x(n+1) nadir table
-    flat = edges[:, :, 0] * (n + 1) + edges[:, :, 1]
-    full = (1 << n) - 2  # the bits 1 << (nadir + 1) of the n-1 nadirs
-    table = _pair_info.__wrapped__
-    out = np.zeros((g, len(trees)), dtype=np.int8)
-    chunk = 64
-    for j0 in range(0, len(trees), chunk):
-        part = np.array([table(T) for T in trees[j0:j0 + chunk]], np.int8)
-        entries = part[:, flat]  # (c, g, n-1): +-(nadir + 1)
-        bits = np.left_shift(np.int8(1), np.abs(entries))
-        # distinctness: OR of bits has n-1 set bits iff no collision occurred
-        surj = np.bitwise_or.reduce(bits, axis=2) == full
-        signs = np.sign(entries).prod(axis=2, dtype=np.int8)
-        out[:, j0:j0 + len(part)] = np.where(surj, signs, 0).T
-    return out
+                         [1 - 2 * (k & 1) for k in row_key], col_class,
+                         [1 - 2 * (k & 1) for k in col_key],
+                         memoryview(buf).cast("b", (R, C)), minor)

@@ -40,9 +40,11 @@ from liecograph.graphcoalg import (
     relation_generators,
     to_bar_basis,
 )
+from liecograph.liealg import lie_normal_form
 from liecograph.linalg import Echelon, add_into
 from liecograph.pairing import element_pair
 from liecograph.presentations import parse_presentation
+from liecograph.shapes import tree_leaves
 
 from conftest import (
     is_lyndon,
@@ -348,6 +350,19 @@ class TestLieModels:
     def test_abelian_validates(self):
         L = LieAlgebraData([("x", 3), ("y", 5)])
         build_C(L, 4).complex.validate()
+
+    def test_normal_forms_stay_within_the_weight_cap(self, monkeypatch):
+        """build_L normalises no raw word past cap_weight: its words would
+        all be dropped, and past LIE_CAP the normal form refuses them."""
+        weights = []
+
+        def recording(el):
+            weights.extend(len(tree_leaves(t)) for t in el.terms)
+            return lie_normal_form(el)
+
+        monkeypatch.setattr(functors, "lie_normal_form", recording)
+        build_L(load_presentation("cp2.coalg"), 8, 16)
+        assert weights and max(weights) <= 8
 
 
 class TestDuality:

@@ -1,8 +1,8 @@
 """Static hygiene of the library: no module under src/liecograph imports a
 name it never uses, no private module-level helper is left without a caller,
 the free-Lie normal form never calls its own oracle, no true division can
-turn int coefficients into a float, and every name the benchmark tracer
-rebinds still exists.  Standard-library ast only, so it needs no linter."""
+turn int coefficients into a float, no module imports numpy or names a
+float, and every name the benchmark tracer rebinds still exists.  Standard-library ast only, so it needs no linter."""
 
 import ast
 import importlib
@@ -163,3 +163,37 @@ def test_no_true_division():
     found = {p.name: true_divisions(p.read_text(encoding="utf-8"))
              for p in sorted(SRC.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def float_sources(source):
+    """(line, what) of every numpy import, every use of the name float and
+    every float literal."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names
+                      if a.name.split(".")[0] == "numpy"]
+        elif (isinstance(node, ast.ImportFrom)
+              and (node.module or "").split(".")[0] == "numpy"):
+            found.append((node.lineno, node.module))
+        elif isinstance(node, ast.Name) and node.id == "float":
+            found.append((node.lineno, "float"))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, float):
+            found.append((node.lineno, repr(node.value)))
+    return sorted(found)
+
+
+def test_float_source_checker():
+    src = ("import numpy as np\nfrom numpy.linalg import matrix_rank\n"
+           "import numbers\nx = float(y)\nz = 0.5 * w\n"
+           "ok = isinstance(v, Fraction)\n'float'\n")
+    assert float_sources(src) == [(1, "numpy"), (2, "numpy.linalg"),
+                                  (4, "float"), (5, "0.5")]
+
+
+def test_no_numpy_and_no_float():
+    """The library computes over Q in ints and Fractions alone: exactness
+    needs no magnitude bound on a float, and nothing imports numpy."""
+    found = {p.name: float_sources(p.read_text(encoding="utf-8"))
+             for p in sorted(SRC.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}

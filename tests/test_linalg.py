@@ -1,5 +1,6 @@
 import math
 import random
+from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +23,6 @@ from liecograph.liealg import _designated_words, comb_basis, lie_normal_form
 from liecograph.linalg import (
     BigradedComplex,
     Echelon,
-    CERT_SLICE,
     SparseMatrix,
     _exact_inverse,
     add_into,
@@ -261,26 +261,42 @@ def test_integer_rank_certified(rows):
             integer_matrix_rank(A, R + extra_rows[:1], C + extra_cols[:1])
 
 
-def test_integer_rank_refuses_bound_past_int64():
-    A = np.array([[2 ** 40]], dtype=np.int64)
-    with pytest.raises(ArithmeticError, match="bound"):
-        integer_matrix_rank(A, [0], [0])
-    assert integer_matrix_rank(A // 2 ** 20, [0], [0]) == 1
+def _buffer(rows, code="q"):
+    """rows as a 2-D memoryview of the array type code (signed entries)."""
+    flat = array(code, [x for row in rows for x in row])
+    return memoryview(flat).cast("B").cast(code, (len(rows), len(rows[0])))
 
 
-def test_integer_rank_refuses_bound_at_float64_limit():
-    """A 1x1 minor [a] has delta = |a| and adj = +-1, so its bound is 2a^2:
-    exactly 2^53 at a = 2^26, refused; one step below, certified."""
-    with pytest.raises(ArithmeticError, match="bound"):
-        integer_matrix_rank(np.array([[2 ** 26]], dtype=np.int64), [0], [0])
-    assert integer_matrix_rank(
-        np.array([[2 ** 26 - 1]], dtype=np.int64), [0], [0]) == 1
+def test_integer_rank_certifies_2_to_the_40():
+    """Past what int64 products and float64 sums hold exactly, the packed
+    certificate still certifies, and still finds a planted wrong entry."""
+    big = 2 ** 40
+    assert integer_matrix_rank(np.array([[big]], dtype=np.int64),
+                               [0], [0]) == 1
+    assert integer_matrix_rank(_buffer([[big, -big], [-big, big]]),
+                               [0], [0]) == 1
+    with pytest.raises(ArithmeticError, match="span"):
+        integer_matrix_rank(_buffer([[big, -big], [-big, big + 1]]),
+                            [0], [0])
+
+
+def test_integer_rank_certifies_2_to_the_53():
+    """A 1x1 minor [a] has delta = |a| and adj = +-1; at a = 2^53 (a bound
+    of 2^107 on the old float64 sums) the rank is certified exactly, and a
+    wrong entry one unit off is found."""
+    a = 2 ** 53
+    assert integer_matrix_rank(np.array([[a]], dtype=np.int64), [0], [0]) == 1
+    assert integer_matrix_rank(_buffer([[a, 3 * a], [2 * a, 6 * a]]),
+                               [0], [0]) == 1
+    with pytest.raises(ArithmeticError, match="span"):
+        integer_matrix_rank(_buffer([[a, 3 * a], [2 * a, 6 * a - 1]]),
+                            [0], [0])
 
 
 def test_integer_rank_checks_the_last_slice():
-    """A wrong entry planted in a row of the last CERT_SLICE-row slice is
-    found: rows are multiples of the first two until then."""
-    m = 2 * CERT_SLICE + 7
+    """A wrong entry planted in one of the last rows is found: rows are
+    multiples of the first two until then."""
+    m = 519
     base = np.array([[1, 0, 2, -1], [0, 1, 1, 3]], dtype=np.int64)
     A = np.array([[i % 5, i % 3 - 1] for i in range(m)],
                  dtype=np.int64) @ base
@@ -289,6 +305,70 @@ def test_integer_rank_checks_the_last_slice():
     A[m - 3, 2] += 1
     with pytest.raises(ArithmeticError, match="span"):
         integer_matrix_rank(A, [0, 1], [0, 1])
+    A[m - 3, 2] -= 1
+    A[m - 1, 3] -= 1
+    with pytest.raises(ArithmeticError, match="span"):
+        integer_matrix_rank(A, [0, 1], [0, 1])
+
+
+def _multiples():
+    """Rows 0 and 1 name a 2x2 minor on columns 0 and 1; every other row
+    is a combination of them, and row 4 is zero on the minor's columns."""
+    base = [[1, 0, 2, -1, 5], [0, 1, 1, 3, -2]]
+    coeffs = [(1, 0), (0, 1), (2, -1), (-3, 4), (0, 0), (5, 5)]
+    return [[a * x + b * y for x, y in zip(*base)] for a, b in coeffs]
+
+
+@pytest.mark.parametrize("code", ["b", "h", "i", "q"])
+def test_integer_rank_planted_entry_off_the_minor_columns(code):
+    rows = _multiples()
+    assert integer_matrix_rank(_buffer(rows, code), [0, 1], [0, 1]) == 2
+    for i, j in [(3, 4), (5, 2), (0, 3)]:
+        wrong = [row[:] for row in rows]
+        wrong[i][j] += 1
+        with pytest.raises(ArithmeticError, match="span"):
+            integer_matrix_rank(_buffer(wrong, code), [0, 1], [0, 1])
+
+
+@pytest.mark.parametrize("code", ["b", "h", "i", "q"])
+def test_integer_rank_planted_entry_in_a_row_zero_on_the_minor(code):
+    """Row 4 has no entry in the minor's columns, so the combination it
+    must equal is zero."""
+    rows = _multiples()
+    assert rows[4] == [0] * 5
+    rows[4][3] = -1
+    with pytest.raises(ArithmeticError, match="span"):
+        integer_matrix_rank(_buffer(rows, code), [0, 1], [0, 1])
+
+
+@pytest.mark.parametrize("code", ["b", "h", "i", "q"])
+def test_integer_rank_fields_do_not_carry(code):
+    """Entries at the range M = maxA of their type.  With the minor [0]
+    (delta = 1, adj = [[1]]) the certificate's difference for row 1 is
+    row 1 + M * row 0 = (0, -M^2, t).  For each field width w short of the
+    bound's bit length, t = M^2 / 2^w makes that difference pack to 0 in
+    w-bit fields: -M^2 carries into the next field and cancels t.  The
+    minor is not maximal (the rank is 2), and the certificate says so at
+    every such w."""
+    M = 1 << 8 * array(code).itemsize - 1
+    bound = 1 * 1 * M * 1 * M + 1 * M
+    for w in range(1, bound.bit_length()):
+        b, a = divmod(M * M >> w, M)
+        rows = [[1, -M, b], [-M, 0, a]]
+        diff = [x + M * y for x, y in zip(rows[1], rows[0])]
+        assert diff == [0, -M * M, M * M >> w]
+        assert sum(c << w * j for j, c in enumerate(diff)) == 0
+        assert dense_rank_oracle(rows) == 2
+        with pytest.raises(ArithmeticError, match="span"):
+            integer_matrix_rank(_buffer(rows, code), [0], [0])
+
+
+def test_integer_rank_needs_signed_integers():
+    with pytest.raises(TypeError):
+        integer_matrix_rank(memoryview(bytes([1])).cast("B", (1, 1)),
+                            [0], [0])
+    with pytest.raises(TypeError):
+        integer_matrix_rank(array("q", [1]), [0], [0])
 
 
 def _koszul_square_complex():

@@ -1,19 +1,24 @@
+import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liecograph import pairing
 from liecograph.elements import GeneratorTable, GraphElement, TreeElement
 from liecograph.errors import GraphError, MalformedDual
 from liecograph.graphcoalg import cobracket, graphify
 from liecograph.liealg import product
 from liecograph.pairing import (
-    _dense_pairing,
     _pair_info,
     _term_pair,
     element_pair,
@@ -221,12 +226,8 @@ class TestQuotient:
 
     def test_weight_6_peak_memory(self):
         """Building and ranking the weight-6 matrix stays under 24 MB of
-        traced allocations (the full int8 matrix alone is 1.25 GB; 17.3 MB
-        measured with Python 3.11 and numpy 2.4).  numpy is imported first,
-        so its import, which pairing_matrix makes on first use, is not
-        counted whichever test runs first."""
-        import numpy  # noqa: F401
-
+        traced allocations (the full int8 matrix alone is 1.25 GB; 13.8 MB
+        measured with Python 3.11)."""
         for cached in (pairing_matrix, enumerate_graphs, enumerate_trees):
             cached.cache_clear()
         tracemalloc.start()
@@ -236,6 +237,24 @@ class TestQuotient:
         finally:
             tracemalloc.stop()
         assert peak < 24 * 2 ** 20, f"peak {peak / 2 ** 20:.0f} MB"
+
+    def test_weight_6_quotient_is_pinned(self):
+        """The sha256 of the weight-6 quotient's int8 bytes, as the dense
+        numpy build computed it."""
+        assert hashlib.sha256(pairing_matrix(6).quotient.tobytes()) \
+            .hexdigest() == ("00abb7fa4ddabc3534e7d97c241fefffe5ce7f64ca2a50e2"
+                             "0211b49ee0978d39")
+
+    def test_no_numpy(self):
+        """Building and ranking every pairing matrix imports no numpy."""
+        code = ("import sys\n"
+                "from liecograph.pairing import pairing_matrix\n"
+                "ranks = [pairing_matrix(n).rank() for n in range(1, 7)]\n"
+                "assert ranks == [1, 1, 2, 6, 24, 120], ranks\n"
+                "assert 'numpy' not in sys.modules\n")
+        src = Path(pairing.__file__).resolve().parents[1]
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": str(src)})
 
 
 def _classes_oracle(basis, reduce):
@@ -289,10 +308,32 @@ def _graphs_oracle(n):
     return sorted(out, key=lambda G: G.edges)
 
 
+def _dense_pairing(n, graphs, trees):
+    """The int8 pairing matrix of edge tuples against trees, every cell at
+    once in numpy: gather the nadir table entries of all edges and combine.
+    Shares nothing with pairing_matrix but the nadir tables."""
+    import numpy as np
+
+    g = len(graphs)
+    edges = np.array(graphs, dtype=np.intp).reshape(g, n - 1, 2)
+    # index into a flattened (n+1)x(n+1) nadir table
+    flat = edges[:, :, 0] * (n + 1) + edges[:, :, 1]
+    full = (1 << n) - 2  # the bits 1 << (nadir + 1) of the n-1 nadirs
+    table = np.array([_pair_info.__wrapped__(T) for T in trees], np.int8)
+    entries = table[:, flat]  # (trees, graphs, n-1): +-(nadir + 1)
+    bits = np.left_shift(np.int8(1), np.abs(entries))
+    # distinctness: OR of bits has n-1 set bits iff no collision occurred
+    surj = np.bitwise_or.reduce(bits, axis=2) == full
+    signs = np.sign(entries).prod(axis=2, dtype=np.int8)
+    return np.where(surj, signs, 0).T.astype(np.int8)
+
+
 class TestClassMaps:
     """The class maps of pairing_matrix are computed by construction (edge
-    bitmasks, vectorised clade masks) and canonicalise only representatives;
-    canonicalising every element, one at a time, must give the same."""
+    bitmasks, clade masks per shape) and canonicalise only representatives;
+    canonicalising every element, one at a time, must give the same.  The
+    quotient, filled from each column's nonzero pattern, must be the dense
+    pairing of the representatives."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_match_per_element_path(self, n):
