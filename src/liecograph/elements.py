@@ -3,8 +3,9 @@ terms over a table of graded generators, with int or Fraction coefficients.
 
 Graph terms are stored in canonical form: the graph is relabeled to its
 lexicographically minimal representative, the label tuple is permuted along
-and the Koszul sign folded into the coefficient.  A term whose stabilizer
-flips its own sign cancels to zero (odd generators on symmetric shapes).
+and the Koszul sign folded into the coefficient, all read from the shape's
+plan (`canonical_term`).  A term whose stabilizer flips its own sign
+cancels to zero (odd generators on symmetric shapes).
 
 Tree terms need no orbit bookkeeping: a planar tree with its leaf tensor is
 stored as a nested tuple of generator names.
@@ -20,6 +21,7 @@ __all__ = [
     "GeneratorTable",
     "koszul_sign",
     "graded_sort",
+    "canonical_term",
     "GraphElement",
     "TreeElement",
     "TensorElement",
@@ -103,29 +105,30 @@ def graded_sort(seq, degree, order):
     return word, koszul_sign([degree[x] for x in seq], perm)
 
 
-def canonical_graph_term(n, edges, labels, degrees, order_key):
-    """Canonical key and sign for a (graph, label tuple) term.
-
-    Returns (canonical_edges, canonical_labels, sign); sign 0 means the term
-    cancels against its own image under a stabilizer element."""
-    best_edges, perms = _canonical_perms(n, tuple(edges))
-    best_labels = None
-    best = []  # (sign, perm) achieving minimal labels
-    for p in perms:
-        inv = [0] * n
-        for i in range(n):
-            inv[p[i] - 1] = i  # 0-based: position j of output takes input inv[j]
-        new_labels = tuple(labels[inv[j]] for j in range(n))
-        key = tuple(order_key(x) for x in new_labels)
-        if best_labels is None or key < best_labels:
-            best_labels = key
-            best = [(koszul_sign(degrees, inv), new_labels)]
-        elif key == best_labels:
-            best.append((koszul_sign(degrees, inv), new_labels))
-    signs = {s for s, _ in best}
-    if len(signs) > 1:
-        return best_edges, best[0][1], 0
-    return best_edges, best[0][1], best[0][0]
+def canonical_term(table, n, edges, labels):
+    """Canonical key ((n, edges), labels) and sign of the term on a shape
+    (n, sorted edge tuple) with a label tuple, from the shape's plan
+    (shapes._canonical_perms): the labels as they are with sign +1 when the
+    identity is the only relabeling, one Koszul sign for one relabeling,
+    else the least relabeled labels in table order; sign 0 when the term
+    cancels against its image under a stabilizer element."""
+    best, _, invs, identity = _canonical_perms(n, edges)
+    if identity:
+        return ((n, best), labels), 1
+    degs = table.degrees_of(labels)
+    if len(invs) == 1:
+        inv = invs[0]
+        return ((n, best), tuple(labels[i] for i in inv)), koszul_sign(
+            degs, inv)
+    # least relabeled labels; sign 0 if two relabelings reaching them differ
+    rank, least = [table.order[x] for x in labels], None
+    for inv in invs:
+        r = tuple(rank[i] for i in inv)
+        if least is None or r < least:
+            least, arg, sign = r, inv, koszul_sign(degs, inv)
+        elif r == least and sign and koszul_sign(degs, inv) != sign:
+            sign = 0
+    return ((n, best), tuple(labels[i] for i in arg)), sign
 
 
 def _coefficient(v):
@@ -180,16 +183,11 @@ class GraphElement(_Element):
 
     @classmethod
     def from_term(cls, table, graph, labels, coeff=1):
-        n, edges = graph.n, graph.edges
-        labels, coeff = tuple(labels), _coefficient(coeff)
+        n, labels, coeff = graph.n, tuple(labels), _coefficient(coeff)
         if len(labels) != n:
             raise ValueError(f"graph on {n} vertices with {len(labels)} labels")
-        degs = table.degrees_of(labels)
-        ce, cl, sign = canonical_graph_term(
-            n, edges, labels, degs, table.sort_key)
-        if sign == 0:
-            return cls(table)
-        return cls(table, {((n, ce), cl): coeff * sign})
+        key, sign = canonical_term(table, n, graph.edges, labels)
+        return cls(table, {key: coeff * sign} if sign else None)
 
     @classmethod
     def zero(cls, table):

@@ -63,7 +63,7 @@ from .shapes import (
     tree_leaves,
 )
 from .elements import (GeneratorTable, GraphElement, TreeElement,
-                       _slotwise, graded_sort, koszul_sign)
+                       _slotwise, canonical_term, graded_sort, koszul_sign)
 from .graphcoalg import (
     _certify_dimension,
     _distinct_arrangements,
@@ -202,11 +202,11 @@ def _caps(P, cap_weight, cap_degree):
 
 def _slot_alphabet(A, cap_degree, cap_weight=None):
     """GeneratorTable of A's basis monomials with slot degree = degree - 1,
-    the name -> monomial map, and A's differential as a letter map for
-    _slotwise (with the internal differential's extra minus sign).  Given
-    cap_weight, the word models' keys are first counted from the letters'
-    degrees (_predicted_keys), so caps past KEY_BUDGET are refused before
-    a monomial is listed."""
+    the name -> monomial map, A's differential as a letter map for _slotwise
+    (with the internal differential's extra minus sign) and its product as
+    a map letter pair -> (letter, sign or 0).  Given cap_weight, the word
+    models' keys are first counted from the letters' degrees, so caps past
+    KEY_BUDGET are refused before a monomial is listed (_predicted_keys)."""
     if not A.is_simply_connected():
         raise NotSimplyConnected(
             "input algebra must be generated in degrees >= 2")
@@ -222,7 +222,12 @@ def _slot_alphabet(A, cap_degree, cap_weight=None):
     def d_letter(name):
         return [((_mono_name(m2),), -c) for m2, c in
                 A.differential_of_monomial(mono_of[name]).items()]
-    return table, mono_of, d_letter
+
+    @cache
+    def multiply(x, y):
+        prod, sign = A.multiply(mono_of[x], mono_of[y])
+        return _mono_name(prod), sign
+    return table, mono_of, d_letter, multiply
 
 
 def _letter_degrees(A, cap_degree):
@@ -293,7 +298,7 @@ def _bar_model(kind, A, caps, alphabet, basis_of, project_word,
     vertical = slot-wise internal differential, horizontal = the
     adjacent-slot multiplication differential."""
     cw, cd = caps
-    table, mono_of, d_letter = alphabet
+    table, mono_of, d_letter, multiply = alphabet
     key_bidegree = {word: bd for content, bd in _contents(table, cw, cd)
                     for word in basis_of(content)}
 
@@ -304,11 +309,10 @@ def _bar_model(kind, A, caps, alphabet, basis_of, project_word,
         for raw, c in _slotwise(word, table.degree, d_letter):
             project_word(raw, c, dv)
         for i in range(len(word) - 1):
-            prod, ps = A.multiply(mono_of[word[i]], mono_of[word[i + 1]])
+            prod, ps = multiply(word[i], word[i + 1])
             if ps:
                 sgn = -ps * (-1) ** sum(table.degree[x] for x in word[:i + 1])
-                raw = word[:i] + (_mono_name(prod),) + word[i + 2:]
-                project_word(raw, sgn, dh)
+                project_word(word[:i] + (prod,) + word[i + 2:], sgn, dh)
         return dv, dh
 
     return _bundle(kind, A, caps, key_bidegree, differential,
@@ -362,52 +366,60 @@ def build_E(A, cap_weight=None, cap_degree=None):
 # build_G
 
 def build_G(A, cap_weight=None, cap_degree=None):
-    """Graph-coalgebra model: canonical graph terms labeled by desuspended
-    monomials; horizontal differential contracts edges (multiplying labels),
-    vertical applies the internal differential slot-wise."""
+    """Graph-coalgebra model: canonical graph terms (elements.canonical_term)
+    labeled by desuspended monomials; horizontal differential contracts edges
+    (multiplying labels), vertical applies the internal differential."""
     cw, cd = _caps(A, cap_weight, cap_degree)
-    table, mono_of, d_letter = _slot_alphabet(A, cd)
+    table, mono_of, d_letter, multiply = _slot_alphabet(A, cd)
+
+    @cache
+    def canonical_shapes(w):  # one representative per relabeling orbit
+        return [G.edges for G in enumerate_graphs(w)
+                if _canonical_perms(w, G.edges)[0] == G.edges]
 
     key_bidegree = {}
     for content, (w, d) in _contents(table, cw, cd):
-        keys = set()
-        for G in enumerate_graphs(w):
-            if _canonical_perms(w, G.edges)[0] != G.edges:
-                continue  # one representative per relabeling orbit
-            for labels in _distinct_arrangements(content):
-                el = GraphElement.from_term(table, G, labels)
-                keys.update(el.terms)
-        for k in sorted(keys):
+        arrangements = _distinct_arrangements(content)
+        terms = (canonical_term(table, w, edges, labels)
+                 for edges in canonical_shapes(w) for labels in arrangements)
+        for k in sorted({key for key, sign in terms if sign}):
             key_bidegree[k] = (w, d)
+
+    @cache
+    def contractions(n, edges):
+        """Per edge (s, t), 0-based: s, t, the contracted edges, the slot
+        order moving t right after s, and the slots up to s in it."""
+        plans = []
+        for e, (s, t) in enumerate(edges):
+            order = [v for v in range(n) if v != t - 1]
+            pos = order.index(s - 1) + 1
+            order.insert(pos, t - 1)
+            plans.append((s - 1, t - 1, contract_edge(
+                SGraph._presorted(n, edges), e)[0].edges, order, order[:pos]))
+        return plans
 
     def differential(key, bd):
         dv, dh = {}, {}
         if bd[1] >= cd:
             return dv, dh
         (n, edges), labels = key
-        G = SGraph(n, edges, _checked=True)
         for raw, c in _slotwise(labels, table.degree, d_letter):
-            for k2, c2 in GraphElement.from_term(table, G, raw, c).terms.items():
-                add_into(dv, k2, c2)
-        sdegs = [table.degree[x] for x in labels]
-        for e, (s, t) in enumerate(edges):
-            prod, ps = A.multiply(mono_of[labels[s - 1]],
-                                  mono_of[labels[t - 1]])
+            k2, sign = canonical_term(table, n, edges, raw)
+            if sign:
+                add_into(dv, k2, c * sign)
+        sdegs = table.degrees_of(labels)
+        for s, t, contracted, order, prefix in contractions(n, edges):
+            prod, ps = multiply(labels[s], labels[t])
             if not ps:
                 continue
-            # reorder labels so slot t sits right after slot s, then merge
-            order = [v for v in range(1, n + 1) if v != t]
-            pos = order.index(s)
-            order.insert(pos + 1, t)
-            sgn = -ps * koszul_sign(sdegs, [v - 1 for v in order]) * (
-                (-1) ** sum(sdegs[v - 1] for v in order[:pos + 1]))
-            merged = list(labels)
-            merged[s - 1] = _mono_name(prod)
-            del merged[t - 1]  # contract_edge renumbers the vertices after t
-            el = GraphElement.from_term(table, contract_edge(G, e)[0],
-                                        merged, sgn)
-            for k2, c2 in el.terms.items():
-                add_into(dh, k2, c2)
+            # slot t moved right after slot s, then the two merged
+            sgn = -ps * koszul_sign(sdegs, order) * (
+                (-1) ** sum(sdegs[v] for v in prefix))
+            merged = tuple(prod if v == s else x
+                           for v, x in enumerate(labels) if v != t)
+            k2, sign = canonical_term(table, n - 1, contracted, merged)
+            if sign:
+                add_into(dh, k2, sgn * sign)
         return dv, dh
 
     def key_cobracket(key):

@@ -27,7 +27,8 @@ from math import factorial, gcd, lcm, prod
 from .errors import CapExceeded
 from .shapes import (SGraph, cut_edge, enumerate_graphs, long_graph,
                      tree_leaves)
-from .elements import GraphElement, TensorElement, koszul_sign
+from .elements import (GraphElement, TensorElement, canonical_term,
+                       koszul_sign)
 from .linalg import add_into
 
 __all__ = [
@@ -55,16 +56,13 @@ def cobracket(g):
             G1, G2, (s1, s2) = cut_edge(G, e)
             l1 = tuple(labels[v - 1] for v in s1)
             l2 = tuple(labels[v - 1] for v in s2)
-            src12 = [v - 1 for v in s1 + s2]
-            src21 = [v - 1 for v in s2 + s1]
-            k12 = koszul_sign(degs, src12)
-            k21 = koszul_sign(degs, src21)
-            f1 = GraphElement.from_term(table, G1, l1)
-            f2 = GraphElement.from_term(table, G2, l2)
-            for key1, c1 in f1.terms.items():
-                for key2, c2 in f2.terms.items():
-                    for pair, sgn in (((key1, key2), k12), ((key2, key1), -k21)):
-                        add_into(out, pair, coeff * c1 * c2 * sgn)
+            k12 = koszul_sign(degs, [v - 1 for v in s1 + s2])
+            k21 = koszul_sign(degs, [v - 1 for v in s2 + s1])
+            key1, c1 = canonical_term(table, G1.n, G1.edges, l1)
+            key2, c2 = canonical_term(table, G2.n, G2.edges, l2)
+            if c1 and c2:
+                add_into(out, (key1, key2), coeff * c1 * c2 * k12)
+                add_into(out, (key2, key1), -coeff * c1 * c2 * k21)
     return TensorElement(table, out)
 
 
@@ -114,9 +112,8 @@ def is_zero_in_E(g):
 
 def graphify(word, table, coeff=1):
     """Bar word (tuple of generator names) -> long-graph element."""
-    word = tuple(word)
-    return GraphElement.from_term(table, long_graph(tuple(range(1, len(word) + 1))),
-                                  word, coeff)
+    return GraphElement.from_term(
+        table, long_graph(range(1, len(word) + 1)), word, coeff)
 
 
 # ---------------------------------------------------------------------------

@@ -232,33 +232,38 @@ def long_graph(seq):
 # ---------------------------------------------------------------------------
 # edge surgery
 
+def _adjacency(n, edges):
+    """Neighbour lists of vertices 1..n (index 0 unused)."""
+    adj = [[] for _ in range(n + 1)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    return adj
+
+
 def cut_edge(G, e):
     """Remove edge e; returns (G1, G2, (slots1, slots2)) where G1 carries the
     source side and G2 the target side, each relabeled to {1..k} preserving
     relative vertex order.  slots_i are the original vertex labels, ascending."""
     if not 0 <= e < len(G.edges):
         raise BadEdgeIndex(f"edge index {e} out of range for {G!r}")
-    src, tgt = G.edges[e]
-    rest = [G.edges[i] for i in range(len(G.edges)) if i != e]
-    comp = {v: v for v in range(1, G.n + 1)}
-
-    def find(v):
-        while comp[v] != v:
-            comp[v] = comp[comp[v]]
-            v = comp[v]
-        return v
-
-    for a, b in rest:
-        comp[find(a)] = find(b)
-    side1 = sorted(v for v in range(1, G.n + 1) if find(v) == find(src))
-    side2 = sorted(v for v in range(1, G.n + 1) if find(v) == find(tgt))
-    m1 = {v: i + 1 for i, v in enumerate(side1)}
-    m2 = {v: i + 1 for i, v in enumerate(side2)}
-    e1 = [(m1[a], m1[b]) for a, b in rest if a in m1]
-    e2 = [(m2[a], m2[b]) for a, b in rest if a in m2]
-    G1 = SGraph(len(side1), e1, _checked=True)
-    G2 = SGraph(len(side2), e2, _checked=True)
-    return G1, G2, (tuple(side1), tuple(side2))
+    src = G.edges[e][0]
+    rest = G.edges[:e] + G.edges[e + 1:]
+    adj = _adjacency(G.n, rest)
+    seen, stack = {src}, [src]  # the source side, depth first
+    while stack:
+        for u in adj[stack.pop()]:
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    side1 = [v for v in range(1, G.n + 1) if v in seen]
+    side2 = [v for v in range(1, G.n + 1) if v not in seen]
+    # both relabelings keep vertex order, so the edges stay sorted
+    m = {v: i + 1 for side in (side1, side2) for i, v in enumerate(side)}
+    e1 = tuple((m[a], m[b]) for a, b in rest if a in seen)
+    e2 = tuple((m[a], m[b]) for a, b in rest if a not in seen)
+    return (SGraph._presorted(len(side1), e1),
+            SGraph._presorted(len(side2), e2), (tuple(side1), tuple(side2)))
 
 
 def contract_edge(G, e):
@@ -268,67 +273,55 @@ def contract_edge(G, e):
     if not 0 <= e < len(G.edges):
         raise BadEdgeIndex(f"edge index {e} out of range for {G!r}")
     s, t = G.edges[e]
-    remap = {v: v - (1 if v > t else 0) for v in range(1, G.n + 1) if v != t}
+    remap = [v - (v > t) for v in range(G.n + 1)]
     remap[t] = remap[s]
-    new_edges = []
-    for i, (a, b) in enumerate(G.edges):
-        if i == e:
-            continue
-        new_edges.append((remap[a], remap[b]))
-    H = SGraph(G.n - 1, new_edges, _checked=True)
-    return H, (s, t)
+    rest = G.edges[:e] + G.edges[e + 1:]
+    return SGraph(G.n - 1, [(remap[a], remap[b]) for a, b in rest],
+                  _checked=True), (s, t)
 
 
 # ---------------------------------------------------------------------------
 # canonical forms
 
-def _is_path(n, edges):
-    """If the underlying graph is a path, return its vertex order from one
-    endpoint (the one making the sequence lex-smaller); else None."""
-    adj = {v: [] for v in range(1, n + 1)}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    ends = [v for v in adj if len(adj[v]) == 1]
-    if len(ends) != 2 or any(len(adj[v]) > 2 for v in adj):
-        return None
-    start = min(ends)
-    order = [start]
-    prev = None
-    while len(order) < n:
-        nxt = [u for u in adj[order[-1]] if u != prev]
-        prev = order[-1]
-        order.append(nxt[0])
-    return tuple(order)
-
-
-@lru_cache(maxsize=None)
 def _canonical_perms(n, edges):
-    """Canonical edge list of the shape and every permutation achieving it.
-    Permutations are tuples p with vertex i |-> p[i-1].  Brute force for
-    n <= 6; path shapes handled directly above that."""
-    if n <= 6:
-        cands = permutations(range(1, n + 1))
-    else:
-        order = _is_path(n, edges)
-        if order is None:
-            raise CapExceeded(
-                "canonicalization of non-path shapes capped at 6 vertices "
-                f"(got {n})")
-        cands = []
-        for seq in (order, order[::-1]):
-            p = [0] * n
-            for pos, v in enumerate(seq):
-                p[v - 1] = pos + 1
-            cands.append(tuple(p))
-    best, perms = None, []
-    for p in cands:
-        relab = tuple(sorted((p[a - 1], p[b - 1]) for a, b in edges))
+    """The plan of a shape (n, sorted edges): canonical edges, every p
+    reaching them (vertex i |-> p[i-1]), their 0-based inverses (the source
+    order of the labels) and whether the identity is the only p.  Only the
+    finitely many shapes on <= ENUMERATION_CAP vertices are brute forced and
+    cached; longer ones must be paths, numbered along the path per call."""
+    if n <= ENUMERATION_CAP:
+        return _small_canonical_perms(n, edges)
+    adj = _adjacency(n, edges)
+    ends = [v for v in range(1, n + 1) if len(adj[v]) == 1]
+    if len(ends) != 2 or max(map(len, adj)) > 2:
+        raise CapExceeded("canonicalization of non-path shapes capped at "
+                          f"{ENUMERATION_CAP} vertices (got {n})")
+    order = [ends[0], adj[ends[0]][0]]  # the path from its least end
+    while len(order) < n:
+        a, b = adj[order[-1]]
+        order.append(b if a == order[-2] else a)
+    return _least_relabelings(n, edges, (order, order[::-1]))
+
+
+def _least_relabelings(n, edges, orders=None):
+    """_canonical_perms over vertex orders (old vertices in new order), by
+    default all of them."""
+    best, invs = None, []
+    p = [0] * (n + 1)
+    for seq in orders or permutations(range(1, n + 1)):
+        for j, v in enumerate(seq, 1):
+            p[v] = j
+        relab = tuple(sorted((p[a], p[b]) for a, b in edges))
         if best is None or relab < best:
-            best, perms = relab, [p]
+            best, invs = relab, [tuple(v - 1 for v in seq)]
         elif relab == best:
-            perms.append(p)
-    return best, tuple(perms)
+            invs.append(tuple(v - 1 for v in seq))
+    perms = tuple(tuple(j + 1 for j in sorted(range(n), key=q.__getitem__))
+                  for q in invs)
+    return best, perms, tuple(invs), invs == [tuple(range(n))]
+
+
+_small_canonical_perms = lru_cache(maxsize=None)(_least_relabelings)
 
 
 def canonical_form(G):
@@ -337,5 +330,5 @@ def canonical_form(G):
     same relabeling orbit iff their canonical forms coincide.  Up to 6
     vertices it is the lexicographically minimal relabeling; above that only
     paths are accepted, numbered along the path."""
-    best, perms = _canonical_perms(G.n, G.edges)
+    best, perms = _canonical_perms(G.n, G.edges)[:2]
     return SGraph(G.n, best, _checked=True), perms[0]

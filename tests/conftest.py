@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -137,3 +138,40 @@ def _word_vector(table, word):
                 del hit[key]
         memo[w] = hit
     return memo[word]
+
+
+# ---------------------------------------------------------------------------
+# brute-force canonical graph terms, independent of shapes._canonical_perms
+
+def canonical_graph_term(n, edges, labels, degrees, order_key):
+    """Canonical key and sign for a (graph, label tuple) term, by trying
+    every relabeling of the n vertices: the least relabeled edge list, then
+    the least relabeled labels by order_key among the relabelings reaching
+    it.  Returns (canonical_edges, canonical_labels, sign); sign 0 means the
+    term cancels against its own image under a stabilizer element.  The
+    library's canonical form is this one up to 6 vertices; past that it
+    numbers paths along the path instead."""
+    best_edges, perms = None, []
+    for p in permutations(range(1, n + 1)):
+        relab = tuple(sorted((p[a - 1], p[b - 1]) for a, b in edges))
+        if best_edges is None or relab < best_edges:
+            best_edges, perms = relab, [p]
+        elif relab == best_edges:
+            perms.append(p)
+    best_labels = None
+    best = []  # (sign, perm) achieving minimal labels
+    for p in perms:
+        inv = [0] * n
+        for i in range(n):
+            inv[p[i] - 1] = i  # 0-based: position j of output takes input inv[j]
+        new_labels = tuple(labels[inv[j]] for j in range(n))
+        key = tuple(order_key(x) for x in new_labels)
+        if best_labels is None or key < best_labels:
+            best_labels = key
+            best = [(koszul_sign(degrees, inv), new_labels)]
+        elif key == best_labels:
+            best.append((koszul_sign(degrees, inv), new_labels))
+    signs = {s for s, _ in best}
+    if len(signs) > 1:
+        return best_edges, best[0][1], 0
+    return best_edges, best[0][1], best[0][0]

@@ -7,6 +7,7 @@ without the cycle collector."""
 import gc
 import importlib
 import pkgutil
+import tracemalloc
 import weakref
 
 import pytest
@@ -20,7 +21,7 @@ from liecograph.functors import (
     dualize,
     rational_homotopy,
 )
-from liecograph.graphcoalg import graphify, to_bar_basis
+from liecograph.graphcoalg import cobracket, graphify, to_bar_basis
 from liecograph.liealg import lie_normal_form
 from liecograph.presentations import parse_presentation
 
@@ -78,3 +79,19 @@ def test_table_dies_with_its_bundle(builder):
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_long_graphs_leave_no_canonical_plans():
+    """Shapes past six vertices (paths) are canonicalised on each call and
+    kept nowhere: a cobracket of a 600-vertex long graph, which canonicalises
+    paths of every length, holds under 1 MB once its result is dropped."""
+    table = GeneratorTable([("p7", 2), ("q7", 4)])
+    g = graphify(("p7", "q7") * 300, table)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert len(cobracket(g).terms) == 600
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 2 ** 20

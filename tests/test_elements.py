@@ -4,14 +4,16 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import canonical_graph_term
 from liecograph.elements import (
     GeneratorTable,
     GraphElement,
     TreeElement,
+    canonical_term,
     graded_sort,
     koszul_sign,
 )
-from liecograph.shapes import SGraph
+from liecograph.shapes import SGraph, _pruefer_to_tree, enumerate_graphs
 
 
 class TestKoszulSign:
@@ -114,6 +116,57 @@ class TestCanonicalTerms:
         assert not t.is_zero()
         leaf = TreeElement.leaf(self.TABLE, "a")
         assert set(leaf.terms) == {"a"}
+
+
+class TestCanonicalTermOracle:
+    """canonical_term, read from the shape's plan, gives the (key, sign) of
+    the brute-force oracle over every relabeling (conftest), on a table
+    listed out of name order with two odd letters."""
+
+    TABLE = GeneratorTable([("c", 3), ("a", 2), ("b", 3)])
+
+    def check(self, n, edges, labels):
+        table = self.TABLE
+        want_edges, want_labels, want_sign = canonical_graph_term(
+            n, edges, labels, table.degrees_of(labels), table.sort_key)
+        key, sign = canonical_term(table, n, edges, labels)
+        assert sign == want_sign, (n, edges, labels)
+        assert key == ((n, want_edges), want_labels), (n, edges, labels)
+        return sign
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_graph_every_labeling(self, n):
+        signs = set()
+        for G in enumerate_graphs(n):
+            for labels in itertools.product(self.TABLE.names, repeat=n):
+                signs.add(self.check(n, G.edges, labels))
+        # a directed edge has no automorphism, so no sign 0 below n = 3
+        assert signs == [{1}, {-1, 1}, {-1, 0, 1}, {-1, 0, 1}][n - 1]
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_random_graphs(self, n):
+        rng = random.Random(n)
+        for _ in range(150):
+            tree = _pruefer_to_tree(
+                n, [rng.randint(1, n) for _ in range(n - 2)])
+            G = SGraph(n, [e if rng.random() < 0.5 else e[::-1]
+                           for e in tree])
+            labels = tuple(rng.choice(self.TABLE.names) for _ in range(n))
+            self.check(n, G.edges, labels)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_stars_with_repeated_odd_leaves_vanish(self, n):
+        """Two leaves of a star swapped by an automorphism carry the same
+        odd letter: the term is its own negative."""
+        rng = random.Random(n)
+        for inward in (False, True):
+            G = SGraph(n, [(v, 1) if inward else (1, v)
+                           for v in range(2, n + 1)])
+            for odd in ("b", "c"):
+                for _ in range(20):
+                    rest = [rng.choice(self.TABLE.names) for _ in range(n - 3)]
+                    labels = (rng.choice(self.TABLE.names), odd, odd, *rest)
+                    assert self.check(n, G.edges, labels) == 0
 
 
 class TestCoefficientContract:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import sys
@@ -459,6 +460,42 @@ class TestDuality:
         # one call per (bar word, comb) of each square pairing matrix
         assert len(calls) == len(set(calls)) == sum(
             de * dl for de, dl in rep.bidegrees.values()) == 38
+
+
+def _build_G_digest(bundles):
+    """sha256 over the key order and both differentials of build_G bundles;
+    coefficients compared as rationals, whatever their type."""
+    h = hashlib.sha256()
+    for bundle in bundles:
+        h.update(repr(list(bundle.key_bidegree.items())).encode())
+        for d in (bundle.dv_of_key, bundle.dh_of_key):
+            h.update(repr(sorted(
+                (k, sorted((k2, str(Fraction(c))) for k2, c in col.items()))
+                for k, col in d.items())).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("s2.alg",
+     "5469762c56e84911a0bc333f8855314f86e0043d6c2d7ce8f8577105659c89ea"),
+    ("s3.alg",
+     "ff1341d9f3091f03a1472d598f7278ccaf2f7dee9e72eb7aa8e6281463004ddf"),
+    ("cp2.alg",
+     "011bf9cbf37e36c8971a963948a74014fc7004090fe698d04b2b59369babdc65"),
+    ("sullivan_s2.alg",
+     "82cdd0f935055a437b0ffc9ad699bf5e0ef8bab277c17688c0e375686abc0c59"),
+])
+def test_build_G_pinned_on_fixtures(name, digest):
+    """build_G's keys and differentials at caps 4/8, as first recorded."""
+    assert _build_G_digest([build_G(load_presentation(name), 4, 8)]) == digest
+
+
+def test_build_G_pinned_on_random_presentations():
+    """build_G at caps 3/8 on the first 20 criterion-6 presentations."""
+    rng = random.Random(20260823)
+    bundles = [build_G(random_presentation(rng), 3, 8) for _ in range(20)]
+    assert _build_G_digest(bundles) == (
+        "b2ca3f14dd7b119d84a9e9dc58ac02c8b98b25660a83ab6da034efb3801befee")
 
 
 class TestTwisting:
