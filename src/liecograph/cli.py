@@ -22,7 +22,8 @@ from .errors import (
     UnknownGenerator,
 )
 from .elements import GeneratorTable, GraphElement, TreeElement
-from .graphcoalg import cobracket, graphify, is_zero_in_E, to_bar_basis
+from .graphcoalg import (_standard_bracketing, cobracket, graphify,
+                         is_zero_in_E, to_bar_basis)
 from .liealg import lie_normal_form
 from .linalg import spectral_pages
 from .pairing import element_pair
@@ -42,7 +43,7 @@ from .functors import (
     harrison_shuffle_model,
     rational_homotopy,
 )
-from .shapes import SGraph, enumerate_graphs, enumerate_trees, tall_tree
+from .shapes import SGraph, enumerate_graphs, enumerate_trees
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +435,8 @@ def _cmd_lie_normalize(args, out):
     table = _table_from_args(args)
     t = parse_expression(args.expr, table, kind="tree")
     nf = lie_normal_form(t)
-    out.write("".join(f"{_fmt_tree_key(tall_tree(w))}\t{_num(nf.terms[w])}\n"
-                      for w in sorted(nf.terms)))
+    out.write("".join(f"{_fmt_tree_key(_standard_bracketing(table, w))}\t"
+                      f"{_num(c)}\n" for w, c in sorted(nf.terms.items())))
     return 0
 
 

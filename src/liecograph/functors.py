@@ -35,6 +35,7 @@ reporting sit on top.
 """
 
 from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -59,22 +60,24 @@ from .shapes import (
     _canonical_perms,
     contract_edge,
     enumerate_graphs,
-    tall_tree,
     tree_leaves,
+    tree_relabel,
 )
 from .elements import (GeneratorTable, GraphElement, TreeElement,
-                       _slotwise, canonical_term, graded_sort, koszul_sign)
+                       _slotwise, canonical_term, graded_sort, koszul_sign,
+                       tree_term_shape)
 from .graphcoalg import (
     _certify_dimension,
     _distinct_arrangements,
     _signed_shuffles,
+    _standard_bracketing,
     _word_coordinates,
     bar_quotient,
     cobracket,
     graphify,
     super_lyndon_words,
 )
-from .liealg import comb_basis, lie_normal_form
+from .liealg import lie_normal_form
 from .pairing import element_pair
 from .presentations import DgccPresentation, multisets
 
@@ -120,7 +123,7 @@ class DgComplexBundle:
                       key (build_G, build_E); build_A_hat needs it.
     build_E's classes of GraphElements over its table are read with
     graphcoalg.to_bar_basis, from the same bar_quotient memo as build_E;
-    build_L's keys are the combs of liealg.comb_basis.  No memo of a table
+    build_L has the same keys (liealg.LieElement).  No memo of a table
     refers back to it, so a dropped bundle frees its table and caches
     without waiting for the cycle collector."""
 
@@ -483,11 +486,12 @@ def build_A_hat(G, cap_letters=3, cap_degree=None):
 # build_L
 
 def build_L(C, cap_weight=None, cap_degree=None):
-    """Free Lie algebra on the desuspended coalgebra basis, on left-comb word
-    coordinates: the comb basis of each content (liealg.comb_basis), every
-    differential term put in normal form by lie_normal_form.  The horizontal
-    differential splits a letter along the reduced coproduct, the vertical
-    one applies the internal differential slot-wise.
+    """Free Lie algebra on the desuspended coalgebra basis, on the standard
+    bracketings P(l) keyed by the super-Lyndon words l, build_E's keys.  The
+    horizontal differential splits a letter along the reduced coproduct, the
+    vertical one applies the internal differential, each slot by slot into
+    the leaves of P(l), put in normal form by lie_normal_form.  Caps past
+    KEY_BUDGET keys are refused before a content is listed.
 
     Degrees are re-indexed so both differentials raise the index by one:
     piece (K - word length, OFF - natural degree) with K = cap_weight + 1,
@@ -502,26 +506,28 @@ def build_L(C, cap_weight=None, cap_degree=None):
                 f"differential of degree-2 class {name!r} must vanish")
     table = GeneratorTable(
         [(name, C.class_degree[name] - 1) for name in C.class_names])
+    _predicted_keys(Counter(table.degree.values()), cw, cd)
     K = cw + 1
     OFF = cd + 1
 
     key_bidegree = {}
     for content, (k, nat) in _contents(table, cw, cd):
-        for w in comb_basis(table, content)[0]:
+        for w in bar_quotient(table, content).basis:
             key_bidegree[w] = (K - k, OFF - nat)
 
-    def normalize(raw, coeff, acc):
-        """Accumulate the normal form of coeff * (the left comb on raw).  Its
-        words have raw's letters, so a raw past the caps is skipped unread
-        (a split slot holds a pair: raw has more letters than slots)."""
-        tree = tall_tree(raw)
-        letters = tree_leaves(tree)
-        if len(letters) > cw or sum(map(table.degree.__getitem__, letters)) > cd:
-            return
-        for w, c in lie_normal_form(TreeElement(table, {tree: coeff})) \
-                .terms.items():
-            assert w in key_bidegree, f"comb word {w} missing inside caps"
-            add_into(acc, w, c)
+    def normalize(shape, raws):
+        """Normal form of the sum of coeff * (shape, raw's entries as leaves)
+        over raws.  A raw past the caps is skipped (a split slot holds a
+        pair: raw has more letters than slots)."""
+        trees = {}
+        for raw, coeff in raws:
+            tree = tree_relabel(shape, (None, *raw))
+            letters = tree_leaves(tree)
+            if len(letters) <= cw and sum(table.degrees_of(letters)) <= cd:
+                add_into(trees, tree, coeff)
+        out = lie_normal_form(TreeElement(table, trees)).terms
+        assert key_bidegree.keys() >= out.keys(), "basis word past the caps"
+        return out
 
     def d_letter(name):
         return [((a,), -c) for c, a in C.codiff.get(name, ())]
@@ -531,12 +537,9 @@ def build_L(C, cap_weight=None, cap_degree=None):
                 for c, a, b in C.coprod.get(name, ())]
 
     def differential(word, bd):
-        dv, dh = {}, {}
-        for raw, c in _slotwise(word, table.degree, d_letter):
-            normalize(raw, c, dv)
-        for raw, c in _slotwise(word, table.degree, split):
-            normalize(raw, c, dh)
-        return dv, dh
+        shape = tree_term_shape(_standard_bracketing(table, word))
+        return [normalize(shape, _slotwise(word, table.degree, f))
+                for f in (d_letter, split)]
 
     complete_nat_hi = min(cw, cd)  # natural degrees fully enumerated
     return _bundle("L_of_C", C, (cw, cd), key_bidegree, differential,
@@ -792,14 +795,14 @@ def _transpose_check(A, C, cap_degree):
 
 
 def check_duality(A, C, cap_weight=None, cap_degree=None):
-    """Verify that the bar-word model of A and the comb-word model of C are
+    """Verify that the bar-word model of A and the bracket model of C are
     linearly dual: per-bidegree pairing matrices invertible, and the two
-    structure differentials adjoint up to a per-bidegree sign.  Pairings go
-    through element_pair on graphs and trees, independent of the one word
-    recursion that solves both models (graphcoalg._tree_column, the columns
-    of the bar block and of the comb basis); each (bar word, comb) pair is
-    computed once, and the adjointness sums read the pairing matrices'
-    entries."""
+    structure differentials adjoint up to a per-bidegree sign.  A bar word
+    pairs with a key l of build_L through its standard bracketing P(l), by
+    element_pair on graphs and trees, independent of the one word recursion
+    that solves both models (graphcoalg._tree_column, the columns of the
+    shared pairing block); each (bar word, key) pair is computed once, and
+    the adjointness sums read the pairing matrices' entries."""
     cw = min(A.cap_weight, C.cap_weight) if cap_weight is None else cap_weight
     cd = min(A.cap_degree, C.cap_degree) if cap_degree is None else cap_degree
     _transpose_check(A, C, cd)
@@ -807,9 +810,9 @@ def check_duality(A, C, cap_weight=None, cap_degree=None):
     L = build_L(C, cw, cd)
 
     @cache
-    def pair(bar, comb):
-        return element_pair(graphify(bar, E.table),
-                            TreeElement.from_term(L.table, tall_tree(comb)))
+    def pair(bar, l):
+        return element_pair(graphify(bar, E.table), TreeElement.from_term(
+            L.table, _standard_bracketing(L.table, l)))
 
     # both bases per natural bidegree (word length, degree sum)
     E_basis, L_basis = {}, {}

@@ -9,10 +9,10 @@ content (`super_lyndon_words`, also the shuffle oracle's basis).  Their
 standard bracketings pair with them in a unitriangular block, so a word's
 bar coordinates are one back substitution in its content's block
 (`bar_quotient`); build_E never builds a graph, and `to_bar_basis` reads a
-graph's fully iterated cobracket through the same solve.  `_tree_column` is
-the one recursion pairing long graphs with trees, for both sides of the
-duality: the block's columns here, and liealg's comb basis and normal form.
-The coalgebra side does no elimination.  Every cache here is a memo of the
+graph's fully iterated cobracket through the same solve; liealg's normal
+form is a forward substitution in the same block.  `_tree_column` is the one
+recursion pairing long graphs with trees, for both sides of the duality.
+Neither side does elimination.  Every cache here is a memo of the
 generator table it was computed over, and no memo value refers back to its
 table, so a dropped table is freed without the cycle collector.
 """
@@ -46,7 +46,8 @@ __all__ = [
 def cobracket(g):
     """Graded cobracket G -> G (x) G.  For each edge e pointing from side G1
     to side G2: +koszul(unshuffle to G1-labels then G2-labels) G1 (x) G2
-    minus koszul(unshuffle the other way) G2 (x) G1."""
+    minus koszul(unshuffle the other way) G2 (x) G1, the first sign times
+    (-1)^(|G1| |G2|)."""
     table = g.table
     out = {}
     for ((n, edges), labels), coeff in g.terms.items():
@@ -57,7 +58,8 @@ def cobracket(g):
             l1 = tuple(labels[v - 1] for v in s1)
             l2 = tuple(labels[v - 1] for v in s2)
             k12 = koszul_sign(degs, [v - 1 for v in s1 + s2])
-            k21 = koszul_sign(degs, [v - 1 for v in s2 + s1])
+            k21 = k12 * (-1) ** (sum(table.degrees_of(l1))
+                                 * sum(table.degrees_of(l2)))
             key1, c1 = canonical_term(table, G1.n, G1.edges, l1)
             key2, c2 = canonical_term(table, G2.n, G2.edges, l2)
             if c1 and c2:
@@ -172,12 +174,18 @@ def _witt_dimension(mults, odd):
     return int(total)
 
 
+def _lie_dimension(table, content):
+    """Dimension of a content's part of the free Lie superalgebra (odd
+    letters: odd table degree), counted without listing a word."""
+    letters = sorted(set(content), key=table.sort_key)
+    return _witt_dimension(tuple(map(content.count, letters)),
+                           tuple(table.degree[x] % 2 for x in letters))
+
+
 def _certify_dimension(table, content, dim, what):
     """AssertionError naming the content unless dim is the dimension of its
-    part of the free Lie superalgebra (odd letters: odd table degree)."""
-    letters = sorted(set(content), key=table.sort_key)
-    want = _witt_dimension(tuple(map(content.count, letters)),
-                           tuple(table.degree[x] % 2 for x in letters))
+    part of the free Lie superalgebra."""
+    want = _lie_dimension(table, content)
     if dim != want:
         raise AssertionError(f"{what} of content {content} has dimension "
                              f"{dim}, the free Lie superalgebra {want}")
@@ -279,11 +287,7 @@ def _tree_column(table, t):
         # u.v determines u and v, so only the v.u terms can meet a word
         for u, a in c1.items():
             for v, b in c2.items():
-                c = hit.get(v + u, 0) + s * a * b
-                if c:
-                    hit[v + u] = c
-                else:
-                    del hit[v + u]
+                add_into(hit, v + u, s * a * b)
     return hit
 
 
@@ -295,15 +299,21 @@ class BarQuotient:
     word u of the content that pairs nontrivially with some P(l_j) to
     {j: <u, P(l_j)>}, read from the columns of the P(l_j); the class of u is
     sum_j x_j l_j with x M = rows[u], solved by one back substitution
-    (`solve`).  The Lie side reads only the basis, so builds no rows.  The
-    table is held by a weak reference, so that the table's memo, which holds
-    this block, is not a reference cycle."""
+    (`solve`).  The free-Lie class sum_j y_j P(l_j) pairs to M y with the
+    l_i, solved by one forward substitution (`solve_tree`), with no rows.
+    The table is held by a weak reference, so that the table's memo, which
+    holds this block, is not a reference cycle."""
 
     def __init__(self, table, content):
         self.content = content
         self.basis = super_lyndon_words(table, content, table.sort_key)
         _certify_dimension(table, content, len(self.basis), "bar basis")
         self._table = weakref.ref(table)
+
+    def _check_diagonal(self, l, entry):
+        if entry != 1 + (l[:len(l) // 2] == l[len(l) // 2:]):
+            raise AssertionError(f"pairing block of content {self.content} "
+                                 f"is not unitriangular at {l}")
 
     @cached_property
     def rows(self):
@@ -313,11 +323,9 @@ class BarQuotient:
             for u, v in column.items():
                 rows.setdefault(u, {})[j] = v
         for i, l in enumerate(self.basis):
-            row, h = rows.get(l, {}), len(l) // 2
-            if row.get(i) != 1 + (l[:h] == l[h:]) or max(row) != i:
-                raise AssertionError(f"pairing block of content "
-                                     f"{self.content} is not unitriangular "
-                                     f"at {l}")
+            row = rows.get(l, {})
+            self._check_diagonal(l, row.get(i) if max(row, default=i) == i
+                                 else 0)
         return rows
 
     def solve(self, r):
@@ -335,12 +343,10 @@ class BarQuotient:
             if not v:
                 continue
             row = self.rows[self.basis[j]]
-            if row[j] == 2:
-                if v % 2:
-                    den, v = 2 * den, 2 * v
-                    r = {i: 2 * s for i, s in r.items()}
-                    x = {w: 2 * s for w, s in x.items()}
-                v //= 2
+            if v % row[j]:
+                den, v = 2 * den, 2 * v
+                r, x = ({k: 2 * s for k, s in z.items()} for z in (r, x))
+            v //= row[j]
             x[self.basis[j]] = v
             for i, m in row.items():
                 if i != j:
@@ -351,6 +357,32 @@ class BarQuotient:
                     else:
                         r[i] = s - v * m
         return {w: Fraction(v, den) for w, v in x.items()}
+
+    def solve_tree(self, b):
+        """{l_j: y_j} for the y with M y = b, b = {word: rational} the
+        pairings of a free-Lie class with the words (_tree_column): from the
+        first j up, y_j is the residual at l_j over the diagonal, and y_j
+        times the column of P(l_j) leaves the residual.  In integers over one
+        denominator, doubled on an odd square when needed; a residual left
+        at the end is an AssertionError naming the content."""
+        table, y = self._table(), {}
+        den = lcm(*(v.denominator for v in b.values()))
+        r = {u: v.numerator * (den // v.denominator) for u, v in b.items()}
+        for l in self.basis:
+            if not (v := r.get(l)):
+                continue
+            column = _tree_column(table, _standard_bracketing(table, l))
+            self._check_diagonal(l, d := column.get(l))
+            if v % d:
+                den, v = 2 * den, 2 * v
+                r, y = ({k: 2 * s for k, s in z.items()} for z in (r, y))
+            y[l] = v // d
+            for u, m in column.items():
+                add_into(r, u, -y[l] * m)
+        if r:
+            raise AssertionError(f"pairing block of content {self.content} "
+                                 f"leaves a residual at {min(r)}")
+        return {w: Fraction(v, den) for w, v in y.items()}
 
 
 def bar_quotient(table, content):

@@ -2,10 +2,9 @@
 
 `Echelon` is the single exact elimination kernel: every rank, exact inverse
 and quotient normal form over Q in the package is a row reduction through
-it, fraction-free on primitive integer rows.  Coordinates are products with
-an integer inverse over one denominator (`_exact_inverse`), and
-`integer_matrix_rank` certifies the rank of a large integer matrix on a
-nonsingular minor its caller names.  On top sit sparse matrices (rank only)
+it, fraction-free on primitive integer rows.  `integer_matrix_rank`
+certifies the rank of a large integer matrix on a nonsingular minor its
+caller names, inverted over one denominator (`_exact_inverse`).  On top sit sparse matrices (rank only)
 and bigraded complexes: basis keys in (weight, degree) pieces with two
 anticommuting degree-+1 differentials held once, as key-indexed sparse
 columns.  Total homology and the spectral-sequence page dimensions for the
@@ -335,9 +334,10 @@ class BigradedComplex:
     def rank(self, d, a=None, b=None):
         """Rank of D = dv + dh from the degree-d keys of weight <= a to the
         degree-(d+1) keys of weight > b (all of D by default).  One row per
-        target key, in order of first appearance, holds the coefficients of
-        the source keys by position in degree_keys(d).  Memoised by the key
-        sets it reads, (d, |F_a T^d|, |F_b T^(d+1)|)."""
+        target key holds the coefficients of the source keys by position in
+        degree_keys(d); the rows go in sparsest first, which keeps the
+        elimination's fill-in down.  Memoised by the key sets it reads,
+        (d, |F_a T^d|, |F_b T^(d+1)|)."""
         n, m = self.count(d, a), 0 if b is None else self.count(d + 1, b)
         if (d, n, m) not in self._ranks:
             kb, rows = self.key_bidegree, {}
@@ -347,7 +347,7 @@ class BigradedComplex:
                         if c and (b is None or kb[k2][0] > b):
                             rows.setdefault(k2, {})[j] = c
             ech = Echelon()
-            for row in rows.values():
+            for row in sorted(rows.values(), key=len):
                 ech.insert(row)
             self._ranks[(d, n, m)] = len(ech)
         return self._ranks[(d, n, m)]

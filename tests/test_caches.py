@@ -60,8 +60,8 @@ def test_module_level_containers_do_not_grow():
     "build_G", "build_E", "harrison_shuffle_model", "build_L"])
 def test_table_dies_with_its_bundle(builder):
     """With the cycle collector off, dropping a bundle frees its table and
-    every memo on it.  build_E's bar blocks have built rows; build_L reads
-    only the bar bases, and builds no rows."""
+    every memo on it.  build_E's bar blocks have built rows; build_L solves
+    its blocks by forward substitution, and builds no rows."""
     A = parse_presentation("gen x deg 2\ngen y deg 2\ngen z deg 3\n"
                            "diff z = x*y\n")
     source = dualize(A, 6) if builder == "build_L" else A

@@ -9,10 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liecograph.cli import MAX_NESTING, main, parse_expression
+from liecograph.cli import (MAX_NESTING, _fmt_tree_key, _parse_gens, main,
+                            parse_expression)
 from liecograph.elements import GeneratorTable, GraphElement, TreeElement
 from liecograph.errors import ArityMismatch, ParseError, UnknownGenerator
-from liecograph.graphcoalg import _word_coordinates
+from liecograph.graphcoalg import (_standard_bracketing, _word_coordinates,
+                                   super_lyndon_words)
+from liecograph.liealg import tensor_expand
+from liecograph.shapes import tree_leaves
 
 from conftest import FIXTURES
 
@@ -133,13 +137,22 @@ class TestVerbs:
         assert code == 0
         assert out.startswith("nonzero\n# witness")
 
-    def test_lie_normalize_rewrites_to_combs(self, capsys):
+    def test_lie_normalize_prints_standard_bracketings(self, capsys):
         code, out, _ = run(capsys, "lie-normalize", "[a,[b,a]]",
                            "--gens", "a:2,b:3")
-        assert code == 0
-        for line in out.strip().split("\n"):
-            expr, coeff = line.split("\t")
-            assert expr.startswith("[[") or expr.count("[") == 1
+        assert code == 0 and out == "[a,[a,b]]\t-1\n"
+        table = _parse_gens("a:2,b:3,c:2,d:4,e:3")
+        code, out, _ = run(capsys, "lie-normalize",
+                           "[[[c,a],[e,b]],[[d,a],b]] + [[[e,b],d],[[b,a],c]]",
+                           "--gens", "a:2,b:3,c:2,d:4,e:3")
+        assert code == 0 and out
+        for line in out.splitlines():
+            expr = line.split("\t")[0]
+            word = tree_leaves(next(iter(
+                parse_expression(expr, table, kind="tree").terms)))
+            content = tuple(sorted(word, key=table.sort_key))
+            assert word in super_lyndon_words(table, content, table.sort_key)
+            assert _fmt_tree_key(_standard_bracketing(table, word)) == expr
 
     def test_lie_normalize_kills_jacobi(self, capsys):
         combo = "[[a,b],c] - [a,[b,c]] + [b,[a,c]]"
@@ -147,21 +160,44 @@ class TestVerbs:
                            "--gens", "a:2,b:2,c:2")
         assert code == 0 and out == ""
 
-    @pytest.mark.parametrize("expr, gens, want", [
+    @pytest.mark.parametrize("expr, gens, want, combs", [
         ("[[a,[b,c]],[d,[e,a]]]", "a:2,b:3,c:2,d:4,e:3",
+         "[[a,[b,c]],[[a,e],d]]\t1\n",
          "[[[[[a,e],d],a],b],c]\t1\n[[[[[a,e],d],a],c],b]\t-1\n"
          "[[[[[a,e],d],b],c],a]\t-1\n[[[[[a,e],d],c],b],a]\t1\n"),
         ("[[[a,b],[c,d]],[[e,f],g]]", "a:2,b:3,c:2,d:4,e:3,f:2,g:2",
+         "[a,[b,[c,[d,[e,[f,g]]]]]]\t1\n[a,[b,[c,[d,[[e,g],f]]]]]\t1\n"
+         "[a,[b,[[c,[e,[f,g]]],d]]]\t1\n[a,[b,[[c,[[e,g],f]],d]]]\t1\n"
+         "[a,[[b,[e,[f,g]]],[c,d]]]\t1\n[a,[[b,[[e,g],f]],[c,d]]]\t1\n"
+         "[[a,[c,d]],[b,[e,[f,g]]]]\t1\n[[a,[c,d]],[b,[[e,g],f]]]\t1\n"
+         "[[a,[c,[d,[e,[f,g]]]]],b]\t-1\n[[a,[c,[d,[[e,g],f]]]],b]\t-1\n"
+         "[[a,[[c,[e,[f,g]]],d]],b]\t-1\n[[a,[[c,[[e,g],f]],d]],b]\t-1\n"
+         "[[a,[e,[f,g]]],[b,[c,d]]]\t-1\n[[[a,[e,[f,g]]],[c,d]],b]\t-1\n"
+         "[[a,[[e,g],f]],[b,[c,d]]]\t-1\n[[[a,[[e,g],f]],[c,d]],b]\t-1\n",
          "[[[[[[a,b],c],d],e],f],g]\t1\n[[[[[[a,b],c],d],f],e],g]\t-1\n"
          "[[[[[[a,b],c],d],g],e],f]\t-1\n[[[[[[a,b],c],d],g],f],e]\t1\n"
          "[[[[[[a,b],d],c],e],f],g]\t-1\n[[[[[[a,b],d],c],f],e],g]\t1\n"
          "[[[[[[a,b],d],c],g],e],f]\t1\n[[[[[[a,b],d],c],g],f],e]\t-1\n"),
     ], ids=["weight-6", "weight-7"])
-    def test_lie_normalize_pinned_output(self, capsys, expr, gens, want):
+    def test_lie_normalize_pinned_output(self, capsys, expr, gens, want,
+                                         combs):
+        """The pinned normal form, and the same class as the left-comb
+        normal form an earlier basis printed: equal tensor expansions."""
         start = time.process_time()
         code, out, _ = run(capsys, "lie-normalize", expr, "--gens", gens)
         assert time.process_time() - start < 5.0
         assert code == 0 and out == want
+        table = _parse_gens(gens)
+
+        def expansion(text):
+            total = TreeElement(table)
+            for line in text.splitlines():
+                e, c = line.split("\t")
+                total = total.add(parse_expression(e, table, kind="tree")
+                                  .scale(Fraction(c)))
+            return tensor_expand(total)
+        assert expansion(want) == expansion(combs) == tensor_expand(
+            parse_expression(expr, table, kind="tree"))
 
     def test_pi_table_with_header(self, capsys):
         code, out, _ = run(capsys, "pi", S2, "--window", "2..4")

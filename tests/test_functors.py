@@ -234,9 +234,10 @@ _STORED = sorted(Path(__file__).resolve().parents[1].glob(
 def test_predicted_keys_are_the_built_keys(source):
     """The letters counted per slot degree without listing a monomial are
     those of the listed alphabet, and the key count predicted from them and
-    the caps is the number of keys build_E and the shuffle oracle build, on
-    every stored presentation and on the criterion-6 random presentations,
-    at the caps of their stored jobs and at those of criterion 6."""
+    the caps is the number of keys build_E, the shuffle oracle and build_L
+    on the dual coalgebra build, on every stored presentation and on the
+    criterion-6 random presentations, at the caps of their stored jobs and
+    at those of criterion 6."""
     if isinstance(source, Path):
         A, caps = parse_presentation(source.read_text()), [(9, 8), (9, 9)]
     else:
@@ -247,21 +248,30 @@ def test_predicted_keys_are_the_built_keys(source):
     for cw, cd in caps:
         E = build_E(A, cw, cd)
         H = harrison_shuffle_model(A, cw, cd)
+        L = build_L(dualize(A, cd), cw, cd)
         letters = functors._letter_degrees(A, cd)
-        assert letters == Counter(E.table.degree.values())
+        assert letters == Counter(E.table.degree.values()) \
+            == Counter(L.table.degree.values())
         predicted = functors._predicted_keys(letters, cw, cd)
-        assert predicted == len(E.key_bidegree) == len(H.key_bidegree)
+        assert predicted == len(E.key_bidegree) == len(H.key_bidegree) \
+            == len(L.key_bidegree)
 
 
 def test_key_budget_refuses_before_building(monkeypatch):
-    """Past KEY_BUDGET keys build_E is refused with the predicted count and
-    the budget, before any content's block is built."""
+    """Past KEY_BUDGET keys build_E, and build_L on the dual coalgebra, are
+    refused with the predicted count and the budget, before any content's
+    block is built."""
     A = parse_presentation(_SHUFFLE_CASES["xyz"])
     monkeypatch.setattr(functors, "KEY_BUDGET", 979)
     with pytest.raises(CapExceeded, match=r"caps weight=9 degree=8 give at "
                        r"least 980 keys, over the budget of 979$"):
         build_E(A, 9, 8)
     assert len(build_E(A, 9, 7).key_bidegree) <= 979
+    C = dualize(A, 8)
+    monkeypatch.setattr(functors, "bar_quotient", None)
+    with pytest.raises(CapExceeded, match=r"caps weight=9 degree=8 give at "
+                       r"least 980 keys, over the budget of 979$"):
+        build_L(C, 9, 8)
 
 
 @pytest.mark.parametrize("name", list(_SHUFFLE_CASES))
@@ -411,12 +421,13 @@ class TestDuality:
         assert rep.bidegrees[(1, 1)] == (0, 1)
 
     def test_singular_pairing_matrix(self, monkeypatch):
-        # at (5, 9) the pairing matrix is [[-1, -1], [-1, 0]] (rows L, columns
-        # E); dropping the first row and column leaves its zero entry
+        # at (5, 9) both models have the keys x x x x*x x*x and x x x*x x x*x
+        # and the pairing matrix is the identity; dropping the first E key
+        # and the second L key leaves its zero entry
         self.patch(monkeypatch, "build_E",
                    drop={("x", "x", "x", "x*x", "x*x")})
         self.patch(monkeypatch, "build_L",
-                   drop={("x", "x*x", "x", "x", "x*x")})
+                   drop={("x", "x", "x*x", "x", "x*x")})
         rep = self.cp2_report((6, 12))
         assert rep.violations == ["pairing matrix singular at (5, 9)"]
 
@@ -440,8 +451,8 @@ class TestDuality:
         self.patch(monkeypatch, "build_E",
                    dh={x2: {("x", "x*x", "x", "x*x", "x*x"): Fraction(-1)}})
         rep = self.cp2_report((6, 12))
-        y0, y1 = ("x", "x*x", "x*x", "x", "x*x"), \
-            ("x", "x*x", "x*x", "x*x", "x")
+        y0, y1 = ("x", "x", "x*x", "x*x", "x*x"), \
+            ("x", "x*x", "x", "x*x", "x*x")
         assert rep.violations == [
             f"inconsistent adjoint sign at (6, 10) for ({x3}, {y0})",
             f"inconsistent adjoint sign at (6, 10) for ({x3}, {y1})"]
@@ -457,7 +468,7 @@ class TestDuality:
         monkeypatch.setattr(functors, "element_pair", counting)
         rep = self.cp2_report((6, 12))
         assert rep.passed
-        # one call per (bar word, comb) of each square pairing matrix
+        # one call per (bar word, key) of each square pairing matrix
         assert len(calls) == len(set(calls)) == sum(
             de * dl for de, dl in rep.bidegrees.values()) == 38
 

@@ -35,7 +35,7 @@ from liecograph.graphcoalg import (
     super_lyndon_words,
     to_bar_basis,
 )
-from liecograph.liealg import _designated_words, comb_basis, tensor_expand
+from liecograph.liealg import lie_normal_form, tensor_expand
 from liecograph.linalg import SparseMatrix
 from liecograph.pairing import element_pair
 from liecograph.shapes import enumerate_graphs, enumerate_trees, tall_tree
@@ -124,14 +124,6 @@ class TestWordProblem:
         assert not flag
         keys, c = witness
         assert c != 0 and len(keys) == 2
-
-    def test_designated_words(self):
-        table = GeneratorTable([("b", 2), ("a", 3)])
-        # the designated generator is the table's first, whatever its name
-        assert _designated_words(table, ("a", "b", "a")) == [
-            ("b", "a", "a")]
-        assert _designated_words(table, ("b", "a", "b", "a")) == [
-            ("b", "a", "a", "b"), ("b", "a", "b", "a"), ("b", "b", "a", "a")]
 
     def test_distinct_arrangements_are_the_sorted_permutations(self):
         for n in range(8):
@@ -338,8 +330,7 @@ class TestFreeLieDimension:
                 entries[(i, index[u])] = c
         rank = SparseMatrix(len(words), len(words), entries).rank()
         assert _free_lie_dimension(table, content) == rank
-        assert len(bar_quotient(table, content).basis) \
-            == len(comb_basis(table, content)[0]) == rank
+        assert len(bar_quotient(table, content).basis) == rank
 
     def test_planted_mismatch_names_the_content(self, monkeypatch):
         # a(2) once and b(3) twice: multidegree (1, 2), odd letters (0, 1)
@@ -405,13 +396,26 @@ class TestSuperLyndonBasis:
 
     def test_planted_wrong_bracketing_names_the_content(self, monkeypatch):
         """A left comb in place of the standard bracketing of a a b is zero
-        (a is even), so the block is not triangular."""
-        table = GeneratorTable([("a", 2), ("b", 2)])
+        (a is even), so the block is not triangular: on the word side, and
+        on the Lie side at the diagonal entry the forward substitution
+        reads.  With [a, [c, b]] in place of P(acb) = [[a, c], b] the
+        diagonal holds, but the column meets the earlier word abc, so the
+        forward substitution leaves a residual."""
+        table = GeneratorTable([("a", 2), ("b", 2), ("c", 2)])
         monkeypatch.setattr(graphcoalg, "_standard_bracketing",
                             lambda table, w: tall_tree(w))
         with pytest.raises(AssertionError, match=r"pairing block of content "
                            r"\('a', 'a', 'b'\) is not unitriangular"):
             _word_coordinates(table, ("a", "b", "a"))
+        with pytest.raises(AssertionError, match=r"pairing block of content "
+                           r"\('a', 'a', 'c'\) is not unitriangular at"):
+            lie_normal_form(TreeElement.from_term(table, ("a", ("a", "c"))))
+        monkeypatch.setattr(graphcoalg, "_standard_bracketing",
+                            lambda table, w: {("a", "c", "b"): (
+                                "a", ("c", "b"))}.get(w, ("a", ("b", "c"))))
+        with pytest.raises(AssertionError, match=r"pairing block of content "
+                           r"\('a', 'b', 'c'\) leaves a residual"):
+            lie_normal_form(TreeElement.from_term(table, (("a", "c"), "b")))
 
     @pytest.mark.parametrize("gens", _MIXED_TABLES[1:], ids=_table_id)
     def test_graph_and_word_routes_agree(self, gens):

@@ -1,4 +1,3 @@
-import itertools
 from fractions import Fraction
 
 import pytest
@@ -7,8 +6,11 @@ from hypothesis import strategies as st
 
 from liecograph.elements import GeneratorTable, TreeElement
 from liecograph.errors import CapExceeded
-from liecograph.graphcoalg import _tree_column, graphify
+from liecograph import graphcoalg
+from liecograph.graphcoalg import (_standard_bracketing, _tree_column,
+                                   graphify, super_lyndon_words)
 from liecograph.liealg import (
+    DIMENSION_CAP,
     bracket,
     lie_normal_form,
     product,
@@ -85,12 +87,17 @@ def test_normal_form_idempotent():
     assert again.terms == nf.terms
 
 
-def test_normal_form_is_left_combs_with_designated_lead():
-    t = _as_element(("b", (("c", "a"), "b")))
-    nf = lie_normal_form(t)
-    assert not nf.is_zero()
+@settings(max_examples=30, deadline=None)
+@given(small_term)
+def test_normal_form_keys_are_super_lyndon(term):
+    """Every key is a super-Lyndon word of the term's content, standing for
+    its standard bracketing."""
+    nf = lie_normal_form(_as_element(term))
     for word in nf.terms:
-        assert word[0] == "a"  # minimal generator leads every comb word
+        content = tuple(sorted(word, key=TABLE.sort_key))
+        assert word in super_lyndon_words(TABLE, content, TABLE.sort_key)
+    assert set(nf.as_tree_element().terms) == {
+        _standard_bracketing(TABLE, w) for w in nf.terms}
 
 
 def test_pairing_depends_only_on_normal_form():
@@ -118,10 +125,15 @@ def test_weight_cap():
         lie_normal_form(_as_element(deep))
 
 
-def test_arrangement_cap():
-    # eight distinct letters: 7! designated words on the content
+def test_dimension_cap(monkeypatch):
+    """Seven distinct letters (6! = 720 standard bracketings) are the cap and
+    are admitted; eight (5 040) are refused before a word is listed."""
     table = GeneratorTable([(x, 2) for x in "abcdefgh"])
-    with pytest.raises(CapExceeded):
+    assert len(lie_normal_form(TreeElement.from_term(
+        table, tall_tree("abcdefg"))).terms) == DIMENSION_CAP == 720
+    monkeypatch.setattr(graphcoalg, "_lyndon_words", None)
+    with pytest.raises(CapExceeded, match=r"has 5040 standard bracketings "
+                                          r"\(cap 720\)"):
         lie_normal_form(TreeElement.from_term(table, tall_tree("abcdefgh")))
 
 
@@ -154,6 +166,22 @@ def test_word_pair_is_the_configuration_pairing(parity, data):
         graphify(word, table), TreeElement.from_term(table, tree))
     assert _tree_column(table, tall_tree(leaves)).get(word, 0) \
         == _word_vector(table, word).get(leaves, 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(5, 8), st.data())
+def test_random_bracketings_keep_their_expansion(weight, data):
+    """Random bracketings of weight 5 to 8 over three or four letters of
+    mixed parity: the normal form has the term's tensor expansion."""
+    degs = data.draw(st.lists(st.integers(1, 4), min_size=3, max_size=4),
+                     label="degrees")
+    degs[:2] = [2, 3]
+    table = GeneratorTable([(f"g{i}", d) for i, d in enumerate(degs)])
+    leaves = tuple(data.draw(st.lists(st.sampled_from(table.names),
+                                      min_size=weight, max_size=weight),
+                             label="leaves"))
+    t = TreeElement.from_term(table, _draw_tree(data, leaves), Fraction(1, 2))
+    assert tensor_expand(lie_normal_form(t)) == tensor_expand(t)
 
 
 def test_expansion_antisymmetry_identity():

@@ -15,11 +15,12 @@ from liecograph.graphcoalg import (
     BAR_CAP,
     _distinct_arrangements,
     _iterated_vector,
+    _standard_bracketing,
     _word_coordinates,
     graphify,
     to_bar_basis,
 )
-from liecograph.liealg import _designated_words, comb_basis, lie_normal_form
+from liecograph.liealg import lie_normal_form, tensor_expand
 from liecograph.linalg import (
     BigradedComplex,
     Echelon,
@@ -161,33 +162,31 @@ class _FractionEchelon:
 def test_echelon_matches_fraction_reference_on_bar_quotients():
     """Every content of the x, y, z word model at caps 7/7 against the
     Fraction reference fed the full graph iterated-cobracket vectors V_w:
-    the bar basis is the greedy independent rows among the designated words
-    in sort_key order, and every arrangement u has the reference's bar
-    coordinates of V_u, read both from the word (its pairings with the
-    standard bracketings) and, to BAR_CAP letters, from its graph
-    (to_bar_basis), with
-    sum x_b V_b == V_u on full vectors.  The comb basis is the greedy
-    independent columns of the full matrix on the designated words, last
-    word first, and the comb on u has the reference's comb coordinates."""
+    the bar basis is the greedy independent rows among the words led by
+    the content's least letter, in sort_key order, and every arrangement u
+    has the reference's bar coordinates of V_u, read both from the word (its
+    pairings with the standard bracketings) and, to BAR_CAP letters, from
+    its graph (to_bar_basis), with sum x_b V_b == V_u on full vectors.  On
+    the Lie side the standard bracketings of the bar basis are independent
+    in the tensor algebra, and the left comb on u has the reference's
+    coordinates over them."""
     E = build_E(parse_presentation(
         "gen x deg 2\ngen y deg 2\ngen z deg 3\ndiff z = x*y\n"), 7, 7)
     table = E.table
     contents = table.memo("bar_quotient")
     assert len(contents) > 20
     for content, q in contents.items():
-        words = _designated_words(table, content)
         full = {w: _iterated_vector(graphify(w, table))
                 for w in _distinct_arrangements(content)}
         rows = _FractionEchelon()
-        ordered = sorted(words, key=lambda w: [table.sort_key(x) for x in w])
+        ordered = sorted((w for w in full if w[0] == content[0]),
+                         key=lambda w: [table.sort_key(x) for x in w])
         assert q.basis == [w for w in ordered
                            if rows.insert(full[w], w) is not None], content
         cols = _FractionEchelon()
-        column = {u: {i: v for i, w in enumerate(words)
-                      if (v := full[w].get(u))} for u in full}
-        combs = [u for u in reversed(words)
-                 if cols.insert(column[u], u) is not None][::-1]
-        assert comb_basis(table, content)[0] == combs, content
+        assert all(cols.insert(tensor_expand(TreeElement.from_term(
+            table, _standard_bracketing(table, l))), l) is not None
+            for l in q.basis), content
         for u, vec in full.items():
             residual, want = rows.reduce(vec)
             assert residual == {}
@@ -200,10 +199,10 @@ def test_echelon_matches_fraction_reference_on_bar_quotients():
                 for k, v in full[b].items():
                     add_into(total, k, c * v)
             assert total == vec, (content, u)
-            residual, want = cols.reduce(column[u])
+            comb = TreeElement.from_term(table, tall_tree(u))
+            residual, want = cols.reduce(tensor_expand(comb))
             assert residual == {}
-            assert lie_normal_form(TreeElement(
-                table, {tall_tree(u): 1})).terms == want, (content, u)
+            assert lie_normal_form(comb).terms == want, (content, u)
 
 
 square_matrix = st.integers(1, 5).flatmap(lambda n: st.lists(
