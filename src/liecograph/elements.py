@@ -112,7 +112,7 @@ def canonical_term(table, n, edges, labels):
     identity is the only relabeling, one Koszul sign for one relabeling,
     else the least relabeled labels in table order; sign 0 when the term
     cancels against its image under a stabilizer element."""
-    best, _, invs, identity = _canonical_perms(n, edges)
+    best, invs, identity = _canonical_perms(n, edges)
     if identity:
         return ((n, best), labels), 1
     degs = table.degrees_of(labels)

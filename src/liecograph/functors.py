@@ -7,8 +7,8 @@ From a commutative algebra presentation A:
               coordinates (the super-Lyndon words of each content);
   harrison_shuffle_model — an independent realization of the same quotient:
               all words modulo the shuffle subspace (the homology oracle).
-Both refuse, before building, caps whose predicted key count passes
-KEY_BUDGET.
+All three refuse, before building, caps whose predicted key count (that of
+build_E, a lower bound for build_G) passes KEY_BUDGET.
 
 From either of those, build_A_hat gives the free graded-commutative algebra
 on the suspended basis with the cobracket-splitting differential.
@@ -38,7 +38,7 @@ from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import combinations, permutations
 from math import gcd
 
 from .errors import (
@@ -68,7 +68,6 @@ from .elements import (GeneratorTable, GraphElement, TreeElement,
                        tree_term_shape)
 from .graphcoalg import (
     _certify_dimension,
-    _distinct_arrangements,
     _signed_shuffles,
     _standard_bracketing,
     _word_coordinates,
@@ -127,11 +126,10 @@ class DgComplexBundle:
     refers back to it, so a dropped bundle frees its table and caches
     without waiting for the cycle collector."""
 
-    def __init__(self, kind, complex, presentation, caps, table=None,
-                 monomial_of=None, key_cobracket=None):
+    def __init__(self, kind, complex, caps, table=None, monomial_of=None,
+                 key_cobracket=None):
         self.kind = kind
         self.complex = complex
-        self.presentation = presentation
         self.caps = caps
         self.key_bidegree = complex.key_bidegree
         self.dv_of_key = complex.dv
@@ -160,8 +158,8 @@ class DgComplexBundle:
 # ---------------------------------------------------------------------------
 # the shared skeleton: assembler, slot-wise derivation, sorted-word emitter
 
-def _bundle(kind, source, caps, key_bidegree, differential, complete,
-            table=None, monomial_of=None, key_cobracket=None):
+def _bundle(kind, caps, key_bidegree, differential, complete, table=None,
+            monomial_of=None, key_cobracket=None):
     """Bundle of the complex on the ordered basis key_bidegree (key ->
     (w, d)); differential(key, (w, d)) returns (dv, dh), two {key: coeff}
     dicts landing in (w, d + 1) and (w - 1, d + 1)."""
@@ -173,7 +171,7 @@ def _bundle(kind, source, caps, key_bidegree, differential, complete,
         if dh:
             dh_of_key[key] = dh
     cx = BigradedComplex(key_bidegree, dv_of_key, dh_of_key, complete)
-    return DgComplexBundle(kind, cx, source, caps, table=table,
+    return DgComplexBundle(kind, cx, caps, table=table,
                            monomial_of=monomial_of,
                            key_cobracket=key_cobracket)
 
@@ -292,7 +290,7 @@ def _predicted_keys(letters, cap_weight, cap_degree):
 # ---------------------------------------------------------------------------
 # the bar-word complex (shared with the Harrison oracle) and build_E
 
-def _bar_model(kind, A, caps, alphabet, basis_of, project_word,
+def _bar_model(kind, caps, alphabet, basis_of, project_word,
                key_cobracket=None):
     """Bundle of A's bar-word complex on a quotient of the words over the slot
     alphabet.  basis_of(content) lists the basis words of one content and
@@ -318,8 +316,8 @@ def _bar_model(kind, A, caps, alphabet, basis_of, project_word,
                 project_word(word[:i] + (prod,) + word[i + 2:], sgn, dh)
         return dv, dh
 
-    return _bundle(kind, A, caps, key_bidegree, differential,
-                   (0, min(cw, cd)), table=table, monomial_of=mono_of,
+    return _bundle(kind, caps, key_bidegree, differential, (0, min(cw, cd)),
+                   table=table, monomial_of=mono_of,
                    key_cobracket=key_cobracket)
 
 
@@ -360,7 +358,7 @@ def build_E(A, cap_weight=None, cap_degree=None):
         return out
 
     return _bar_model(
-        "E_of_A", A, (cw, cd), alphabet,
+        "E_of_A", (cw, cd), alphabet,
         lambda content: bar_quotient(table, content).basis, project_word,
         key_cobracket=key_cobracket)
 
@@ -371,9 +369,12 @@ def build_E(A, cap_weight=None, cap_degree=None):
 def build_G(A, cap_weight=None, cap_degree=None):
     """Graph-coalgebra model: canonical graph terms (elements.canonical_term)
     labeled by desuspended monomials; horizontal differential contracts edges
-    (multiplying labels), vertical applies the internal differential."""
+    (multiplying labels), vertical applies the internal differential.
+    G maps onto build_E's quotient, so build_E's predicted key count is a
+    lower bound on G's, and caps whose count passes KEY_BUDGET are refused
+    before a monomial is listed."""
     cw, cd = _caps(A, cap_weight, cap_degree)
-    table, mono_of, d_letter, multiply = _slot_alphabet(A, cd)
+    table, mono_of, d_letter, multiply = _slot_alphabet(A, cd, cw)
 
     @cache
     def canonical_shapes(w):  # one representative per relabeling orbit
@@ -382,9 +383,11 @@ def build_G(A, cap_weight=None, cap_degree=None):
 
     key_bidegree = {}
     for content, (w, d) in _contents(table, cw, cd):
-        arrangements = _distinct_arrangements(content)
+        # first: it refuses w past ENUMERATION_CAP before w! orders are listed
+        shapes = canonical_shapes(w)
+        arrangements = set(permutations(content))
         terms = (canonical_term(table, w, edges, labels)
-                 for edges in canonical_shapes(w) for labels in arrangements)
+                 for edges in shapes for labels in arrangements)
         for k in sorted({key for key, sign in terms if sign}):
             key_bidegree[k] = (w, d)
 
@@ -428,7 +431,7 @@ def build_G(A, cap_weight=None, cap_degree=None):
     def key_cobracket(key):
         return dict(cobracket(GraphElement(table, {key: 1})).terms)
 
-    return _bundle("G_of_A", A, (cw, cd), key_bidegree, differential,
+    return _bundle("G_of_A", (cw, cd), key_bidegree, differential,
                    (0, min(cw, cd)), table=table, monomial_of=mono_of,
                    key_cobracket=key_cobracket)
 
@@ -478,7 +481,7 @@ def build_A_hat(G, cap_letters=3, cap_degree=None):
             emit(dh, raw, c)
         return dv, dh
 
-    return _bundle("A_of_E", G, (cap_letters, cap_degree), key_bidegree,
+    return _bundle("A_of_E", (cap_letters, cap_degree), key_bidegree,
                    differential, complete)
 
 
@@ -542,7 +545,7 @@ def build_L(C, cap_weight=None, cap_degree=None):
                 for f in (d_letter, split)]
 
     complete_nat_hi = min(cw, cd)  # natural degrees fully enumerated
-    return _bundle("L_of_C", C, (cw, cd), key_bidegree, differential,
+    return _bundle("L_of_C", (cw, cd), key_bidegree, differential,
                    (OFF - complete_nat_hi, OFF - 1), table=table)
 
 
@@ -636,7 +639,7 @@ def build_C(L, cap_weight=None, cap_degree=None):
                 emit(dh, raw, sign * c)
         return dv, dh
 
-    return _bundle("C_of_L", L, (cw, cap_degree), key_bidegree, differential,
+    return _bundle("C_of_L", (cw, cap_degree), key_bidegree, differential,
                    (OFF - cap_degree, OFF - 1))
 
 
@@ -714,10 +717,9 @@ def harrison_shuffle_model(A, cap_weight=None, cap_degree=None):
     cw, cd = _caps(A, cap_weight, cap_degree)
     alphabet = _slot_alphabet(A, cd, cw)
     table = alphabet[0]
-    bases = table.memo("harrison_basis")
 
     def basis_of(content):
-        basis = bases[content] = super_lyndon_words(table, content, str)
+        basis = super_lyndon_words(table, content, str)
         _certify_dimension(table, content, len(basis), "shuffle quotient")
         return basis
 
@@ -725,8 +727,7 @@ def harrison_shuffle_model(A, cap_weight=None, cap_degree=None):
         for w, c in _shuffle_reduce(table, raw).items():
             add_into(acc, w, coeff * c)
 
-    return _bar_model("harrison", A, (cw, cd), alphabet, basis_of,
-                      project_word)
+    return _bar_model("harrison", (cw, cd), alphabet, basis_of, project_word)
 
 
 # ---------------------------------------------------------------------------

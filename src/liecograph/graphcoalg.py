@@ -14,12 +14,15 @@ form is a forward substitution in the same block.  `_tree_column` is the one
 recursion pairing long graphs with trees, for both sides of the duality.
 Neither side does elimination.  Every cache here is a memo of the
 generator table it was computed over, and no memo value refers back to its
-table, so a dropped table is freed without the cycle collector.
+table, so a dropped table is freed without the cycle collector.  The one
+exception is `_witt_dimension`, whose values depend on multiplicities and
+parities alone: one 1024-entry LRU memo serves every table (`pi --window
+2..11 xyz.alg` fills 319 entries).
 """
 
 import weakref
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property, lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import factorial, gcd, lcm, prod
@@ -52,20 +55,37 @@ def cobracket(g):
     out = {}
     for ((n, edges), labels), coeff in g.terms.items():
         G = SGraph(n, edges, _checked=True)
-        degs = [table.degree[x] for x in labels]
+        odd = [0, *(table.degree[x] % 2 for x in labels)]
         for e in range(len(edges)):
             G1, G2, (s1, s2) = cut_edge(G, e)
             l1 = tuple(labels[v - 1] for v in s1)
             l2 = tuple(labels[v - 1] for v in s2)
-            k12 = koszul_sign(degs, [v - 1 for v in s1 + s2])
-            k21 = k12 * (-1) ** (sum(table.degrees_of(l1))
-                                 * sum(table.degrees_of(l2)))
+            k12, k21 = _cut_signs(odd, s1)
             key1, c1 = canonical_term(table, G1.n, G1.edges, l1)
             key2, c2 = canonical_term(table, G2.n, G2.edges, l2)
             if c1 and c2:
                 add_into(out, (key1, key2), coeff * c1 * c2 * k12)
                 add_into(out, (key2, key1), -coeff * c1 * c2 * k21)
     return TensorElement(table, out)
+
+
+def _cut_signs(odd, s1):
+    """The signs (k12, k21) of a cut with source side s1, on a graph whose
+    vertex v has a label of parity odd[v] (odd[0] unused).  k12, the Koszul
+    sign of the unshuffle to s1 then the rest s2, counts the odd pairs
+    u in s1, v in s2 with v < u in one ascending pass over the vertices;
+    k21 = k12 (-1)^(|G1| |G2|)."""
+    side1 = set(s1)
+    pairs = odd1 = odd2 = 0
+    for v in range(1, len(odd)):
+        if odd[v]:
+            if v in side1:
+                pairs += odd2
+                odd1 += 1
+            else:
+                odd2 += 1
+    k12 = -1 if pairs % 2 else 1
+    return k12, -k12 if odd1 * odd2 % 2 else k12
 
 
 def _iterated_term(table, key, k):
@@ -127,27 +147,6 @@ BAR_CAP = 7
 ZERO_CAP = 12  # is_zero_in_E: 0.1 s on a 12-letter word, 1.4x more a letter
 
 
-def _distinct_arrangements(ms):
-    """The distinct orders of a multiset, in sorted order (that of
-    sorted(set(permutations(ms))), without building all n! of them): each
-    the next greater permutation of the last (Narayana Pandita), no
-    recursion."""
-    a = sorted(ms)
-    out, n = [tuple(a)], len(a)
-    while True:
-        i = n - 2  # the last ascent a[i] < a[i + 1]
-        while i >= 0 and not a[i] < a[i + 1]:
-            i -= 1
-        if i < 0:
-            return out
-        j = n - 1  # the last entry past a[i] that is greater
-        while not a[i] < a[j]:
-            j -= 1
-        a[i], a[j] = a[j], a[i]
-        a[i + 1:] = a[:i:-1]
-        out.append(tuple(a))
-
-
 def _iterated_vector(g):
     """Injective linear coordinates of g's Lie-coalgebra class: the fully
     iterated cobracket as a map into tensors of single slots."""
@@ -159,7 +158,7 @@ def _iterated_vector(g):
     return out
 
 
-@cache
+@lru_cache(maxsize=1024)
 def _witt_dimension(mults, odd):
     """Dimension of the free Lie superalgebra in multidegree mults over
     letters of these parities (Petrogradsky 2000), by Moebius inversion of

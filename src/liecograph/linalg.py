@@ -65,9 +65,6 @@ class Echelon:
     def __len__(self):
         return len(self.rows)
 
-    def __contains__(self, col):
-        return col in self.rows
-
     def _eliminate(self, vec, full):
         """Clear pivot columns of vec in ascending column order.  Returns
         (ivec, den, free): ivec/den is the reduced vector with ivec integral,

@@ -168,9 +168,6 @@ def validate_tree(t, n=None):
 @lru_cache(maxsize=None)
 def _tree_shapes(n):
     """All binary tree shapes with leaves replaced by position indices 0..n-1."""
-    if n == 1:
-        return [0]
-    shapes = []
     # positions are assigned left to right, so split sizes determine offsets
     def build(lo, size):
         if size == 1:
@@ -284,9 +281,9 @@ def contract_edge(G, e):
 # canonical forms
 
 def _canonical_perms(n, edges):
-    """The plan of a shape (n, sorted edges): canonical edges, every p
-    reaching them (vertex i |-> p[i-1]), their 0-based inverses (the source
-    order of the labels) and whether the identity is the only p.  Only the
+    """The plan of a shape (n, sorted edges): canonical edges, the 0-based
+    inverses of every relabeling reaching them (the source order of the
+    labels) and whether the identity is the only one.  Only the
     finitely many shapes on <= ENUMERATION_CAP vertices are brute forced and
     cached; longer ones must be paths, numbered along the path per call."""
     if n <= ENUMERATION_CAP:
@@ -316,9 +313,7 @@ def _least_relabelings(n, edges, orders=None):
             best, invs = relab, [tuple(v - 1 for v in seq)]
         elif relab == best:
             invs.append(tuple(v - 1 for v in seq))
-    perms = tuple(tuple(j + 1 for j in sorted(range(n), key=q.__getitem__))
-                  for q in invs)
-    return best, perms, tuple(invs), invs == [tuple(range(n))]
+    return best, tuple(invs), invs == [tuple(range(n))]
 
 
 _small_canonical_perms = lru_cache(maxsize=None)(_least_relabelings)
@@ -330,5 +325,8 @@ def canonical_form(G):
     same relabeling orbit iff their canonical forms coincide.  Up to 6
     vertices it is the lexicographically minimal relabeling; above that only
     paths are accepted, numbered along the path."""
-    best, perms = _canonical_perms(G.n, G.edges)[:2]
-    return SGraph(G.n, best, _checked=True), perms[0]
+    best, invs, _ = _canonical_perms(G.n, G.edges)
+    p = [0] * G.n
+    for j, v in enumerate(invs[0], 1):
+        p[v] = j
+    return SGraph(G.n, best, _checked=True), tuple(p)

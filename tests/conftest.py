@@ -15,6 +15,11 @@ def load_presentation(name):
     return parse_presentation((FIXTURES / name).read_text())
 
 
+def arrangements(content):
+    """The distinct orders of a content, sorted."""
+    return sorted(set(permutations(content)))
+
+
 @pytest.fixture
 def two_even_table():
     return GeneratorTable([("a", 2), ("b", 2)])

@@ -34,11 +34,11 @@ from liecograph.functors import (
     rational_homotopy,
 )
 from liecograph.graphcoalg import (
-    _distinct_arrangements,
     _shuffles,
     cobracket,
     graphify,
     relation_generators,
+    super_lyndon_words,
     to_bar_basis,
 )
 from liecograph.liealg import lie_normal_form
@@ -48,6 +48,7 @@ from liecograph.presentations import parse_presentation
 from liecograph.shapes import tree_leaves
 
 from conftest import (
+    arrangements,
     is_lyndon,
     load_presentation,
     random_presentation,
@@ -122,6 +123,18 @@ _SHUFFLE_CASES = {
 }
 
 
+def _oracle_bases(H):
+    """{content: its basis words in the oracle's key order} over every
+    content within the oracle's caps, an empty basis included."""
+    def content_of(word):
+        return tuple(sorted(word, key=H.table.sort_key))
+    bases = {content_of(c): [] for c, _ in functors._contents(H.table,
+                                                                *H.caps)}
+    for w in H.key_bidegree:
+        bases[content_of(w)].append(w)
+    return bases
+
+
 @pytest.mark.parametrize("name", list(_SHUFFLE_CASES))
 def test_harrison_every_split_spans_the_same_quotient(name):
     """harrison_shuffle_model rewrites a word by one relation per word that
@@ -130,10 +143,10 @@ def test_harrison_every_split_spans_the_same_quotient(name):
     words as its free columns and reduces every word to the same
     coordinates."""
     H = harrison_shuffle_model(parse_presentation(_SHUFFLE_CASES[name]), 6, 6)
-    bases = H.table.memo("harrison_basis")
+    bases = _oracle_bases(H)
     assert bases
     for content, basis in bases.items():
-        words = _distinct_arrangements(content)[::-1]
+        words = arrangements(content)[::-1]
         widx = {w: i for i, w in enumerate(words)}
         full = Echelon()
         for a in words:
@@ -144,7 +157,7 @@ def test_harrison_every_split_spans_the_same_quotient(name):
                     j = widx[tuple(a[i] for i in src)]
                     row[j] = row.get(j, 0) + koszul_sign(degs, src)
                 full.insert({j: v for j, v in row.items() if v})
-        assert basis == [w for w in words if widx[w] not in full][::-1]
+        assert basis == [w for w in words if widx[w] not in full.rows][::-1]
         for w in words:
             want = {words[i]: c for i, c in full.reduce({widx[w]: 1}).items()}
             assert functors._shuffle_reduce(H.table, w) == want, (content, w)
@@ -161,19 +174,20 @@ def test_lyndon_prefix_is_the_longest_lyndon_prefix():
 
 @pytest.mark.parametrize("seed", ["xyz", "s2xs2", "cp2", 0, 1, 2, 3, 4, 5])
 def test_harrison_basis_is_the_super_lyndon_words(seed):
-    """The oracle's basis of each content is its super-Lyndon words in name
-    order, on the shuffle cases and on random presentations with odd slot
-    letters."""
+    """The oracle's basis of each content, read off its keys, is its
+    super-Lyndon words in name order, by the generator and by definition, on
+    the shuffle cases and on random presentations with odd slot letters."""
     if seed in _SHUFFLE_CASES:
         A = parse_presentation(_SHUFFLE_CASES[seed])
     else:
         A = random_presentation(random.Random(seed))
     H = harrison_shuffle_model(A, 6, 8)
-    bases = H.table.memo("harrison_basis")
+    bases = _oracle_bases(H)
     assert bases
     for content, basis in bases.items():
-        assert basis == [w for w in _distinct_arrangements(content)
-                         if super_lyndon(w, H.table.degree)], content
+        assert basis == super_lyndon_words(H.table, content, str) == [
+            w for w in arrangements(content)
+            if super_lyndon(w, H.table.degree)], content
 
 
 def test_harrison_reduce_needs_no_recursion():
@@ -258,15 +272,22 @@ def test_predicted_keys_are_the_built_keys(source):
 
 
 def test_key_budget_refuses_before_building(monkeypatch):
-    """Past KEY_BUDGET keys build_E, and build_L on the dual coalgebra, are
-    refused with the predicted count and the budget, before any content's
-    block is built."""
+    """Past KEY_BUDGET keys build_E, build_G (which maps onto build_E's
+    quotient, so has at least its keys), and build_L on the dual coalgebra,
+    are refused with the predicted count and the budget, before any
+    content's block or graph term is built."""
     A = parse_presentation(_SHUFFLE_CASES["xyz"])
+    monkeypatch.setattr(functors, "canonical_term", None)  # build_G's terms
+    with pytest.raises(CapExceeded, match=r"caps weight=3 degree=200 give "):
+        build_G(A, 3, 200)
     monkeypatch.setattr(functors, "KEY_BUDGET", 979)
     with pytest.raises(CapExceeded, match=r"caps weight=9 degree=8 give at "
                        r"least 980 keys, over the budget of 979$"):
         build_E(A, 9, 8)
     assert len(build_E(A, 9, 7).key_bidegree) <= 979
+    with pytest.raises(CapExceeded, match=r"caps weight=9 degree=8 give at "
+                       r"least 980 keys, over the budget of 979$"):
+        build_G(A, 9, 8)
     C = dualize(A, 8)
     monkeypatch.setattr(functors, "bar_quotient", None)
     with pytest.raises(CapExceeded, match=r"caps weight=9 degree=8 give at "

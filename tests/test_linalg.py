@@ -13,7 +13,6 @@ from liecograph.functors import build_E, build_G, harrison_shuffle_model
 from liecograph.elements import TreeElement
 from liecograph.graphcoalg import (
     BAR_CAP,
-    _distinct_arrangements,
     _iterated_vector,
     _standard_bracketing,
     _word_coordinates,
@@ -35,6 +34,7 @@ from liecograph.presentations import parse_presentation
 from liecograph.shapes import tall_tree
 
 from conftest import (
+    arrangements,
     dense_rank_oracle,
     dense_rref,
     load_presentation,
@@ -177,7 +177,7 @@ def test_echelon_matches_fraction_reference_on_bar_quotients():
     assert len(contents) > 20
     for content, q in contents.items():
         full = {w: _iterated_vector(graphify(w, table))
-                for w in _distinct_arrangements(content)}
+                for w in arrangements(content)}
         rows = _FractionEchelon()
         ordered = sorted((w for w in full if w[0] == content[0]),
                          key=lambda w: [table.sort_key(x) for x in w])

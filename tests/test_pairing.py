@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from liecograph import pairing
 from liecograph.elements import GeneratorTable, GraphElement, TreeElement
-from liecograph.errors import GraphError, MalformedDual
+from liecograph.errors import GraphError, MalformedDual, WeightMismatch
 from liecograph.graphcoalg import cobracket, graphify
 from liecograph.liealg import product
 from liecograph.pairing import (
@@ -156,6 +156,14 @@ class TestShapePair:
         g = graphify(("a", "a"), table)
         t = TreeElement.from_term(table, (("a", "a"), "a"))
         assert element_pair(g, t) == 0
+
+    def test_weight_mismatch_is_an_error_at_shape_level(self):
+        """A graph and a tree of different weights have no pairing."""
+        for n, m in ((2, 3), (3, 2), (1, 4)):
+            with pytest.raises(WeightMismatch,
+                               match=f"graph weight {n} vs tree with {m} "):
+                shape_pair(long_graph(range(1, n + 1)),
+                           tall_tree(range(1, m + 1)))
 
 
 class TestMatrices:
