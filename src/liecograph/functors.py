@@ -258,9 +258,9 @@ def _predicted_keys(letters, cap_weight, cap_degree):
     of the free Lie dimensions of the contents, found without listing a
     content; CapExceeded as soon as the sum passes KEY_BUDGET.
     Summed over the contents of n letters and total slot degree d,
-    _witt_dimension's formula gives the bigraded dimensions
-        L(n, d) = W(n, d) / n - sum_{k > 1 dividing n and d}
-                                (-1)^((k + 1) d/k) L(n/k, d/k) / k,
+    _witt_dimension's formula gives the bigraded dimensions, in integers,
+        n L(n, d) = W(n, d) - sum_{k > 1 dividing n and d}
+                              (-1)^((k + 1) d/k) (n/k) L(n/k, d/k),
     W(n, d) the number of words of n letters and total degree d (a content
     of odd total degree has an odd number of odd letters)."""
     letters = sorted(letters.items())
@@ -274,11 +274,12 @@ def _predicted_keys(letters, cap_weight, cap_degree):
             if not w:
                 continue  # no content, no keys
             words[n, d] = w
-            dim = Fraction(w, n) - sum(
-                Fraction((-1) ** ((k + 1) * (d // k))
-                         * dims.get((n // k, d // k), 0), k)
-                for k in range(2, gcd(n, d) + 1) if n % k == d % k == 0)
-            dims[n, d] = int(dim)
+            dim, rest = divmod(w - sum(
+                (-1) ** ((k + 1) * (d // k)) * (n // k)
+                * dims.get((n // k, d // k), 0)
+                for k in range(2, gcd(n, d) + 1) if n % k == d % k == 0), n)
+            assert not rest, f"n L(n, d) = {dim * n + rest} at {(n, d)}"
+            dims[n, d] = dim
             total += dims[n, d]
             if total > KEY_BUDGET:
                 raise CapExceeded(

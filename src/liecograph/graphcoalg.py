@@ -272,7 +272,8 @@ def _tree_column(table, t):
     t = (t1, t2) gives u.v the coefficient c1 c2 and v.u the coefficient
     -s c1 c2, for c1, c2 the entries of u and v in the columns of t1 and t2
     and s = (-1)^(|t1| |t2|).  Integer entries; memoized on the table per
-    subtree."""
+    subtree, each word interned per table (one tuple however many columns
+    hold it)."""
     if isinstance(t, str):
         return {(t,): 1}
     memo = table.memo("tree_column")
@@ -281,12 +282,13 @@ def _tree_column(table, t):
         c1, c2 = _tree_column(table, t[0]), _tree_column(table, t[1])
         s = -(-1) ** (sum(table.degrees_of(tree_leaves(t[0])))
                       * sum(table.degrees_of(tree_leaves(t[1]))))
-        hit = memo[t] = {u + v: a * b for u, a in c1.items()
+        word = table.memo("word").setdefault
+        hit = memo[t] = {word(w := u + v, w): a * b for u, a in c1.items()
                          for v, b in c2.items()}
         # u.v determines u and v, so only the v.u terms can meet a word
         for u, a in c1.items():
             for v, b in c2.items():
-                add_into(hit, v + u, s * a * b)
+                add_into(hit, word(w := v + u, w), s * a * b)
     return hit
 
 

@@ -14,7 +14,8 @@ memoised on the complex; there is no coordinate layout.
 
 Everything is Python integers and Fractions; no float is ever formed.  The
 rank certificate packs each row of its matrix into one integer, a field per
-column wide enough for an explicit bound, so it is exact at any magnitude.
+column wide enough for an explicit bound on the entries present, so it is
+exact at any magnitude.
 """
 
 import sys
@@ -23,7 +24,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import compress
 from math import gcd, lcm
-from operator import mul
+from operator import itemgetter
 
 from .errors import CapTooSmall
 
@@ -178,11 +179,30 @@ def _exact_inverse(S):
 _SIGN = bytes(b >> 7 for b in range(256))
 
 
+def _max_magnitude(A):
+    """The largest |entry| of a C-contiguous buffer of signed integers, read
+    in place.  One-byte entries go through bytes.translate a block at a
+    time, deleting every byte no larger in magnitude than the largest found
+    so far until none is left."""
+    if A.itemsize > 1:
+        return max(map(abs, A.cast("B").cast(A.format)), default=0)
+    raw, top, step = A.cast("B"), 0, 1 << 16
+    small = bytes([0])
+    for s in range(0, len(raw), step):
+        rest = raw[s:s + step].tobytes().translate(None, small)
+        while rest:  # rest[0] is larger than top
+            top = abs(rest[0] - (rest[0] >> 7 << 8))
+            small = bytes(b for b in range(256)
+                          if abs(b - (b >> 7 << 8)) <= top)
+            rest = rest.translate(None, small)
+    return top
+
+
 def integer_matrix_rank(A, rows, cols):
     """Exact Q-rank of an integer matrix A, certified on the minor
-    S = A[rows, cols] that the caller names.  A is a 2-D buffer of signed
-    integers: a memoryview such as PairingMatrix.quotient, or a numpy
-    integer array.
+    S = A[rows, cols] that the caller names.  A is a C-contiguous 2-D
+    buffer of signed integers: a memoryview such as PairingMatrix.quotient,
+    or a numpy integer array.  It is read in place, never copied.
 
     Lower bound: S has an exact inverse, so rank >= len(rows).  Upper bound:
     every row of A is a Q-combination of the rows `rows`, checked as the
@@ -190,55 +210,69 @@ def integer_matrix_rank(A, rows, cols):
     row i, with B = adj @ A[rows], adj = delta * S^-1 and delta the common
     denominator of S^-1.  Each row is packed into one int, entry j in the
     j-th field of W bits (Kronecker substitution), so each side is one
-    integer per row.  Every entry of A is at most maxA, the largest
-    magnitude its type holds, so every entry of the difference of the two
-    sides is at most the explicit bound r^2 maxA^2 max|adj| + delta maxA;
-    W holds the bound and a sign bit, so the packed difference is 0 only
-    when every entry is, at any magnitude.  Raises ArithmeticError if S is
-    singular or if the identity fails (S is not a maximal nonsingular
-    minor); it never returns an uncertified number."""
+    integer per row; rows are packed one at a time.  Every entry of A is at
+    most maxA, the largest magnitude present, and every entry of B at most
+    norm * maxA, norm the largest sum of |entries| of a row of adj; so every
+    entry of the difference of the two sides is at most the explicit bound
+    r maxA^2 norm + delta maxA.  W holds the bound and a sign bit, so the
+    packed difference is 0 only when every entry is, at any magnitude.
+    Raises ArithmeticError if S is singular or if the identity fails (S is
+    not a maximal nonsingular minor); it never returns an uncertified
+    number."""
     A = memoryview(A)
-    if A.ndim != 2 or A.format not in tuple("bhilqn"):
-        raise TypeError("integer_matrix_rank needs a 2-D buffer of signed "
-                        f"integers, not {A.ndim}-D of {A.format!r}")
+    if A.ndim != 2 or A.format not in tuple("bhilqn") \
+            or not A.c_contiguous:
+        raise TypeError("integer_matrix_rank needs a C-contiguous 2-D buffer "
+                        f"of signed integers, not {A.ndim}-D of "
+                        f"{A.format!r}")
     rows, cols = list(rows), list(cols)
     r = len(rows)
     if len(cols) != r:
         raise ArithmeticError(f"minor of {r} rows and {len(cols)} columns")
     C, k = A.shape[1], A.itemsize
-    raw = A.tobytes()
-    flat = memoryview(raw).cast(A.format)
+    raw = A.cast("B")
+    flat = raw.cast(A.format)
+    # the entries of row i in the minor's columns, read from a view of it
+    pick = itemgetter(*cols) if r > 1 else lambda row: [row[j] for j in cols]
+
+    def minor_row(i):
+        return pick(flat[i * C:(i + 1) * C])
+
     try:
-        adj, delta = _exact_inverse(
-            [[flat[i * C + j] for j in cols] for i in rows])
+        adj, delta = _exact_inverse([minor_row(i) for i in rows])
     except ZeroDivisionError:
         raise ArithmeticError("the named minor is singular") from None
-    maxA = 1 << 8 * k - 1
-    maxadj = max((abs(x) for row in adj for x in row), default=0)
-    bound = r * r * maxA * maxadj * maxA + delta * maxA
+    maxA = _max_magnitude(A)
+    norm = max((sum(map(abs, row)) for row in adj), default=0)
+    bound = r * maxA * norm * maxA + delta * maxA
     m = (bound.bit_length() + 8) // 8  # bytes per field, W = 8m
+    q = min(k, m)  # the low bytes of an entry that its field holds
 
     def packed(i):
-        """Row i as sum_j A[i, j] * 2^(W*j): its bytes spread into the low
-        bytes of the fields, less 2^(8k) in each field whose entry is
-        negative."""
-        row = raw[i * C * k:(i + 1) * C * k]
+        """Row i as sum_j A[i, j] * 2^(W*j): the low q bytes of each entry
+        (its two's complement, as |A[i, j]| < 2^(8q-1)) in the low bytes of
+        its field, less 2^(8q) in each field whose entry is negative."""
+        row = raw[i * C * k:(i + 1) * C * k].tobytes()
         if sys.byteorder == "big":
             # entries little-endian, in reverse column order, the same for
             # every row: the identity holds column by column either way
             row = row[::-1]
         fields, signs = bytearray(C * m), bytearray(C * m)
-        for t in range(k):
+        for t in range(q):
             fields[t::m] = row[t::k]
         signs[::m] = row[k - 1::k].translate(_SIGN)
         return (int.from_bytes(fields, "little")
-                - (int.from_bytes(signs, "little") << 8 * k))
+                - (int.from_bytes(signs, "little") << 8 * q))
 
     span = [packed(i) for i in rows]
     B = [sum(a * p for a, p in zip(arow, span) if a) for arow in adj]
+    del span
     for i in range(A.shape[0]):
-        a = list(map(flat[i * C:(i + 1) * C].__getitem__, cols))
-        if delta * packed(i) != sum(map(mul, compress(a, a), compress(B, a))):
+        a = minor_row(i)
+        # +-1 coefficients add or subtract, with no product formed
+        if delta * packed(i) != sum(b if x == 1 else -b if x == -1 else x * b
+                                    for x, b in zip(compress(a, a),
+                                                    compress(B, a))):
             raise ArithmeticError(
                 "a row lies outside the span of the named minor's rows")
     return r

@@ -13,13 +13,14 @@ so does swapping the two children at an internal node of the tree.  The
 weight-n pairing matrix is therefore built and ranked on the quotient by
 both, one oriented tree per undirected tree (n^(n-2) rows) against one child
 order per antisymmetry class (n!*Cat(n-1)/2^(n-1) columns): 1296 x 945 at
-n = 6 instead of 41472 x 30240.  The quotient is an int8 bytearray, seen
-as a 2-D memoryview, and is filled column by column from where the pairing
-can be nonzero: the edges of G must meet the internal vertices of T one to
-one, so a column's nonzeros are its choices of one leaf pair across each
-vertex (74520 of 1224720 cells at n = 6).  Its rank is certified on the
-block of long graphs against tall trees, a signed identity since the two
-are dual bases; see PairingMatrix.
+n = 6 instead of 41472 x 30240, and 16807 x 10395 at n = 7, built from
+the classes alone.  The quotient is an int8 bytearray, seen as a 2-D
+memoryview, and is filled column by column from where the pairing can be
+nonzero: the edges of G must meet the internal vertices of T one to one,
+so a column's nonzeros are its choices of one leaf pair across each vertex
+(74520 of 1224720 cells at n = 6, 3769920 at n = 7).  Its rank is
+certified on the block of long graphs against tall trees, a signed
+identity since the two are dual bases; see PairingMatrix.
 
 At element level generators pair by name, so a graph term meets a tree term
 of its weight only through the label-preserving bijections from vertices to
@@ -42,7 +43,7 @@ from .shapes import (
     _tree_shapes,
     enumerate_graphs,
     enumerate_trees,
-    long_graph,
+    labeled_trees,
     tall_tree,
     tree_leaves,
 )
@@ -186,10 +187,15 @@ class PairingMatrix:
     children at an internal node of T negates <G, T>, so every tree is
     (-1)^(swaps) times its child order with the smaller least leaf on the
     left; there are n!*Cat(n-1)/2^(n-1) such columns.  The quotient matrix
-    Q (`quotient`, a 2-D int8 memoryview) pairs these representatives, and
-    entry(i, j) = row_sign[i] * col_sign[j] * Q[row_class[i], col_class[j]]
-    for i, j indexing row_basis and col_basis.  Rows and columns equal up
-    to sign span the same space, so rank() is the rank of Q.
+    Q (`quotient`, a 2-D int8 memoryview) pairs these representatives: the
+    rows are the undirected trees in ascending order of their edge lists
+    (shapes.labeled_trees), the columns the child orders in order of first
+    appearance in enumerate_trees(n).  Up to ENUMERATION_CAP the bases are
+    enumerated and entry(i, j) = row_sign[i] * col_sign[j] *
+    Q[row_class[i], col_class[j]] for i, j indexing row_basis and
+    col_basis; at n = 7 these six are None, and entry() is not available.
+    Rows and columns equal up to sign span the same space, so rank() is
+    the rank of Q.
 
     Long graphs 1 -> j2 -> ... -> jn and tall trees ((1, i2), ..., in) are
     dual bases: their (n-1)! square block of Q is diagonal with entries +-1.
@@ -219,9 +225,8 @@ class PairingMatrix:
         return self._rank
 
     def __repr__(self):
-        return (f"PairingMatrix(n={self.n}, "
-                f"{len(self.row_basis)}x{len(self.col_basis)}, quotient "
-                f"{self.quotient.shape[0]}x{self.quotient.shape[1]})")
+        R, C = self.quotient.shape
+        return f"PairingMatrix(n={self.n}, quotient {R}x{C})"
 
 
 def _splits(t):
@@ -286,43 +291,75 @@ def _classes(keys):
              for i, k in enumerate(keys)], first)
 
 
-@lru_cache(maxsize=None)
+# the largest weight whose pairing matrix is built: at n = 7 its quotient
+# is 175 MB, built and certified in 10-15 s and 250 MB peak RSS on 2 vCPUs
+PAIRING_CAP = 7
+
+
 def pairing_matrix(n):
-    if n > ENUMERATION_CAP:
-        raise CapExceeded(f"pairing matrix capped at n <= {ENUMERATION_CAP}")
-    graphs, trees = enumerate_graphs(n), enumerate_trees(n)
-    # undirected edges as a bitmask, above 3 bits counting reversed edges
+    """The PairingMatrix of weight n <= PAIRING_CAP.  Up to ENUMERATION_CAP
+    it carries its bases and class maps and is cached (a few MB at n = 6);
+    at n = 7 it holds only its quotient and minor and is built anew on each
+    call, so that no cache pins its 175 MB for the life of the process."""
+    if n > PAIRING_CAP:
+        raise CapExceeded(f"pairing matrix capped at n <= {PAIRING_CAP}")
+    if n <= ENUMERATION_CAP:
+        return _enumerated_pairing_matrix(n)
+    return _pairing_matrix(n)
+
+
+def _pairing_matrix(n):
+    # row classes: the undirected trees, ascending, each oriented from the
+    # smaller end of every edge; a pair (a, b) is its edge bit, shifted
+    # above 3 bits counting the edges reversed (a > b)
+    graphs = enumerate_graphs(n) if n <= ENUMERATION_CAP else None
+    trees = labeled_trees(n) if graphs is None else graphs.trees
     bits = {}
     for k, (a, b) in enumerate(combinations(range(1, n + 1), 2)):
         bits[a, b], bits[b, a] = 8 << k, (8 << k) + 1
-    row_key = [sum(map(bits.__getitem__, G.edges)) for G in graphs]
-    row_class, row_first = _classes([k >> 3 for k in row_key])
+    # column classes: first appearances in enumerate_trees' order, each with
+    # the parity of its child swaps from its class representative
     col_key = _col_keys(n)
     col_class, col_first = _classes([k >> 1 for k in col_key])
-    R, C = len(row_first), len(col_first)
+    firsts = [(j, i, col_key[i] & 1) for j, i in col_first.values()]
+    R, C = len(trees), len(col_first)
+    if graphs is None:
+        maps = (None,) * 6
+    else:
+        maps = (graphs, enumerate_trees(n), graphs.tree_class,
+                graphs.tree_sign, col_class,
+                [1 - 2 * (k & 1) for k in col_key])
+    del col_key, col_class
+    # the start of each row in buf, indexed by the row's undirected edges
+    offset = [None] * (1 << n * (n - 1) // 2)
+    for c, es in enumerate(trees):
+        offset[sum(map(bits.__getitem__, es)) >> 3] = c * C
     # <G, T> != 0 only when the edges of G meet the internal vertices of T
     # one to one, so a column's nonzeros are its choices of one leaf pair
     # (a, b) across each vertex, a under the left child.  The pair is an
     # edge of the row representative, which runs from the smaller end: it
-    # counts -1 when a > b.  The column's first tree differs from its
+    # counts -1 when a > b.  The column's first tree is a shape of
+    # enumerate_trees(n) under one labeling, and differs from its
     # representative by its parity of child swaps.
-    offset = {k: c * C for k, (c, _) in row_first.items()}
+    splits = [_splits(shape) for shape in _tree_shapes(n)]
+    perms = list(permutations(range(1, n + 1)))
     byte = (1, 255)  # +1 and -1 as int8
     buf = bytearray(R * C)
-    for j, i in col_first.values():
+    for j, i, parity in firsts:
         keys = [0]
-        for left, right in _splits(trees[i]):
-            pairs = [bits[a, b] for a in left for b in right]
+        shape, p = divmod(i, len(perms))
+        label = perms[p]  # the leaf at each position of the shape
+        for left, right in splits[shape]:
+            pairs = [bits[label[a], label[b]] for a in left for b in right]
             keys = [k + e for k in keys for e in pairs]
-        parity = col_key[i] & 1
         for k in keys:
             buf[offset[k >> 3] + j] = byte[(k ^ parity) & 1]
     tails = list(permutations(range(2, n + 1)))
-    minor = ([row_first[sum(map(bits.__getitem__,
-                                long_graph((1,) + t).edges)) >> 3][0]
+    # a long graph's row class is its offset over C
+    minor = ([offset[sum(map(bits.__getitem__, zip((1,) + t, t))) >> 3] // C
               for t in tails],
              [col_first[_tree_key(tall_tree((1,) + t))][0] for t in tails])
-    return PairingMatrix(n, graphs, trees, row_class,
-                         [1 - 2 * (k & 1) for k in row_key], col_class,
-                         [1 - 2 * (k & 1) for k in col_key],
-                         memoryview(buf).cast("b", (R, C)), minor)
+    return PairingMatrix(n, *maps, memoryview(buf).cast("b", (R, C)), minor)
+
+
+_enumerated_pairing_matrix = lru_cache(maxsize=None)(_pairing_matrix)

@@ -271,6 +271,39 @@ def test_predicted_keys_are_the_built_keys(source):
             == len(L.key_bidegree)
 
 
+def _predicted_keys_in_fractions(letters, cap_weight, cap_degree):
+    """_predicted_keys as it was computed in Fractions, with no budget:
+    L(n, d) = W(n, d) / n - sum_k (-1)^((k + 1) d/k) L(n/k, d/k) / k."""
+    words, dims = {(0, 0): 1}, {}
+    for n in range(1, cap_weight + 1):
+        for d in range(n, cap_degree + 1):
+            w = sum(c * words.get((n - 1, d - e), 0)
+                    for e, c in letters.items() if e <= d - n + 1)
+            if w:
+                words[n, d] = w
+                dims[n, d] = Fraction(w, n) - sum(
+                    Fraction((-1) ** ((k + 1) * (d // k))
+                             * dims.get((n // k, d // k), 0), k)
+                    for k in range(2, min(n, d) + 1)
+                    if n % k == d % k == 0)
+    assert all(x.denominator == 1 for x in dims.values())
+    return int(sum(dims.values()))
+
+
+@pytest.mark.parametrize("letters", [
+    {1: 1}, {2: 1}, {3: 1}, {1: 2}, {2: 3}, {1: 1, 2: 1}, {2: 2, 3: 1},
+    {1: 2, 2: 1, 3: 2}, {2: 3, 4: 2, 5: 1}, {1: 3, 3: 3, 6: 1}],
+    ids=lambda letters: ",".join(f"{c}x{e}" for e, c in letters.items()))
+def test_predicted_keys_match_the_fraction_formula(letters, monkeypatch):
+    """The integer recurrence n L(n, d) = W(n, d) - sum_k ... gives the
+    Fraction formula's key count on a grid of alphabets and caps."""
+    monkeypatch.setattr(functors, "KEY_BUDGET", 10 ** 30)
+    for cw in range(1, 13):
+        for cd in range(cw, 17, 3):
+            assert functors._predicted_keys(Counter(letters), cw, cd) \
+                == _predicted_keys_in_fractions(letters, cw, cd), (cw, cd)
+
+
 def test_key_budget_refuses_before_building(monkeypatch):
     """Past KEY_BUDGET keys build_E, build_G (which maps onto build_E's
     quotient, so has at least its keys), and build_L on the dual coalgebra,

@@ -409,6 +409,18 @@ class TestSuperLyndonBasis:
                     assert column.get(u, 0) \
                         == element_pair(graphify(u, table), tree), (l, u)
 
+    def test_columns_share_their_words(self):
+        """A word held by several columns is one tuple, interned on the
+        table: three trees on a b c d share the words they pair with."""
+        table = GeneratorTable([(x, 2) for x in "abcd"])
+        held, entries = {}, 0
+        for t in [((("a", "b"), "c"), "d"), (("a", "b"), ("c", "d")),
+                  ("a", ("b", ("c", "d")))]:
+            for u in _tree_column(table, t):
+                assert held.setdefault(u, u) is u is table.memo("word")[u]
+                entries += 1
+        assert entries == 24 > len(held)
+
     def test_planted_wrong_bracketing_names_the_content(self, monkeypatch):
         """A left comb in place of the standard bracketing of a a b is zero
         (a is even), so the block is not triangular: on the word side, and

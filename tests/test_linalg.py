@@ -362,6 +362,31 @@ def test_integer_rank_fields_do_not_carry(code):
             integer_matrix_rank(_buffer(rows, code), [0], [0])
 
 
+@pytest.mark.parametrize("M", [1, 127])
+def test_integer_rank_fields_sized_from_the_data(M):
+    """The fields are sized from the largest magnitude present (1 or 127
+    here, not int8's 128): a row one unit off is still found, on the
+    minor's columns and off them."""
+    rows = [[M, 0, M, -M, M], [0, M, -M, M, 0], [M, M, 0, 0, M],
+            [-M, 0, -M, M, -M], [0, 0, 0, 0, 0]]
+    assert integer_matrix_rank(_buffer(rows, "b"), [0, 1], [0, 1]) == 2
+    for i, j in [(2, 4), (3, 0), (4, 3)]:
+        wrong = [row[:] for row in rows]
+        wrong[i][j] += 1 if wrong[i][j] < 127 else -1
+        assert dense_rank_oracle(wrong) == 3
+        with pytest.raises(ArithmeticError, match="span"):
+            integer_matrix_rank(_buffer(wrong, "b"), [0, 1], [0, 1])
+
+
+def test_integer_rank_reads_the_buffer_in_place():
+    """A transposed (non-contiguous) buffer is refused rather than copied;
+    the certificate reads rows of the original in place."""
+    A = np.array([[1, 2], [3, 4], [5, 6]], dtype=np.int64)
+    with pytest.raises(TypeError, match="C-contiguous"):
+        integer_matrix_rank(A.T, [0, 1], [0, 1])
+    assert integer_matrix_rank(A, [0, 1], [0, 1]) == 2
+
+
 def test_integer_rank_needs_signed_integers():
     with pytest.raises(TypeError):
         integer_matrix_rank(memoryview(bytes([1])).cast("B", (1, 1)),

@@ -15,7 +15,12 @@ from hypothesis import strategies as st
 
 from liecograph import pairing
 from liecograph.elements import GeneratorTable, GraphElement, TreeElement
-from liecograph.errors import GraphError, MalformedDual, WeightMismatch
+from liecograph.errors import (
+    CapExceeded,
+    GraphError,
+    MalformedDual,
+    WeightMismatch,
+)
 from liecograph.graphcoalg import cobracket, graphify
 from liecograph.liealg import product
 from liecograph.pairing import (
@@ -27,8 +32,10 @@ from liecograph.pairing import (
 )
 from liecograph.shapes import (
     SGraph,
+    _pruefer_to_tree,
     enumerate_graphs,
     enumerate_trees,
+    labeled_trees,
     long_graph,
     tall_tree,
     tree_relabel,
@@ -235,8 +242,10 @@ class TestQuotient:
     def test_weight_6_peak_memory(self):
         """Building and ranking the weight-6 matrix stays under 24 MB of
         traced allocations (the full int8 matrix alone is 1.25 GB; 13.8 MB
-        measured with Python 3.11)."""
-        for cached in (pairing_matrix, enumerate_graphs, enumerate_trees):
+        measured with Python 3.11, as before the graphs carried their
+        classes and the certificate stopped copying the quotient)."""
+        for cached in (pairing._enumerated_pairing_matrix, enumerate_graphs,
+                       enumerate_trees):
             cached.cache_clear()
         tracemalloc.start()
         try:
@@ -263,6 +272,38 @@ class TestQuotient:
         src = Path(pairing.__file__).resolve().parents[1]
         subprocess.run([sys.executable, "-c", code], check=True,
                        env={**os.environ, "PYTHONPATH": str(src)})
+
+
+class TestWeight7:
+    """n = 7 is built from its classes alone: nothing is enumerated, and it
+    is not cached.  Its certified rank (720, on the long-graph/tall-tree
+    block) is checked by a separate CI step, which takes 10-15 s."""
+
+    def test_class_counts(self):
+        """7^5 row classes (Cayley) and 11!! column classes, counted
+        without building the quotient."""
+        assert len(labeled_trees(7)) == 7 ** 5 == 16807
+        keys = pairing._col_keys(7)
+        assert len(keys) == 5040 * 132
+        assert len(pairing._classes([k >> 1 for k in keys])[1]) \
+            == 11 * 9 * 7 * 5 * 3 == 10395
+
+    def test_not_cached(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(pairing, "_pairing_matrix",
+                            lambda n: built.append(n) or object())
+        assert pairing_matrix(7) is not pairing_matrix(7)
+        assert built == [7, 7]
+
+    def test_weight_8_refused_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded, match="n <= 7"):
+                pairing_matrix(8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 16
 
 
 def _classes_oracle(basis, reduce):
@@ -358,6 +399,29 @@ class TestClassMaps:
             [col_index[_tree_class(tall_tree((1,) + t))[0]] for t in tails])
         assert P.quotient.tobytes() == _dense_pairing(
             n, list(row_index), list(col_index)).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_row_classes_are_the_sorted_pruefer_trees(self, n):
+        """The row representatives, numbered in order of first appearance
+        among the graphs, are the undirected trees in ascending order of
+        their edge lists: the Pruefer trees, sorted."""
+        row_index, _, _ = _classes_oracle(enumerate_graphs(n), _graph_class)
+        pruefer = {tuple(sorted(tuple(sorted(e))
+                                for e in _pruefer_to_tree(n, seq)))
+                   for seq in itertools.product(range(1, n + 1),
+                                                repeat=n - 2)}
+        assert list(row_index) == labeled_trees(n) == sorted(pruefer)
+        assert len(pruefer) == n ** (n - 2)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_graphs_carry_their_tree_and_sign(self, n):
+        """enumerate_graphs' class maps, read off its one sort, are the
+        per-element canonicalisation's."""
+        graphs = enumerate_graphs(n)
+        assert graphs.trees == labeled_trees(n)
+        assert [(graphs.trees[c], sign) for c, sign
+                in zip(graphs.tree_class, graphs.tree_sign)] \
+            == [_graph_class(G) for G in graphs]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_enumerate_graphs_matches_validated_construction(self, n):
