@@ -201,19 +201,17 @@ def _caps(P, cap_weight, cap_degree):
             cap_degree if cap_degree is not None else P.cap_degree)
 
 
-def _slot_alphabet(A, cap_degree, cap_weight=None):
+def _slot_alphabet(A, cap_degree, cap_weight):
     """GeneratorTable of A's basis monomials with slot degree = degree - 1,
     the name -> monomial map, A's differential as a letter map for _slotwise
     (with the internal differential's extra minus sign) and its product as
-    a map letter pair -> (letter, sign or 0).  Given cap_weight, the word
-    models' keys are first counted from the letters' degrees, so caps past
+    a map letter pair -> (letter, sign or 0).  The word models' keys within
+    the caps are first counted from the letters' degrees, so caps past
     KEY_BUDGET are refused before a monomial is listed (_predicted_keys)."""
     if not A.is_simply_connected():
         raise NotSimplyConnected(
             "input algebra must be generated in degrees >= 2")
-    if cap_weight is not None:
-        _predicted_keys(_letter_degrees(A, cap_degree), cap_weight,
-                        cap_degree)
+    _predicted_keys(_letter_degrees(A, cap_degree), cap_weight, cap_degree)
     monos = A.monomials(cap_degree + 1)
     table = GeneratorTable(
         [(_mono_name(m), A.monomial_degree(m) - 1) for m in monos])
@@ -232,7 +230,7 @@ def _slot_alphabet(A, cap_degree, cap_weight=None):
 
 
 def _letter_degrees(A, cap_degree):
-    """{slot degree: number of letters} of _slot_alphabet(A, cap_degree),
+    """{slot degree: number of letters} of A's slot alphabet up to cap_degree,
     counted from the generators' degrees and power caps alone."""
     return {d - 1: c for d, c in enumerate(A.monomial_counts(cap_degree + 1))
             if c}

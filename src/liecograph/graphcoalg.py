@@ -162,15 +162,18 @@ def _iterated_vector(g):
 def _witt_dimension(mults, odd):
     """Dimension of the free Lie superalgebra in multidegree mults over
     letters of these parities (Petrogradsky 2000), by Moebius inversion of
-    sum_{k | mults} c_k dim L(mults/k) / k = multinomial(mults) / |mults|,
-    with c_k = (-1)^((k+1) * the number of odd letters of mults/k)."""
+    sum_{k | mults} c_k dim L(mults/k) / k = multinomial(mults) / n, with
+    n = |mults| and c_k = (-1)^((k+1) * the odd letters of mults/k), in
+    integers: n L(mults) = multinomial - sum_{k > 1} c_k (n/k) L(mults/k)."""
     n, g = sum(mults), gcd(*mults)
-    total = Fraction(factorial(n) // prod(map(factorial, mults)), n)
+    total = factorial(n) // prod(map(factorial, mults))
     for k in (k for k in range(2, g + 1) if g % k == 0):
         sub = tuple(m // k for m in mults)
         c = (-1) ** ((k + 1) * sum(m * o for m, o in zip(sub, odd)))
-        total -= Fraction(c * _witt_dimension(sub, odd), k)
-    return int(total)
+        total -= c * (n // k) * _witt_dimension(sub, odd)
+    dim, rest = divmod(total, n)
+    assert not rest, f"n L = {total} at {mults}"
+    return dim
 
 
 def _lie_dimension(table, content):

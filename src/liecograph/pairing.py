@@ -13,14 +13,14 @@ so does swapping the two children at an internal node of the tree.  The
 weight-n pairing matrix is therefore built and ranked on the quotient by
 both, one oriented tree per undirected tree (n^(n-2) rows) against one child
 order per antisymmetry class (n!*Cat(n-1)/2^(n-1) columns): 1296 x 945 at
-n = 6 instead of 41472 x 30240, and 16807 x 10395 at n = 7, built from
-the classes alone.  The quotient is an int8 bytearray, seen as a 2-D
-memoryview, and is filled column by column from where the pairing can be
-nonzero: the edges of G must meet the internal vertices of T one to one,
-so a column's nonzeros are its choices of one leaf pair across each vertex
-(74520 of 1224720 cells at n = 6, 3769920 at n = 7).  Its rank is
-certified on the block of long graphs against tall trees, a signed
-identity since the two are dual bases; see PairingMatrix.
+n = 6 instead of 41472 x 30240, and 16807 x 10395 at n = 7, built from the
+classes alone: no graph is sorted.  The quotient is an int8 bytearray, seen
+as a 2-D memoryview, and is filled column by column from where the pairing
+can be nonzero: the edges of G must meet the internal vertices of T one to
+one, so a column's nonzeros are its choices of one leaf pair across each
+vertex (74520 of 1224720 cells at n = 6, 3769920 at n = 7).  Its rank is
+certified on the block of long graphs against tall trees, a signed identity
+since the two are dual bases; see PairingMatrix.
 
 At element level generators pair by name, so a graph term meets a tree term
 of its weight only through the label-preserving bijections from vertices to
@@ -41,10 +41,9 @@ from .linalg import integer_matrix_rank
 from .shapes import (
     ENUMERATION_CAP,
     _tree_shapes,
-    enumerate_graphs,
     enumerate_trees,
     labeled_trees,
-    tall_tree,
+    oriented_trees,
     tree_leaves,
 )
 from .elements import koszul_sign, tree_term_shape
@@ -191,9 +190,11 @@ class PairingMatrix:
     rows are the undirected trees in ascending order of their edge lists
     (shapes.labeled_trees), the columns the child orders in order of first
     appearance in enumerate_trees(n).  Up to ENUMERATION_CAP the bases are
-    enumerated and entry(i, j) = row_sign[i] * col_sign[j] *
-    Q[row_class[i], col_class[j]] for i, j indexing row_basis and
-    col_basis; at n = 7 these six are None, and entry() is not available.
+    attached: row_basis is shapes.oriented_trees(n), whose row i is row
+    class i >> (n - 1) with one edge reversed, and a sign, per set bit of
+    its low n - 1 bits, and col_basis is enumerate_trees(n); entry(i, j) =
+    row_sign[i] * col_sign[j] * Q[row_class[i], col_class[j]].  At n = 7
+    these six are None, and entry() is not available.
     Rows and columns equal up to sign span the same space, so rank() is
     the rank of Q.
 
@@ -241,19 +242,12 @@ def _splits(t):
     return out
 
 
-def _tree_key(t):
-    """The OR (a sum, as clades differ) of 1 << clade over the internal
-    vertices of t, a clade being the bits 1 << leaf of the leaves below a
-    vertex: it names t up to child order."""
-    return sum(1 << sum(1 << x for x in left + right)
-               for left, right in _splits(t))
-
-
 def _col_keys(n):
-    """Per tree of enumerate_trees(n), in its order: _tree_key shifted up
-    one bit, above the parity of the internal vertices whose left child
-    holds the greater least leaf.  Computed per shape for every labeling at
-    once, one list per internal vertex."""
+    """Per tree of enumerate_trees(n), in its order: its key up to child
+    order, the sum of 1 << clade over its internal vertices (a clade: the
+    bits 1 << leaf below one), shifted up one bit above the parity of the
+    internal vertices whose left child holds the greater least leaf.
+    Computed per shape for every labeling at once, one list per vertex."""
     # columns[i]: the bit of the leaf at position i, over all labelings
     columns = [[1 << x for x in c]
                for c in zip(*permutations(range(1, n + 1)))]
@@ -312,8 +306,7 @@ def _pairing_matrix(n):
     # row classes: the undirected trees, ascending, each oriented from the
     # smaller end of every edge; a pair (a, b) is its edge bit, shifted
     # above 3 bits counting the edges reversed (a > b)
-    graphs = enumerate_graphs(n) if n <= ENUMERATION_CAP else None
-    trees = labeled_trees(n) if graphs is None else graphs.trees
+    trees = labeled_trees(n)
     bits = {}
     for k, (a, b) in enumerate(combinations(range(1, n + 1), 2)):
         bits[a, b], bits[b, a] = 8 << k, (8 << k) + 1
@@ -323,12 +316,19 @@ def _pairing_matrix(n):
     col_class, col_first = _classes([k >> 1 for k in col_key])
     firsts = [(j, i, col_key[i] & 1) for j, i in col_first.values()]
     R, C = len(trees), len(col_first)
-    if graphs is None:
-        maps = (None,) * 6
-    else:
-        maps = (graphs, enumerate_trees(n), graphs.tree_class,
-                graphs.tree_sign, col_class,
+    # the tall trees ((1, i2), ..., in) are the left comb, the last shape,
+    # under its first (n - 1)! labelings: leaf 1 first, the tails in order
+    tails = list(permutations(range(2, n + 1)))
+    tall = col_class[-factorial(n):][:len(tails)]
+    if n <= ENUMERATION_CAP:
+        # oriented_trees(n): row i is tree i >> (n - 1), its edges reversed
+        # by the set bits of i's low n - 1 bits
+        sign = [(-1) ** bin(o).count("1") for o in range(1 << n - 1)]
+        maps = (oriented_trees(n), enumerate_trees(n),
+                [c for c in range(R) for _ in sign], sign * R, col_class,
                 [1 - 2 * (k & 1) for k in col_key])
+    else:
+        maps = (None,) * 6
     del col_key, col_class
     # the start of each row in buf, indexed by the row's undirected edges
     offset = [None] * (1 << n * (n - 1) // 2)
@@ -354,11 +354,9 @@ def _pairing_matrix(n):
             keys = [k + e for k in keys for e in pairs]
         for k in keys:
             buf[offset[k >> 3] + j] = byte[(k ^ parity) & 1]
-    tails = list(permutations(range(2, n + 1)))
     # a long graph's row class is its offset over C
     minor = ([offset[sum(map(bits.__getitem__, zip((1,) + t, t))) >> 3] // C
-              for t in tails],
-             [col_first[_tree_key(tall_tree((1,) + t))][0] for t in tails])
+              for t in tails], tall)
     return PairingMatrix(n, *maps, memoryview(buf).cast("b", (R, C)), minor)
 
 

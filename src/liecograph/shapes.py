@@ -105,50 +105,25 @@ def validate_graph(n, edges):
     return SGraph(n, edges, _checked=True)
 
 
-class GraphList(list):
-    """The S-graphs of one weight, in enumerate_graphs' order, with the
-    undirected tree and orientation of each: graph i is the tree
-    trees[tree_class[i]] (trees = labeled_trees(n)) with
-    tree_sign[i] = (-1)^(its edges a -> b with a > b)."""
-
-    __slots__ = ("trees", "tree_class", "tree_sign")
-
-
 @lru_cache(maxsize=None)
 def enumerate_graphs(n):
     """All S-graphs on {1..n}: spanning trees of K_n in every orientation.
-    Count is n^(n-2) * 2^(n-1).  Deterministic order (sorted by edge list).
-    A GraphList, whose class maps come out of the one sort."""
+    Count is n^(n-2) * 2^(n-1).  Deterministic order (sorted by edge list):
+    oriented_trees(n), each edge tuple compared by its flat vertex bytes
+    (the same order, compared faster)."""
     _check_weight(n, "graph")
-    trees, m, stride = labeled_trees(n), n - 1, n + 1
-    # each oriented tree is one int: bit top - (a * stride + b) for each of
-    # its arcs a -> b, so that descending ints are ascending sorted arc
-    # lists (the arc lists all have m elements), above its index in
-    # generation order: its tree's index, then a bit per reversed edge
-    low = (len(trees) << m).bit_length()
-    top = low + stride * stride
-    bit = [[1 << top - a * stride - b for b in range(stride)]
-           for a in range(stride)]
-    arc = [[(a, b) for b in range(stride)] for a in range(stride)]
-    codes, edges = [], []
-    for c, es in enumerate(trees):
-        ks = [c << m]
-        for i, (a, b) in enumerate(es):
-            pair = (bit[a][b], bit[b][a] + (1 << m - 1 - i))
-            ks = [k + e for k in ks for e in pair]
-        codes += ks
-        # the same orientations in the same order, each arc list sorted
-        edges += map(tuple, map(sorted, product(
-            *((arc[a][b], arc[b][a]) for a, b in es))))
-    codes.sort(reverse=True)
-    index = (1 << low) - 1
-    sign = [(-1) ** bin(o).count("1") for o in range(1 << m)]
-    tree = list(range(len(trees)))  # one int object per class, shared
-    out = GraphList(SGraph._presorted(n, edges[k & index]) for k in codes)
-    out.trees = trees
-    out.tree_class = [tree[(k & index) >> m] for k in codes]
-    out.tree_sign = [sign[k & (1 << m) - 1] for k in codes]
-    return out
+    return sorted(oriented_trees(n), key=lambda G: bytes(sum(G.edges, ())))
+
+
+def oriented_trees(n):
+    """The S-graphs on {1..n} in generation order, built anew on each call:
+    each tree of labeled_trees(n) in turn, in its 2^(n-1) orientations.
+    Graph c * 2^(n-1) + o is tree c with edge i reversed when bit
+    n - 2 - i of o is set: it has one edge a -> b with a > b per set bit."""
+    arc = [[(a, b) for b in range(n + 1)] for a in range(n + 1)]
+    return [SGraph._presorted(n, tuple(sorted(es)))
+            for tree in labeled_trees(n)
+            for es in product(*((arc[a][b], arc[b][a]) for a, b in tree))]
 
 
 def labeled_trees(n):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import sys
 import time
@@ -346,6 +347,37 @@ class TestFreeLieDimension:
         rank = SparseMatrix(len(words), len(words), entries).rank()
         assert _free_lie_dimension(table, content) == rank
         assert len(bar_quotient(table, content).basis) == rank
+
+    def test_matches_the_fraction_formula(self):
+        """The integer recurrence n L(m) = multinomial(m) - sum_k ... gives
+        the Fraction formula's dimension for every multidegree of up to 4
+        letters, each of multiplicity 1..6, under every parity."""
+        memo = {}
+
+        def in_fractions(mults, odd):
+            # _witt_dimension as it was computed in Fractions
+            if (mults, odd) not in memo:
+                n, g = sum(mults), math.gcd(*mults)
+                total = Fraction(math.factorial(n) // math.prod(
+                    map(math.factorial, mults)), n)
+                for k in range(2, g + 1):
+                    if g % k == 0:
+                        sub = tuple(m // k for m in mults)
+                        c = (-1) ** ((k + 1) * sum(
+                            m * o for m, o in zip(sub, odd)))
+                        total -= Fraction(c * in_fractions(sub, odd), k)
+                assert total.denominator == 1
+                memo[mults, odd] = int(total)
+            return memo[mults, odd]
+
+        cases = 0
+        for letters in range(1, 5):
+            for odd in itertools.product((0, 1), repeat=letters):
+                for mults in itertools.product(range(1, 7), repeat=letters):
+                    assert _witt_dimension(mults, odd) \
+                        == in_fractions(mults, odd), (mults, odd)
+                    cases += 1
+        assert cases == 22620
 
     def test_planted_mismatch_names_the_content(self, monkeypatch):
         # a(2) once and b(3) twice: multidegree (1, 2), odd letters (0, 1)

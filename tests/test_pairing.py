@@ -255,6 +255,14 @@ class TestQuotient:
             tracemalloc.stop()
         assert peak < 24 * 2 ** 20, f"peak {peak / 2 ** 20:.0f} MB"
 
+    def test_weight_6_holds_one_graph_list(self):
+        """The rows are generated, not sorted: pairing_matrix(6) leaves
+        enumerate_graphs' cache empty, so the graphs are held once."""
+        for cached in (pairing._enumerated_pairing_matrix, enumerate_graphs):
+            cached.cache_clear()
+        pairing_matrix(6)
+        assert enumerate_graphs.cache_info().currsize == 0
+
     def test_weight_6_quotient_is_pinned(self):
         """The sha256 of the weight-6 quotient's int8 bytes, as the dense
         numpy build computed it."""
@@ -386,9 +394,14 @@ class TestClassMaps:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_match_per_element_path(self, n):
+        """Also: the rows are the graphs, and each row's class is its
+        undirected tree in labeled_trees(n), its sign its orientation's."""
         P = pairing_matrix(n)
+        assert sorted(P.row_basis, key=lambda G: G.edges) \
+            == enumerate_graphs(n)
         row_index, row_class, row_sign = _classes_oracle(
-            enumerate_graphs(n), _graph_class)
+            P.row_basis, _graph_class)
+        assert list(row_index) == labeled_trees(n)
         col_index, col_class, col_sign = _classes_oracle(
             enumerate_trees(n), _tree_class)
         assert (P.row_class, P.row_sign) == (row_class, row_sign)
@@ -412,16 +425,6 @@ class TestClassMaps:
                                                 repeat=n - 2)}
         assert list(row_index) == labeled_trees(n) == sorted(pruefer)
         assert len(pruefer) == n ** (n - 2)
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-    def test_graphs_carry_their_tree_and_sign(self, n):
-        """enumerate_graphs' class maps, read off its one sort, are the
-        per-element canonicalisation's."""
-        graphs = enumerate_graphs(n)
-        assert graphs.trees == labeled_trees(n)
-        assert [(graphs.trees[c], sign) for c, sign
-                in zip(graphs.tree_class, graphs.tree_sign)] \
-            == [_graph_class(G) for G in graphs]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_enumerate_graphs_matches_validated_construction(self, n):

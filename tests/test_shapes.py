@@ -22,7 +22,9 @@ from liecograph.shapes import (
     cut_edge,
     enumerate_graphs,
     enumerate_trees,
+    labeled_trees,
     long_graph,
+    oriented_trees,
     tall_tree,
     tree_leaves,
     tree_relabel,
@@ -106,6 +108,19 @@ class TestEnumeration:
         edges = [G.edges for G in enumerate_graphs(n)]
         assert all(isinstance(e, tuple) for es in edges for e in es)
         assert edges == sorted(edges)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_oriented_trees_index_tree_and_orientation(self, n):
+        """Graph c * 2^(n-1) + o is tree c with edge i reversed exactly when
+        bit n - 2 - i of o is set."""
+        trees, m = labeled_trees(n), n - 1
+        graphs = oriented_trees(n)
+        assert len(graphs) == len(trees) << m
+        for c, tree in enumerate(trees):
+            for o in range(1 << m):
+                edges = [(b, a) if o >> m - 1 - i & 1 else (a, b)
+                         for i, (a, b) in enumerate(tree)]
+                assert graphs[(c << m) + o] == SGraph(n, edges), (c, o)
 
     def test_enumeration_cap(self):
         with pytest.raises(CapExceeded):
