@@ -244,9 +244,9 @@ def _contents(table, cap_weight, cap_degree):
                                cap_weight)]
 
 
-# most keys build_E or the shuffle oracle may build: pi costs 0.15-0.3 ms and
-# under 10 KB a key on a 2-vCPU host (xyz.alg at 2..11: 16 679 keys, 2.5 s,
-# 109 MB; at 2..12: 43 692 keys, 12 s, 378 MB)
+# most keys build_E or the shuffle oracle may build: pi costs about 0.1 ms
+# and 6 KB a key on a 2-vCPU host (xyz.alg at 2..11: 16 679 keys, 1.3-1.7 s,
+# 85 MB; at 2..12: 43 692 keys, 4.6-5.3 s, 260 MB)
 KEY_BUDGET = 50_000
 
 

@@ -6,33 +6,32 @@ shuffles, reverse-all, cyclic).
 
 The quotient has a basis known in advance: the super-Lyndon words of each
 content (`super_lyndon_words`, also the shuffle oracle's basis).  Their
-standard bracketings pair with them in a unitriangular block, so a word's
-bar coordinates are one back substitution in its content's block
-(`bar_quotient`); build_E never builds a graph, and `to_bar_basis` reads a
-graph's fully iterated cobracket through the same solve; liealg's normal
-form is a forward substitution in the same block.  `_tree_column` is the one
-recursion pairing long graphs with trees, for both sides of the duality.
-Neither side does elimination.  Every cache here is a memo of the
-generator table it was computed over, and no memo value refers back to its
-table, so a dropped table is freed without the cycle collector.  The one
-exception is `_witt_dimension`, whose values depend on multiplicities and
-parities alone: one 1024-entry LRU memo serves every table (`pi --window
-2..11 xyz.alg` fills 319 entries).
+standard bracketings pair with them in a unitriangular block
+(`bar_quotient`), and both sides of the duality solve in it through
+linalg.Echelon: a word's bar coordinates by back substitution in the
+block's rows, so build_E never builds a graph and `to_bar_basis` reads a
+graph's fully iterated cobracket through the same solve, and liealg's
+normal form by forward substitution in its columns.  `_tree_column` is the
+one recursion pairing long graphs with trees, for both sides.  Every cache
+here is a memo of the generator table it was computed over, and no memo
+value refers back to its table, so a dropped table is freed without the
+cycle collector.  The one exception is `_witt_dimension`, whose values
+depend on multiplicities and parities alone: one 1024-entry LRU memo serves
+every table (`pi --window 2..11 xyz.alg` fills 319 entries).
 """
 
 import weakref
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from heapq import heapify, heappop, heappush
 from itertools import combinations
-from math import factorial, gcd, lcm, prod
+from math import factorial, gcd, prod
 
 from .errors import CapExceeded
 from .shapes import (SGraph, cut_edge, enumerate_graphs, long_graph,
                      tree_leaves)
 from .elements import (GraphElement, TensorElement, canonical_term,
                        koszul_sign)
-from .linalg import add_into
+from .linalg import Echelon, add_into
 
 __all__ = [
     "cobracket",
@@ -299,14 +298,16 @@ class BarQuotient:
     """One content's pairing block, with its bar basis B = l_0 < l_1 < ...:
     the content's super-Lyndon words in sort_key order.  With P the standard
     bracketing, M[i][j] = <l_i, P(l_j)> is lower triangular with diagonal 1,
-    or 2 on an odd square (checked).  `rows`, built on first use, maps each
-    word u of the content that pairs nontrivially with some P(l_j) to
-    {j: <u, P(l_j)>}, read from the columns of the P(l_j); the class of u is
-    sum_j x_j l_j with x M = rows[u], solved by one back substitution
-    (`solve`).  The free-Lie class sum_j y_j P(l_j) pairs to M y with the
-    l_i, solved by one forward substitution (`solve_tree`), with no rows.
-    The table is held by a weak reference, so that the table's memo, which
-    holds this block, is not a reference cycle."""
+    or 2 on an odd square (checked).  Each side solves in M through a
+    linalg.Echelon seeded with the block.  `rows`, built on first use, maps
+    each word u that pairs nontrivially with some P(l_j) to {n - 1 - j:
+    <u, P(l_j)>}, n = |B|, so that each rows[l_i] has its diagonal as its
+    least key; the class of u is sum_j x_j l_j with x M = rows[u], a back
+    substitution in the rows[l_i] (`solve`).  The free-Lie class sum_j y_j
+    P(l_j) pairs to M y with the l_i, a forward substitution in the columns
+    of the P(l_j) (`solve_tree`), with no rows.  The table is held by a weak
+    reference, so that the table's memo, which holds this block, is not a
+    reference cycle."""
 
     def __init__(self, table, content):
         self.content = content
@@ -314,79 +315,58 @@ class BarQuotient:
         _certify_dimension(table, content, len(self.basis), "bar basis")
         self._table = weakref.ref(table)
 
-    def _check_diagonal(self, l, entry):
-        if entry != 1 + (l[:len(l) // 2] == l[len(l) // 2:]):
+    def _check_diagonal(self, l, row, c):
+        if min(row, default=c) != c \
+                or row.get(c) != 1 + (l[:len(l) // 2] == l[len(l) // 2:]):
             raise AssertionError(f"pairing block of content {self.content} "
                                  f"is not unitriangular at {l}")
+        return row
 
     @cached_property
     def rows(self):
         table, rows = self._table(), {}
-        for j, l in enumerate(self.basis):
+        for c, l in enumerate(reversed(self.basis)):  # c = n - 1 - j
             column = _tree_column(table, _standard_bracketing(table, l))
             for u, v in column.items():
-                rows.setdefault(u, {})[j] = v
-        for i, l in enumerate(self.basis):
-            row = rows.get(l, {})
-            self._check_diagonal(l, row.get(i) if max(row, default=i) == i
-                                 else 0)
+                rows.setdefault(u, {})[c] = v
         return rows
 
+    @cached_property
+    def _row_echelon(self):
+        return Echelon({c: self._check_diagonal(l, self.rows.get(l, {}), c)
+                        for c, l in enumerate(reversed(self.basis))})
+
     def solve(self, r):
-        """{l_j: x_j} for the x with x M = r, r = {j: rational}: x_j is fixed
-        from the last j down, then cleared from the lower entries of row j.
-        The work is in integers over one denominator, doubled on an odd
-        square's diagonal 2 when needed."""
-        den = lcm(*(v.denominator for v in r.values()))
-        r = {j: v.numerator * (den // v.denominator) for j, v in r.items()}
-        x, heap = {}, [-j for j in r]
-        heapify(heap)
-        while heap:
-            j = -heappop(heap)
-            v = r.pop(j, 0)
-            if not v:
-                continue
-            row = self.rows[self.basis[j]]
-            if v % row[j]:
-                den, v = 2 * den, 2 * v
-                r, x = ({k: 2 * s for k, s in z.items()} for z in (r, x))
-            v //= row[j]
-            x[self.basis[j]] = v
-            for i, m in row.items():
-                if i != j:
-                    s = r.get(i)
-                    if s is None:
-                        heappush(heap, -i)
-                        r[i] = -v * m
-                    else:
-                        r[i] = s - v * m
-        return {w: Fraction(v, den) for w, v in x.items()}
+        """{l_j: x_j} for the x with x M = r, r = {n - 1 - j: rational}."""
+        x, _ = self._row_echelon.decompose(r)
+        return {self.basis[-1 - c]: v for c, v in x.items()}
+
+    @cached_property
+    def _column_echelon(self):
+        """(ids, Echelon): ids numbers the words of the columns, the basis
+        first, and row j is the column of P(l_j) keyed by ids, which stands
+        in for the column's memo entry."""
+        table, ids = self._table(), {l: j for j, l in enumerate(self.basis)}
+        rows, memo = {}, table.memo("tree_column")
+        for j, l in enumerate(self.basis):
+            column = _tree_column(table, t := _standard_bracketing(table, l))
+            memo.pop(t, None)
+            rows[j] = self._check_diagonal(l, {ids.setdefault(u, len(ids)): v
+                                               for u, v in column.items()}, j)
+        return ids, Echelon(rows)
 
     def solve_tree(self, b):
         """{l_j: y_j} for the y with M y = b, b = {word: rational} the
-        pairings of a free-Lie class with the words (_tree_column): from the
-        first j up, y_j is the residual at l_j over the diagonal, and y_j
-        times the column of P(l_j) leaves the residual.  In integers over one
-        denominator, doubled on an odd square when needed; a residual left
-        at the end is an AssertionError naming the content."""
-        table, y = self._table(), {}
-        den = lcm(*(v.denominator for v in b.values()))
-        r = {u: v.numerator * (den // v.denominator) for u, v in b.items()}
-        for l in self.basis:
-            if not (v := r.get(l)):
-                continue
-            column = _tree_column(table, _standard_bracketing(table, l))
-            self._check_diagonal(l, d := column.get(l))
-            if v % d:
-                den, v = 2 * den, 2 * v
-                r, y = ({k: 2 * s for k, s in z.items()} for z in (r, y))
-            y[l] = v // d
-            for u, m in column.items():
-                add_into(r, u, -y[l] * m)
+        pairings of a free-Lie class with the words (_tree_column); a
+        residual left is an AssertionError naming the content."""
+        ids, ech = self._column_echelon
+        y, r = ech.decompose({ids.setdefault(u, len(ids)): v
+                              for u, v in b.items()})
         if r:
             raise AssertionError(f"pairing block of content {self.content} "
-                                 f"leaves a residual at {min(r)}")
-        return {w: Fraction(v, den) for w, v in y.items()}
+                                 f"leaves a residual at "
+                                 f"{min(u for u, k in ids.items() if k in r)}")
+        return {self.basis[j]: v for j, v in y.items()}
 
 
 def bar_quotient(table, content):

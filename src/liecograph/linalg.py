@@ -1,16 +1,16 @@
 """Exact linear algebra over Q.
 
-`Echelon` is the single exact elimination kernel: every rank, exact inverse
-and quotient normal form over Q in the package is a row reduction through
-it, fraction-free on primitive integer rows.  `integer_matrix_rank`
-certifies the rank of a large integer matrix on a nonsingular minor its
-caller names, inverted over one denominator (`_exact_inverse`).  On top sit sparse matrices (rank only)
-and bigraded complexes: basis keys in (weight, degree) pieces with two
-anticommuting degree-+1 differentials held once, as key-indexed sparse
-columns.  Total homology and the spectral-sequence page dimensions for the
-weight filtration, both in a degree window the caller names, are ranks of
-corners of the total differential D = dv + dh, read from the key maps and
-memoised on the complex; there is no coordinate layout.
+`Echelon` is the single exact elimination kernel: every rank, exact inverse,
+quotient normal form and pairing-block substitution in the package is a
+fraction-free row reduction through it.  `integer_matrix_rank` certifies
+the rank of a large integer matrix on a nonsingular minor its caller names,
+inverted over one denominator (`_exact_inverse`).  On top sit sparse
+matrices (rank only) and bigraded complexes: basis keys in (weight, degree)
+pieces with two anticommuting degree-+1 differentials held once, as
+key-indexed sparse columns.  Total homology and the spectral-sequence page
+dimensions for the weight filtration, both in a degree window the caller
+names, are ranks of corners of the total differential D = dv + dh, read
+from the key maps and memoised on the complex; no coordinate layout.
 
 Everything is Python integers and Fractions; no float is ever formed.  The
 rank certificate packs each row of its matrix into one integer, a field per
@@ -49,78 +49,86 @@ def add_into(acc, key, val):
 
 
 class Echelon:
-    """Sparse rows {col: int} in semi-echelon form: each row is primitive
-    (the gcd of its entries is 1), its pivot is its smallest column and the
-    pivot entry is positive.  Columns are any mutually comparable keys.
+    """Sparse rows {col: int} in semi-echelon form: each row's pivot is its
+    smallest column, with a nonzero entry.  Columns are any mutually
+    comparable keys.  `insert` keeps rows primitive with a positive pivot;
+    rows {pivot: row} passed in are used as they are, their pivots checked
+    by the caller (a column below a pivot would be left uncleared).
 
     Elimination is fraction-free (Bareiss 1968): a vector, scaled by the lcm
     of its denominators, clears column c against the row with pivot entry p
     as vec <- a*vec - b*row, where a = p/g, b = f/g, g = gcd(p, f) and f is
     the vector's entry at c; one integer denominator for the vector records
-    the scaling.  `reduce` returns exact Fractions.  The min-first pivots
-    and the fully reduced residual depend only on the row space."""
+    the scaling, and b, scaled with it, is the row's multiplier.  The
+    min-first pivots and the fully reduced residual depend only on the row
+    space."""
 
-    def __init__(self):
-        self.rows = {}  # pivot col -> row
+    def __init__(self, rows=None):
+        self.rows = {} if rows is None else rows  # pivot col -> row
 
     def __len__(self):
         return len(self.rows)
 
     def _eliminate(self, vec, full):
         """Clear pivot columns of vec in ascending column order.  Returns
-        (ivec, den, free): ivec/den is the reduced vector with ivec integral,
-        and free is the smallest non-pivot column left when not `full`
-        (elimination stops there), else None."""
+        (ivec, den, free, mult) with vec = (ivec + sum_c mult[c] rows[c]) /
+        den, ivec and mult integral (ivec keeps its cancelled zeros): free
+        is the smallest non-pivot column left when not `full` (elimination
+        stops there), else None."""
         den = lcm(*(v.denominator for v in vec.values()))
         vec = {k: v.numerator * (den // v.denominator) for k, v in vec.items()}
-        heap = list(vec)
+        mult, heap = {}, list(vec)
         heapify(heap)
         while heap:
             c = heappop(heap)
-            f = vec.get(c)
+            f = vec[c]
             if not f:
-                continue  # cancelled, or a repeated heap entry
+                continue  # cancelled
             row = self.rows.get(c)
             if row is None:
                 if full:
                     continue
-                return vec, den, c
+                return vec, den, c, mult
             p = row[c]
             g = gcd(p, f)
             a, b = p // g, f // g
             if a != 1:
                 den *= a
-                for k in vec:
-                    vec[k] *= a
+                for z in (vec, mult):
+                    for k in z:
+                        z[k] *= a
+            mult[c] = b
             for k, v in row.items():
                 s = vec.get(k)
                 if s is None:
                     heappush(heap, k)
-                    s = 0
-                s -= b * v
-                if s:
-                    vec[k] = s
+                    vec[k] = -b * v
                 else:
-                    del vec[k]
-        return vec, den, None
+                    vec[k] = s - b * v
+        return vec, den, None, mult
 
     def insert(self, row):
         """Add a row; returns its new pivot column, or None if the row lies
         in the span of the rows already present."""
-        vec, _, c = self._eliminate(row, full=False)
+        vec, _, c, _ = self._eliminate(row, full=False)
         if c is None:
             return None
         g = gcd(*vec.values())
         if vec[c] < 0:
             g = -g
-        self.rows[c] = {k: v // g for k, v in vec.items()}
+        self.rows[c] = {k: v // g for k, v in vec.items() if v}
         return c
 
+    def decompose(self, vec):
+        """(coefficients, residual) with vec = sum_c coefficients[c] rows[c]
+        + residual, the residual zero at every pivot column."""
+        vec, den, _, mult = self._eliminate(vec, full=True)
+        return ({c: Fraction(b, den) for c, b in mult.items()},
+                {k: Fraction(v, den) for k, v in vec.items() if v})
+
     def reduce(self, vec):
-        """The residual of vec modulo the rows: zero at every pivot column,
-        and vec minus it lies in the row span."""
-        vec, den, _ = self._eliminate(vec, full=True)
-        return {k: Fraction(v, den) for k, v in vec.items()}
+        """The residual of vec modulo the rows (`decompose`)."""
+        return self.decompose(vec)[1]
 
 
 class SparseMatrix:
@@ -166,12 +174,10 @@ def _exact_inverse(S):
         row = {j: x for j, x in enumerate(row) if x}
         if ech.insert({**row, n + i: 1}) >= n:
             raise ZeroDivisionError("singular matrix")
-    rows = [ech._eliminate({j: 1}, full=True)[:2] for j in range(n)]
-    delta = lcm(*(den for _, den in rows))
-    adj = [[-vec.get(n + k, 0) * (delta // den) for k in range(n)]
-           for vec, den in rows]
-    g = gcd(delta, *(x for row in adj for x in row))
-    return [[x // g for x in row] for row in adj], delta // g
+    inv = [ech.reduce({j: 1}) for j in range(n)]
+    delta = lcm(*(v.denominator for row in inv for v in row.values()))
+    return [[-int(row.get(n + k, 0) * delta) for k in range(n)]
+            for row in inv], delta
 
 
 # 1 on a byte with its top bit set: read on an entry's most significant
@@ -326,7 +332,7 @@ class BigradedComplex:
 
     def check_window(self, d_lo, d_hi):
         lo, hi = self.complete_degrees
-        if d_lo < lo or d_hi > hi:
+        if max(d_lo, 0) < lo or d_hi > hi:  # no key has a degree below 0
             raise CapTooSmall(
                 f"window [{d_lo}, {d_hi}] exceeds guaranteed-complete degree "
                 f"range [{lo}, {hi}]; rebuild with larger caps"

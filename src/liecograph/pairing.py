@@ -286,7 +286,7 @@ def _classes(keys):
 
 
 # the largest weight whose pairing matrix is built: at n = 7 its quotient
-# is 175 MB, built and certified in 10-15 s and 250 MB peak RSS on 2 vCPUs
+# is 175 MB, built and certified in 6-10 s and 230 MB peak RSS on 2 vCPUs
 PAIRING_CAP = 7
 
 

@@ -489,9 +489,20 @@ class TestErrorsAndCaps:
         code, out, err = run(capsys, "pi", S2, "--window", "2..8",
                              "--cap-weight", "3", "--cap-degree", "4")
         assert code == 2 and out == "" and "cap-too-small" in err
-        # degree 0 lies below the complete range of the shuffle model
-        code, out, err = run(capsys, "harrison", S2, "--window", "0..3")
-        assert code == 2 and out == "" and "cap-too-small" in err
+
+    @pytest.mark.parametrize("verb", ["harrison", "ss"])
+    def test_window_from_degree_0(self, capsys, verb):
+        """No key has a degree below 0, so a window from degree 0 needs no
+        larger caps: H^0 is 0, and the spectral pages have nothing in degree
+        0, so the rest is the window from degree 1."""
+        code, out, err = run(capsys, verb, S2, "--window", "0..3")
+        _, want, _ = run(capsys, verb, S2, "--window", "1..3")
+        assert code == 0 and err == ""
+        header, rest = want.split("\n", 1)
+        assert out == (f"{header}\n0\t0\n{rest}" if verb == "harrison"
+                       else want)
+        assert run(capsys, verb, S2, "--window", "0..3", "--cap-weight",
+                   "20", "--cap-degree", "20")[0] == 0
 
     @pytest.mark.parametrize("verb", ["pi", "harrison", "ss"])
     def test_env_cap_override(self, capsys, monkeypatch, verb):

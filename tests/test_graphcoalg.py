@@ -456,10 +456,12 @@ class TestSuperLyndonBasis:
     def test_planted_wrong_bracketing_names_the_content(self, monkeypatch):
         """A left comb in place of the standard bracketing of a a b is zero
         (a is even), so the block is not triangular: on the word side, and
-        on the Lie side at the diagonal entry the forward substitution
-        reads.  With [a, [c, b]] in place of P(acb) = [[a, c], b] the
-        diagonal holds, but the column meets the earlier word abc, so the
-        forward substitution leaves a residual."""
+        on the Lie side at the diagonal entry.  With [a, [c, b]] in place
+        of P(acb) = [[a, c], b] the diagonal holds, but the row of abc and
+        the column of acb meet the other basis word, so neither has its
+        diagonal as its least key, and an elimination seeded with them
+        would solve wrongly.  A pairing vector that no free-Lie class has
+        keeps every pivot and leaves a residual."""
         table = GeneratorTable([("a", 2), ("b", 2), ("c", 2)])
         monkeypatch.setattr(graphcoalg, "_standard_bracketing",
                             lambda table, w: tall_tree(w))
@@ -472,9 +474,23 @@ class TestSuperLyndonBasis:
         monkeypatch.setattr(graphcoalg, "_standard_bracketing",
                             lambda table, w: {("a", "c", "b"): (
                                 "a", ("c", "b"))}.get(w, ("a", ("b", "c"))))
+        table = GeneratorTable([("a", 2), ("b", 2), ("c", 2)])
         with pytest.raises(AssertionError, match=r"pairing block of content "
-                           r"\('a', 'b', 'c'\) leaves a residual"):
+                           r"\('a', 'b', 'c'\) is not unitriangular at "
+                           r"\('a', 'b', 'c'\)"):
+            _word_coordinates(table, ("b", "a", "c"))
+        table = GeneratorTable([("a", 2), ("b", 2), ("c", 2)])
+        with pytest.raises(AssertionError, match=r"pairing block of content "
+                           r"\('a', 'b', 'c'\) is not unitriangular at "
+                           r"\('a', 'c', 'b'\)"):
             lie_normal_form(TreeElement.from_term(table, (("a", "c"), "b")))
+        monkeypatch.undo()
+        table = GeneratorTable([("a", 2), ("b", 2), ("c", 2)])
+        with pytest.raises(AssertionError, match=r"pairing block of content "
+                           r"\('a', 'b', 'c'\) leaves a residual at "
+                           r"\('b', 'a', 'c'\)"):
+            bar_quotient(table, ("a", "b", "c")).solve_tree(
+                {("a", "b", "c"): 1, ("b", "a", "c"): 1})
 
     @pytest.mark.parametrize("gens", _MIXED_TABLES[1:], ids=_table_id)
     def test_graph_and_word_routes_agree(self, gens):

@@ -1,8 +1,10 @@
 """Static hygiene of the library: no module under src/liecograph imports a
 name it never uses, no private module-level helper is left without a caller,
-the free-Lie normal form never calls its own oracle, no true division can
-turn int coefficients into a float, no module imports numpy or names a
-float, and every name the benchmark tracer rebinds still exists.  Standard-library ast only, so it needs no linter."""
+the free-Lie normal form never calls its own oracle, only linalg keeps a
+heap for elimination, no true division can turn int coefficients into a
+float, no module imports numpy or names a float, and every name the
+benchmark tracer rebinds still exists.  Standard-library ast only, so it
+needs no linter."""
 
 import ast
 import importlib
@@ -114,6 +116,31 @@ def test_normal_form_does_not_use_its_oracle():
     of liealg may reach it."""
     assert oracle_callers((SRC / "liealg.py").read_text(
         encoding="utf-8")) == []
+
+
+def imported_modules(source):
+    """The top-level names of the modules a source imports from."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_imported_modules_checker():
+    src = ("import heapq\nimport os.path as p\nfrom math import gcd\n"
+           "from .linalg import Echelon\ndef f():\n    import bisect\n")
+    assert imported_modules(src) == {"heapq", "os", "math", "bisect"}
+
+
+def test_only_linalg_keeps_a_heap():
+    """Echelon is the one exact elimination kernel: no other module imports
+    heapq to run a substitution loop of its own."""
+    assert sorted(p.name for p in SRC.glob("*.py") if "heapq" in
+                  imported_modules(p.read_text(encoding="utf-8"))) \
+        == ["linalg.py"]
 
 
 def test_traced_names_resolve():
