@@ -59,7 +59,6 @@ from .shapes import (
     SGraph,
     _canonical_perms,
     contract_edge,
-    enumerate_graphs,
     tree_leaves,
     tree_relabel,
 )
@@ -245,8 +244,8 @@ def _contents(table, cap_weight, cap_degree):
 
 
 # most keys build_E or the shuffle oracle may build: pi costs about 0.1 ms
-# and 6 KB a key on a 2-vCPU host (xyz.alg at 2..11: 16 679 keys, 1.3-1.7 s,
-# 85 MB; at 2..12: 43 692 keys, 4.6-5.3 s, 260 MB)
+# and 5 KB a key on a 2-vCPU host (xyz.alg at 2..11: 16 679 keys, 1.4-1.6 s,
+# 74 MB; at 2..12: 43 692 keys, 5.3-5.7 s, 213 MB)
 KEY_BUDGET = 50_000
 
 
@@ -376,9 +375,11 @@ def build_G(A, cap_weight=None, cap_degree=None):
     table, mono_of, d_letter, multiply = _slot_alphabet(A, cd, cw)
 
     @cache
-    def canonical_shapes(w):  # one representative per relabeling orbit
-        return [G.edges for G in enumerate_graphs(w)
-                if _canonical_perms(w, G.edges)[0] == G.edges]
+    def canonical_shapes(w):  # one per orbit: a smaller tree and a leaf w
+        return [()] if w == 1 else sorted(
+            {_canonical_perms(w, tuple(sorted((*edges, e))))[0]
+             for edges in canonical_shapes(w - 1)
+             for v in range(1, w) for e in ((v, w), (w, v))})
 
     key_bidegree = {}
     for content, (w, d) in _contents(table, cw, cd):

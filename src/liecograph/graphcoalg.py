@@ -273,25 +273,26 @@ def _tree_column(table, t):
     cobracket (signed deconcatenation of the word), the column of
     t = (t1, t2) gives u.v the coefficient c1 c2 and v.u the coefficient
     -s c1 c2, for c1, c2 the entries of u and v in the columns of t1 and t2
-    and s = (-1)^(|t1| |t2|).  Integer entries; memoized on the table per
-    subtree, each word interned per table (one tuple however many columns
-    hold it)."""
+    and s = (-1)^(|t1| |t2|).  Integer entries, each word interned per
+    table (one tuple however many columns hold it); memoized on the table
+    for proper subtrees only, so t's own column goes to the caller alone."""
     if isinstance(t, str):
         return {(t,): 1}
     memo = table.memo("tree_column")
-    hit = memo.get(t)
-    if hit is None:
-        c1, c2 = _tree_column(table, t[0]), _tree_column(table, t[1])
-        s = -(-1) ** (sum(table.degrees_of(tree_leaves(t[0])))
-                      * sum(table.degrees_of(tree_leaves(t[1]))))
-        word = table.memo("word").setdefault
-        hit = memo[t] = {word(w := u + v, w): a * b for u, a in c1.items()
-                         for v, b in c2.items()}
-        # u.v determines u and v, so only the v.u terms can meet a word
-        for u, a in c1.items():
-            for v, b in c2.items():
-                add_into(hit, word(w := v + u, w), s * a * b)
-    return hit
+    if t in memo:
+        return memo[t]
+    c1, c2 = cs = [_tree_column(table, x) for x in t]
+    memo.update((x, c) for x, c in zip(t, cs) if not isinstance(x, str))
+    s = -(-1) ** (sum(table.degrees_of(tree_leaves(t[0])))
+                  * sum(table.degrees_of(tree_leaves(t[1]))))
+    word = table.memo("word").setdefault
+    column = {word(w := u + v, w): a * b for u, a in c1.items()
+              for v, b in c2.items()}
+    # u.v determines u and v, so only the v.u terms can meet a word
+    for u, a in c1.items():
+        for v, b in c2.items():
+            add_into(column, word(w := v + u, w), s * a * b)
+    return column
 
 
 class BarQuotient:
@@ -299,15 +300,15 @@ class BarQuotient:
     the content's super-Lyndon words in sort_key order.  With P the standard
     bracketing, M[i][j] = <l_i, P(l_j)> is lower triangular with diagonal 1,
     or 2 on an odd square (checked).  Each side solves in M through a
-    linalg.Echelon seeded with the block.  `rows`, built on first use, maps
-    each word u that pairs nontrivially with some P(l_j) to {n - 1 - j:
-    <u, P(l_j)>}, n = |B|, so that each rows[l_i] has its diagonal as its
-    least key; the class of u is sum_j x_j l_j with x M = rows[u], a back
-    substitution in the rows[l_i] (`solve`).  The free-Lie class sum_j y_j
-    P(l_j) pairs to M y with the l_i, a forward substitution in the columns
-    of the P(l_j) (`solve_tree`), with no rows.  The table is held by a weak
-    reference, so that the table's memo, which holds this block, is not a
-    reference cycle."""
+    linalg.Echelon seeded with the block, read from the columns of the
+    P(l_j), which _tree_column keeps only as subtrees of larger trees.  `rows`,
+    built on first use, maps each word u that pairs nontrivially with some
+    P(l_j) to {n - 1 - j: <u, P(l_j)>}, n = |B|, so that each rows[l_i] has
+    its diagonal as its least key; the class of u is sum_j x_j l_j with
+    x M = rows[u], a back substitution in the rows[l_i] (`solve`).  The
+    free-Lie class sum_j y_j P(l_j) pairs to M y with the l_i, a forward
+    substitution in the columns of the P(l_j) (`solve_tree`), with no rows.
+    The table is held weakly: its memo holds this block, so no cycle."""
 
     def __init__(self, table, content):
         self.content = content
@@ -344,13 +345,11 @@ class BarQuotient:
     @cached_property
     def _column_echelon(self):
         """(ids, Echelon): ids numbers the words of the columns, the basis
-        first, and row j is the column of P(l_j) keyed by ids, which stands
-        in for the column's memo entry."""
+        first, and row j is the column of P(l_j) keyed by ids."""
         table, ids = self._table(), {l: j for j, l in enumerate(self.basis)}
-        rows, memo = {}, table.memo("tree_column")
+        rows = {}
         for j, l in enumerate(self.basis):
-            column = _tree_column(table, t := _standard_bracketing(table, l))
-            memo.pop(t, None)
+            column = _tree_column(table, _standard_bracketing(table, l))
             rows[j] = self._check_diagonal(l, {ids.setdefault(u, len(ids)): v
                                                for u, v in column.items()}, j)
         return ids, Echelon(rows)

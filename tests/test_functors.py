@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from liecograph import functors, graphcoalg
+from liecograph import functors, graphcoalg, shapes
 from liecograph.elements import GraphElement, koszul_sign
 from liecograph.errors import (
     CapExceeded,
@@ -561,6 +561,48 @@ def test_build_G_pinned_on_random_presentations():
     bundles = [build_G(random_presentation(rng), 3, 8) for _ in range(20)]
     assert _build_G_digest(bundles) == (
         "b2ca3f14dd7b119d84a9e9dc58ac02c8b98b25660a83ab6da034efb3801befee")
+
+
+def test_build_G_shapes_are_the_oriented_trees(monkeypatch):
+    """On one even slot letter each shape is one key: 1, 1, 3, 8, 27 and
+    91 in weights 1-6, the oriented trees (OEIS A000238).  The shapes are
+    grown a leaf at a time, so a plan is computed only for a shape of
+    weight w - 1 with a leaf added, 2 (w - 1) of them per shape.  Weight 7
+    is a CapExceeded before any of its orders is listed."""
+    A = parse_presentation("gen x deg 3\n")
+    grown = []
+    monkeypatch.setattr(functors, "_canonical_perms",
+                        lambda n, edges: grown.append(n)
+                        or shapes._canonical_perms(n, edges))
+    G = build_G(A, 6, 12)
+    counts = Counter(w for w, _ in G.key_bidegree.values())
+    assert [counts[w] for w in range(1, 7)] == [1, 1, 3, 8, 27, 91]
+    assert Counter(grown) == {w: 2 * (w - 1) * counts[w - 1]
+                              for w in range(2, 7)}
+
+    def orders(content):
+        assert len(content) <= 6, f"orders of {content} listed"
+        return itertools.permutations(content)
+
+    monkeypatch.setattr(functors, "permutations", orders)
+    with pytest.raises(CapExceeded, match="non-path shapes capped at 6"):
+        build_G(A, 7, 14)
+
+
+def test_build_G_at_weight_6_and_criterion_10():
+    """build_G(cp2.alg, 6, 12) as first recorded, each shape found then by
+    the plan of every labelled graph; on it the canonical twisting function
+    passes, and a perturbed one fails with a witness."""
+    A = load_presentation("cp2.alg")
+    G = build_G(A, 6, 12)
+    assert _build_G_digest([G]) == (
+        "ea0bb1b966f44c26cfaafa93da17085716b79b0b99879fdf00022d524b365ed7")
+    tau = canonical_twisting_function(G)
+    assert check_twisting(tau, G, A).passed
+    key = next(k for k in tau if tau[k])
+    bad = {**tau, key: {m: 2 * c for m, c in tau[key].items()}}
+    rep = check_twisting(bad, G, A)
+    assert not rep.passed and rep.witness is not None
 
 
 class TestTwisting:

@@ -453,6 +453,25 @@ class TestSuperLyndonBasis:
                 entries += 1
         assert entries == 24 > len(held)
 
+    def test_memo_holds_only_reused_columns(self):
+        """The tree_column memo keeps the columns of proper subtrees, which
+        larger trees reuse, and not the column a caller asked for: not that
+        of a tree after its normal form, and not that of a standard
+        bracketing P(l) after its block's rows or column echelon."""
+        table = GeneratorTable([("a", 2), ("b", 3), ("c", 2), ("d", 3)])
+        t = ((("a", "b"), "c"), ("d", "a"))
+        lie_normal_form(TreeElement.from_term(table, t))
+        memo = table.memo("tree_column")
+        assert {(("a", "b"), "c"), ("a", "b"), ("d", "a")} <= set(memo)
+        assert t not in memo
+        table = GeneratorTable([("a", 2), ("b", 3), ("c", 2), ("d", 3)])
+        q, memo = bar_quotient(table, ("a", "a", "b", "c")), table.memo(
+            "tree_column")
+        brackets = [_standard_bracketing(table, l) for l in q.basis]
+        for build in ("rows", "_column_echelon"):
+            getattr(q, build)
+            assert memo and not any(P in memo for P in brackets), build
+
     def test_planted_wrong_bracketing_names_the_content(self, monkeypatch):
         """A left comb in place of the standard bracketing of a a b is zero
         (a is even), so the block is not triangular: on the word side, and
