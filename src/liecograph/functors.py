@@ -800,10 +800,10 @@ def check_duality(A, C, cap_weight=None, cap_degree=None):
     linearly dual: per-bidegree pairing matrices invertible, and the two
     structure differentials adjoint up to a per-bidegree sign.  A bar word
     pairs with a key l of build_L through its standard bracketing P(l), by
-    element_pair on graphs and trees, independent of the one word recursion
-    that solves both models (graphcoalg._tree_column, the columns of the
-    shared pairing block); each (bar word, key) pair is computed once, and
-    the adjointness sums read the pairing matrices' entries."""
+    element_pair, the cut of canonical graph terms, independent of the word
+    deconcatenation that solves both models (graphcoalg._tree_column); each
+    (bar word, key) pair is computed once, and the adjointness sums read the
+    pairing matrices' entries."""
     cw = min(A.cap_weight, C.cap_weight) if cap_weight is None else cap_weight
     cd = min(A.cap_degree, C.cap_degree) if cap_degree is None else cap_degree
     _transpose_check(A, C, cd)

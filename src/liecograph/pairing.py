@@ -5,8 +5,7 @@ internal vertex) of the path between leaves a and b of the tree; the pairing
 is 0 unless that map is surjective onto the internal vertices, and otherwise
 the product of edge signs (+1 when leaf a sits to the left of leaf b).
 A tree's nadirs and signs are held as one flat table of small ints,
-+-(nadir + 1) at a * (n + 1) + b (_pair_info), cached for shape_pair and
-_term_pair.
++-(nadir + 1) at a * (n + 1) + b (_pair_info), cached for shape_pair.
 
 Two sign rules hold: reversing an edge of the graph negates the pairing, and
 so does swapping the two children at an internal node of the tree.  The
@@ -22,21 +21,25 @@ vertex (74520 of 1224720 cells at n = 6, 3769920 at n = 7).  Its rank is
 certified on the block of long graphs against tall trees, a signed identity
 since the two are dual bases; see PairingMatrix.
 
-At element level generators pair by name, so a graph term meets a tree term
-of its weight only through the label-preserving bijections from vertices to
-leaves (vertex j to a leaf carrying the j-th label), each weighted by the
-shape pairing of the relabeled graph and the Koszul sign of the reordering.
-_term_pair sums them in machine ints, at most BIJECTION_CAP per term pair,
-memoised on (canonical graph term, odd-degree generators, tree term): the
-signs depend on the degrees only through their parities.
+At element level generators pair by name, and the pairing is one of a
+coalgebra with an algebra: the bracket is dual to the cobracket.  A graph
+term G pairs with a leaf x only at weight 1, to 1 when its vertex is
+labelled x, and with (t1, t2) through its cobracket: <G, (t1, t2)> is the
+sum of c <k1, t1> <k2, t2> over the terms c k1 (x) k2 of G's cobracket.
+_term_pair reads each cobracket from the table's memo that is_zero_in_E
+fills too, and memoises its integer values on the table; an equal-weight
+term pair past ZERO_CAP is refused.  The definition, a sum over the
+label-preserving bijections of vertices to leaves of shape_pair times a
+Koszul sign, is the tests' oracle.
 """
 
 from functools import lru_cache
-from itertools import combinations, permutations, product
-from math import factorial, isqrt, prod
+from itertools import combinations, permutations
+from math import factorial, isqrt
 from operator import or_
 
 from .errors import CapExceeded, MalformedDual, WeightMismatch
+from .graphcoalg import ZERO_CAP, _iterated_term
 from .linalg import integer_matrix_rank
 from .shapes import (
     ENUMERATION_CAP,
@@ -46,7 +49,6 @@ from .shapes import (
     oriented_trees,
     tree_leaves,
 )
-from .elements import koszul_sign, tree_term_shape
 
 __all__ = [
     "shape_pair",
@@ -61,7 +63,8 @@ def _pair_info(tree):
     """The nadir table of a tree on the leaves 1..n: at a * (n + 1) + b,
     for every ordered pair of leaves a != b, +(nadir + 1) when a sits left
     of b and -(nadir + 1) when it sits right, the n - 1 internal vertices
-    numbered 0, 1, ... top down; 0 elsewhere."""
+    numbered 0, 1, ... top down; 0 elsewhere.  Cached for shape_pair
+    alone."""
     stride = len(tree_leaves(tree)) + 1
     info, subtrees, node = [0] * (stride * stride), [tree], 0
     for t in subtrees:  # extended while it is read: every subtree, top down
@@ -75,22 +78,16 @@ def _pair_info(tree):
 
 
 def shape_pair(G, T):
-    """Configuration pairing of an S-graph with a planar tree; in {-1, 0, 1}."""
+    """Configuration pairing of an S-graph with a planar tree; in {-1, 0, 1}:
+    0 if two edges a -> b share a nadir, else the product of their signs."""
     info = _pair_info(T)
     stride = isqrt(len(info))  # the table is stride x stride
     if G.n != stride - 1:
         raise WeightMismatch(f"graph weight {G.n} vs tree with {stride - 1} "
                              "leaves")
-    return _shape_pair_on(G.edges, info, stride)
-
-
-def _shape_pair_on(edges, info, stride):
-    """The pairing of the edges a -> b, given as leaf-label pairs (a, b),
-    with the tree whose nadir table (_pair_info) is info, of row length
-    stride: 0 if two edges share a nadir, else the product of their signs."""
     seen = 0
     sign = 1
-    for a, b in edges:
+    for a, b in G.edges:
         v = info[a * stride + b]
         if v < 0:
             v, sign = -v, -sign
@@ -101,28 +98,19 @@ def _shape_pair_on(edges, info, stride):
     return sign
 
 
-# 9!, the bijections a term pair of weight 9 on one repeated letter needs
-BIJECTION_CAP = factorial(9)
-
-
 def element_pair(g, t):
     """Bilinear configuration pairing of a GraphElement against a TreeElement,
     with generators paired by name (the Kronecker pairing of g's table with
-    t's).  Terms of different weight contribute zero.  Returns the exact
-    sum, an int when both elements have int coefficients."""
+    t's).  Terms of different weight contribute zero; an equal-weight term
+    pair past ZERO_CAP is a CapExceeded.  Returns the exact sum, an int when
+    both elements have int coefficients."""
     table = g.table
     if table is not t.table:
         _check_degrees(g, t)
-    odd = table.odd_names
     total = 0
     for tkey, tc in t.terms.items():
-        acc = 0
-        for ((n, edges), wlabels), gc in g.terms.items():
-            s = _term_pair(n, edges, wlabels, odd, tkey)
-            if s:
-                acc += gc * s
-        if acc:
-            total += tc * acc
+        for key, gc in g.terms.items():
+            total += tc * gc * _term_pair(table, key, tkey)
     return total
 
 
@@ -140,40 +128,31 @@ def _check_degrees(g, t):
                             f"paired generators {x!r} have different degrees")
 
 
-@lru_cache(maxsize=1 << 16)
-def _term_pair(n, edges, wlabels, odd, tkey):
-    """<G(wlabels), tkey> in integers for a canonical graph term on n
-    vertices and a tree term; odd holds the generators of odd degree.
-
-    Sums <sigma G, T> * koszul(sigma) over the label-preserving bijections
-    sigma only: vertex j goes to a leaf position carrying wlabels[j]."""
-    vlabels = tree_leaves(tkey)
-    if len(vlabels) != n:
-        return 0
-    verts, slots = {}, {}
-    for j, x in enumerate(wlabels):
-        verts.setdefault(x, []).append(j)
-    for i, x in enumerate(vlabels):
-        slots.setdefault(x, []).append(i)
-    if any(len(slots.get(x, ())) != len(js) for x, js in verts.items()):
-        return 0
-    if prod(factorial(len(js)) for js in verts.values()) > BIJECTION_CAP:
-        raise CapExceeded(
-            f"element pairing capped at {BIJECTION_CAP} bijections per term")
-    info = _pair_info(tree_term_shape(tkey))
-    parity = [x in odd for x in wlabels]
-    perm, inv = [0] * n, [0] * n  # vertex j -> leaf perm[j]; leaf i <- inv[i]
-    total = 0
-    for choice in product(*(permutations(slots[x]) for x in verts)):
-        for js, ps in zip(verts.values(), choice):
-            for j, i in zip(js, ps):
-                perm[j] = i + 1
-                inv[i] = j
-        sp = _shape_pair_on([(perm[a - 1], perm[b - 1]) for a, b in edges],
-                            info, n + 1)
-        if sp:
-            total += sp * koszul_sign(parity, inv)
-    return total
+def _term_pair(table, key, tkey):
+    """<G, T> for a canonical graph term key and a tree term tkey, by the
+    recursion dual to the cobracket: a vertex pairs with a leaf of its own
+    name to 1, and <G, (t1, t2)> is the sum of c <k1, t1> <k2, t2> over the
+    terms c k1 (x) k2 of G's cobracket (graphcoalg._iterated_term, memoised
+    on the table) with k1 of t1's weight.  0 on terms of different weight,
+    with no cobracket taken.  Integer values, memoised on the table."""
+    if isinstance(tkey, str):
+        return int(key[1] == (tkey,))
+    memo = table.memo("term_pair")
+    hit = memo.get((key, tkey))
+    if hit is None:
+        t1, t2 = tkey
+        n, n1, hit = key[0][0], len(tree_leaves(t1)), 0
+        if n == n1 + len(tree_leaves(t2)):
+            if n > ZERO_CAP:
+                raise CapExceeded(
+                    f"element pairing capped at weight <= {ZERO_CAP}")
+            for (k1, k2), c in _iterated_term(table, key, 1).items():
+                if k1[0][0] == n1:
+                    s = _term_pair(table, k1, t1)
+                    if s:
+                        hit += c * s * _term_pair(table, k2, t2)
+        memo[(key, tkey)] = hit
+    return hit
 
 
 class PairingMatrix:

@@ -308,12 +308,21 @@ class TestErrorsAndCaps:
         with pytest.raises(ParseError):
             parse_expression("a" + "*b" * (MAX_NESTING + 1), table)
 
-    def test_pair_bijection_cap_exits_1(self, capsys):
-        """A 12-letter single-label word would walk 12! bijections; it is
-        refused before enumerating."""
+    def test_pair_weight_12_is_answered(self, capsys):
+        """A 12-letter single-label word, at ZERO_CAP, pairs through the
+        cobracket recursion at once, however often its letter repeats."""
         start = time.perf_counter()
         code, out, err = run(capsys, "pair", "|".join("a" * 12),
                              "(" + "*".join("a" * 12) + ")", "--gens", "a:2")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0 and out == "0\n" and err == ""
+
+    def test_pair_weight_cap_exits_1(self, capsys):
+        """A 13-letter term pair is past ZERO_CAP: refused before any
+        cobracket is taken, with one stderr line."""
+        start = time.perf_counter()
+        code, out, err = run(capsys, "pair", "|".join("a" * 13),
+                             "(" + "*".join("a" * 13) + ")", "--gens", "a:2")
         assert time.perf_counter() - start < 1.0
         assert code == 1 and out == "" and "CapExceeded" in err
         assert "Traceback" not in err and len(err.strip().split("\n")) == 1

@@ -21,11 +21,10 @@ from liecograph.errors import (
     MalformedDual,
     WeightMismatch,
 )
-from liecograph.graphcoalg import cobracket, graphify
+from liecograph.graphcoalg import ZERO_CAP, _tree_column, cobracket, graphify
 from liecograph.liealg import product
 from liecograph.pairing import (
     _pair_info,
-    _term_pair,
     element_pair,
     pairing_matrix,
     shape_pair,
@@ -637,7 +636,41 @@ class TestElementPairOracle:
                  for k in ((("a", "b"), "c"), ("c", ("b", "a")),
                            (("b", "c"), "b"))]
         warm = [element_pair(g, t) for g, t in pairs]
-        _term_pair.cache_clear()
+        assert table.memo("term_pair") and table.memo("iterated_cobracket")
+        table.memo("term_pair").clear()
+        table.memo("iterated_cobracket").clear()
         assert [element_pair(g, t) for g, t in pairs] == warm
         assert warm == [oracle_pair(g, t) for g, t in pairs]
         assert any(warm)
+
+
+def _random_tree(rng, leaves):
+    if len(leaves) == 1:
+        return leaves[0]
+    k = rng.randrange(1, len(leaves))
+    return (_random_tree(rng, leaves[:k]), _random_tree(rng, leaves[k:]))
+
+
+def test_element_pair_matches_the_word_column():
+    """element_pair, the graph recursion through the cobracket, against the
+    word recursion _tree_column, on long graphs and planar trees over a
+    rearrangement of their letters up to weight ZERO_CAP, over an even, an
+    odd and a mixed table; single-letter words of weight 10 to 12 are
+    paired too, however often their letter repeats."""
+    rng = random.Random(1)
+    nonzero = 0
+    for kind, table in sorted(TABLES.items()):
+        cases = [("a",) * n for n in range(10, ZERO_CAP + 1)]
+        for n in range(1, ZERO_CAP + 1):
+            cases += [tuple(rng.choice(table.names) for _ in range(n))
+                      for _ in range(5)]
+        for word in cases:
+            leaves = list(word)
+            rng.shuffle(leaves)
+            tree = _random_tree(rng, tuple(leaves))
+            want = _tree_column(table, tree).get(word, 0)
+            got = element_pair(graphify(word, table),
+                               TreeElement.from_term(table, tree))
+            assert got == want, (kind, word, tree)
+            nonzero += got != 0
+    assert nonzero >= 40
