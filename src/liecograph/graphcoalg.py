@@ -89,17 +89,20 @@ def _cut_signs(odd, s1):
 
 def _iterated_term(table, key, k):
     """Iterated cobracket of a single canonical term, memoized on the table
-    (pairing._term_pair reads the single cobrackets); a plain terms dict."""
+    (pairing._term_pair reads the single cobrackets); a plain terms dict.
+    Each key's cobracket is taken once, at k = 1, and read from the memo
+    at every larger k."""
     memo = table.memo("iterated_cobracket")
     hit = memo.get((key, k))
     if hit is not None:
         return hit
     if k == 0:
         res = {(key,): 1}
+    elif k == 1:
+        res = cobracket(GraphElement(table, {key: 1})).terms
     else:
         res = {}
-        c2 = cobracket(GraphElement(table, {key: 1}))
-        for (k1, k2), c in c2.terms.items():
+        for (k1, k2), c in _iterated_term(table, key, 1).items():
             for keys, cc in _iterated_term(table, k1, k - 1).items():
                 add_into(res, keys + (k2,), c * cc)
     memo[(key, k)] = res

@@ -25,7 +25,11 @@ from .shapes import tree_leaves
 __all__ = ["product", "bracket", "lie_normal_form", "tensor_expand",
            "LieElement"]
 
-LIE_CAP = 9
+# most leaves a tree term may have; the worst weight-10 content under
+# DIMENSION_CAP is a^4 b^4 c d (630 standard bracketings): a left comb on it
+# took 0.13-0.34 s and 24-28 MB on a cold table (2 vCPUs), the slowest
+# abababcdab on even letters, and `dual-check cp2` at 10/20 takes 0.4 s
+LIE_CAP = 10
 # most standard bracketings a content may have; the worst admitted content is
 # a left comb on 7 distinct letters: 720 coordinates in 0.05-0.12 s and 22 MB
 # on a cold table (2 vCPUs); on 8 (5 040) it takes 0.8-1.1 s and 130 MB

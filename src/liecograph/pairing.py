@@ -13,7 +13,9 @@ weight-n pairing matrix is therefore built and ranked on the quotient by
 both, one oriented tree per undirected tree (n^(n-2) rows) against one child
 order per antisymmetry class (n!*Cat(n-1)/2^(n-1) columns): 1296 x 945 at
 n = 6 instead of 41472 x 30240, and 16807 x 10395 at n = 7, built from the
-classes alone: no graph is sorted.  The quotient is an int8 bytearray, seen
+classes alone: no graph is built.  A row's class and sign are read off its
+index, so the row basis is an indexed view (shapes.oriented_trees) and no
+per-row object is stored.  The quotient is an int8 bytearray, seen
 as a 2-D memoryview, and is filled column by column from where the pairing
 can be nonzero: the edges of G must meet the internal vertices of T one to
 one, so a column's nonzeros are its choices of one leaf pair across each
@@ -45,7 +47,6 @@ from .shapes import (
     ENUMERATION_CAP,
     _tree_shapes,
     enumerate_trees,
-    labeled_trees,
     oriented_trees,
     tree_leaves,
 )
@@ -169,11 +170,13 @@ class PairingMatrix:
     rows are the undirected trees in ascending order of their edge lists
     (shapes.labeled_trees), the columns the child orders in order of first
     appearance in enumerate_trees(n).  Up to ENUMERATION_CAP the bases are
-    attached: row_basis is shapes.oriented_trees(n), whose row i is row
-    class i >> (n - 1) with one edge reversed, and a sign, per set bit of
-    its low n - 1 bits, and col_basis is enumerate_trees(n); entry(i, j) =
-    row_sign[i] * col_sign[j] * Q[row_class[i], col_class[j]].  At n = 7
-    these six are None, and entry() is not available.
+    attached.  row_basis is the view shapes.oriented_trees(n), which builds
+    a graph only when it is read: row i is row class i >> (n - 1) with one
+    edge reversed, and a sign, per set bit of its low n - 1 bits, so no
+    per-row list is stored.  col_basis is enumerate_trees(n), each column
+    with its col_class and col_sign; entry(i, j) = (-1)^popcount(i's low
+    n - 1 bits) * col_sign[j] * Q[i >> (n - 1), col_class[j]].  At n = 7
+    these four are None, and entry() is not available.
     Rows and columns equal up to sign span the same space, so rank() is
     the rank of Q.
 
@@ -182,13 +185,11 @@ class PairingMatrix:
     `minor` holds its (row classes, column classes), in the same order of
     tails, and rank() is certified on it by integer_matrix_rank."""
 
-    def __init__(self, n, graphs, trees, row_class, row_sign, col_class,
-                 col_sign, quotient, minor):
+    def __init__(self, n, graphs, trees, col_class, col_sign, quotient,
+                 minor):
         self.n = n
         self.row_basis = graphs
         self.col_basis = trees
-        self.row_class = row_class
-        self.row_sign = row_sign
         self.col_class = col_class
         self.col_sign = col_sign
         self.quotient = quotient
@@ -196,8 +197,10 @@ class PairingMatrix:
         self._rank = None
 
     def entry(self, i, j):
-        return (self.row_sign[i] * self.col_sign[j]
-                * self.quotient[self.row_class[i], self.col_class[j]])
+        m = self.n - 1
+        sign = -1 if (i & (1 << m) - 1).bit_count() & 1 else 1
+        return sign * self.col_sign[j] * self.quotient[i >> m,
+                                                       self.col_class[j]]
 
     def rank(self):
         if self._rank is None:
@@ -265,13 +268,15 @@ def _classes(keys):
 
 
 # the largest weight whose pairing matrix is built: at n = 7 its quotient
-# is 175 MB, built and certified in 6-10 s and 230 MB peak RSS on 2 vCPUs
+# is 175 MB, built and certified in 7-11 s and 229-233 MB peak RSS on
+# 2 vCPUs
 PAIRING_CAP = 7
 
 
 def pairing_matrix(n):
     """The PairingMatrix of weight n <= PAIRING_CAP.  Up to ENUMERATION_CAP
-    it carries its bases and class maps and is cached (a few MB at n = 6);
+    it carries its bases and column class maps and is cached (4.5 MB at
+    n = 6, of which the trees of col_basis are most);
     at n = 7 it holds only its quotient and minor and is built anew on each
     call, so that no cache pins its 175 MB for the life of the process."""
     if n > PAIRING_CAP:
@@ -285,7 +290,8 @@ def _pairing_matrix(n):
     # row classes: the undirected trees, ascending, each oriented from the
     # smaller end of every edge; a pair (a, b) is its edge bit, shifted
     # above 3 bits counting the edges reversed (a > b)
-    trees = labeled_trees(n)
+    rows = oriented_trees(n)
+    trees = rows.trees
     bits = {}
     for k, (a, b) in enumerate(combinations(range(1, n + 1), 2)):
         bits[a, b], bits[b, a] = 8 << k, (8 << k) + 1
@@ -300,14 +306,10 @@ def _pairing_matrix(n):
     tails = list(permutations(range(2, n + 1)))
     tall = col_class[-factorial(n):][:len(tails)]
     if n <= ENUMERATION_CAP:
-        # oriented_trees(n): row i is tree i >> (n - 1), its edges reversed
-        # by the set bits of i's low n - 1 bits
-        sign = [(-1) ** bin(o).count("1") for o in range(1 << n - 1)]
-        maps = (oriented_trees(n), enumerate_trees(n),
-                [c for c in range(R) for _ in sign], sign * R, col_class,
+        maps = (rows, enumerate_trees(n), col_class,
                 [1 - 2 * (k & 1) for k in col_key])
     else:
-        maps = (None,) * 6
+        maps = (None,) * 4
     del col_key, col_class
     # the start of each row in buf, indexed by the row's undirected edges
     offset = [None] * (1 << n * (n - 1) // 2)

@@ -5,6 +5,12 @@ canonical forms.
 Graphs are stored with their edge list sorted, so shape keys are stable under
 surgery.  Trees are nested tuples over leaf labels: 3 is a leaf, ((2,1),3) is
 the tree whose left subtree is (2,1).
+
+The lru_caches on enumerate_graphs, enumerate_trees and _tree_shapes are
+unbounded because their argument is: the enumerations refuse n outside
+1..ENUMERATION_CAP before anything is cached, and _tree_shapes is read
+only by them and by the pairing matrix, capped at n <= 7, so each cache
+holds at most 7 entries.  oriented_trees(n) is a view and caches nothing.
 """
 
 from functools import lru_cache
@@ -109,21 +115,51 @@ def validate_graph(n, edges):
 def enumerate_graphs(n):
     """All S-graphs on {1..n}: spanning trees of K_n in every orientation.
     Count is n^(n-2) * 2^(n-1).  Deterministic order (sorted by edge list):
-    oriented_trees(n), each edge tuple compared by its flat vertex bytes
-    (the same order, compared faster)."""
+    the graphs of oriented_trees(n), each edge tuple compared by its flat
+    vertex bytes (the same order, compared faster), listed and cached."""
     _check_weight(n, "graph")
     return sorted(oriented_trees(n), key=lambda G: bytes(sum(G.edges, ())))
 
 
 def oriented_trees(n):
-    """The S-graphs on {1..n} in generation order, built anew on each call:
-    each tree of labeled_trees(n) in turn, in its 2^(n-1) orientations.
-    Graph c * 2^(n-1) + o is tree c with edge i reversed when bit
-    n - 2 - i of o is set: it has one edge a -> b with a > b per set bit."""
-    arc = [[(a, b) for b in range(n + 1)] for a in range(n + 1)]
-    return [SGraph._presorted(n, tuple(sorted(es)))
-            for tree in labeled_trees(n)
-            for es in product(*((arc[a][b], arc[b][a]) for a, b in tree))]
+    """The S-graphs on {1..n} in generation order: an OrientedTrees view
+    over labeled_trees(n)."""
+    return OrientedTrees(n, labeled_trees(n))
+
+
+class OrientedTrees:
+    """The oriented trees on {1..n}, indexed without being listed: graph
+    c * 2^(n-1) + o is tree c of `trees` with edge k reversed when bit
+    n - 2 - k of o is set, so it has one edge a -> b with a > b per set bit.
+    Each graph is built when it is read, over arc tuples shared by the
+    graphs of one view, and none is kept.
+
+    Iteration runs a product loop over each tree's orientations rather
+    than indexing: building all 41 472 graphs at n = 6 takes 42 ms that way
+    against 103 ms by index, and a pairing-matrix benchmark pass, which
+    iterates every row, 0.205 s against 0.263 s (medians of 14 alternating
+    fresh-interpreter passes, CPython 3.11, 2 vCPUs)."""
+
+    __slots__ = ("n", "trees", "_arc")
+
+    def __init__(self, n, trees):
+        self.n, self.trees = n, trees
+        self._arc = [[(a, b) for b in range(n + 1)] for a in range(n + 1)]
+
+    def __len__(self):
+        return len(self.trees) << self.n - 1
+
+    def __getitem__(self, i):
+        i, m, arc = range(len(self))[i], self.n - 1, self._arc
+        es = [arc[b][a] if i >> m - 1 - k & 1 else arc[a][b]
+              for k, (a, b) in enumerate(self.trees[i >> m])]
+        return SGraph._presorted(self.n, tuple(sorted(es)))
+
+    def __iter__(self):
+        arc = self._arc
+        for tree in self.trees:
+            for es in product(*((arc[a][b], arc[b][a]) for a, b in tree)):
+                yield SGraph._presorted(self.n, tuple(sorted(es)))
 
 
 def labeled_trees(n):

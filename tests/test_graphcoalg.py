@@ -182,6 +182,27 @@ class TestWordProblem:
         assert not table.memo("iterated_cobracket")
         assert is_zero_in_E(graphify(("a",) * ZERO_CAP, table)) == (True, None)
 
+    def test_each_cobracket_taken_once(self, monkeypatch):
+        """Zero tests and element pairings read one memo of single
+        cobrackets: on a fresh table each canonical key's cobracket is taken
+        once, however many iterated cobrackets and pairings read it."""
+        table = GeneratorTable([("a", 2), ("b", 3), ("c", 2)])
+        taken, real = [], graphcoalg.cobracket
+        monkeypatch.setattr(graphcoalg, "cobracket",
+                            lambda g: taken.extend(g.terms) or real(g))
+        gs = [graphify(("a", "b", "c", "a"), table),
+              GraphElement.from_term(table, enumerate_graphs(4)[5], "abcb")
+              .add(graphify(("b", "c", "a", "b", "a"), table))]
+        trees = [TreeElement.from_term(table, t) for t in (
+            (("a", "b"), ("c", "a")), (("a", ("b", "c")), "b"),
+            ((("b", "a"), "c"), ("b", "a")))]
+        for g in gs:
+            for t in trees:
+                element_pair(g, t)
+            is_zero_in_E(g)
+            is_zero_in_E(g)
+        assert taken and len(taken) == len(set(taken))
+
 
 class TestRelations:
     def test_unknown_kind_rejected(self, table):

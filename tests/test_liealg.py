@@ -125,6 +125,16 @@ def test_weight_cap():
         lie_normal_form(_as_element(deep))
 
 
+def test_weight_10_admitted():
+    """LIE_CAP admits 10 leaves: a left comb on the content a^4 b^4 c d,
+    630 standard bracketings, keeps its tensor expansion."""
+    table = GeneratorTable([("a", 2), ("b", 3), ("c", 2), ("d", 3)])
+    t = TreeElement.from_term(table, tall_tree("abababcdab"))
+    nf = lie_normal_form(t)
+    assert len(nf.terms) == 271
+    assert tensor_expand(nf) == tensor_expand(t)
+
+
 def test_dimension_cap(monkeypatch):
     """Seven distinct letters (6! = 720 standard bracketings) are the cap and
     are admitted; eight (5 040) are refused before a word is listed."""

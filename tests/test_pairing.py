@@ -219,8 +219,11 @@ class TestQuotient:
     def test_long_tall_block_is_signed_identity(self, n):
         """Long graphs and tall trees are dual bases: their block of the full
         matrix is diagonal with entries +-1, and it is the minor the rank is
-        certified on."""
+        certified on.  Each long graph's row i is its undirected tree
+        i >> (n - 1) of labeled_trees(n), with the sign of the parity of
+        i's low n - 1 bits."""
         P = pairing_matrix(n)
+        m, trees = n - 1, labeled_trees(n)
         row_of = {G: i for i, G in enumerate(P.row_basis)}
         col_of = {T: j for j, T in enumerate(P.col_basis)}
         tails = list(itertools.permutations(range(2, n + 1)))
@@ -230,7 +233,10 @@ class TestQuotient:
             for b, j in enumerate(cols):
                 e = P.entry(i, j)
                 assert abs(e) == 1 if a == b else e == 0, (a, b)
-        assert P.minor == ([P.row_class[i] for i in rows],
+        for i in rows:
+            assert _graph_class(P.row_basis[i]) == (
+                trees[i >> m], (-1) ** bin(i & (1 << m) - 1).count("1")), i
+        assert P.minor == ([i >> m for i in rows],
                            [P.col_class[j] for j in cols])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -239,10 +245,12 @@ class TestQuotient:
         assert P.rank() == dense_rank_oracle(P.quotient.tolist())
 
     def test_weight_6_peak_memory(self):
-        """Building and ranking the weight-6 matrix stays under 24 MB of
-        traced allocations (the full int8 matrix alone is 1.25 GB; 13.8 MB
-        measured with Python 3.11, as before the graphs carried their
-        classes and the certificate stopped copying the quotient)."""
+        """Building and ranking the weight-6 matrix stays under 8 MB of
+        traced allocations (the full int8 matrix alone is 1.25 GB; 5.3 MB
+        measured on CPython 3.11 only, of which 4.5 MB stay held, most of
+        it the trees of col_basis: the rows are an indexed view, so no
+        graph is built).  The 2.7 MB margin is for the other versions the
+        tests run on, 3.10 to 3.13, where it is not measured."""
         for cached in (pairing._enumerated_pairing_matrix, enumerate_graphs,
                        enumerate_trees):
             cached.cache_clear()
@@ -252,15 +260,29 @@ class TestQuotient:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 24 * 2 ** 20, f"peak {peak / 2 ** 20:.0f} MB"
+        assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
 
     def test_weight_6_holds_one_graph_list(self):
-        """The rows are generated, not sorted: pairing_matrix(6) leaves
-        enumerate_graphs' cache empty, so the graphs are held once."""
+        """The rows are an indexed view, not a sorted list: pairing_matrix(6)
+        leaves enumerate_graphs' cache empty, so no list of graphs is held
+        (see test_weight_6_builds_no_graph)."""
         for cached in (pairing._enumerated_pairing_matrix, enumerate_graphs):
             cached.cache_clear()
         pairing_matrix(6)
         assert enumerate_graphs.cache_info().currsize == 0
+
+    def test_weight_6_builds_no_graph(self, monkeypatch):
+        """Building and ranking pairing_matrix(6) constructs no SGraph; a
+        row is built when it is read."""
+        built, presorted = [], SGraph._presorted
+        monkeypatch.setattr(SGraph, "_presorted", staticmethod(
+            lambda n, edges: built.append(n) or presorted(n, edges)))
+        pairing._enumerated_pairing_matrix.cache_clear()
+        P = pairing_matrix(6)
+        assert P.rank() == 120 and built == []
+        # the last row: the star on 6, every edge reversed
+        assert P.row_basis[-1].edges == ((6, 1), (6, 2), (6, 3), (6, 4),
+                                         (6, 5)) and built == [6]
 
     def test_weight_6_quotient_is_pinned(self):
         """The sha256 of the weight-6 quotient's int8 bytes, as the dense
@@ -401,9 +423,13 @@ class TestClassMaps:
         row_index, row_class, row_sign = _classes_oracle(
             P.row_basis, _graph_class)
         assert list(row_index) == labeled_trees(n)
+        # row i: class i >> (n - 1), sign the parity of its low n - 1 bits
+        m = n - 1
+        assert row_class == [i >> m for i in range(len(P.row_basis))]
+        assert row_sign == [(-1) ** bin(i & (1 << m) - 1).count("1")
+                            for i in range(len(P.row_basis))]
         col_index, col_class, col_sign = _classes_oracle(
             enumerate_trees(n), _tree_class)
-        assert (P.row_class, P.row_sign) == (row_class, row_sign)
         assert (P.col_class, P.col_sign) == (col_class, col_sign)
         tails = list(itertools.permutations(range(2, n + 1)))
         assert P.minor == (

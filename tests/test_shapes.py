@@ -112,7 +112,8 @@ class TestEnumeration:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_oriented_trees_index_tree_and_orientation(self, n):
         """Graph c * 2^(n-1) + o is tree c with edge i reversed exactly when
-        bit n - 2 - i of o is set."""
+        bit n - 2 - i of o is set; iterating the view gives the same graphs
+        in the same order, and its indices behave as a list's."""
         trees, m = labeled_trees(n), n - 1
         graphs = oriented_trees(n)
         assert len(graphs) == len(trees) << m
@@ -121,6 +122,12 @@ class TestEnumeration:
                 edges = [(b, a) if o >> m - 1 - i & 1 else (a, b)
                          for i, (a, b) in enumerate(tree)]
                 assert graphs[(c << m) + o] == SGraph(n, edges), (c, o)
+        assert list(graphs) == [graphs[i] for i in range(len(graphs))]
+        assert graphs[-1] == graphs[len(graphs) - 1]
+        assert graphs[-len(graphs)] == graphs[0]
+        for i in (len(graphs), -len(graphs) - 1):
+            with pytest.raises(IndexError):
+                graphs[i]
 
     def test_enumeration_cap(self):
         with pytest.raises(CapExceeded):
