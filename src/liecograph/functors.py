@@ -243,9 +243,10 @@ def _contents(table, cap_weight, cap_degree):
                                cap_weight)]
 
 
-# most keys build_E or the shuffle oracle may build: pi costs about 0.1 ms
-# and 5 KB a key on a 2-vCPU host (xyz.alg at 2..11: 16 679 keys, 1.4-1.6 s,
-# 74 MB; at 2..12: 43 692 keys, 5.3-5.7 s, 213 MB)
+# most keys build_E or the shuffle oracle may build: pi costs about 0.08 ms
+# and 2 KB a key on a 2-vCPU host (xyz.alg at 2..11: 16 679 keys, 1.0-1.1 s,
+# 39 MB; at 2..12: 43 692 keys, 3.4-3.8 s, 93 MB).  It stays below 2..13
+# (115 629 keys), which takes about 16 s and 280 MB
 KEY_BUDGET = 50_000
 
 
@@ -288,35 +289,50 @@ def _predicted_keys(letters, cap_weight, cap_degree):
 # ---------------------------------------------------------------------------
 # the bar-word complex (shared with the Harrison oracle) and build_E
 
-def _bar_model(kind, caps, alphabet, basis_of, project_word,
+def _bar_model(kind, caps, alphabet, basis_of, coordinates,
                key_cobracket=None):
     """Bundle of A's bar-word complex on a quotient of the words over the slot
     alphabet.  basis_of(content) lists the basis words of one content and
-    project_word(raw, coeff, acc) accumulates coeff * (class of the raw word)
-    in basis coordinates; pieces (w, d) = (word length, total slot degree),
-    vertical = slot-wise internal differential, horizontal = the
-    adjacent-slot multiplication differential."""
+    coordinates(content, raws) the classes of its distinct raw words in basis
+    coordinates, in order: the raw words of both differentials are collected
+    first, by sorted content, then projected one content at a time.  Pieces
+    (w, d) = (word length, total slot degree), vertical = slot-wise internal
+    differential, horizontal = the adjacent-slot multiplication
+    differential."""
     cw, cd = caps
     table, mono_of, d_letter, multiply = alphabet
     key_bidegree = {word: bd for content, bd in _contents(table, cw, cd)
                     for word in basis_of(content)}
+    dv_of_key, dh_of_key, raws = {}, {}, {}
 
-    def differential(word, bd):
-        dv, dh = {}, {}
-        if bd[1] >= cd:
-            return dv, dh  # target pieces beyond caps
+    def collect(raw, coeff, acc):
+        content = tuple(sorted(raw, key=table.sort_key))
+        raws.setdefault(content, {}).setdefault(raw, []).append((coeff, acc))
+
+    for word, (_, d) in key_bidegree.items():
+        if d >= cd:
+            continue  # target pieces beyond caps
+        dv, dh = dv_of_key[word], dh_of_key[word] = {}, {}
         for raw, c in _slotwise(word, table.degree, d_letter):
-            project_word(raw, c, dv)
+            collect(raw, c, dv)
         for i in range(len(word) - 1):
             prod, ps = multiply(word[i], word[i + 1])
             if ps:
                 sgn = -ps * (-1) ** sum(table.degree[x] for x in word[:i + 1])
-                project_word(word[:i] + (prod,) + word[i + 2:], sgn, dh)
-        return dv, dh
+                collect(word[:i] + (prod,) + word[i + 2:], sgn, dh)
+    while raws:
+        content, uses = raws.popitem()
+        for x, pairs in zip(coordinates(content, list(uses)), uses.values()):
+            for coeff, acc in pairs:
+                for w, c in x.items():
+                    add_into(acc, w, coeff * c)
 
-    return _bundle(kind, caps, key_bidegree, differential, (0, min(cw, cd)),
-                   table=table, monomial_of=mono_of,
-                   key_cobracket=key_cobracket)
+    cx = BigradedComplex(key_bidegree,
+                         {k: dv for k, dv in dv_of_key.items() if dv},
+                         {k: dh for k, dh in dh_of_key.items() if dh},
+                         (0, min(cw, cd)))
+    return DgComplexBundle(kind, cx, caps, table=table, monomial_of=mono_of,
+                           key_cobracket=key_cobracket)
 
 
 def build_E(A, cap_weight=None, cap_degree=None):
@@ -324,19 +340,24 @@ def build_E(A, cap_weight=None, cap_degree=None):
     the super-Lyndon words of each content in table order (see _bar_model
     for the bigrading and the differentials).  Every raw word and cobracket
     factor is put in that basis by the content's pairing block
-    (graphcoalg.bar_quotient): its pairings with the standard bracketings,
-    solved by one back substitution in the block's unitriangular matrix; no
-    word is turned into a graph.  Caps past KEY_BUDGET keys are refused
-    before anything is built.  The key cobracket is the signed
-    deconcatenation of the word, checked in the tests against the graph
-    cobracket of its long graph."""
+    (graphcoalg.bar_quotient): a basis word is itself, any other word's
+    pairings with the standard bracketings are solved by one back
+    substitution in the block's unitriangular matrix; no word is turned into
+    a graph.  The build drops each block once its content's raw words are
+    solved, so it holds one block at a time; the key cobracket rebuilds
+    blocks on demand.  Caps past KEY_BUDGET keys are refused before anything
+    is built.  The key cobracket is the signed deconcatenation of the word,
+    checked in the tests against the graph cobracket of its long graph."""
     cw, cd = _caps(A, cap_weight, cap_degree)
     alphabet = _slot_alphabet(A, cd, cw)
     table = alphabet[0]
 
-    def project_word(raw, coeff, acc):
-        for w, c in _word_coordinates(table, raw).items():
-            add_into(acc, w, coeff * c)
+    def coordinates(content, raws):
+        q = bar_quotient(table, content)
+        out = [q.coordinates(raw) for raw in raws]
+        del table.memo("bar_quotient")[content]
+        q.release()
+        return out
 
     def key_cobracket(word):
         """Cutting edge i of the long graph on word leaves prefix (x) suffix
@@ -357,7 +378,7 @@ def build_E(A, cap_weight=None, cap_degree=None):
 
     return _bar_model(
         "E_of_A", (cw, cd), alphabet,
-        lambda content: bar_quotient(table, content).basis, project_word,
+        lambda content: bar_quotient(table, content).basis, coordinates,
         key_cobracket=key_cobracket)
 
 
@@ -723,11 +744,9 @@ def harrison_shuffle_model(A, cap_weight=None, cap_degree=None):
         _certify_dimension(table, content, len(basis), "shuffle quotient")
         return basis
 
-    def project_word(raw, coeff, acc):
-        for w, c in _shuffle_reduce(table, raw).items():
-            add_into(acc, w, coeff * c)
-
-    return _bar_model("harrison", (cw, cd), alphabet, basis_of, project_word)
+    return _bar_model("harrison", (cw, cd), alphabet, basis_of,
+                      lambda content, raws: [_shuffle_reduce(table, raw)
+                                             for raw in raws])
 
 
 # ---------------------------------------------------------------------------
@@ -939,7 +958,8 @@ def rational_homotopy(A, degree_window, cap_weight=None, cap_degree=None,
                       oracle=False):
     """dim of the degree-d homotopy group for d in the window, read off as
     the homology of the bar-word model one degree down.  Caps default to the
-    smallest values guaranteed complete for the window."""
+    smallest values guaranteed complete for the window.  The model is
+    dropped before the shuffle oracle (oracle=True) is built."""
     lo, hi = degree_window
     if lo < 2:
         raise InvalidInput("window must start at degree >= 2")
@@ -948,8 +968,7 @@ def rational_homotopy(A, degree_window, cap_weight=None, cap_degree=None,
             "homotopy reporting needs generators in degrees >= 2")
     cw = cap_weight if cap_weight is not None else hi + 1
     cd = cap_degree if cap_degree is not None else hi
-    E = build_E(A, cw, cd)
-    hom = E.homology((lo - 1, hi - 1))
+    hom = build_E(A, cw, cd).homology((lo - 1, hi - 1))
     if oracle:
         H = harrison_shuffle_model(A, cw, cd)
         hom2 = H.homology((lo - 1, hi - 1))

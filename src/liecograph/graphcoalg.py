@@ -347,6 +347,16 @@ class BarQuotient:
         return {self.basis[-1 - c]: v for c, v in x.items()}
 
     @cached_property
+    def _basis_words(self):
+        return frozenset(self.basis)
+
+    def coordinates(self, word):
+        """{l_j: x_j}, a word's class: a basis word is itself, with no rows."""
+        if word in self._basis_words:
+            return {word: 1}
+        return self.solve(self.rows.get(word, {}))
+
+    @cached_property
     def _column_echelon(self):
         """(ids, Echelon): ids numbers the words of the columns, the basis
         first, and row j is the column of P(l_j) keyed by ids."""
@@ -371,6 +381,12 @@ class BarQuotient:
                                  f"{min(u for u, k in ids.items() if k in r)}")
         return {self.basis[j]: v for j, v in y.items()}
 
+    def release(self):
+        """Un-intern the words of the rows, once this block left the memo."""
+        word = self._table().memo("word")
+        for u in vars(self).get("rows", ()):
+            word.pop(u, None)
+
 
 def bar_quotient(table, content):
     """The BarQuotient of a sorted content, one memo entry per content."""
@@ -381,10 +397,9 @@ def bar_quotient(table, content):
 
 
 def _word_coordinates(table, word):
-    """Bar coordinates of a word's class: its pairings with the standard
-    bracketings, solved in its content's pairing block."""
-    q = bar_quotient(table, tuple(sorted(word, key=table.sort_key)))
-    return q.solve(q.rows.get(word, {}))
+    """Bar coordinates of a word's class in its content's pairing block."""
+    return bar_quotient(table, tuple(sorted(word, key=table.sort_key))
+                        ).coordinates(word)
 
 
 def to_bar_basis(g):

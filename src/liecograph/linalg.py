@@ -121,14 +121,13 @@ class Echelon:
 
     def decompose(self, vec):
         """(coefficients, residual) with vec = sum_c coefficients[c] rows[c]
-        + residual, the residual zero at every pivot column."""
+        + residual, the residual zero at every pivot column: ints when the
+        elimination needed no denominator, else Fractions."""
         vec, den, _, mult = self._eliminate(vec, full=True)
+        if den == 1:
+            return mult, {k: v for k, v in vec.items() if v}
         return ({c: Fraction(b, den) for c, b in mult.items()},
                 {k: Fraction(v, den) for k, v in vec.items() if v})
-
-    def reduce(self, vec):
-        """The residual of vec modulo the rows (`decompose`)."""
-        return self.decompose(vec)[1]
 
 
 class SparseMatrix:
@@ -167,17 +166,18 @@ def _exact_inverse(S):
     """(adj, delta) with S^-1 = adj / delta, adj integral and delta > 0 the
     least common denominator, for a square integer matrix S (a list of
     lists).  S goes into an Echelon beside unit tag columns n + i; reducing
-    e_j leaves minus row j of S^-1 on the tag columns.  Raises
+    e_j leaves minus row j of S^-1 on the tag columns, an integer vector
+    over one denominator, so no Fraction is formed.  Raises
     ZeroDivisionError if S is singular (a pivot falls on a tag column)."""
     n, ech = len(S), Echelon()
     for i, row in enumerate(S):
         row = {j: x for j, x in enumerate(row) if x}
         if ech.insert({**row, n + i: 1}) >= n:
             raise ZeroDivisionError("singular matrix")
-    inv = [ech.reduce({j: 1}) for j in range(n)]
-    delta = lcm(*(v.denominator for row in inv for v in row.values()))
-    return [[-int(row.get(n + k, 0) * delta) for k in range(n)]
-            for row in inv], delta
+    inv = [ech._eliminate({j: 1}, full=True)[:2] for j in range(n)]
+    delta = lcm(*(den // gcd(den, *vec.values()) for vec, den in inv))
+    return [[-vec.get(n + k, 0) * delta // den for k in range(n)]
+            for vec, den in inv], delta
 
 
 # 1 on a byte with its top bit set: read on an entry's most significant

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from liecograph.elements import GeneratorTable, koszul_sign
+from liecograph.elements import GeneratorTable, GraphElement, koszul_sign
+from liecograph.graphcoalg import cobracket, graphify, to_bar_basis
+from liecograph.linalg import add_into
 from liecograph.presentations import DgcaPresentation, parse_presentation
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -143,6 +145,20 @@ def _word_vector(table, word):
                 del hit[key]
         memo[w] = hit
     return memo[word]
+
+
+def graph_key_cobracket(table, word):
+    """The cobracket of a bar word by the graph route, an oracle for
+    build_E's key_cobracket: the cobracket of the word's long graph, each
+    factor projected through the graph iterated cobracket (to_bar_basis)."""
+    out = {}
+    for (k1, k2), c in cobracket(graphify(word, table)).terms.items():
+        p1 = to_bar_basis(GraphElement(table, {k1: Fraction(1)}))
+        p2 = to_bar_basis(GraphElement(table, {k2: Fraction(1)}))
+        for w1, c1 in p1.items():
+            for w2, c2 in p2.items():
+                add_into(out, (w1, w2), c * c1 * c2)
+    return out
 
 
 # ---------------------------------------------------------------------------

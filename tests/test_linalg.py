@@ -9,13 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liecograph.errors import CapTooSmall
-from liecograph.functors import build_E, build_G, harrison_shuffle_model
+from liecograph.functors import (
+    _contents,
+    build_E,
+    build_G,
+    harrison_shuffle_model,
+)
 from liecograph.elements import TreeElement
 from liecograph.graphcoalg import (
     BAR_CAP,
     _iterated_vector,
     _standard_bracketing,
     _word_coordinates,
+    bar_quotient,
     graphify,
     to_bar_basis,
 )
@@ -102,10 +108,10 @@ def test_echelon_matches_oracle(rows, data):
         assert math.gcd(*row.values()) == 1
         assert row[c] > 0 and min(row) == c
     for row in _sparse_rows(rows):
-        assert ech.reduce(row) == {}
+        assert ech.decompose(row)[1] == {}
     ncols = len(rows[0])
     drawn = data.draw(st.lists(rational, min_size=ncols, max_size=ncols))
-    residual = ech.reduce({j: x for j, x in enumerate(drawn) if x})
+    _, residual = ech.decompose({j: x for j, x in enumerate(drawn) if x})
     assert all(c not in residual for c in ech.rows)
     # v - reduce(v) lies in the row span, and the residual vanishes exactly
     # when v does
@@ -173,9 +179,10 @@ def test_echelon_matches_fraction_reference_on_bar_quotients():
     E = build_E(parse_presentation(
         "gen x deg 2\ngen y deg 2\ngen z deg 3\ndiff z = x*y\n"), 7, 7)
     table = E.table
-    contents = table.memo("bar_quotient")
+    contents = [content for content, _ in _contents(table, 7, 7)]
     assert len(contents) > 20
-    for content, q in contents.items():
+    for content in contents:
+        q = bar_quotient(table, content)
         full = {w: _iterated_vector(graphify(w, table))
                 for w in arrangements(content)}
         rows = _FractionEchelon()
@@ -234,6 +241,34 @@ def test_exact_inverse_examples():
     assert _exact_inverse([[2, 0], [0, 3]]) == ([[3, 0], [0, 2]], 6)
     with pytest.raises(ZeroDivisionError):
         _exact_inverse([[1, 2], [2, 4]])
+
+
+@pytest.mark.parametrize("S", [[[2, 1], [0, 3]], [[2, 0, 1], [4, 3, 0],
+                                                  [0, 5, 7]]])
+def test_exact_inverse_not_integral(S):
+    """A minor whose inverse is not integral: adj / delta equals the inverse
+    of a textbook Fraction Gauss-Jordan elimination, delta its least common
+    denominator."""
+    n = len(S)
+    reduced, _ = dense_rref([row + [int(i == j) for j in range(n)]
+                             for i, row in enumerate(S)], 2 * n)
+    inverse = [row[n:] for row in reduced]
+    adj, delta = _exact_inverse(S)
+    assert delta == math.lcm(*(x.denominator for row in inverse for x in row))
+    assert delta > 1
+    assert [[Fraction(x, delta) for x in row] for row in adj] == inverse
+
+
+def test_decompose_returns_ints_without_a_denominator():
+    """decompose returns ints when the elimination needed no denominator,
+    else Fractions, with the same values."""
+    ech = Echelon({0: {0: 1, 1: 2, 2: -1}, 1: {1: 2, 2: 1}})
+    x, r = ech.decompose({0: 3, 1: 6, 2: 5})  # 3 rows[0] + 8 (0, 0, 1)
+    assert (x, r) == ({0: 3}, {2: 8})
+    assert all(type(v) is int for v in [*x.values(), *r.values()])
+    x, r = ech.decompose({0: 1, 1: 3, 2: 0})  # rows[0] + rows[1] / 2
+    assert (x, r) == ({0: 1, 1: Fraction(1, 2)}, {2: Fraction(1, 2)})
+    assert all(type(v) is Fraction for v in [*x.values(), *r.values()])
 
 
 def _named_minor(rows):

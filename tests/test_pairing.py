@@ -246,11 +246,11 @@ class TestQuotient:
 
     def test_weight_6_peak_memory(self):
         """Building and ranking the weight-6 matrix stays under 8 MB of
-        traced allocations (the full int8 matrix alone is 1.25 GB; 5.3 MB
-        measured on CPython 3.11 only, of which 4.5 MB stay held, most of
-        it the trees of col_basis: the rows are an indexed view, so no
-        graph is built).  The 2.7 MB margin is for the other versions the
-        tests run on, 3.10 to 3.13, where it is not measured."""
+        traced allocations (the full int8 matrix alone is 1.25 GB; 5.25-5.26
+        MB measured on CPython 3.10 to 3.13, the same code run outside
+        pytest on all but 3.11, of which 4.5 MB stay held, most of it the
+        trees of col_basis: the rows are an indexed view, so no graph is
+        built)."""
         for cached in (pairing._enumerated_pairing_matrix, enumerate_graphs,
                        enumerate_trees):
             cached.cache_clear()
