@@ -344,10 +344,12 @@ def build_E(A, cap_weight=None, cap_degree=None):
     pairings with the standard bracketings are solved by one back
     substitution in the block's unitriangular matrix; no word is turned into
     a graph.  The build drops each block once its content's raw words are
-    solved, so it holds one block at a time; the key cobracket rebuilds
-    blocks on demand.  Caps past KEY_BUDGET keys are refused before anything
-    is built.  The key cobracket is the signed deconcatenation of the word,
-    checked in the tests against the graph cobracket of its long graph."""
+    solved, so it holds one block at a time, and clears the table's block,
+    word, column and bracketing memos once built; the key cobracket rebuilds
+    what it reads on demand.  Caps past KEY_BUDGET keys are refused before
+    anything is built.  The key cobracket is the signed deconcatenation of
+    the word, checked in the tests against the graph cobracket of its long
+    graph."""
     cw, cd = _caps(A, cap_weight, cap_degree)
     alphabet = _slot_alphabet(A, cd, cw)
     table = alphabet[0]
@@ -376,10 +378,13 @@ def build_E(A, cap_weight=None, cap_degree=None):
                     add_into(out, (w2, w1), -kappa * c)
         return out
 
-    return _bar_model(
+    E = _bar_model(
         "E_of_A", (cw, cd), alphabet,
         lambda content: bar_quotient(table, content).basis, coordinates,
         key_cobracket=key_cobracket)
+    for name in ("tree_column", "word", "standard_bracketing", "bar_quotient"):
+        table.memo(name).clear()
+    return E
 
 
 # ---------------------------------------------------------------------------
@@ -734,7 +739,7 @@ def harrison_shuffle_model(A, cap_weight=None, cap_degree=None):
     letters in name order; the quotient itself shares no machinery with
     build_E's solver.  The basis of each content is its super-Lyndon words,
     certified in number, and each raw word is rewritten into them by its
-    shuffle relations (_shuffle_reduce), lazily, word by word."""
+    shuffle relations (_shuffle_reduce), memoised one content at a time."""
     cw, cd = _caps(A, cap_weight, cap_degree)
     alphabet = _slot_alphabet(A, cd, cw)
     table = alphabet[0]
@@ -744,9 +749,12 @@ def harrison_shuffle_model(A, cap_weight=None, cap_degree=None):
         _certify_dimension(table, content, len(basis), "shuffle quotient")
         return basis
 
-    return _bar_model("harrison", (cw, cd), alphabet, basis_of,
-                      lambda content, raws: [_shuffle_reduce(table, raw)
-                                             for raw in raws])
+    def coordinates(content, raws):
+        out = [_shuffle_reduce(table, raw) for raw in raws]
+        table.memo("shuffle_reduce").clear()  # no relation leaves its content
+        return out
+
+    return _bar_model("harrison", (cw, cd), alphabet, basis_of, coordinates)
 
 
 # ---------------------------------------------------------------------------

@@ -216,10 +216,11 @@ def integer_matrix_rank(A, rows, cols):
     row i, with B = adj @ A[rows], adj = delta * S^-1 and delta the common
     denominator of S^-1.  Each row is packed into one int, entry j in the
     j-th field of W bits (Kronecker substitution), so each side is one
-    integer per row; rows are packed one at a time.  Every entry of A is at
-    most maxA, the largest magnitude present, and every entry of B at most
-    norm * maxA, norm the largest sum of |entries| of a row of adj; so every
-    entry of the difference of the two sides is at most the explicit bound
+    integer per row; rows are packed one at a time, and B is summed from
+    them as they come.  Every entry of A is at most maxA, the largest
+    magnitude present, and every entry of B at most norm * maxA, norm the
+    largest sum of |entries| of a row of adj; so every entry of the
+    difference of the two sides is at most the explicit bound
     r maxA^2 norm + delta maxA.  W holds the bound and a sign bit, so the
     packed difference is 0 only when every entry is, at any magnitude.
     Raises ArithmeticError if S is singular or if the identity fails (S is
@@ -270,9 +271,11 @@ def integer_matrix_rank(A, rows, cols):
         return (int.from_bytes(fields, "little")
                 - (int.from_bytes(signs, "little") << 8 * q))
 
-    span = [packed(i) for i in rows]
-    B = [sum(a * p for a, p in zip(arow, span) if a) for arow in adj]
-    del span
+    B = [0] * r  # adj @ A[rows], one packed minor row added in at a time
+    for i, col in zip(rows, zip(*adj)):
+        p = packed(i)
+        for t, a in compress(enumerate(col), col):
+            B[t] += a * p
     for i in range(A.shape[0]):
         a = minor_row(i)
         # +-1 coefficients add or subtract, with no product formed

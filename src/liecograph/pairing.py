@@ -4,24 +4,23 @@ At shape level: each edge a->b of the graph is sent to the nadir (lowest
 internal vertex) of the path between leaves a and b of the tree; the pairing
 is 0 unless that map is surjective onto the internal vertices, and otherwise
 the product of edge signs (+1 when leaf a sits to the left of leaf b).
-A tree's nadirs and signs are held as one flat table of small ints,
-+-(nadir + 1) at a * (n + 1) + b (_pair_info), cached for shape_pair.
+A tree's nadirs and signs are one flat table of small ints,
++-(nadir + 1) at a * (n + 1) + b (_pair_info), built per shape_pair call.
 
 Two sign rules hold: reversing an edge of the graph negates the pairing, and
 so does swapping the two children at an internal node of the tree.  The
 weight-n pairing matrix is therefore built and ranked on the quotient by
 both, one oriented tree per undirected tree (n^(n-2) rows) against one child
 order per antisymmetry class (n!*Cat(n-1)/2^(n-1) columns): 1296 x 945 at
-n = 6 instead of 41472 x 30240, and 16807 x 10395 at n = 7, built from the
-classes alone: no graph is built.  A row's class and sign are read off its
-index, so the row basis is an indexed view (shapes.oriented_trees) and no
-per-row object is stored.  The quotient is an int8 bytearray, seen
-as a 2-D memoryview, and is filled column by column from where the pairing
-can be nonzero: the edges of G must meet the internal vertices of T one to
-one, so a column's nonzeros are its choices of one leaf pair across each
-vertex (74520 of 1224720 cells at n = 6, 3769920 at n = 7).  Its rank is
-certified on the block of long graphs against tall trees, a signed identity
-since the two are dual bases; see PairingMatrix.
+n = 6 instead of 41472 x 30240, and 16807 x 10395 at n = 7.  No graph is
+built: a row's class and sign are read off its index (shapes.oriented_trees,
+an indexed view), and the column trees' keys are streamed into a 2-byte
+class and a 1-byte sign per tree.  The int8 quotient is filled column by
+column where the pairing can be nonzero: the edges of G must meet the
+internal vertices of T one to one, so a column's nonzeros are its choices of
+one leaf pair across each vertex (74520 of 1224720 cells at n = 6, 3769920
+at n = 7).  Its rank is certified on the block of long graphs against tall
+trees, a signed identity since the two are dual bases; see PairingMatrix.
 
 At element level generators pair by name, and the pairing is one of a
 coalgebra with an algebra: the bracket is dual to the cobracket.  A graph
@@ -59,13 +58,11 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=1 << 12)
 def _pair_info(tree):
     """The nadir table of a tree on the leaves 1..n: at a * (n + 1) + b,
     for every ordered pair of leaves a != b, +(nadir + 1) when a sits left
     of b and -(nadir + 1) when it sits right, the n - 1 internal vertices
-    numbered 0, 1, ... top down; 0 elsewhere.  Cached for shape_pair
-    alone."""
+    numbered 0, 1, ... top down; 0 elsewhere.  Built on each call."""
     stride = len(tree_leaves(tree)) + 1
     info, subtrees, node = [0] * (stride * stride), [tree], 0
     for t in subtrees:  # extended while it is read: every subtree, top down
@@ -75,7 +72,7 @@ def _pair_info(tree):
             for a in tree_leaves(t[0]):
                 for b in tree_leaves(t[1]):
                     info[a * stride + b], info[b * stride + a] = node, -node
-    return tuple(info)
+    return info
 
 
 def shape_pair(G, T):
@@ -174,9 +171,9 @@ class PairingMatrix:
     a graph only when it is read: row i is row class i >> (n - 1) with one
     edge reversed, and a sign, per set bit of its low n - 1 bits, so no
     per-row list is stored.  col_basis is enumerate_trees(n), each column
-    with its col_class and col_sign; entry(i, j) = (-1)^popcount(i's low
-    n - 1 bits) * col_sign[j] * Q[i >> (n - 1), col_class[j]].  At n = 7
-    these four are None, and entry() is not available.
+    with its col_class and col_sign (2-byte and 1-byte arrays); entry(i, j)
+    = (-1)^popcount(i's low n - 1 bits) * col_sign[j] * Q[i >> (n - 1),
+    col_class[j]].  At n = 7 these four are None: entry() is unavailable.
     Rows and columns equal up to sign span the same space, so rank() is
     the rank of Q.
 
@@ -229,7 +226,7 @@ def _col_keys(n):
     order, the sum of 1 << clade over its internal vertices (a clade: the
     bits 1 << leaf below one), shifted up one bit above the parity of the
     internal vertices whose left child holds the greater least leaf.
-    Computed per shape for every labeling at once, one list per vertex."""
+    Yielded one list per shape, computed for every labeling at once."""
     # columns[i]: the bit of the leaf at position i, over all labelings
     columns = [[1 << x for x in c]
                for c in zip(*permutations(range(1, n + 1)))]
@@ -237,7 +234,6 @@ def _col_keys(n):
     # least leaf, the clade's lowest bit
     bit = [2 << c for c in range(2 << n)]
     least = [c & -c for c in range(2 << n)]
-    keys = []
     for shape in _tree_shapes(n):
         nodes = []
         _clades(shape, columns, nodes)
@@ -245,8 +241,7 @@ def _col_keys(n):
         for left, right in nodes:
             key = [k ^ bit[lo | ro] ^ (least[lo] > least[ro])
                    for k, lo, ro in zip(key, left, right)]
-        keys += key
-    return keys
+        yield key
 
 
 def _clades(t, columns, nodes):
@@ -259,26 +254,18 @@ def _clades(t, columns, nodes):
     return list(map(or_, *nodes[-1]))
 
 
-def _classes(keys):
-    """Class index of each key, numbered in order of first appearance, and
-    {key: (class index, position of its first appearance)}."""
-    first = {}
-    return ([first.setdefault(k, (len(first), i))[0]
-             for i, k in enumerate(keys)], first)
-
-
 # the largest weight whose pairing matrix is built: at n = 7 its quotient
-# is 175 MB, built and certified in 7-11 s and 229-233 MB peak RSS on
+# is 175 MB, built and certified in 8.2-9.3 s and 206 MB peak RSS on
 # 2 vCPUs
 PAIRING_CAP = 7
 
 
 def pairing_matrix(n):
     """The PairingMatrix of weight n <= PAIRING_CAP.  Up to ENUMERATION_CAP
-    it carries its bases and column class maps and is cached (4.5 MB at
-    n = 6, of which the trees of col_basis are most);
-    at n = 7 it holds only its quotient and minor and is built anew on each
-    call, so that no cache pins its 175 MB for the life of the process."""
+    it carries its bases and column class maps and is cached (4.1 MB at
+    n = 6, of which the trees of col_basis are most); at n = 7 it holds only
+    its quotient and minor and is built anew on each call, so that no cache
+    pins its 175 MB for the life of the process."""
     if n > PAIRING_CAP:
         raise CapExceeded(f"pairing matrix capped at n <= {PAIRING_CAP}")
     if n <= ENUMERATION_CAP:
@@ -287,6 +274,7 @@ def pairing_matrix(n):
 
 
 def _pairing_matrix(n):
+    from array import array  # an extension module, loaded only when needed
     # row classes: the undirected trees, ascending, each oriented from the
     # smaller end of every edge; a pair (a, b) is its edge bit, shifted
     # above 3 bits counting the edges reversed (a > b)
@@ -296,45 +284,46 @@ def _pairing_matrix(n):
     for k, (a, b) in enumerate(combinations(range(1, n + 1), 2)):
         bits[a, b], bits[b, a] = 8 << k, (8 << k) + 1
     # column classes: first appearances in enumerate_trees' order, each with
-    # the parity of its child swaps from its class representative
-    col_key = _col_keys(n)
-    col_class, col_first = _classes([k >> 1 for k in col_key])
-    firsts = [(j, i, col_key[i] & 1) for j, i in col_first.values()]
-    R, C = len(trees), len(col_first)
+    # the position and the parity of child swaps of its first tree
+    first, col_class, col_sign = {}, array("H"), array("b")
+    for keys in _col_keys(n):  # one shape under every labeling
+        col_class += array("H", [
+            first.setdefault(k >> 1, (len(first), i, k & 1))[0]
+            for i, k in enumerate(keys, len(col_class))])
+        col_sign += array("b", [1 - 2 * (k & 1) for k in keys])
+    R, C = len(trees), len(first)
     # the tall trees ((1, i2), ..., in) are the left comb, the last shape,
     # under its first (n - 1)! labelings: leaf 1 first, the tails in order
     tails = list(permutations(range(2, n + 1)))
-    tall = col_class[-factorial(n):][:len(tails)]
+    tall = list(col_class[-factorial(n):][:len(tails)])
     if n <= ENUMERATION_CAP:
-        maps = (rows, enumerate_trees(n), col_class,
-                [1 - 2 * (k & 1) for k in col_key])
+        maps = (rows, enumerate_trees(n), col_class, col_sign)
     else:
         maps = (None,) * 4
-    del col_key, col_class
+    del col_class, col_sign
     # the start of each row in buf, indexed by the row's undirected edges
     offset = [None] * (1 << n * (n - 1) // 2)
     for c, es in enumerate(trees):
         offset[sum(map(bits.__getitem__, es)) >> 3] = c * C
     # <G, T> != 0 only when the edges of G meet the internal vertices of T
     # one to one, so a column's nonzeros are its choices of one leaf pair
-    # (a, b) across each vertex, a under the left child.  The pair is an
-    # edge of the row representative, which runs from the smaller end: it
-    # counts -1 when a > b.  The column's first tree is a shape of
-    # enumerate_trees(n) under one labeling, and differs from its
-    # representative by its parity of child swaps.
+    # (a, b) across each vertex, a under the left child: an edge of the row
+    # representative, which runs from the smaller end, so -1 when a > b.
+    # The column's first tree, a shape of enumerate_trees(n) under one
+    # labeling, differs from its representative by its child-swap parity.
     splits = [_splits(shape) for shape in _tree_shapes(n)]
     perms = list(permutations(range(1, n + 1)))
     byte = (1, 255)  # +1 and -1 as int8
     buf = bytearray(R * C)
-    for j, i, parity in firsts:
-        keys = [0]
+    for j, i, parity in first.values():
+        keys = [parity]  # the low 3 bits count the signs: at most n < 8
         shape, p = divmod(i, len(perms))
         label = perms[p]  # the leaf at each position of the shape
         for left, right in splits[shape]:
             pairs = [bits[label[a], label[b]] for a in left for b in right]
             keys = [k + e for k in keys for e in pairs]
         for k in keys:
-            buf[offset[k >> 3] + j] = byte[(k ^ parity) & 1]
+            buf[offset[k >> 3] + j] = byte[k & 1]
     # a long graph's row class is its offset over C
     minor = ([offset[sum(map(bits.__getitem__, zip((1,) + t, t))) >> 3] // C
               for t in tails], tall)

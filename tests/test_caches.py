@@ -63,10 +63,10 @@ def test_module_level_containers_do_not_grow():
 def test_table_dies_with_its_bundle(builder):
     """With the cycle collector off, dropping a bundle frees its table and
     every memo on it.  build_E drops each pairing block once its content's
-    words are solved, so no block it leaves holds built rows; its key
-    cobracket rebuilds the blocks it reads, and still equals the long
-    graph's cobracket.  build_L solves its blocks by forward substitution,
-    and builds no rows."""
+    words are solved, and clears its block, word, column and bracketing
+    memos once it is built; its key cobracket rebuilds the blocks it reads,
+    and still equals the long graph's cobracket.  build_L solves its blocks
+    by forward substitution, and builds no rows."""
     A = parse_presentation("gen x deg 2\ngen y deg 2\ngen z deg 3\n"
                            "diff z = x*y\n")
     source = dualize(A, 6) if builder == "build_L" else A
@@ -76,9 +76,11 @@ def test_table_dies_with_its_bundle(builder):
         bundle = getattr(functors, builder)(source, 4, 6)
         table = bundle.table
         blocks = table.memo("bar_quotient").values()
-        if builder in ("build_E", "build_L"):
+        if builder == "build_L":
             assert blocks and not any("rows" in vars(q) for q in blocks)
         if builder == "build_E":
+            assert not any(table.memo(name) for name in (
+                "bar_quotient", "word", "tree_column", "standard_bracketing"))
             for word in bundle.key_bidegree:
                 assert bundle.key_cobracket(word) == graph_key_cobracket(
                     table, word), word

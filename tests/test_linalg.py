@@ -314,6 +314,14 @@ def test_integer_rank_certifies_2_to_the_40():
                             [0], [0])
 
 
+def test_integer_rank_on_an_empty_minor():
+    """An empty minor certifies rank 0 on a zero matrix, and any nonzero
+    entry lies outside its span."""
+    assert integer_matrix_rank(_buffer([[0, 0], [0, 0]], "b"), [], []) == 0
+    with pytest.raises(ArithmeticError, match="span"):
+        integer_matrix_rank(_buffer([[0, 0], [0, 1]], "b"), [], [])
+
+
 def test_integer_rank_certifies_2_to_the_53():
     """A 1x1 minor [a] has delta = |a| and adj = +-1; at a = 2^53 (a bound
     of 2^107 on the old float64 sums) the rank is certified exactly, and a

@@ -155,7 +155,7 @@ class TestShapePair:
                 k = next(i for i, (u, v) in enumerate(zip(pa, pb)) if u != v)
                 want[a * (n + 1) + b] = ((1 if pa[k] == 0 else -1)
                                          * (number[pa[:k]] + 1))
-            assert _pair_info(T) == tuple(want), T
+            assert _pair_info(T) == want, T
 
     def test_weight_mismatch_is_zero_at_element_level(self):
         table = GeneratorTable([("a", 2)])
@@ -245,12 +245,12 @@ class TestQuotient:
         assert P.rank() == dense_rank_oracle(P.quotient.tolist())
 
     def test_weight_6_peak_memory(self):
-        """Building and ranking the weight-6 matrix stays under 8 MB of
-        traced allocations (the full int8 matrix alone is 1.25 GB; 5.25-5.26
-        MB measured on CPython 3.10 to 3.13, the same code run outside
-        pytest on all but 3.11, of which 4.5 MB stay held, most of it the
+        """Building and ranking the weight-6 matrix stays under 4.75 MB of
+        traced allocations (the full int8 matrix alone is 1.25 GB).  4.49 MB
+        measured on CPython 3.11, of which 4.07 MB stay held, most of it the
         trees of col_basis: the rows are an indexed view, so no graph is
-        built)."""
+        built.  With the column keys and class maps held as lists it was
+        5.25-5.26 MB on 3.10 to 3.13."""
         for cached in (pairing._enumerated_pairing_matrix, enumerate_graphs,
                        enumerate_trees):
             cached.cache_clear()
@@ -260,7 +260,15 @@ class TestQuotient:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+        assert peak < 4.75 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MB"
+
+    def test_class_maps_are_compact(self):
+        """One 2-byte class and one 1-byte sign per column tree."""
+        P = pairing_matrix(6)
+        assert (P.col_class.typecode, P.col_class.itemsize) == ("H", 2)
+        assert (P.col_sign.typecode, P.col_sign.itemsize) == ("b", 1)
+        assert len(P.col_class) == len(P.col_sign) == len(P.col_basis)
+        assert set(P.col_sign) == {-1, 1}
 
     def test_weight_6_holds_one_graph_list(self):
         """The rows are an indexed view, not a sorted list: pairing_matrix(6)
@@ -312,10 +320,12 @@ class TestWeight7:
         """7^5 row classes (Cayley) and 11!! column classes, counted
         without building the quotient."""
         assert len(labeled_trees(7)) == 7 ** 5 == 16807
-        keys = pairing._col_keys(7)
-        assert len(keys) == 5040 * 132
-        assert len(pairing._classes([k >> 1 for k in keys])[1]) \
-            == 11 * 9 * 7 * 5 * 3 == 10395
+        count, classes = 0, set()
+        for keys in pairing._col_keys(7):  # one shape at a time
+            count += len(keys)
+            classes.update(k >> 1 for k in keys)
+        assert count == 5040 * 132
+        assert len(classes) == 11 * 9 * 7 * 5 * 3 == 10395
 
     def test_not_cached(self, monkeypatch):
         built = []
@@ -397,7 +407,7 @@ def _dense_pairing(n, graphs, trees):
     # index into a flattened (n+1)x(n+1) nadir table
     flat = edges[:, :, 0] * (n + 1) + edges[:, :, 1]
     full = (1 << n) - 2  # the bits 1 << (nadir + 1) of the n-1 nadirs
-    table = np.array([_pair_info.__wrapped__(T) for T in trees], np.int8)
+    table = np.array([_pair_info(T) for T in trees], np.int8)
     entries = table[:, flat]  # (trees, graphs, n-1): +-(nadir + 1)
     bits = np.left_shift(np.int8(1), np.abs(entries))
     # distinctness: OR of bits has n-1 set bits iff no collision occurred
@@ -430,7 +440,7 @@ class TestClassMaps:
                             for i in range(len(P.row_basis))]
         col_index, col_class, col_sign = _classes_oracle(
             enumerate_trees(n), _tree_class)
-        assert (P.col_class, P.col_sign) == (col_class, col_sign)
+        assert (list(P.col_class), list(P.col_sign)) == (col_class, col_sign)
         tails = list(itertools.permutations(range(2, n + 1)))
         assert P.minor == (
             [row_index[_graph_class(long_graph((1,) + t))[0]] for t in tails],
