@@ -323,10 +323,6 @@ def _fmt_tree_key(key):
     return f"[{_fmt_tree_key(key[0])},{_fmt_tree_key(key[1])}]"
 
 
-def _fmt_word(word):
-    return "|".join(word)
-
-
 def _int_arg(text, flag):
     """The int of a command-line value (None stays None); a malformed one is
     a ParseError naming the flag."""
@@ -400,11 +396,9 @@ def _cmd_pair(args, out):
 def _cmd_cobracket(args, out):
     table = _table_from_args(args)
     g = parse_expression(args.expr, table, kind="graph")
-    cb = cobracket(g)
-    lines = []
-    for (k1, k2), c in cb.terms.items():
-        lines.append((_fmt_graph_key(k1), _fmt_graph_key(k2), c))
-    out.write("".join(f"{_num(c)}\t{a}\t{b}\n" for a, b, c in sorted(lines)))
+    lines = sorted((_fmt_graph_key(k1), _fmt_graph_key(k2), c)
+                   for (k1, k2), c in cobracket(g).terms.items())
+    out.write("".join(f"{_num(c)}\t{a}\t{b}\n" for a, b, c in lines))
     return 0
 
 
@@ -412,7 +406,7 @@ def _cmd_normalize(args, out):
     table = _table_from_args(args)
     g = parse_expression(args.expr, table, kind="graph")
     coords = to_bar_basis(g)
-    out.write("".join(f"{_fmt_word(w)}\t{_num(coords[w])}\n"
+    out.write("".join(f"{'|'.join(w)}\t{_num(coords[w])}\n"
                       for w in sorted(coords, key=lambda w: (len(w), w))))
     return 0
 
@@ -424,10 +418,8 @@ def _cmd_iszero(args, out):
     if flag:
         out.write("zero\n")
     else:
-        keys, c = witness
-        out.write("nonzero\n# witness tensor term: "
-                  + " (x) ".join(_fmt_graph_key(k) for k in keys)
-                  + f" -> {_num(c)}\n")
+        out.write("nonzero\n# witness tensor term: " + " (x) ".join(
+            map(_fmt_graph_key, witness[0])) + f" -> {_num(witness[1])}\n")
     return 0
 
 
@@ -457,26 +449,20 @@ def _load(path, cls):
     return P
 
 
-def _cmd_pi(args, out):
+def _cmd_dims(args, out):
+    """pi: the rational homotopy dimensions; harrison: the shuffle model's
+    homology; one line per degree of the window."""
     A = _load(args.file, DgcaPresentation)
     lo, hi = _parse_window(args.window)
-    cw, cd = _caps_from_args(args, (hi + 1, hi))
-    pi = rational_homotopy(A, (lo, hi), cap_weight=cw, cap_degree=cd,
-                           oracle=args.oracle)
+    if args.verb == "pi":
+        cw, cd = _caps_from_args(args, (hi + 1, hi))
+        dims = rational_homotopy(A, (lo, hi), cap_weight=cw, cap_degree=cd,
+                                 oracle=args.oracle)
+    else:
+        cw, cd = _caps_from_args(args, (hi + 2, hi + 1))
+        dims = harrison_shuffle_model(A, cw, cd).homology((lo, hi))
     out.write(f"# caps: weight={cw} degree={cd}\n")
-    for d in range(lo, hi + 1):
-        out.write(f"{d}\t{pi[d]}\n")
-    return 0
-
-
-def _cmd_harrison(args, out):
-    A = _load(args.file, DgcaPresentation)
-    lo, hi = _parse_window(args.window)
-    cw, cd = _caps_from_args(args, (hi + 2, hi + 1))
-    hom = harrison_shuffle_model(A, cw, cd).homology((lo, hi))
-    out.write(f"# caps: weight={cw} degree={cd}\n")
-    for d in range(lo, hi + 1):
-        out.write(f"{d}\t{hom[d]}\n")
+    out.write("".join(f"{d}\t{dims[d]}\n" for d in range(lo, hi + 1)))
     return 0
 
 
@@ -569,13 +555,13 @@ def _build_parser():
     sp.add_argument("--oracle", action="store_true",
                     help="cross-check against the shuffle model")
     add_cap_opts(sp)
-    sp.set_defaults(func=_cmd_pi)
+    sp.set_defaults(func=_cmd_dims)
 
     sp = sub.add_parser("harrison", help="shuffle-model homology")
     sp.add_argument("file")
     sp.add_argument("--window", default="1..6")
     add_cap_opts(sp)
-    sp.set_defaults(func=_cmd_harrison)
+    sp.set_defaults(func=_cmd_dims)
 
     sp = sub.add_parser("ss", help="weight-filtration spectral sequence pages")
     sp.add_argument("file")

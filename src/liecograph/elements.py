@@ -1,21 +1,19 @@
 """Graded elements: finite Q-linear combinations of (shape x label tensor)
 terms over a table of graded generators, with int or Fraction coefficients.
 
-Graph terms are stored in canonical form: the graph is relabeled to its
-lexicographically minimal representative, the label tuple is permuted along
-and the Koszul sign folded into the coefficient, all read from the shape's
-plan (`canonical_term`).  A term whose stabilizer flips its own sign
-cancels to zero (odd generators on symmetric shapes).
-
-Tree terms need no orbit bookkeeping: a planar tree with its leaf tensor is
-stored as a nested tuple of generator names.
+Graph terms are stored in canonical form, read from the shape's tree-code
+plan (`canonical_term`): the graph is renumbered onto its canonical edges,
+its labels move along, each run of interchangeable subtrees is sorted by
+its labels, and the Koszul sign is folded into the coefficient.  A term
+that an automorphism negates (two equal subtrees, each with an odd number
+of odd letters) is zero.  Tree terms are nested tuples of generator names.
 """
 
 from fractions import Fraction
 from numbers import Integral, Rational
 
 from .linalg import add_into
-from .shapes import _canonical_perms
+from .shapes import _canonical_plan
 
 __all__ = [
     "GeneratorTable",
@@ -106,28 +104,25 @@ def graded_sort(seq, degree, order):
 
 def canonical_term(table, n, edges, labels):
     """Canonical key ((n, edges), labels) and sign of the term on a shape
-    (n, sorted edge tuple) with a label tuple, from the shape's plan
-    (shapes._canonical_perms): the labels as they are with sign +1 when the
-    identity is the only relabeling, one Koszul sign for one relabeling,
-    else the least relabeled labels in table order; sign 0 when the term
-    cancels against its image under a stabilizer element."""
-    best, invs, identity = _canonical_perms(n, edges)
-    if identity:
+    (n, sorted edge tuple) with a label tuple, from its plan: the labels
+    moved to their new positions, each run's blocks sorted by their labels
+    in table order, bottom up, and the Koszul sign of the final order; 0
+    when two equal blocks of a run hold an odd number of odd letters."""
+    best, order, runs = _canonical_plan(n, edges)
+    if not runs and best == edges:  # no automorphism: order is the identity
         return ((n, best), labels), 1
-    degs = table.degrees_of(labels)
-    if len(invs) == 1:
-        inv = invs[0]
-        return ((n, best), tuple(labels[i] for i in inv)), koszul_sign(
-            degs, inv)
-    # least relabeled labels; sign 0 if two relabelings reaching them differ
-    rank, least = [table.order[x] for x in labels], None
-    for inv in invs:
-        r = tuple(rank[i] for i in inv)
-        if least is None or r < least:
-            least, arg, sign = r, inv, koszul_sign(degs, inv)
-        elif r == least and sign and koszul_sign(degs, inv) != sign:
-            sign = 0
-    return ((n, best), tuple(labels[i] for i in arg)), sign
+    src, rank, degree = list(order), table.order, table.degree
+    for run in runs:
+        held = sorted(([rank[labels[src[p]]] for p in block],
+                       [src[p] for p in block]) for block in run)
+        for (key, moved), (twin, _) in zip(held, held[1:]):
+            if key == twin and sum(degree[labels[s]] for s in moved) % 2:
+                return ((n, best), labels), 0
+        for block, (_, moved) in zip(run, held):
+            for p, s in zip(block, moved):
+                src[p] = s
+    return ((n, best), tuple(labels[i] for i in src)), koszul_sign(
+        table.degrees_of(labels), src)
 
 
 def _coefficient(v):

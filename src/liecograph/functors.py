@@ -57,7 +57,8 @@ from .linalg import (
 )
 from .shapes import (
     SGraph,
-    _canonical_perms,
+    _canonical_plan,
+    _check_weight,
     contract_edge,
     tree_leaves,
     tree_relabel,
@@ -403,17 +404,16 @@ def build_G(A, cap_weight=None, cap_degree=None):
     @cache
     def canonical_shapes(w):  # one per orbit: a smaller tree and a leaf w
         return [()] if w == 1 else sorted(
-            {_canonical_perms(w, tuple(sorted((*edges, e))))[0]
+            {_canonical_plan(w, tuple(sorted((*edges, e))))[0]
              for edges in canonical_shapes(w - 1)
              for v in range(1, w) for e in ((v, w), (w, v))})
 
     key_bidegree = {}
     for content, (w, d) in _contents(table, cw, cd):
-        # first: it refuses w past ENUMERATION_CAP before w! orders are listed
-        shapes = canonical_shapes(w)
+        _check_weight(w, "graph model")  # before w! orders are listed
         arrangements = set(permutations(content))
         terms = (canonical_term(table, w, edges, labels)
-                 for edges in shapes for labels in arrangements)
+                 for edges in canonical_shapes(w) for labels in arrangements)
         for k in sorted({key for key, sign in terms if sign}):
             key_bidegree[k] = (w, d)
 

@@ -27,8 +27,8 @@ from itertools import combinations
 from math import factorial, gcd, prod
 
 from .errors import CapExceeded
-from .shapes import (SGraph, cut_edge, enumerate_graphs, long_graph,
-                     tree_leaves)
+from .shapes import (SGraph, _adjacency, cut_edge, enumerate_graphs,
+                     long_graph, tree_leaves)
 from .elements import (GraphElement, TensorElement, canonical_term,
                        koszul_sign)
 from .linalg import Echelon, add_into
@@ -120,18 +120,39 @@ def iterated_cobracket(g, k):
 
 
 def is_zero_in_E(g):
-    """Decide whether g vanishes in the Lie-coalgebra quotient, one weight
-    <= ZERO_CAP at a time.  Returns (flag, witness): witness is None when
-    zero, else a nonzero elementary-tensor term of some iterated cobracket."""
-    if any(n > ZERO_CAP for n in g.weights()):
-        raise CapExceeded(f"zero test capped at weight <= {ZERO_CAP}")
+    """(flag, witness): whether g vanishes in the Lie-coalgebra quotient, and
+    if not a nonzero term of an iterated cobracket.  A term with more leaf-
+    peeling orders than the ZERO_CAP-letter long graph's is refused first."""
+    bound = 1 << ZERO_CAP - 1
+    for n, edges in {key[0] for key in g.terms}:
+        # 2^(n - 1) <= orders <= 2 (n - 1)!: 2 to m - 1 leaves of m vertices
+        if n > ZERO_CAP or (2 * factorial(n - 1) > bound
+                            and _peeling_orders(n, edges) > bound):
+            raise CapExceeded(f"zero test capped at {bound} leaf-peeling "
+                              f"orders a term; a weight-{n} term has more")
     for n in g.weights():
-        comp = g.component(n)
-        t = iterated_cobracket(comp, n - 1)
-        if not t.is_zero():
-            key = min(t.terms, key=str)
-            return False, (key, t.terms[key])
+        t = iterated_cobracket(g.component(n), n - 1).terms
+        if t:
+            key = min(t, key=str)
+            return False, (key, t[key])
     return True, None
+
+
+def _peeling_orders(n, edges):
+    """Leaf-peeling orders, the terms of the fully iterated cobracket on
+    distinct letters: over the last vertex r, sum n! / prod subtree sizes."""
+    adj, total = _adjacency(n, edges), 0
+    for r in range(1, n + 1):
+        down, parent, size = [r], [0] * (n + 1), [1] * (n + 1)
+        for v in down:  # breadth first from r, extended while it is read
+            for u in adj[v]:
+                if u != parent[v]:
+                    parent[u] = v
+                    down.append(u)
+        for v in reversed(down):
+            size[parent[v]] += size[v]
+        total += factorial(n) // prod(size[1:])
+    return total
 
 
 def graphify(word, table, coeff=1):
@@ -146,8 +167,10 @@ def graphify(word, table, coeff=1):
 # to_bar_basis on the long graph of n distinct letters (2 vCPUs): 0.1 s and
 # 24 MB at n = 7, 1.1 s and 158 MB at n = 8
 BAR_CAP = 7
-# element_pair: at most 4 ms a 12-letter term pair, ~n^3 past it (2 vCPUs)
-ZERO_CAP = 12  # is_zero_in_E: 0.05 s on 12 distinct letters, ~2x a letter
+# element_pair: at most 4 ms a 12-letter term pair, ~n^3 past it (2 vCPUs);
+# is_zero_in_E admits the 2^(ZERO_CAP - 1) leaf-peeling orders of the long
+# graph on ZERO_CAP letters, 0.05 s on distinct letters, ~2x a letter
+ZERO_CAP = 12
 
 
 def _iterated_vector(g):
@@ -439,10 +462,11 @@ def relation_generators(kind, table, labels):
     out = []
     if kind == "arrow_reversing":
         for G in enumerate_graphs(n):
-            for e in range(len(G.edges)):
-                el = GraphElement.from_term(table, G, labels).add(
-                    GraphElement.from_term(table, G.reverse_edge(e), labels))
-                out.append(el)
+            for e, (a, b) in enumerate(G.edges):
+                rev = SGraph(n, G.edges[:e] + ((b, a),) + G.edges[e + 1:],
+                             _checked=True)
+                out.append(GraphElement.from_term(table, G, labels).add(
+                    GraphElement.from_term(table, rev, labels)))
     elif kind == "arnold":
         for G in enumerate_graphs(n):
             for i, (a, b) in enumerate(G.edges):

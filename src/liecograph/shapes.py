@@ -6,15 +6,17 @@ Graphs are stored with their edge list sorted, so shape keys are stable under
 surgery.  Trees are nested tuples over leaf labels: 3 is a leaf, ((2,1),3) is
 the tree whose left subtree is (2,1).
 
-The lru_caches on enumerate_graphs, enumerate_trees and _tree_shapes are
-unbounded because their argument is: the enumerations refuse n outside
-1..ENUMERATION_CAP before anything is cached, and _tree_shapes is read
-only by them and by the pairing matrix, capped at n <= 7, so each cache
-holds at most 7 entries.  oriented_trees(n) is a view and caches nothing.
+Every graph shape has one canonical form, its plan (_canonical_plan), built
+from tree codes: canonical edges, the old vertex at each new position and
+the runs of interchangeable sibling subtrees, never a list of automorphisms.
+Plans are cached up to ENUMERATION_CAP vertices only; the enumerations are
+capped there too, so their lru_caches hold at most 7 entries (the pairing
+matrix reads _tree_shapes to n = 7).  oriented_trees(n) caches nothing.
 """
 
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, count, groupby, permutations, product
+from operator import itemgetter
 
 from .errors import (
     BadEdgeIndex,
@@ -59,19 +61,6 @@ class SGraph:
     def __repr__(self):
         es = ", ".join(f"{a}->{b}" for a, b in self.edges)
         return f"G[{self.n}; {es}]"
-
-    def relabel(self, perm):
-        """perm maps old vertex -> new vertex (dict or callable)."""
-        f = perm.__getitem__ if isinstance(perm, dict) else perm
-        return SGraph(self.n, [(f(a), f(b)) for a, b in self.edges], _checked=True)
-
-    def reverse_edge(self, i):
-        if not 0 <= i < len(self.edges):
-            raise BadEdgeIndex(f"edge index {i} out of range")
-        es = list(self.edges)
-        a, b = es[i]
-        es[i] = (b, a)
-        return SGraph(self.n, es, _checked=True)
 
 
 def validate_graph(n, edges):
@@ -132,13 +121,9 @@ class OrientedTrees:
     c * 2^(n-1) + o is tree c of `trees` with edge k reversed when bit
     n - 2 - k of o is set, so it has one edge a -> b with a > b per set bit.
     Each graph is built when it is read, over arc tuples shared by the
-    graphs of one view, and none is kept.
-
-    Iteration runs a product loop over each tree's orientations rather
-    than indexing: building all 41 472 graphs at n = 6 takes 42 ms that way
-    against 103 ms by index, and a pairing-matrix benchmark pass, which
-    iterates every row, 0.205 s against 0.263 s (medians of 14 alternating
-    fresh-interpreter passes, CPython 3.11, 2 vCPUs)."""
+    graphs of one view, and none is kept.  Iteration runs a product loop
+    over each tree's orientations, 2.5 times faster than indexing (42 ms
+    against 103 ms for the 41 472 graphs at n = 6, CPython 3.11, 2 vCPUs)."""
 
     __slots__ = ("n", "trees", "_arc")
 
@@ -334,53 +319,63 @@ def contract_edge(G, e):
 # ---------------------------------------------------------------------------
 # canonical forms
 
-def _canonical_perms(n, edges):
-    """The plan of a shape (n, sorted edges): canonical edges, the 0-based
-    inverses of every relabeling reaching them (the source order of the
-    labels) and whether the identity is the only one.  Only the
-    finitely many shapes on <= ENUMERATION_CAP vertices are brute forced and
-    cached; longer ones must be paths, numbered along the path per call."""
+def _tree_plan(n, edges):
+    """The plan of a shape (n, sorted edges), by tree codes (Aho, Hopcroft
+    and Ullman 1974): its canonical edges, the old vertex (0-based) at each
+    new position, and the runs of interchangeable sibling subtrees, inner
+    runs first, each a tuple of blocks of new positions (0-based ranges in
+    the subtrees' own preorder).  Leaves are peeled level by level to the
+    centre; a vertex's code ranks in its level the sorted 2 code + outward
+    of the vertices peeled into it.  The root is the centre or the central
+    edge's source; positions run in preorder by code, a first subtree of
+    two or more mirrored before the root, so that long graphs keep theirs."""
+    adj, arcs, size = _adjacency(n, edges), set(edges), [1] * (n + 1)
+    deg, kids = list(map(len, adj)), [[] for _ in adj]
+    level, peeled, base = [v for v in range(1, n + 1) if deg[v] < 2], [], 0
+    while len(peeled) + 2 < n:
+        keys = [tuple(sorted(map(itemgetter(0), kids[v]))) for v in level]
+        rank = dict(zip(sorted(set(keys)), count(base)))
+        base, nxt = base + len(rank), []
+        for v, key in zip(level, keys):
+            deg[v] = 0  # peeled into its one unpeeled neighbour
+            p = next(u for u in adj[v] if deg[u])
+            kids[p].append((2 * rank[key] + ((v, p) not in arcs), v))
+            size[p] += size[v]
+            deg[p] -= 1
+            if deg[p] == 1:
+                nxt.append(p)
+        peeled += level
+        level = nxt
+    root = level[0]
+    if len(level) == 2:  # the other centre codes above every peeled vertex
+        root, t = level if tuple(level) in arcs else level[::-1]
+        kids[root].append((2 * base + 1, t))
+        peeled.append(t)
+    pre = [0] * (n + 1)  # preorder index, top down
+    for v in [root, *reversed(peeled)]:
+        kids[v].sort()
+        q = pre[v] + 1
+        for _, c in kids[v]:
+            pre[c], q = q, q + size[c]
+    s = size[kids[root][0][1]] if len(kids[root]) > 1 else 0
+    pos = [s - q if q <= s else q for q in pre]  # the root's pre is 0
+    runs = [tuple(range(pos[c], pos[c] - size[c], -1) if pre[c] <= s
+                  else range(pos[c], pos[c] + size[c]) for _, c in run)
+            for v in peeled + [root] if len(kids[v]) > 1
+            for run in (list(g) for _, g in groupby(kids[v], itemgetter(0)))
+            if len(run) > 1]
+    return (tuple(sorted((pos[a] + 1, pos[b] + 1) for a, b in edges)),
+            tuple(sorted(range(n), key=pos[1:].__getitem__)), tuple(runs))
+
+
+_cached_plan = lru_cache(maxsize=None)(_tree_plan)
+
+
+def _canonical_plan(n, edges):
+    """_tree_plan, cached up to ENUMERATION_CAP vertices; a long graph, its
+    own plan, needs no codes (a word's cobracket cuts only long graphs)."""
     if n <= ENUMERATION_CAP:
-        return _small_canonical_perms(n, edges)
-    adj = _adjacency(n, edges)
-    ends = [v for v in range(1, n + 1) if len(adj[v]) == 1]
-    if len(ends) != 2 or max(map(len, adj)) > 2:
-        raise CapExceeded("canonicalization of non-path shapes capped at "
-                          f"{ENUMERATION_CAP} vertices (got {n})")
-    order = [ends[0], adj[ends[0]][0]]  # the path from its least end
-    while len(order) < n:
-        a, b = adj[order[-1]]
-        order.append(b if a == order[-2] else a)
-    return _least_relabelings(n, edges, (order, order[::-1]))
-
-
-def _least_relabelings(n, edges, orders=None):
-    """_canonical_perms over vertex orders (old vertices in new order), by
-    default all of them."""
-    best, invs = None, []
-    p = [0] * (n + 1)
-    for seq in orders or permutations(range(1, n + 1)):
-        for j, v in enumerate(seq, 1):
-            p[v] = j
-        relab = tuple(sorted((p[a], p[b]) for a, b in edges))
-        if best is None or relab < best:
-            best, invs = relab, [tuple(v - 1 for v in seq)]
-        elif relab == best:
-            invs.append(tuple(v - 1 for v in seq))
-    return best, tuple(invs), invs == [tuple(range(n))]
-
-
-_small_canonical_perms = lru_cache(maxsize=None)(_least_relabelings)
-
-
-def canonical_form(G):
-    """Canonical vertex relabeling of G, with the first permutation achieving
-    it (as a tuple p where vertex i maps to p[i-1]).  Two graphs lie in the
-    same relabeling orbit iff their canonical forms coincide.  Up to 6
-    vertices it is the lexicographically minimal relabeling; above that only
-    paths are accepted, numbered along the path."""
-    best, invs, _ = _canonical_perms(G.n, G.edges)
-    p = [0] * G.n
-    for j, v in enumerate(invs[0], 1):
-        p[v] = j
-    return SGraph(G.n, best, _checked=True), tuple(p)
+        return _cached_plan(n, edges)
+    if edges == tuple(zip(range(1, n), range(2, n + 1))):
+        return edges, tuple(range(n)), ()
+    return _tree_plan(n, edges)

@@ -162,7 +162,7 @@ def graph_key_cobracket(table, word):
 
 
 # ---------------------------------------------------------------------------
-# brute-force canonical graph terms, independent of shapes._canonical_perms
+# brute-force canonical graph terms, independent of shapes._canonical_plan
 
 def canonical_graph_term(n, edges, labels, degrees, order_key):
     """Canonical key and sign for a (graph, label tuple) term, by trying
@@ -170,8 +170,8 @@ def canonical_graph_term(n, edges, labels, degrees, order_key):
     the least relabeled labels by order_key among the relabelings reaching
     it.  Returns (canonical_edges, canonical_labels, sign); sign 0 means the
     term cancels against its own image under a stabilizer element.  The
-    library's canonical form is this one up to 6 vertices; past that it
-    numbers paths along the path instead."""
+    library's tree-code form picks another member of each orbit: the same
+    classes and zero set, with a sign ratio constant on each class."""
     best_edges, perms = None, []
     for p in permutations(range(1, n + 1)):
         relab = tuple(sorted((p[a - 1], p[b - 1]) for a, b in edges))

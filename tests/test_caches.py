@@ -93,9 +93,9 @@ def test_table_dies_with_its_bundle(builder):
 
 
 def test_long_graphs_leave_no_canonical_plans():
-    """Shapes past six vertices (paths) are canonicalised on each call and
-    kept nowhere: a cobracket of a 600-vertex long graph, which canonicalises
-    paths of every length, holds under 1 MB once its result is dropped."""
+    """Shapes past six vertices are planned on each call and kept nowhere:
+    a cobracket of a 600-vertex long graph, which canonicalises long graphs
+    of every length, holds under 1 MB once its result is dropped."""
     table = GeneratorTable([("p7", 2), ("q7", 4)])
     g = graphify(("p7", "q7") * 300, table)
     tracemalloc.start()
@@ -113,9 +113,10 @@ XYZ = "gen x deg 2\ngen y deg 2\ngen z deg 3\ndiff z = x*y\n"
 
 def test_build_E_holds_one_block_at_a_time():
     """build_E drops each pairing block once its content's words are solved:
-    build_E(xyz, 9, 8) holds at most 1.3 MB of traced allocations (1.97-2.01
-    MB when every block kept its rows; 0.78-0.83 MB now, CPython 3.10 to
-    3.13, the same code run outside pytest on all but 3.11)."""
+    build_E(xyz, 9, 8) holds at most 0.8 MB of traced allocations (1.97-2.01
+    MB when every block kept its rows; now 0.60-0.66 MB with the body run
+    alone in a fresh process on CPython 3.10 to 3.13, 0.51-0.53 MB inside
+    the suite on 3.11)."""
     A = parse_presentation(XYZ)
     tracemalloc.start()
     try:
@@ -125,14 +126,15 @@ def test_build_E_holds_one_block_at_a_time():
     finally:
         tracemalloc.stop()
     assert E.key_bidegree
-    assert held < 1.3 * 2 ** 20, f"held {held / 2 ** 20:.2f} MB"
+    assert held < 0.8 * 2 ** 20, f"held {held / 2 ** 20:.2f} MB"
 
 
 def test_homotopy_with_oracle_peak_memory():
     """rational_homotopy drops E once its homology is read, before the
-    oracle is built: at (2, 8) with the oracle it peaks at most 1.6 MB of
-    traced allocations (2.76-2.79 MB when E and its blocks lived on;
-    1.23-1.26 MB now, CPython 3.10 to 3.13, measured as above)."""
+    oracle is built: at (2, 8) with the oracle it peaks at most 1.35 MB of
+    traced allocations (2.76-2.79 MB when E and its blocks lived on; now
+    1.15-1.21 MB in a fresh process on CPython 3.10 to 3.13, 0.95 MB inside
+    the suite on 3.11)."""
     A = parse_presentation(XYZ)
     tracemalloc.start()
     try:
@@ -142,4 +144,4 @@ def test_homotopy_with_oracle_peak_memory():
     finally:
         tracemalloc.stop()
     assert pi == {2: 2, 3: 1, **dict.fromkeys(range(4, 9), 0)}
-    assert peak < 1.6 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MB"
+    assert peak < 1.35 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MB"

@@ -127,6 +127,25 @@ class TestVerbs:
                for w, x in (line.split("\t") for line in out.splitlines())}
         assert got == {b: x for b, x in want.items() if x} and len(got) > 2
 
+    @pytest.mark.parametrize("verb", ["cobracket", "iszero", "normalize"])
+    def test_graph_verbs_on_a_7_vertex_star(self, capsys, verb):
+        """A 7-vertex star is answered in under a second, and the same star
+        written with its centre second (the odd letters keep their order, so
+        the two literals are one element) gives the same output."""
+        star = "G[7;1->2,1->3,1->4,1->5,1->6,1->7](c,a,b,a,a,a,a)"
+        moved = "G[7;2->1,2->3,2->4,2->5,2->6,2->7](a,c,b,a,a,a,a)"
+        outs = []
+        for lit in (star, moved):
+            start = time.perf_counter()
+            code, out, err = run(capsys, verb, lit, "--gens", "c:3,a:2,b:3")
+            assert time.perf_counter() - start < 1.0
+            assert code == 0 and err == "" and out
+            outs.append(out)
+        assert outs[0] == outs[1]
+        code, out, _ = run(capsys, "iszero", f"{star} - {moved}",
+                           "--gens", "c:3,a:2,b:3")
+        assert code == 0 and out == "zero\n"
+
     def test_iszero_zero(self, capsys):
         code, out, _ = run(capsys, "iszero", "a|b + b|a",
                            "--gens", "a:2,b:2")
@@ -343,6 +362,18 @@ class TestErrorsAndCaps:
         start = time.perf_counter()
         code, out, err = run(capsys, "iszero", "|".join("abc" * 13 + "a"),
                              "--gens", "a:2,b:2,c:4")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == "" and "CapExceeded" in err
+        assert "Traceback" not in err and len(err.strip().split("\n")) == 1
+
+    def test_iszero_counted_bound_exits_1(self, capsys):
+        """An 8-vertex star of distinct letters has 10 080 leaf-peeling
+        orders, past the 2 048 of the 12-letter long graph: refused before
+        any cobracket is taken, with one stderr line."""
+        star = "G[8;" + ",".join(f"1->{v}" for v in range(2, 9)) + "]("
+        start = time.perf_counter()
+        code, out, err = run(capsys, "iszero", star + "a,b,c,d,e,f,g,h)",
+                             "--gens", "a:2,b:2,c:2,d:2,e:2,f:2,g:2,h:2")
         assert time.perf_counter() - start < 1.0
         assert code == 1 and out == "" and "CapExceeded" in err
         assert "Traceback" not in err and len(err.strip().split("\n")) == 1

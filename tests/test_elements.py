@@ -119,40 +119,58 @@ class TestCanonicalTerms:
 
 
 class TestCanonicalTermOracle:
-    """canonical_term, read from the shape's plan, gives the (key, sign) of
-    the brute-force oracle over every relabeling (conftest), on a table
-    listed out of name order with two odd letters."""
+    """canonical_term, read from the shape's plan, against the brute-force
+    oracle over every relabeling (conftest), on a table listed out of name
+    order with two odd letters.  The two pick different representatives,
+    so they are compared as partitions: the same zero set, one key of each
+    for every class of the other, and a sign ratio constant on each class."""
 
     TABLE = GeneratorTable([("c", 3), ("a", 2), ("b", 3)])
 
-    def check(self, n, edges, labels):
-        table = self.TABLE
-        want_edges, want_labels, want_sign = canonical_graph_term(
-            n, edges, labels, table.degrees_of(labels), table.sort_key)
-        key, sign = canonical_term(table, n, edges, labels)
-        assert sign == want_sign, (n, edges, labels)
-        assert key == ((n, want_edges), want_labels), (n, edges, labels)
-        return sign
+    def check(self, terms):
+        """The signs of the terms (n, edges, labels), checked as above."""
+        table, ours, theirs, ratio, signs = self.TABLE, {}, {}, {}, []
+        for n, edges, labels in terms:
+            want_edges, want_labels, want_sign = canonical_graph_term(
+                n, edges, labels, table.degrees_of(labels), table.sort_key)
+            key, sign = canonical_term(table, n, edges, labels)
+            assert (sign == 0) == (want_sign == 0), (n, edges, labels)
+            signs.append(sign)
+            if sign:
+                want = ((n, want_edges), want_labels)
+                assert ours.setdefault(want, key) == key, (n, edges, labels)
+                assert theirs.setdefault(key, want) == want, (n, edges, labels)
+                assert ratio.setdefault(want, sign * want_sign) == (
+                    sign * want_sign), (n, edges, labels)
+        return signs
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_every_graph_every_labeling(self, n):
-        signs = set()
-        for G in enumerate_graphs(n):
-            for labels in itertools.product(self.TABLE.names, repeat=n):
-                signs.add(self.check(n, G.edges, labels))
+        signs = set(self.check(
+            (n, G.edges, labels) for G in enumerate_graphs(n)
+            for labels in itertools.product(self.TABLE.names, repeat=n)))
         # a directed edge has no automorphism, so no sign 0 below n = 3
         assert signs == [{1}, {-1, 1}, {-1, 0, 1}, {-1, 0, 1}][n - 1]
 
-    @pytest.mark.parametrize("n", [5, 6])
+    @pytest.mark.parametrize("n", [5, 6, 7])
     def test_random_graphs(self, n):
-        rng = random.Random(n)
-        for _ in range(150):
+        """Random labelled graphs, each with eight random relabelings of
+        itself, so that every class is met several times."""
+        rng, terms = random.Random(n), []
+        for _ in range(25 if n < 7 else 8):
             tree = _pruefer_to_tree(
                 n, [rng.randint(1, n) for _ in range(n - 2)])
-            G = SGraph(n, [e if rng.random() < 0.5 else e[::-1]
-                           for e in tree])
-            labels = tuple(rng.choice(self.TABLE.names) for _ in range(n))
-            self.check(n, G.edges, labels)
+            edges = [e if rng.random() < 0.5 else e[::-1] for e in tree]
+            labels = [rng.choice(self.TABLE.names) for _ in range(n)]
+            for _ in range(8):
+                p = rng.sample(range(1, n + 1), n)
+                moved = [None] * n
+                for v, x in enumerate(labels):
+                    moved[p[v] - 1] = x
+                terms.append((n, SGraph(n, [(p[a - 1], p[b - 1])
+                                            for a, b in edges]).edges,
+                              tuple(moved)))
+        self.check(terms)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_stars_with_repeated_odd_leaves_vanish(self, n):
@@ -166,7 +184,17 @@ class TestCanonicalTermOracle:
                 for _ in range(20):
                     rest = [rng.choice(self.TABLE.names) for _ in range(n - 3)]
                     labels = (rng.choice(self.TABLE.names), odd, odd, *rest)
-                    assert self.check(n, G.edges, labels) == 0
+                    assert self.check([(n, G.edges, labels)]) == [0]
+
+    def test_long_graphs_keep_their_labels(self):
+        """A long graph is its own canonical form: its labels stay in place
+        with sign 1, whatever their parities, at every length."""
+        rng = random.Random(2)
+        for n in (2, 3, 7, 12, 100):
+            labels = tuple(rng.choice(self.TABLE.names) for _ in range(n))
+            edges = tuple((v, v + 1) for v in range(1, n))
+            assert canonical_term(self.TABLE, n, edges, labels) == (
+                ((n, edges), labels), 1)
 
 
 class TestCoefficientContract:

@@ -536,16 +536,18 @@ def _build_G_digest(bundles):
 
 @pytest.mark.parametrize("name, digest", [
     ("s2.alg",
-     "5469762c56e84911a0bc333f8855314f86e0043d6c2d7ce8f8577105659c89ea"),
+     "127509c387dcffad509d73c80277a42e9f1bd2ff186d3ce2e045d2bd13d25126"),
     ("s3.alg",
-     "ff1341d9f3091f03a1472d598f7278ccaf2f7dee9e72eb7aa8e6281463004ddf"),
+     "0e873d8b388246bcc54395de81e06e0e746638361a6e61015d6c854106c80b23"),
     ("cp2.alg",
-     "011bf9cbf37e36c8971a963948a74014fc7004090fe698d04b2b59369babdc65"),
+     "67d450dc82668e1336823085972b17590e99e8ad2d6477d30364ec20db2dc3d9"),
     ("sullivan_s2.alg",
-     "82cdd0f935055a437b0ffc9ad699bf5e0ef8bab277c17688c0e375686abc0c59"),
-])
+     "ae7237fd5a9aa62b2a9fa5b30898f53acdd6528bc8fdfd3dc179fc3c78d6cccf"),
+], ids=["s2.alg", "s3.alg", "cp2.alg", "sullivan_s2.alg"])
 def test_build_G_pinned_on_fixtures(name, digest):
-    """build_G's keys and differentials at caps 4/8, as first recorded."""
+    """build_G's keys and differentials at caps 4/8, over the tree-code
+    canonical forms (re-pinned when they replaced the least relabelings,
+    with every piece's dimension and every filtered rank unchanged)."""
     assert _build_G_digest([build_G(load_presentation(name), 4, 8)]) == digest
 
 
@@ -554,7 +556,7 @@ def test_build_G_pinned_on_random_presentations():
     rng = random.Random(20260823)
     bundles = [build_G(random_presentation(rng), 3, 8) for _ in range(20)]
     assert _build_G_digest(bundles) == (
-        "b2ca3f14dd7b119d84a9e9dc58ac02c8b98b25660a83ab6da034efb3801befee")
+        "59a6ce0ef83bfdc43c21a6b940fe8d50122a22f4df236147de26c529b0ab3756")
 
 
 def test_build_G_shapes_are_the_oriented_trees(monkeypatch):
@@ -562,12 +564,13 @@ def test_build_G_shapes_are_the_oriented_trees(monkeypatch):
     91 in weights 1-6, the oriented trees (OEIS A000238).  The shapes are
     grown a leaf at a time, so a plan is computed only for a shape of
     weight w - 1 with a leaf added, 2 (w - 1) of them per shape.  Weight 7
-    is a CapExceeded before any of its orders is listed."""
+    is past ENUMERATION_CAP: a CapExceeded before any of its orders or
+    shapes is listed."""
     A = parse_presentation("gen x deg 3\n")
     grown = []
-    monkeypatch.setattr(functors, "_canonical_perms",
+    monkeypatch.setattr(functors, "_canonical_plan",
                         lambda n, edges: grown.append(n)
-                        or shapes._canonical_perms(n, edges))
+                        or shapes._canonical_plan(n, edges))
     G = build_G(A, 6, 12)
     counts = Counter(w for w, _ in G.key_bidegree.values())
     assert [counts[w] for w in range(1, 7)] == [1, 1, 3, 8, 27, 91]
@@ -579,18 +582,23 @@ def test_build_G_shapes_are_the_oriented_trees(monkeypatch):
         return itertools.permutations(content)
 
     monkeypatch.setattr(functors, "permutations", orders)
-    with pytest.raises(CapExceeded, match="non-path shapes capped at 6"):
+    grown.clear()
+    with pytest.raises(CapExceeded, match="graph model enumeration capped "
+                                          "at n <= 6"):
         build_G(A, 7, 14)
+    assert 7 not in grown
 
 
 def test_build_G_at_weight_6_and_criterion_10():
-    """build_G(cp2.alg, 6, 12) as first recorded, each shape found then by
-    the plan of every labelled graph; on it the canonical twisting function
-    passes, and a perturbed one fails with a witness."""
+    """build_G(cp2.alg, 6, 12) over the tree-code canonical forms (re-pinned
+    with them; a signed bijection of keys maps the complex first recorded,
+    each shape then found by the plan of every labelled graph, onto this
+    one); on it the canonical twisting function passes, and a perturbed one
+    fails with a witness."""
     A = load_presentation("cp2.alg")
     G = build_G(A, 6, 12)
     assert _build_G_digest([G]) == (
-        "ea0bb1b966f44c26cfaafa93da17085716b79b0b99879fdf00022d524b365ed7")
+        "1c1cc9f62d65085891c6edb919e378e63966556470a912b0356d911671c2f7c0")
     tau = canonical_twisting_function(G)
     assert check_twisting(tau, G, A).passed
     key = next(k for k in tau if tau[k])

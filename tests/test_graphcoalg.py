@@ -21,6 +21,7 @@ from liecograph.graphcoalg import (
     BAR_CAP,
     ZERO_CAP,
     _cut_signs,
+    _peeling_orders,
     _standard_bracketing,
     _tree_column,
     _witt_dimension,
@@ -40,8 +41,8 @@ from liecograph.graphcoalg import (
 from liecograph.liealg import lie_normal_form, tensor_expand
 from liecograph.linalg import SparseMatrix
 from liecograph.pairing import element_pair
-from liecograph.shapes import (cut_edge, enumerate_graphs, enumerate_trees,
-                               long_graph, tall_tree)
+from liecograph.shapes import (SGraph, cut_edge, enumerate_graphs,
+                               enumerate_trees, long_graph, tall_tree)
 
 from conftest import _word_vector, arrangements, super_lyndon
 
@@ -181,6 +182,38 @@ class TestWordProblem:
         assert time.perf_counter() - start < 1.0
         assert not table.memo("iterated_cobracket")
         assert is_zero_in_E(graphify(("a",) * ZERO_CAP, table)) == (True, None)
+
+    def test_peeling_orders_count_the_iterated_cobracket(self):
+        """The zero test's bound is counted from the shape: on distinct
+        letters its leaf-peeling orders are the terms of the fully iterated
+        cobracket, on every graph up to 5 vertices and on the 6-star."""
+        table = GeneratorTable([(x, 2) for x in "abcdef"])
+        star = SGraph(6, [(1, v) for v in range(2, 7)])
+        for G in [*(G for n in range(1, 6) for G in enumerate_graphs(n)),
+                  star]:
+            g = GraphElement.from_term(table, G, "abcdef"[:G.n])
+            assert _peeling_orders(G.n, G.edges) == len(
+                iterated_cobracket(g, G.n - 1).terms), G
+        assert _peeling_orders(6, star.edges) == 240
+
+    def test_zero_test_counted_bound(self):
+        """2^(ZERO_CAP - 1) = 2048 orders, the long graph's on ZERO_CAP
+        letters, are admitted: the 7-star (1440) and that long graph are
+        tested, and the 8-star (10080) is refused before any cobracket."""
+        table = GeneratorTable([(x, 2) for x in "abcdefghijkl"])
+        stars = [SGraph(n, [(1, v) for v in range(2, n + 1)]) for n in (7, 8)]
+        assert [_peeling_orders(S.n, S.edges) for S in stars] == [1440, 10080]
+        long = long_graph(range(1, ZERO_CAP + 1))
+        assert _peeling_orders(ZERO_CAP, long.edges) == 2 ** (ZERO_CAP - 1)
+        assert not is_zero_in_E(graphify(table.names[:ZERO_CAP], table))[0]
+        assert not is_zero_in_E(
+            GraphElement.from_term(table, stars[0], "abcdefg"))[0]
+        table = GeneratorTable([(x, 2) for x in "abcdefgh"])
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded, match="2048 leaf-peeling orders"):
+            is_zero_in_E(GraphElement.from_term(table, stars[1], "abcdefgh"))
+        assert time.perf_counter() - start < 1.0
+        assert not table.memo("iterated_cobracket")
 
     def test_each_cobracket_taken_once(self, monkeypatch):
         """Zero tests and element pairings read one memo of single

@@ -246,11 +246,11 @@ class TestQuotient:
 
     def test_weight_6_peak_memory(self):
         """Building and ranking the weight-6 matrix stays under 4.75 MB of
-        traced allocations (the full int8 matrix alone is 1.25 GB).  4.49 MB
-        measured on CPython 3.11, of which 4.07 MB stay held, most of it the
-        trees of col_basis: the rows are an indexed view, so no graph is
-        built.  With the column keys and class maps held as lists it was
-        5.25-5.26 MB on 3.10 to 3.13."""
+        traced allocations (the full int8 matrix alone is 1.25 GB).  4.49-4.50
+        MB measured in a fresh process on CPython 3.10 to 3.13, of which
+        4.07 MB stay held on 3.11, most of it the trees of col_basis: the
+        rows are an indexed view, so no graph is built.  With the column keys
+        and class maps held as lists it was 5.25-5.26 MB on 3.10 to 3.13."""
         for cached in (pairing._enumerated_pairing_matrix, enumerate_graphs,
                        enumerate_trees):
             cached.cache_clear()

@@ -1,4 +1,6 @@
 import itertools
+import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -14,10 +16,12 @@ from liecograph.errors import (
     NotConnected,
 )
 from liecograph.shapes import (
+    ENUMERATION_CAP,
     SGraph,
-    _canonical_perms,
+    _canonical_plan,
+    _pruefer_to_tree,
+    _tree_plan,
     _tree_shapes,
-    canonical_form,
     contract_edge,
     cut_edge,
     enumerate_graphs,
@@ -141,45 +145,109 @@ class TestEnumeration:
             enumerate_trees(n)
 
 
+def _relabeled(G, perm):
+    """G with vertex v renamed perm[v - 1]."""
+    return SGraph(G.n, [(perm[a - 1], perm[b - 1]) for a, b in G.edges])
+
+
+def _renumbered(G, order):
+    """G with old vertex order[j] (0-based) renamed j + 1, as a plan does."""
+    perm = [0] * G.n
+    for j, v in enumerate(order, 1):
+        perm[v] = j
+    return _relabeled(G, perm)
+
+
+def _automorphisms(n, edges):
+    """The vertex permutations fixing the edge tuple, by brute force."""
+    return sum(tuple(sorted((p[a - 1], p[b - 1]) for a, b in edges)) == edges
+               for p in itertools.permutations(range(1, n + 1)))
+
+
+def _grown_shapes(n):
+    """One canonical edge tuple per oriented tree on n vertices, grown a
+    leaf at a time through the plan."""
+    shapes = {()}
+    for w in range(2, n + 1):
+        shapes = {_canonical_plan(w, tuple(sorted((*edges, e))))[0]
+                  for edges in shapes for v in range(1, w)
+                  for e in ((v, w), (w, v))}
+    return shapes
+
+
 class TestCanonicalForm:
     def test_relabeling_orbit_constant(self):
         G = SGraph(4, [(2, 1), (2, 3), (3, 4)])
-        base, _ = canonical_form(G)
+        base = _canonical_plan(4, G.edges)[0]
         for perm in itertools.permutations(range(1, 5)):
-            m = {i + 1: perm[i] for i in range(4)}
-            H = SGraph(4, [(m[a], m[b]) for a, b in G.edges])
-            assert canonical_form(H)[0].edges == base.edges
+            assert _canonical_plan(4, _relabeled(G, perm).edges)[0] == base
+        rng = random.Random(8)
+        for n in (7, 9, 12):
+            tree = _pruefer_to_tree(n, [rng.randint(1, n) for _ in range(n - 2)])
+            G = SGraph(n, [e if rng.random() < 0.5 else e[::-1] for e in tree])
+            base = _canonical_plan(n, G.edges)[0]
+            for _ in range(30):
+                perm = rng.sample(range(1, n + 1), n)
+                assert _canonical_plan(n, _relabeled(G, perm).edges)[0] == base
 
     def test_idempotent(self):
-        for G in enumerate_graphs(3):
-            C, _ = canonical_form(G)
-            assert canonical_form(C)[0].edges == C.edges
+        for n in range(1, 6):
+            for G in enumerate_graphs(n):
+                best, _, runs = _canonical_plan(n, G.edges)
+                assert _canonical_plan(n, best) == (best, tuple(range(n)), runs)
 
     def test_view_on_the_one_canonicaliser(self):
-        for n in range(1, 5):
+        """The order relabels the shape onto its canonical edges; swapping
+        two blocks of a run, position by position, is an automorphism of
+        them; and the runs account for every automorphism, a run of k
+        blocks for k! of them."""
+        for n in range(1, 6):
             for G in enumerate_graphs(n):
-                best, invs, identity = _canonical_perms(n, G.edges)
-                C, p = canonical_form(G)
-                assert C.edges == best and [p[i] for i in invs[0]] == list(
-                    range(1, n + 1))
-                for inv in invs:
-                    # inv lists the old vertices (0-based) in their new order
-                    q = {v + 1: j for j, v in enumerate(inv, 1)}
-                    assert G.relabel(q).edges == best
-                assert len(set(invs)) == len(invs)
-                assert identity == (invs == (tuple(range(n)),))
+                best, order, runs = _canonical_plan(n, G.edges)
+                assert sorted(order) == list(range(n))
+                assert _renumbered(G, order).edges == best
+                count = 1
+                for run in runs:
+                    count *= math.factorial(len(run))
+                    for b1, b2 in itertools.combinations(run, 2):
+                        swap = list(range(1, n + 1))
+                        for p, q in zip(b1, b2):
+                            swap[p], swap[q] = q + 1, p + 1
+                        assert len(b1) == len(b2)
+                        assert _relabeled(SGraph(n, best), swap).edges == best
+                assert count == _automorphisms(n, best)
 
     def test_paths_above_six_vertices(self):
+        """Shapes past ENUMERATION_CAP are planned on each call, paths and
+        the rest alike: a path of alternating edges and a 7-vertex star."""
         G = SGraph(7, [(1, 2), (3, 2), (3, 4), (5, 4), (5, 6), (7, 6)])
-        base, p = canonical_form(G)
-        assert G.relabel(lambda v: p[v - 1]).edges == base.edges
-        for perm in itertools.islice(itertools.permutations(range(1, 8)),
-                                     0, 5040, 97):
-            H = G.relabel(lambda v: perm[v - 1])
-            assert canonical_form(H)[0].edges == base.edges
         star = SGraph(7, [(1, v) for v in range(2, 8)])
-        with pytest.raises(CapExceeded):
-            canonical_form(star)
+        for H in (G, star):
+            base, order, _ = _canonical_plan(7, H.edges)
+            assert _renumbered(H, order).edges == base
+            for perm in itertools.islice(itertools.permutations(range(1, 8)),
+                                         0, 5040, 97):
+                assert _canonical_plan(7, _relabeled(H, perm).edges)[0] == base
+        assert [len(run) for run in _canonical_plan(7, star.edges)[2]] == [6]
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_long_graphs_are_their_own_form(self, n):
+        """The long graph 1 -> ... -> n is its own canonical form with no
+        automorphism, by the tree codes and by the planner's shortcut."""
+        G = long_graph(range(1, n + 1))
+        plan = (G.edges, tuple(range(n)), ())
+        assert _tree_plan(n, G.edges) == _canonical_plan(n, G.edges) == plan
+
+    def test_oriented_tree_counts(self):
+        """Grown a leaf at a time, the canonical shapes are the oriented
+        trees: 1, 1, 3, 8, 27, 91 and 350 on 1..7 vertices (OEIS A000238),
+        the last past ENUMERATION_CAP; up to 5 vertices they are the
+        canonical edges of every graph."""
+        counts = [len(_grown_shapes(n)) for n in range(1, 8)]
+        assert counts == [1, 1, 3, 8, 27, 91, 350] and ENUMERATION_CAP == 6
+        for n in range(1, 6):
+            assert _grown_shapes(n) == {_canonical_plan(n, G.edges)[0]
+                                        for G in enumerate_graphs(n)}
 
 
 class TestSurgery:
